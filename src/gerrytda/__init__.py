@@ -61,7 +61,6 @@ from .persistence import (
     INF,
     Barcode,
     BettiProfile,
-    BoundaryMatrix,
     PersistencePair,
     barcode,
     betti_oracle,

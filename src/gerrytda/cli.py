@@ -14,13 +14,13 @@ import sys
 from pathlib import Path
 
 from .compactness import paired_t_test, score_units, scores_to_csv
-from .compare import bottleneck, matrix_to_csv, wasserstein
+from .compare import bottleneck, distance_matrix, matrix_to_csv, wasserstein
 from .errors import GerryTdaError, ParameterError
 from .geometry import UnitKind
-from .ingest import join_units, parse_geojson, parse_votes_csv, to_geojson
+from .ingest import parse_geojson, to_geojson
 from .persistence import barcode, read_barcode_json
 from .raster import MarginMode, margin_field, rasterize, write_margin_pgm
-from .report import AnalysisConfig, run_year, write_outputs
+from .report import AnalysisConfig, _load_layer, run_year, write_outputs
 from .complexes import build_levelset_filtration, uniform_schedule
 
 
@@ -92,21 +92,17 @@ def _emit(text: str, out: str | None) -> None:
         Path(out).write_text(text)
 
 
-def _load_joined(opts: _Options, geo_key: str, votes_key: str, kind: UnitKind):
-    units = parse_geojson(Path(opts.require(geo_key)).read_text(), kind=kind)
-    votes = parse_votes_csv(Path(opts.require(votes_key)).read_text())
-    return join_units(units, votes)
-
-
 def _field(opts: _Options):
-    units, report = _load_joined(opts, "geo", "votes", UnitKind.PRECINCT)
+    units, report = _load_layer(opts.require("geo"), opts.require("votes"),
+                                UnitKind.PRECINCT)
     width = opts.get("width", 1024, int)
     mode = MarginMode(opts.get("mode", "density"))
     return margin_field(rasterize(units, width), units, mode), units, report
 
 
 def _cmd_ingest(opts: _Options) -> int:
-    units, report = _load_joined(opts, "geo", "votes", UnitKind.PRECINCT)
+    units, report = _load_layer(opts.require("geo"), opts.require("votes"),
+                                UnitKind.PRECINCT)
     doc = to_geojson(units)
     out = opts.get("out")
     if out:
@@ -213,14 +209,8 @@ def _cmd_matrix(opts: _Options) -> int:
         by_dim, _ = read_barcode_json(Path(path).read_text())
         labels.append(Path(path).stem)
         diagrams.append(by_dim.get(dim, []))
-    n = len(labels)
-    import numpy as np
-
-    matrix = np.zeros((n, n))
-    for i in range(n):
-        for j in range(i + 1, n):
-            matrix[i, j] = matrix[j, i] = bottleneck(diagrams[i], diagrams[j])
-    _emit(matrix_to_csv(labels, matrix), opts.get("out"))
+    _emit(matrix_to_csv(labels, distance_matrix(labels, diagrams, bottleneck)),
+          opts.get("out"))
     return 0
 
 

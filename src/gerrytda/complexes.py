@@ -101,20 +101,12 @@ class FilteredComplex:
         n = len(cells)
         dims = np.fromiter((c[0] for c in cells), dtype=np.int8, count=n)
         levels = np.fromiter((c[1] for c in cells), dtype=np.int64, count=n)
-        perm = np.lexsort((np.arange(n), dims, levels))
-        inv = np.empty(n, dtype=np.int64)
-        inv[perm] = np.arange(n)
-        indptr = np.zeros(n + 1, dtype=np.int64)
-        chunks = []
-        for new_id, old_id in enumerate(perm):
-            b = np.sort(inv[np.fromiter(cells[old_id][2], dtype=np.int64)]) \
-                if cells[old_id][2] else np.empty(0, dtype=np.int64)
-            chunks.append(b)
-            indptr[new_id + 1] = indptr[new_id] + len(b)
-        indices = np.concatenate(chunks) if chunks else np.empty(0, dtype=np.int64)
+        faces = [[int(f) for f in c[2]] for c in cells]
+        lens = np.array([len(f) for f in faces], dtype=np.int64)
+        flat = np.array([f for fs in faces for f in fs], dtype=np.int64)
         if num_levels is None:
             num_levels = int(levels.max(initial=1))
-        return cls(dims[perm], levels[perm], indptr, indices, num_levels, thresholds)
+        return _sorted_complex(dims, levels, lens, flat, num_levels, thresholds)
 
     def _validate(self):
         n = len(self.dims)

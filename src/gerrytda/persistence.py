@@ -11,55 +11,14 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
 
 import numpy as np
 
 from ._reduction import reduce_columns
 from .complexes import FilteredComplex
-from .errors import ParameterError, StructureError
+from .errors import ParameterError
 
 INF = math.inf
-
-
-class BoundaryMatrix:
-    """Columns of the boundary operator in filtration order."""
-
-    __slots__ = ("dims", "levels", "indptr", "indices")
-
-    def __init__(self, dims: np.ndarray, levels: np.ndarray,
-                 columns: Sequence[Iterable[int]]):
-        self.dims = np.asarray(dims, dtype=np.int8)
-        self.levels = np.asarray(levels, dtype=np.int64)
-        n = len(self.dims)
-        if len(columns) != n or len(self.levels) != n:
-            raise StructureError("column count mismatch")
-        indptr = np.zeros(n + 1, dtype=np.int64)
-        flat: list[int] = []
-        for j, col in enumerate(columns):
-            rows = sorted(int(r) for r in col)
-            for r in rows:
-                if r < 0 or r >= j:
-                    raise StructureError(f"column {j}: row {r} not strictly earlier")
-            flat.extend(rows)
-            indptr[j + 1] = len(flat)
-        self.indptr = indptr
-        self.indices = np.asarray(flat, dtype=np.int64)
-
-    @classmethod
-    def from_complex(cls, cx: FilteredComplex) -> "BoundaryMatrix":
-        bm = cls.__new__(cls)
-        bm.dims = cx.dims
-        bm.levels = cx.levels
-        bm.indptr = cx.indptr
-        bm.indices = cx.indices
-        return bm
-
-    def __len__(self) -> int:
-        return len(self.dims)
-
-    def column(self, j: int) -> np.ndarray:
-        return self.indices[self.indptr[j]:self.indptr[j + 1]]
 
 
 @dataclass(frozen=True)
@@ -85,14 +44,14 @@ class Reduction:
         return int(col[-1]) if len(col) else -1
 
 
-def reduce(matrix: BoundaryMatrix, use_clearing: bool = True) -> Reduction:
+def reduce(cx: FilteredComplex, use_clearing: bool = True) -> Reduction:
     """Reduce the boundary matrix; every column ends zero or with unique low."""
     pairs, is_zero, pivot_owner, col_start, col_len, pool = reduce_columns(
-        matrix.indptr, matrix.indices, matrix.dims, use_clearing)
+        cx.indptr, cx.indices, cx.dims, use_clearing)
     essential = np.flatnonzero(is_zero & (pivot_owner == -1))
     pair_list = tuple(sorted((int(r), int(c)) for r, c in pairs))
     return Reduction(pair_list, tuple(int(i) for i in essential),
-                     col_start, col_len, pool, len(matrix))
+                     col_start, col_len, pool, len(cx))
 
 
 @dataclass(frozen=True, order=True)
@@ -162,7 +121,7 @@ def read_barcode_json(doc: dict | str) -> tuple[dict[int, list[tuple[float, floa
 
 def barcode(cx: FilteredComplex, use_clearing: bool = True) -> Barcode:
     """Persistence barcode of a filtered complex; zero-length bars dropped."""
-    red = reduce(BoundaryMatrix.from_complex(cx), use_clearing)
+    red = reduce(cx, use_clearing)
     levels = cx.levels
     dims = cx.dims
     out = []

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
@@ -21,14 +20,20 @@ from typing import Sequence
 import numpy as np
 
 from .compactness import CompactnessRow, paired_t_test, score_units, scores_to_csv
-from .compare import bottleneck, matrix_to_csv, total_persistence, wasserstein
+from .compare import (
+    bottleneck,
+    distance_matrix,
+    matrix_to_csv,
+    total_persistence,
+    wasserstein,
+)
 from .complexes import (
     LevelSchedule,
     _vertex_levels,
     build_levelset_filtration,
     uniform_schedule,
 )
-from .errors import GerryTdaError, ParameterError, PipelineError
+from .errors import DegenerateSampleError, GerryTdaError, ParameterError, PipelineError
 from .geometry import UnitCollection, UnitKind
 from .ingest import JoinReport, join_units, parse_geojson, parse_votes_csv
 from .persistence import Barcode, barcode
@@ -126,13 +131,9 @@ def run_year(config: AnalysisConfig) -> YearResult:
                       p_join, d_join, rows, p_field, d_field, schedule)
 
 
-def run_years(configs: Sequence[AnalysisConfig],
-              max_workers: int = 4) -> list[YearResult]:
-    """Years in parallel; each year's pipeline is sequential inside."""
-    if not configs:
-        return []
-    with ThreadPoolExecutor(max_workers=min(max_workers, len(configs))) as pool:
-        return list(pool.map(run_year, configs))
+def run_years(configs: Sequence[AnalysisConfig]) -> list[YearResult]:
+    """run_year over each config in turn, results in config order."""
+    return [run_year(c) for c in configs]
 
 
 def cross_year_matrix(results: Sequence[YearResult], which: str = "precinct",
@@ -145,12 +146,7 @@ def cross_year_matrix(results: Sequence[YearResult], which: str = "precinct",
     diagrams = [(r.precinct_barcode if which == "precinct"
                  else r.district_barcode).diagram(dim) for r in results]
     labels = [r.year for r in results]
-    n = len(labels)
-    out = np.zeros((n, n))
-    for i in range(n):
-        for j in range(i + 1, n):
-            out[i, j] = out[j, i] = bottleneck(diagrams[i], diagrams[j])
-    return labels, out
+    return labels, distance_matrix(labels, diagrams, bottleneck)
 
 
 # === artifact writers ===
@@ -270,11 +266,7 @@ def write_outputs(results: Sequence[YearResult], out_dir: str | Path,
                         fld, r.schedule, lv,
                         out / "snapshots" / f"{name}_level_{lv:03d}.pgm")
 
-    n = len(labels)
-    matrix = np.zeros((n, n))
-    for i in range(n):
-        for j in range(i + 1, n):
-            matrix[i, j] = matrix[j, i] = bottleneck(diagrams[i], diagrams[j])
+    matrix = distance_matrix(labels, diagrams, bottleneck)
     (out / "distances.csv").write_text(matrix_to_csv(labels, matrix))
 
     comp_rows = []
@@ -285,16 +277,22 @@ def write_outputs(results: Sequence[YearResult], out_dir: str | Path,
     (out / "compactness.csv").write_text(scores_to_csv(comp_rows))
 
     first, last = results[0], results[-1]
+    # the paired test is undefined when the plans seat different numbers of
+    # districts, and for a metric whose differences have zero variance (the
+    # same plan in both years); such a metric is left out, and the file is
+    # absent when no metric is left
+    tests = []
     if len(results) >= 2 and len(first.compactness) == len(last.compactness):
-        # the paired test is undefined when the plans seat different numbers
-        # of districts, so the file is simply absent in that case
-        tests = []
         for metric in ("polsby_popper", "reock"):
             a = [getattr(c, metric) for c in first.compactness]
             b = [getattr(c, metric) for c in last.compactness]
-            res = paired_t_test(a, b)
+            try:
+                res = paired_t_test(a, b)
+            except DegenerateSampleError:
+                continue
             tests.append({"metric": metric, "t": res.t_statistic,
                           "df": res.degrees_of_freedom, "p": res.p_value})
+    if tests:
         (out / "ttest.json").write_text(json.dumps(tests, sort_keys=True,
                                                    indent=2) + "\n")
 

@@ -172,6 +172,25 @@ def test_complex_dump_format():
     ]
 
 
+def test_from_cells_rebuilds_random_cubical():
+    # cells handed over one dimension at a time, each boundary shuffled:
+    # from_cells must restore the filtration order and sorted boundaries
+    rng = np.random.default_rng(13)
+    sched = uniform_schedule(6)
+    for _ in range(10):
+        cx = build_levelset_filtration(random_field(rng, rng.integers(2, 8),
+                                                    rng.integers(2, 8)), sched)
+        order = np.argsort(cx.dims, kind="stable")
+        pos = np.empty(len(cx), np.int64)
+        pos[order] = np.arange(len(cx))
+        cells = [(c.dim, c.level, [int(pos[f]) for f in rng.permutation(c.boundary)])
+                 for c in (cx.cell(int(i)) for i in order)]
+        rebuilt = FilteredComplex.from_cells(cells, cx.num_levels, cx.thresholds)
+        for name in ("dims", "levels", "indptr", "indices"):
+            want, got = getattr(cx, name), getattr(rebuilt, name)
+            assert got.dtype == want.dtype and np.array_equal(got, want), name
+
+
 def test_from_cells_rejects_face_after_coface():
     with pytest.raises(StructureError):
         FilteredComplex.from_cells(

@@ -17,11 +17,9 @@ from gerrytda.complexes import (
     flag_filtration,
     uniform_schedule,
 )
-from gerrytda.errors import StructureError
 from gerrytda.persistence import (
     INF,
     Barcode,
-    BoundaryMatrix,
     PersistencePair,
     barcode,
     betti_oracle,
@@ -48,28 +46,22 @@ def triangle_filtration():
 
 # === reduce ===
 
-def test_reduce_empty_matrix():
-    red = reduce(BoundaryMatrix(np.empty(0, np.int8), np.empty(0, np.int64), []))
-    assert red.pairs == ()
-    assert red.essential == ()
-
-
 def test_reduce_triangle_worked_example():
-    red = reduce(BoundaryMatrix.from_complex(triangle_filtration()))
+    red = reduce(triangle_filtration())
     assert red.pairs == ((1, 3), (2, 4), (5, 6))
     assert red.essential == (0,)
 
 
 def test_reduce_two_isolated_vertices():
     cx = FilteredComplex.from_cells([(0, 1, ()), (0, 1, ())], num_levels=1)
-    red = reduce(BoundaryMatrix.from_complex(cx))
+    red = reduce(cx)
     assert red.pairs == ()
     assert red.essential == (0, 1)
 
 
 def test_reduce_lows_are_unique_and_match_pairs():
     cx = triangle_filtration()
-    red = reduce(BoundaryMatrix.from_complex(cx))
+    red = reduce(cx)
     lows = {}
     for _, j in red.pairs:
         lows[red.low(j)] = j
@@ -80,16 +72,11 @@ def test_reduce_lows_are_unique_and_match_pairs():
         assert red.low(i) == -1
 
 
-def test_boundary_matrix_rejects_late_row():
-    with pytest.raises(StructureError):
-        BoundaryMatrix(np.array([0, 1], np.int8), np.array([1, 1]), [[], [1]])
-
-
 def test_reduce_is_partial_matching():
     rng = np.random.default_rng(5)
     field = field_from_array(rng.uniform(-1, 1, (8, 8)))
     cx = build_levelset_filtration(field, uniform_schedule(6))
-    red = reduce(BoundaryMatrix.from_complex(cx))
+    red = reduce(cx)
     seen = [i for pair in red.pairs for i in pair] + list(red.essential)
     assert len(seen) == len(set(seen)) == len(cx)
 

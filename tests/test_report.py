@@ -129,17 +129,6 @@ def test_cross_year_matrix_validates_selector(island_files):
         cross_year_matrix(years, "county")
 
 
-def test_run_years_matches_sequential(island_files):
-    configs = [island_config(island_files, "packed", year="a"),
-               island_config(island_files, "cracked", year="b")]
-    parallel = run_years(configs, max_workers=2)
-    sequential = [run_year(c) for c in configs]
-    for par, seq in zip(parallel, sequential):
-        assert par.year == seq.year
-        assert par.precinct_barcode == seq.precinct_barcode
-        assert par.district_barcode == seq.district_barcode
-
-
 # === SVG rendering ===
 
 def test_svg_empty_barcode_axes_only(island_files):
@@ -281,6 +270,17 @@ def test_write_outputs_single_year_plain_ids(island_files, tmp_path):
     assert comp[1].startswith("ISLE,") or comp[1].startswith("WEST,")
     assert not (tmp_path / "out" / "ttest.json").exists()
     assert not list((tmp_path / "out" / "snapshots").glob("*.pgm"))
+
+
+def test_write_outputs_same_plan_omits_ttest(island_files, tmp_path):
+    # identical plans give zero-variance differences: the paired test is
+    # undefined for both metrics, so ttest.json is absent but the rest is written
+    years = run_years([island_config(island_files, "packed", year="a"),
+                       island_config(island_files, "packed", year="b")])
+    write_outputs(years, tmp_path / "out", snapshots=False)
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert [r["year"] for r in report] == ["a", "b"]
+    assert not (tmp_path / "out" / "ttest.json").exists()
 
 
 def test_write_outputs_ttest_between_years(island_files, tmp_path):
