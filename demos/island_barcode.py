@@ -6,9 +6,9 @@ sweep threshold reaches the island's margin: bar length is margin strength.
 
 import json
 
-from gerrytda.complexes import build_levelset_filtration, uniform_schedule
+from gerrytda.complexes import uniform_schedule
 from gerrytda.ingest import join_units, parse_geojson, parse_votes_csv
-from gerrytda.persistence import barcode
+from gerrytda.persistence import levelset_barcode
 from gerrytda.raster import MarginMode, margin_field, rasterize
 from gerrytda.synth import island_scenario, votes_csv_text
 
@@ -20,7 +20,7 @@ print(f"joined {report.matched} precincts")
 
 field = margin_field(rasterize(units, 80), units, MarginMode.RELATIVE)
 schedule = uniform_schedule(25)
-bc = barcode(build_levelset_filtration(field, schedule))
+bc = levelset_barcode(field, schedule)
 
 for dim in (0, 1):
     print(f"H{dim}:")

@@ -65,6 +65,7 @@ from .persistence import (
     barcode,
     betti_oracle,
     betti_profile,
+    levelset_barcode,
     read_barcode_json,
     reduce,
 )

@@ -10,32 +10,16 @@ low already belongs to an earlier column, that column's stored reduced form
 is pushed and the loop continues. This keeps column additions cheap even when
 many plateau cells share a level.
 
-The kernel compiles under numba when available and runs as plain Python
-otherwise; both paths execute identical code.
+The kernel is plain Python over numpy arrays. Level-set rasters take
+persistence.levelset_barcode instead; the reduction serves the adjacency
+route and is the reference the raster route is tested against.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-try:
-    from numba import njit
 
-    HAVE_NUMBA = True
-except ImportError:  # pragma: no cover - numba is a declared dependency
-    HAVE_NUMBA = False
-
-    def njit(*args, **kwargs):
-        if args and callable(args[0]):
-            return args[0]
-
-        def wrap(f):
-            return f
-
-        return wrap
-
-
-@njit(cache=True)
 def _push(heap, hn, v):
     if hn >= heap.shape[0]:
         bigger = np.empty(heap.shape[0] * 2, np.int64)
@@ -53,7 +37,6 @@ def _push(heap, hn, v):
     return heap, hn + 1
 
 
-@njit(cache=True)
 def _pop(heap, hn):
     """Remove the max (caller reads heap[0] first); returns the new size."""
     hn -= 1
@@ -74,7 +57,6 @@ def _pop(heap, hn):
     return hn
 
 
-@njit(cache=True)
 def _reduce_kernel(indptr, indices, order, use_clearing):
     n = indptr.shape[0] - 1
     pivot_owner = np.full(n, -1, np.int64)

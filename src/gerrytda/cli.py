@@ -18,10 +18,10 @@ from .compare import bottleneck, distance_matrix, matrix_to_csv, wasserstein
 from .errors import GerryTdaError, ParameterError
 from .geometry import UnitKind
 from .ingest import parse_geojson, to_geojson
-from .persistence import barcode, read_barcode_json
+from .persistence import levelset_barcode, read_barcode_json
 from .raster import MarginMode, margin_field, rasterize, write_margin_pgm
 from .report import AnalysisConfig, _load_layer, run_year, write_outputs
-from .complexes import build_levelset_filtration, uniform_schedule
+from .complexes import uniform_schedule
 
 
 def _read_config(path: str) -> dict[str, str]:
@@ -124,8 +124,7 @@ def _cmd_barcode(opts: _Options) -> int:
     fld, _, _ = _field(opts)
     schedule = uniform_schedule(opts.get("levels", 25, int),
                                 opts.get("max_margin", 1.0, float))
-    bc = barcode(build_levelset_filtration(
-        fld, schedule, opts.get("polarity", "democratic")))
+    bc = levelset_barcode(fld, schedule, opts.get("polarity", "democratic"))
     _emit(bc.dumps() + "\n", opts.get("out"))
     return 0
 

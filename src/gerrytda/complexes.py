@@ -13,6 +13,11 @@ Cells are stored columnar (dims, levels, boundary CSR) and globally ordered
 by (level, dim, insertion id), which is the filtration order the reduction
 consumes. A vertex that would only enter above the top threshold is excluded
 entirely, so classes it blocks run to infinity.
+
+The pipeline does not build the cubical complex: persistence.levelset_barcode
+reads the same barcode off the image. build_levelset_filtration is the
+reference it is tested against; the adjacency complex goes through the
+reduction (persistence.barcode).
 """
 
 from __future__ import annotations
@@ -183,6 +188,15 @@ def _vertex_levels(values: np.ndarray, background: np.ndarray,
     return lv.astype(np.int64)
 
 
+def _sweep_levels(field: MarginField, schedule: LevelSchedule,
+                  polarity: str) -> np.ndarray:
+    """Vertex levels of a field; ComplexError when no pixel ever enters."""
+    lv = _vertex_levels(field.values, field.background, schedule, polarity)
+    if np.all(lv == _EXCLUDED):
+        raise ComplexError("empty complex: all pixels background or never active")
+    return lv
+
+
 def build_levelset_filtration(field: MarginField, schedule: LevelSchedule,
                               polarity: str = "democratic") -> FilteredComplex:
     """Cubical filtration of the margin field under the threshold sweep.
@@ -192,10 +206,8 @@ def build_levelset_filtration(field: MarginField, schedule: LevelSchedule,
     max of their corners. Pixels that never activate (background, or margin
     at or above the top threshold) contribute no cells at all.
     """
-    lv = _vertex_levels(field.values, field.background, schedule, polarity)
+    lv = _sweep_levels(field, schedule, polarity)
     active = lv != _EXCLUDED
-    if not active.any():
-        raise ComplexError("empty complex: all pixels background or never active")
     h, w = lv.shape
 
     vid = np.full((h, w), -1, dtype=np.int64)

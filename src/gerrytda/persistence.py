@@ -1,9 +1,13 @@
-"""Persistence pairing over GF(2) and an independent Betti-number oracle.
+"""Persistence barcodes, by two routes, and an independent Betti-number oracle.
 
-The pairing comes from boundary-matrix column reduction (see _reduction).
-betti_oracle takes a completely separate route, Gaussian elimination ranks of
-the boundary operators at a fixed level, so the two can check each other:
-the number of bars alive at level i in dimension k must equal beta_k there.
+Rasters take levelset_barcode: connected components of the image and of its
+complement per level (scipy.ndimage.label), with no complex built. barcode
+on a FilteredComplex pairs cells by boundary-matrix column reduction (see
+_reduction); it serves the adjacency route and is the reference that tests
+hold levelset_barcode to. betti_oracle takes a third route, Gaussian
+elimination ranks of the boundary operators at a fixed level, so the
+reduction can be checked in turn: the number of bars alive at level i in
+dimension k must equal beta_k there.
 """
 
 from __future__ import annotations
@@ -13,10 +17,12 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import ndimage
 
 from ._reduction import reduce_columns
-from .complexes import FilteredComplex
+from .complexes import _EXCLUDED, FilteredComplex, LevelSchedule, _sweep_levels
 from .errors import ParameterError
+from .raster import MarginField
 
 INF = math.inf
 
@@ -132,6 +138,69 @@ def barcode(cx: FilteredComplex, use_clearing: bool = True) -> Barcode:
     for i in red.essential:
         out.append(PersistencePair(int(dims[i]), int(levels[i]), INF))
     return Barcode(tuple(sorted(out)), cx.num_levels, cx.thresholds)
+
+
+# === level-set barcodes straight from the image ===
+
+_EIGHT = np.ones((3, 3), dtype=bool)
+
+
+def _carry(prev_labels, prev_vals, labels, n, fresh):
+    """Elder rule for one step of a growing sequence of labelled sets.
+
+    Each component of prev_labels lies inside one component of labels. A
+    component takes the least value among the old components it contains,
+    or fresh when it contains none; returns its values (indexed by label)
+    and the values of the old components that lost a merge.
+    """
+    vals = np.full(n + 1, fresh, dtype=np.float64)
+    if prev_labels is None:
+        return vals, vals[:0]
+    inside = prev_labels > 0
+    parent = np.zeros(len(prev_vals), dtype=np.int64)
+    parent[prev_labels[inside]] = labels[inside]
+    order = np.lexsort((prev_vals[1:], parent[1:]))
+    parent, old = parent[1:][order], prev_vals[1:][order]
+    first = np.diff(parent, prepend=-1) != 0
+    vals[parent[first]] = old[first]
+    return vals, old[~first]
+
+
+def levelset_barcode(field: MarginField, schedule: LevelSchedule,
+                     polarity: str = "democratic") -> Barcode:
+    """barcode(build_levelset_filtration(field, schedule, polarity)), from the image.
+
+    The complex at level i is the cubical complex of the active pixels, so
+    H0 is their 4-connected components: swept upwards, a merge keeps the
+    oldest component and ends each other one's bar. By Alexander duality H1
+    is the bounded 8-connected components of the complement (pixels not yet
+    active, excluded pixels and a border ring): swept downwards, the
+    complement grows, a component that appears at level i is a hole filled
+    at level i + 1, and one holding an excluded or border pixel is never
+    filled. A merge at level i keeps the child filled last and gives each
+    other child the bar (i + 1, fill level). A planar complex has no H2.
+    """
+    L = schedule.num_levels
+    lv = _sweep_levels(field, schedule, polarity)
+    lv = np.where(lv == _EXCLUDED, L + 1, lv)  # never active
+    out = []
+    labels = births = None
+    for i in range(1, L + 1):
+        lab, n = ndimage.label(lv <= i)
+        births, dying = _carry(labels, births, lab, n, i)
+        labels = lab
+        out += [PersistencePair(0, int(b), i) for b in dying]
+    out += [PersistencePair(0, int(b), INF) for b in births[1:]]
+
+    pad = np.pad(lv, 1, constant_values=L + 1)
+    labels = keys = None  # minus the fill level, so the least is filled last
+    for i in range(L, -1, -1):
+        lab, n = ndimage.label(pad > i, structure=_EIGHT)
+        keys, dying = _carry(labels, keys, lab, n, -INF if i == L else -(i + 1))
+        labels = lab
+        out += [PersistencePair(1, i + 1, INF if math.isinf(k) else int(-k))
+                for k in dying]
+    return Barcode(tuple(sorted(out)), L, schedule.thresholds)
 
 
 # === independent Betti oracle ===

@@ -1,6 +1,6 @@
 """Pipeline orchestration: one election year in, comparable artifacts out.
 
-run_year chains ingest -> raster -> complex -> persistence -> compare for the
+run_year chains ingest -> raster -> level-set barcode -> compare for the
 precinct and district layers of a year, on one shared grid so the two
 barcodes live on the same threshold axis. write_outputs lays the results
 down as barcode JSON, level-set snapshots, SVG plots, distance and
@@ -27,16 +27,11 @@ from .compare import (
     total_persistence,
     wasserstein,
 )
-from .complexes import (
-    LevelSchedule,
-    _vertex_levels,
-    build_levelset_filtration,
-    uniform_schedule,
-)
+from .complexes import LevelSchedule, _vertex_levels, uniform_schedule
 from .errors import DegenerateSampleError, GerryTdaError, ParameterError, PipelineError
 from .geometry import UnitCollection, UnitKind
 from .ingest import JoinReport, join_units, parse_geojson, parse_votes_csv
-from .persistence import Barcode, barcode
+from .persistence import Barcode, levelset_barcode
 from .raster import MarginField, MarginMode, margin_field, rasterize
 
 
@@ -107,12 +102,8 @@ def run_year(config: AnalysisConfig) -> YearResult:
 
     with _stage("complex"):
         schedule = uniform_schedule(config.levels, config.max_margin)
-        p_complex = build_levelset_filtration(p_field, schedule, config.polarity)
-        d_complex = build_levelset_filtration(d_field, schedule, config.polarity)
-
-    with _stage("persistence"):
-        p_barcode = barcode(p_complex)
-        d_barcode = barcode(d_complex)
+        p_barcode = levelset_barcode(p_field, schedule, config.polarity)
+        d_barcode = levelset_barcode(d_field, schedule, config.polarity)
 
     with _stage("compare"):
         max_death = schedule.max_margin
@@ -278,11 +269,11 @@ def write_outputs(results: Sequence[YearResult], out_dir: str | Path,
 
     first, last = results[0], results[-1]
     # the paired test is undefined when the plans seat different numbers of
-    # districts, and for a metric whose differences have zero variance (the
-    # same plan in both years); such a metric is left out, and the file is
-    # absent when no metric is left
+    # districts or fewer than two, and for a metric whose differences have
+    # zero variance (the same plan in both years); such a metric is left out,
+    # and the file is absent when no metric is left
     tests = []
-    if len(results) >= 2 and len(first.compactness) == len(last.compactness):
+    if len(results) >= 2 and len(first.compactness) == len(last.compactness) >= 2:
         for metric in ("polsby_popper", "reock"):
             a = [getattr(c, metric) for c in first.compactness]
             b = [getattr(c, metric) for c in last.compactness]

@@ -2,7 +2,8 @@
 
 The oracle (Gaussian elimination ranks) and the reduction pairing are two
 routes to the same Betti numbers; the equivalence tests here keep them
-honest against each other on randomized complexes.
+honest against each other on randomized complexes. The image route,
+levelset_barcode, is held to the reduction's barcode on random fields.
 """
 
 import json
@@ -10,6 +11,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from gerrytda.complexes import (
     FilteredComplex,
@@ -24,9 +27,11 @@ from gerrytda.persistence import (
     barcode,
     betti_oracle,
     betti_profile,
+    levelset_barcode,
     read_barcode_json,
     reduce,
 )
+from gerrytda.errors import ComplexError
 from gerrytda.synth import field_from_array, torus_complex
 
 
@@ -230,6 +235,56 @@ def test_clearing_changes_nothing():
     for _ in range(6):
         cx = random_cubical(rng)
         assert barcode(cx, use_clearing=True) == barcode(cx, use_clearing=False)
+
+
+# === image route against the reduction ===
+
+@st.composite
+def level_sweeps(draw):
+    h, w = draw(st.integers(1, 12)), draw(st.integers(1, 12))
+    h, w = draw(st.sampled_from([(1, w), (h, 1)] + [(h, w)] * 4))
+    levels, top = draw(st.integers(2, 7)), draw(st.sampled_from([1.0, 0.6]))
+    # margins on the thresholds make plateaus; -1 and 1 saturate
+    margin = st.one_of(st.integers(-1, levels).map(lambda k: k * top / levels),
+                       st.sampled_from([-1.0, 1.0]), st.floats(-1.0, 1.0))
+    values = draw(st.lists(margin, min_size=h * w, max_size=h * w))
+    background = draw(st.lists(st.sampled_from([False] * 4 + [True]),
+                               min_size=h * w, max_size=h * w))
+    field = field_from_array(np.reshape(values, (h, w)),
+                             background=np.reshape(background, (h, w)))
+    return (field, uniform_schedule(levels, top),
+            draw(st.sampled_from(["democratic", "republican"])))
+
+
+# a sea frame around two basins split by a wall at level 2: the basin that
+# fills last (level 4) keeps the hole born at level 1
+TWO_BASINS = np.array([[-1, -1, -1, -1, -1, -1, -1],
+                       [-1, 0.8, 0.8, 0.4, 0.6, 0.6, -1],
+                       [-1, 0.8, 0.8, 0.4, 0.6, 0.6, -1],
+                       [-1, -1, -1, -1, -1, -1, -1]])
+
+
+@settings(max_examples=300, deadline=None)
+@given(level_sweeps())
+@example((field_from_array(TWO_BASINS), uniform_schedule(5), "democratic"))
+# the younger of two components dies at their merge (level 4); then three
+# fields on which no pixel ever activates
+@example((field_from_array([[-1.0, 0.9, 0.3]]), uniform_schedule(4), "democratic"))
+@example((field_from_array(np.ones((2, 3))), uniform_schedule(4), "democratic"))
+@example((field_from_array(-np.ones((3, 1))), uniform_schedule(4), "republican"))
+@example((field_from_array(np.zeros((2, 2)), background=np.ones((2, 2))),
+          uniform_schedule(3), "democratic"))
+def test_levelset_barcode_matches_reduction(sweep):
+    field, schedule, polarity = sweep
+    try:
+        expected = barcode(build_levelset_filtration(field, schedule, polarity))
+    except ComplexError:
+        with pytest.raises(ComplexError):
+            levelset_barcode(field, schedule, polarity)
+        return
+    got = levelset_barcode(field, schedule, polarity)
+    assert got.dumps() == expected.dumps()
+    assert got == expected
 
 
 # === serialization ===

@@ -94,6 +94,22 @@ def test_run_year_stage_tagged_errors(island_files, tmp_path):
         run_year(cfg2)
 
 
+def test_run_year_all_democratic_map_is_complex_error(island_files, tmp_path):
+    # every unit's margin is +1.0, at the top threshold, so no pixel ever
+    # activates and there is nothing to sweep
+    scenario = island_files["scenario"]
+    paths = {}
+    for name in ("precinct", "packed"):
+        paths[name] = tmp_path / f"{name}_dem.csv"
+        paths[name].write_text(votes_csv_text(
+            [(uid, dem + rep, 0) for uid, dem, rep in scenario[f"{name}_votes"]]))
+    cfg = AnalysisConfig("y", island_files["precinct_geo"], str(paths["precinct"]),
+                         island_files["packed_geo"], str(paths["packed"]),
+                         width=20, mode="relative")
+    with pytest.raises(PipelineError, match="^complex:"):
+        run_year(cfg)
+
+
 def test_run_year_missing_file_is_ingest_error(island_files):
     cfg = AnalysisConfig("y", "/nonexistent/geo.json",
                          island_files["precinct_votes"],
@@ -280,6 +296,25 @@ def test_write_outputs_same_plan_omits_ttest(island_files, tmp_path):
     write_outputs(years, tmp_path / "out", snapshots=False)
     report = json.loads((tmp_path / "out" / "report.json").read_text())
     assert [r["year"] for r in report] == ["a", "b"]
+    assert not (tmp_path / "out" / "ttest.json").exists()
+
+
+def test_write_outputs_one_district_plans_omit_ttest(island_files, tmp_path):
+    # one district a year leaves a single pair: the paired test is undefined
+    votes = island_files["scenario"]["precinct_votes"]
+    geo, csv = tmp_path / "state.geojson", tmp_path / "state.csv"
+    geo.write_text(json.dumps({"type": "FeatureCollection", "features": [
+        {"type": "Feature", "properties": {"id": "STATE"},
+         "geometry": {"type": "Polygon", "coordinates": [[
+             [0.0, 0.0], [10.0, 0.0], [10.0, 10.0], [0.0, 10.0], [0.0, 0.0]]]}}]}))
+    csv.write_text(votes_csv_text([("STATE", sum(v[1] for v in votes),
+                                    sum(v[2] for v in votes))]))
+    configs = [AnalysisConfig(year, island_files["precinct_geo"],
+                              island_files["precinct_votes"], str(geo), str(csv),
+                              width=40, mode="relative") for year in ("a", "b")]
+    write_outputs(run_years(configs), tmp_path / "out", snapshots=False)
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert [len(r["compactness"]) for r in report] == [1, 1]
     assert not (tmp_path / "out" / "ttest.json").exists()
 
 
