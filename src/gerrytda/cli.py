@@ -59,6 +59,14 @@ class _Options:
         return val
 
 
+def _dim(opts: _Options) -> int:
+    """The --dim option; barcodes have bars in dimensions 0, 1 and 2 only."""
+    dim = opts.get("dim", 1, int)
+    if dim not in (0, 1, 2):
+        raise ParameterError(f"--dim must be 0, 1 or 2, got {dim}")
+    return dim
+
+
 def _add_common(p: argparse.ArgumentParser, *names: str) -> None:
     p.add_argument("--config", help="key=value config file")
     if "geo" in names:
@@ -134,7 +142,7 @@ def _cmd_compare(opts: _Options) -> int:
     for path in (opts.args.barcode_a, opts.args.barcode_b):
         by_dim, _ = read_barcode_json(Path(path).read_text())
         diagrams.append(by_dim)
-    dim = opts.get("dim", 1, int)
+    dim = _dim(opts)
     a = diagrams[0].get(dim, [])
     b = diagrams[1].get(dim, [])
 
@@ -188,7 +196,7 @@ def _cmd_run(opts: _Options) -> int:
         levels=opts.get("levels", 25, int),
         max_margin=opts.get("max_margin", 1.0, float),
         polarity=opts.get("polarity", "democratic"),
-        dim=opts.get("dim", 1, int),
+        dim=_dim(opts),
         seed=opts.get("seed", 0, int),
     )
     result = run_year(config)
@@ -202,7 +210,7 @@ def _cmd_run(opts: _Options) -> int:
 
 
 def _cmd_matrix(opts: _Options) -> int:
-    dim = opts.get("dim", 1, int)
+    dim = _dim(opts)
     labels, diagrams = [], []
     for path in opts.args.barcodes:
         by_dim, _ = read_barcode_json(Path(path).read_text())

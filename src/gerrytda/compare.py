@@ -7,18 +7,20 @@ points may match each other or project to the diagonal.
 
 The ground metric is L-infinity by default (diagonal projection then costs
 half the persistence); L2 is available behind a flag. Bottleneck is exact:
-binary search over the candidate cost set with an augmenting-path matching
-feasibility test. Wasserstein solves the diagonal-augmented assignment
-problem exactly.
+binary search over the candidate cost set, each probe two Hopcroft-Karp
+maximum matchings (scipy.sparse.csgraph) between the points. Wasserstein
+solves the diagonal-augmented assignment problem exactly.
 """
 
 from __future__ import annotations
 
 import math
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 from scipy.optimize import linear_sum_assignment
+from scipy.sparse import csr_matrix
+from scipy.sparse.csgraph import maximum_bipartite_matching
 
 from .errors import ParameterError
 
@@ -58,45 +60,24 @@ def _check_metric(metric: str) -> None:
         raise ParameterError(f"unknown ground metric {metric!r}")
 
 
+def _saturates(graph: np.ndarray) -> bool:
+    """Does a matching of the bipartite graph cover every row? (Hopcroft-Karp)"""
+    matched = maximum_bipartite_matching(csr_matrix(graph), perm_type="column")
+    return bool((matched >= 0).all())
+
+
 def _feasible(cross: np.ndarray, diag_a: np.ndarray, diag_b: np.ndarray,
               c: float) -> bool:
     """Perfect matching at threshold c in the diagonal-augmented graph?
 
-    Left side: a-points then |b| diagonal slots; right side: b-points then
-    |a| diagonal slots. Kuhn's augmenting paths; sizes here are tiny.
+    A point may go to the diagonal when that costs at most c, so a perfect
+    matching exists exactly when some matching of a-points to b-points
+    within c covers every a-point and every b-point that cannot. By the
+    Mendelsohn-Dulmage theorem one matching covers both sets as soon as
+    one matching covers each, so two maximum matchings decide it.
     """
-    n, m = cross.shape
-    a_diag = diag_a <= c
-    b_diag = diag_b <= c
     ok = cross <= c
-
-    size = n + m
-    match_right = np.full(size, -1, dtype=np.int64)
-
-    def neighbors(left: int) -> Iterable[int]:
-        if left < n:
-            yield from np.flatnonzero(ok[left])
-            if a_diag[left]:
-                yield from range(m, size)
-        else:
-            yield from np.flatnonzero(b_diag)
-            yield from range(m, size)
-
-    def augment(left: int, seen: np.ndarray) -> bool:
-        for right in neighbors(left):
-            if seen[right]:
-                continue
-            seen[right] = True
-            if match_right[right] < 0 or augment(match_right[right], seen):
-                match_right[right] = left
-                return True
-        return False
-
-    matched = 0
-    for left in range(size):
-        if augment(left, np.zeros(size, dtype=bool)):
-            matched += 1
-    return matched == size
+    return _saturates(ok[diag_a > c]) and _saturates(ok[:, diag_b > c].T)
 
 
 def _essential_bottleneck(ea: list[float], eb: list[float]) -> float:

@@ -2,9 +2,9 @@
 
 Rasters take levelset_barcode: connected components of the image and of its
 complement per level (scipy.ndimage.label), with no complex built. barcode
-on a FilteredComplex pairs cells by boundary-matrix column reduction (see
-_reduction); it serves the adjacency route and is the reference that tests
-hold levelset_barcode to. betti_oracle takes a third route, Gaussian
+on a FilteredComplex pairs cells by GF(2) column reduction of the boundary
+matrix (reduce); it serves the adjacency route and is the reference that
+tests hold levelset_barcode to. betti_oracle takes a third route, Gaussian
 elimination ranks of the boundary operators at a fixed level, so the
 reduction can be checked in turn: the number of bars alive at level i in
 dimension k must equal beta_k there.
@@ -19,7 +19,6 @@ from dataclasses import dataclass
 import numpy as np
 from scipy import ndimage
 
-from ._reduction import reduce_columns
 from .complexes import _EXCLUDED, FilteredComplex, LevelSchedule, _sweep_levels
 from .errors import ParameterError
 from .raster import MarginField
@@ -33,31 +32,38 @@ class Reduction:
 
     pairs: tuple[tuple[int, int], ...]      # (birth cell, death cell)
     essential: tuple[int, ...]              # unpaired cells, classes live forever
-    _col_start: np.ndarray
-    _col_len: np.ndarray
-    _pool: np.ndarray
-    n: int
-
-    def reduced_column(self, j: int) -> np.ndarray:
-        """Reduced form of column j (empty for births and essentials)."""
-        if self._col_len[j] < 0:
-            return np.empty(0, dtype=np.int64)
-        s = self._col_start[j]
-        return self._pool[s:s + self._col_len[j]]
+    _deaths: dict[int, tuple[int, ...]]     # death cell -> reduced column, sorted
 
     def low(self, j: int) -> int:
-        col = self.reduced_column(j)
-        return int(col[-1]) if len(col) else -1
+        col = self._deaths.get(j)
+        return col[-1] if col else -1
 
 
-def reduce(cx: FilteredComplex, use_clearing: bool = True) -> Reduction:
-    """Reduce the boundary matrix; every column ends zero or with unique low."""
-    pairs, is_zero, pivot_owner, col_start, col_len, pool = reduce_columns(
-        cx.indptr, cx.indices, cx.dims, use_clearing)
-    essential = np.flatnonzero(is_zero & (pivot_owner == -1))
-    pair_list = tuple(sorted((int(r), int(c)) for r, c in pairs))
-    return Reduction(pair_list, tuple(int(i) for i in essential),
-                     col_start, col_len, pool, len(cx))
+def reduce(cx: FilteredComplex) -> Reduction:
+    """Reduce the boundary matrix over GF(2); every column ends zero or with unique low.
+
+    Columns are sets of rows, reduced top dimension first and left to right:
+    while column j's low (largest row) is the low of an earlier reduced
+    column, that column is added to it. Clearing: a column whose index is
+    already a low is a birth, its reduced form is zero, so it is skipped.
+    """
+    indptr, indices = cx.indptr.tolist(), cx.indices.tolist()
+    owner: dict[int, int] = {}              # low row -> its death column
+    deaths: dict[int, tuple[int, ...]] = {}
+    for d in range(int(cx.dims.max()), 0, -1):
+        for j in np.flatnonzero(cx.dims == d).tolist():
+            if j in owner:
+                continue
+            col = set(indices[indptr[j]:indptr[j + 1]])
+            while col:
+                low = max(col)
+                if low not in owner:
+                    owner[low] = j
+                    deaths[j] = tuple(sorted(col))
+                    break
+                col.symmetric_difference_update(deaths[owner[low]])
+    essential = (i for i in range(len(cx)) if i not in owner and i not in deaths)
+    return Reduction(tuple(sorted(owner.items())), tuple(essential), deaths)
 
 
 @dataclass(frozen=True, order=True)
@@ -125,9 +131,9 @@ def read_barcode_json(doc: dict | str) -> tuple[dict[int, list[tuple[float, floa
     return diagrams, int(doc["num_levels"])
 
 
-def barcode(cx: FilteredComplex, use_clearing: bool = True) -> Barcode:
+def barcode(cx: FilteredComplex) -> Barcode:
     """Persistence barcode of a filtered complex; zero-length bars dropped."""
-    red = reduce(cx, use_clearing)
+    red = reduce(cx)
     levels = cx.levels
     dims = cx.dims
     out = []

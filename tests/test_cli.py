@@ -109,6 +109,16 @@ def test_compare_reports_three_distances(island_files, capsys, tmp_path):
     assert doc["wasserstein_2"] == pytest.approx(0.38)
 
 
+@pytest.mark.parametrize("command", ["compare", "matrix"])
+def test_dim_outside_0_to_2_is_an_error(island_files, capsys, tmp_path, command):
+    a = barcode_file(capsys, tmp_path / "a.json",
+                     island_files["precinct_geo"], island_files["precinct_votes"])
+    code, out, err = run_cli(capsys, command, a, a, "--dim", "7")
+    assert code == 2
+    assert out == ""
+    assert err == "error: --dim must be 0, 1 or 2, got 7\n"
+
+
 def test_compare_dim_zero_identical(island_files, capsys, tmp_path):
     a = barcode_file(capsys, tmp_path / "a.json",
                      island_files["precinct_geo"], island_files["precinct_votes"])
@@ -188,6 +198,21 @@ def test_run_no_snapshots(island_files, capsys, tmp_path):
         "--out", str(out_dir))
     assert code == 0
     assert not list((out_dir / "snapshots").glob("*.pgm"))
+
+
+@pytest.mark.parametrize("dim", ["3", "-1"])
+def test_run_rejects_dim_outside_0_to_2(island_files, capsys, tmp_path, dim):
+    out_dir = tmp_path / "res"
+    code, out, err = run_cli(
+        capsys, "run", "--geo", island_files["precinct_geo"],
+        "--votes", island_files["precinct_votes"],
+        "--district-geo", island_files["packed_geo"],
+        "--district-votes", island_files["packed_votes"],
+        "--width", "40", "--dim", dim, "--out", str(out_dir))
+    assert code == 2
+    assert out == ""
+    assert err == f"error: --dim must be 0, 1 or 2, got {dim}\n"
+    assert not out_dir.exists()
 
 
 # === matrix ===

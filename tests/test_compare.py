@@ -54,6 +54,15 @@ def test_bottleneck_rejects_bad_point():
         bottleneck([(2.0, 1.0)], [])
 
 
+def test_bottleneck_augmenting_paths_beyond_recursion_limit():
+    # 600 points a side; a-points cost 1 to the diagonal, b-points 1.5. At
+    # cost 1 the a-points born at 6 are within reach of no b-point, which
+    # leaves 515 a-points for 600 b-points, so the least feasible cost is 1.5
+    a = [(i % 7, i % 7 + 2) for i in range(600)]
+    b = [(i % 5, i % 5 + 3) for i in range(600)]
+    assert bottleneck(a, b) == bottleneck(b, a) == 1.5
+
+
 # === wasserstein examples ===
 
 def test_wasserstein_identity():

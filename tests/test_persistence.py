@@ -6,6 +6,7 @@ honest against each other on randomized complexes. The image route,
 levelset_barcode, is held to the reduction's barcode on random fields.
 """
 
+import hashlib
 import json
 import math
 
@@ -16,6 +17,7 @@ from hypothesis import strategies as st
 
 from gerrytda.complexes import (
     FilteredComplex,
+    build_adjacency_filtration,
     build_levelset_filtration,
     flag_filtration,
     uniform_schedule,
@@ -32,7 +34,14 @@ from gerrytda.persistence import (
     reduce,
 )
 from gerrytda.errors import ComplexError
-from gerrytda.synth import field_from_array, torus_complex
+from gerrytda.ingest import join_units, parse_geojson, parse_votes_csv
+from gerrytda.synth import (
+    field_from_array,
+    grid_mosaic,
+    mosaic_votes,
+    torus_complex,
+    votes_csv_text,
+)
 
 
 def triangle_filtration():
@@ -84,6 +93,7 @@ def test_reduce_is_partial_matching():
     red = reduce(cx)
     seen = [i for pair in red.pairs for i in pair] + list(red.essential)
     assert len(seen) == len(set(seen)) == len(cx)
+    assert all(red.low(j) == i for i, j in red.pairs)
 
 
 # === barcode ===
@@ -207,34 +217,53 @@ def random_cubical(rng):
                                      uniform_schedule(5))
 
 
-def random_flag(rng):
-    n = int(rng.integers(3, 21))
-    levels = rng.integers(1, 5, n)
-    levels[rng.random(n) < 0.2] = -1  # some vertices never enter
-    if (levels < 1).all():
-        levels[0] = 1
-    edges = [(i, j) for i in range(n) for j in range(i + 1, n)
-             if rng.random() < 0.25]
-    return flag_filtration(levels.tolist(), edges, num_levels=4)
+def assert_alive_bars_equal_oracle(cx):
+    bc = barcode(cx)
+    for lv in range(1, cx.num_levels + 1):
+        betti = betti_oracle(cx, lv)
+        for dim in range(3):
+            assert bc.alive(lv, dim) == betti[dim], (lv, dim)
 
 
-@pytest.mark.parametrize("builder,seed", [(random_cubical, 17), (random_flag, 23)])
+@pytest.mark.parametrize("builder,seed", [(random_cubical, 17)])
 def test_alive_bars_equal_oracle(builder, seed):
     rng = np.random.default_rng(seed)
     for _ in range(10):
-        cx = builder(rng)
-        bc = barcode(cx)
-        for lv in range(1, cx.num_levels + 1):
-            betti = betti_oracle(cx, lv)
-            for dim in range(3):
-                assert bc.alive(lv, dim) == betti[dim], (lv, dim)
+        assert_alive_bars_equal_oracle(builder(rng))
 
 
-def test_clearing_changes_nothing():
-    rng = np.random.default_rng(29)
-    for _ in range(6):
-        cx = random_cubical(rng)
-        assert barcode(cx, use_clearing=True) == barcode(cx, use_clearing=False)
+@st.composite
+def flag_complexes(draw):
+    # level -1 never enters; vertex 0 always does, so the complex is non-empty
+    n = draw(st.integers(1, 12))
+    levels = [draw(st.integers(1, 4))] + draw(st.lists(
+        st.sampled_from([-1, 1, 2, 3, 4]), min_size=n - 1, max_size=n - 1))
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    return flag_filtration(levels, [e for e, k in zip(pairs, keep) if k], num_levels=4)
+
+
+@settings(max_examples=200, deadline=None)
+@given(flag_complexes())
+def test_flag_alive_bars_equal_oracle(cx):
+    assert_alive_bars_equal_oracle(cx)
+
+
+# sha256 of Barcode.dumps() on a 24 x 8 mosaic: pins the adjacency route
+# (ingest, adjacency, flag filtration, reduction) end to end
+ADJACENCY_DIGESTS = {
+    "queen": "4649d597064777252ad38cd3a20be67fd5d6bc47a5aacb1b5621234387d0073f",
+    "rook": "64fbf4da8bc2b5fbe850af40855f1d109b0c5788ddba7d59a0318ead7a52dd40",
+}
+
+
+@pytest.mark.parametrize("kind", ["queen", "rook"])
+def test_adjacency_barcode_digests(kind):
+    geo = parse_geojson(json.dumps(grid_mosaic(24, 8, seed=3)))
+    votes = parse_votes_csv(votes_csv_text(mosaic_votes(24, 8, seed=3)))
+    units, _ = join_units(geo, votes)
+    bc = barcode(build_adjacency_filtration(units, uniform_schedule(25), kind))
+    assert hashlib.sha256(bc.dumps().encode()).hexdigest() == ADJACENCY_DIGESTS[kind]
 
 
 # === image route against the reduction ===
