@@ -89,8 +89,6 @@ def _add_common(p: argparse.ArgumentParser, *names: str) -> None:
         p.add_argument("--dim", type=int, help="homology dimension (default 1)")
     if "out" in names:
         p.add_argument("--out", help="output path")
-    if "seed" in names:
-        p.add_argument("--seed", type=int, help="random seed (default 0)")
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -159,7 +157,7 @@ def _cmd_compare(opts: _Options) -> int:
 def _cmd_compactness(opts: _Options) -> int:
     units = parse_geojson(Path(opts.require("geo")).read_text(),
                           kind=UnitKind.DISTRICT)
-    rows = score_units(units, seed=opts.get("seed", 0, int))
+    rows = score_units(units)
     _emit(scores_to_csv(rows), opts.get("out"))
     return 0
 
@@ -197,7 +195,6 @@ def _cmd_run(opts: _Options) -> int:
         max_margin=opts.get("max_margin", 1.0, float),
         polarity=opts.get("polarity", "democratic"),
         dim=_dim(opts),
-        seed=opts.get("seed", 0, int),
     )
     result = run_year(config)
     write_outputs([result], opts.require("out"), dim=config.dim,
@@ -246,7 +243,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_compare)
 
     p = sub.add_parser("compactness", help="Polsby-Popper and Reock scores CSV")
-    _add_common(p, "geo", "out", "seed")
+    _add_common(p, "geo", "out")
     p.set_defaults(handler=_cmd_compactness)
 
     p = sub.add_parser("ttest", help="paired t-test between two score files")
@@ -257,8 +254,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_ttest)
 
     p = sub.add_parser("run", help="full one-year pipeline into an output directory")
-    _add_common(p, "geo", "votes", "district", "raster", "levels", "dim",
-                "out", "seed")
+    _add_common(p, "geo", "votes", "district", "raster", "levels", "dim", "out")
     p.add_argument("--year", help="label for this year's outputs")
     p.add_argument("--no-snapshots", action="store_true",
                    help="skip per-level PGM snapshots")

@@ -57,17 +57,18 @@ def _inside(circle, p) -> bool:
     return math.hypot(p[0] - cx, p[1] - cy) <= r * (1.0 + 1e-12) + 1e-14
 
 
-def min_enclosing_circle(points: Sequence, seed: int = 0) -> tuple[Point2, float]:
+def min_enclosing_circle(points: Sequence) -> tuple[Point2, float]:
     """Smallest circle containing every point (randomized incremental).
 
-    The shuffle is seeded so repeated runs return bit-identical results.
+    The circle is unique; the shuffle has a fixed seed so that repeated runs
+    also return bit-identical floats.
     """
     pts = [(float(p[0]), float(p[1])) if not isinstance(p, Point2)
            else (p.x, p.y) for p in points]
     if not pts:
         raise ParameterError("need at least one point")
     pts = list(dict.fromkeys(pts))  # dedup, keeps first occurrence
-    random.Random(seed).shuffle(pts)
+    random.Random(0).shuffle(pts)
 
     c = (pts[0][0], pts[0][1], 0.0)
     for i in range(1, len(pts)):
@@ -84,10 +85,9 @@ def min_enclosing_circle(points: Sequence, seed: int = 0) -> tuple[Point2, float
     return Point2(c[0], c[1]), c[2]
 
 
-def reock(geom: PolygonSet, seed: int = 0) -> float:
+def reock(geom: PolygonSet) -> float:
     """Area over the area of the minimal enclosing circle of all vertices."""
-    vertices = [(x, y) for ring in geom.rings() for x, y in ring.vertices]
-    _, r = min_enclosing_circle(vertices, seed=seed)
+    _, r = min_enclosing_circle(geom.edges[:, :2])
     if r <= 0.0:
         raise GeometryError("degenerate geometry: enclosing radius is zero")
     return polygon_area(geom) / (math.pi * r * r)
@@ -100,9 +100,9 @@ class CompactnessRow:
     reock: float
 
 
-def score_units(units: UnitCollection, seed: int = 0) -> list[CompactnessRow]:
-    return [CompactnessRow(u.id, polsby_popper(u.geometry),
-                           reock(u.geometry, seed=seed)) for u in units]
+def score_units(units: UnitCollection) -> list[CompactnessRow]:
+    return [CompactnessRow(u.id, polsby_popper(u.geometry), reock(u.geometry))
+            for u in units]
 
 
 def scores_to_csv(rows: Sequence[CompactnessRow]) -> str:

@@ -18,7 +18,6 @@ import math
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 from scipy.sparse import csr_matrix
 from scipy.sparse.csgraph import maximum_bipartite_matching
 
@@ -139,6 +138,8 @@ def wasserstein(a: Diagram, b: Diagram, p: float = 1.0,
             cost[:n, m:] = _diag_cost(pa, metric)[:, None] ** p
         if m:
             cost[n:, :m] = _diag_cost(pb, metric)[None, :] ** p
+        # imported here: scipy.optimize costs every `import gerrytda` ~0.15 s
+        from scipy.optimize import linear_sum_assignment
         rows, cols = linear_sum_assignment(cost)
         total += float(cost[rows, cols].sum())
     return total ** (1.0 / p)

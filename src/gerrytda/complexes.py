@@ -22,7 +22,6 @@ reduction (persistence.barcode).
 
 from __future__ import annotations
 
-import math
 from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -290,24 +289,21 @@ def _snap_key(x: float, y: float, tol: float) -> tuple[int, int]:
     return (int(round(x / tol)), int(round(y / tol)))
 
 
-def _edge_overlap_len(ea: np.ndarray, eb: np.ndarray, tol: float) -> float:
-    """Length of collinear overlap between two segments, 0 if not collinear."""
-    ax1, ay1, ax2, ay2 = ea
-    bx1, by1, bx2, by2 = eb
+def _collinear_overlap(ea: np.ndarray, eb: np.ndarray, tol: float) -> np.ndarray:
+    """For each row of edge table eb: does that edge lie on the line of some
+    edge of ea (both endpoints within tol of it) and overlap it by more than
+    tol?"""
+    ax1, ay1, ax2, ay2 = (c[:, None] for c in ea.T)
+    bx1, by1, bx2, by2 = eb.T
     dax, day = ax2 - ax1, ay2 - ay1
-    la = math.hypot(dax, day)
-    if la <= tol:
-        return 0.0
-    # both endpoints of b must sit on the line through a
-    da = abs(dax * (by1 - ay1) - day * (bx1 - ax1)) / la
-    db = abs(dax * (by2 - ay1) - day * (bx2 - ax1)) / la
-    if da > tol or db > tol:
-        return 0.0
-    t1 = (dax * (bx1 - ax1) + day * (by1 - ay1)) / la
-    t2 = (dax * (bx2 - ax1) + day * (by2 - ay1)) / la
-    lo = max(0.0, min(t1, t2))
-    hi = min(la, max(t1, t2))
-    return hi - lo
+    la = np.hypot(dax, day)
+    with np.errstate(divide="ignore", invalid="ignore"):  # la = 0 fails la > tol
+        da = np.abs(dax * (by1 - ay1) - day * (bx1 - ax1)) / la
+        db = np.abs(dax * (by2 - ay1) - day * (bx2 - ax1)) / la
+        t1 = (dax * (bx1 - ax1) + day * (by1 - ay1)) / la
+        t2 = (dax * (bx2 - ax1) + day * (by2 - ay1)) / la
+    overlap = np.minimum(la, np.maximum(t1, t2)) - np.maximum(0.0, np.minimum(t1, t2))
+    return np.any((la > tol) & (da <= tol) & (db <= tol) & (overlap > tol), axis=0)
 
 
 def detect_adjacency(units: UnitCollection, kind: str = "queen") -> set[tuple[str, str]]:
@@ -315,54 +311,40 @@ def detect_adjacency(units: UnitCollection, kind: str = "queen") -> set[tuple[st
 
     queen: units share a snapped vertex or a collinear boundary segment.
     rook: units share a collinear boundary segment of positive length.
+
+    Reads each unit's cached edge table and bounds. A bounding-box prefilter
+    picks the candidate partners of each unit, and one array expression
+    tests the unit's edges against the edges of all its partners.
     """
     if kind not in ("queen", "rook"):
         raise ParameterError(f"unknown adjacency kind {kind!r}")
     tol = units.snap_tolerance()
-    n = len(units)
-    edges_of = []
-    boxes = np.empty((n, 4))
-    for i, u in enumerate(units):
-        segs = []
-        for ring in u.geometry.rings():
-            v = ring.vertices
-            segs.append(np.c_[v, np.roll(v, -1, axis=0)])
-        edges_of.append(np.vstack(segs))
-        b = u.geometry.bounds
-        boxes[i] = (b.minx, b.miny, b.maxx, b.maxy)
+    edges_of = [u.geometry.edges for u in units]
+    boxes = np.array([(b.minx, b.miny, b.maxx, b.maxy)
+                      for b in (u.geometry.bounds for u in units)]).reshape(-1, 4)
 
     pairs: set[tuple[int, int]] = set()
     if kind == "queen":
         by_vertex: dict[tuple[int, int], list[int]] = {}
-        for i, u in enumerate(units):
-            keys = {_snap_key(x, y, tol) for ring in u.geometry.rings()
-                    for x, y in ring.vertices}
-            for k in keys:
+        for i, e in enumerate(edges_of):
+            for k in {_snap_key(x, y, tol) for x, y in e[:, :2]}:
                 by_vertex.setdefault(k, []).append(i)
         for members in by_vertex.values():
             for a in range(len(members)):
                 for b in range(a + 1, len(members)):
                     pairs.add((members[a], members[b]))
 
-    # collinear edge overlap; bbox prefilter keeps the pair loop small
     near = (boxes[:, None, 0] <= boxes[None, :, 2] + tol) & \
            (boxes[None, :, 0] <= boxes[:, None, 2] + tol) & \
            (boxes[:, None, 1] <= boxes[None, :, 3] + tol) & \
            (boxes[None, :, 1] <= boxes[:, None, 3] + tol)
-    cand = np.argwhere(np.triu(near, k=1))
-    for i, j in cand:
-        i, j = int(i), int(j)
-        if (i, j) in pairs:
-            continue
-        done = False
-        for ea in edges_of[i]:
-            for eb in edges_of[j]:
-                if _edge_overlap_len(ea, eb, tol) > tol:
-                    pairs.add((i, j))
-                    done = True
-                    break
-            if done:
-                break
+    for i, ea in enumerate(edges_of):
+        js = [j for j in (np.flatnonzero(near[i, i + 1:]) + i + 1).tolist()
+              if (i, j) not in pairs]
+        if js:
+            owner = np.repeat(js, [len(edges_of[j]) for j in js])
+            hit = _collinear_overlap(ea, np.vstack([edges_of[j] for j in js]), tol)
+            pairs.update((i, j) for j in owner[hit].tolist())
     ids = [u.id for u in units]
     return {tuple(sorted((ids[i], ids[j]))) for i, j in pairs}
 

@@ -5,6 +5,11 @@ here knows about longitude/latitude. Areas come from the shoelace formula,
 point membership from even-odd ray casting with a half-open tie rule (top
 and left edges inclusive) so that abutting polygons partition the plane
 without double-claiming boundary points.
+
+A PolygonSet measures itself once, at construction: its edge table (one
+x1 y1 x2 y2 row per ring edge), its area and its bounds. This is the only
+module that turns rings into edges; rasterization and adjacency detection
+read the table.
 """
 
 from __future__ import annotations
@@ -68,7 +73,7 @@ class Ring:
     non-zero signed area.
     """
 
-    __slots__ = ("vertices",)
+    __slots__ = ("vertices", "signed_area")
 
     def __init__(self, coords: Iterable[tuple[float, float]] | np.ndarray):
         v = np.asarray(coords, dtype=np.float64)
@@ -83,25 +88,10 @@ class Ring:
         v = v.copy()
         v.setflags(write=False)
         self.vertices = v
+        x, y = v[:, 0], v[:, 1]
+        self.signed_area = 0.5 * float(np.dot(x, np.roll(y, -1)) - np.dot(y, np.roll(x, -1)))
         if self.signed_area == 0.0:
             raise GeometryError("degenerate ring: zero area")
-
-    @property
-    def signed_area(self) -> float:
-        x = self.vertices[:, 0]
-        y = self.vertices[:, 1]
-        return 0.5 * float(np.dot(x, np.roll(y, -1)) - np.dot(y, np.roll(x, -1)))
-
-    @property
-    def length(self) -> float:
-        d = np.roll(self.vertices, -1, axis=0) - self.vertices
-        return float(np.sum(np.hypot(d[:, 0], d[:, 1])))
-
-    @property
-    def bounds(self) -> Bounds:
-        v = self.vertices
-        return Bounds(float(v[:, 0].min()), float(v[:, 1].min()),
-                      float(v[:, 0].max()), float(v[:, 1].max()))
 
     def centroid(self) -> Point2:
         v = self.vertices
@@ -117,15 +107,14 @@ class Ring:
         return int(self.vertices.shape[0])
 
 
-def _ring_parity(px: float, py: float, vertices: np.ndarray) -> int:
-    """Crossing parity of a rightward ray from (px, py) against one ring.
+def _crossing_parity(px: float, py: float, edges: np.ndarray) -> int:
+    """Crossing parity of a rightward ray from (px, py) against an edge table.
 
     Edges count when they straddle the scanline under a (min, max] half-open
     rule in y, and the crossing lies strictly right of the point. Together
     these make top and left edges inclusive, bottom and right exclusive.
     """
-    x, y = vertices[:, 0], vertices[:, 1]
-    x2, y2 = np.roll(x, -1), np.roll(y, -1)
+    x, y, x2, y2 = edges.T
     straddle = (y >= py) != (y2 >= py)
     # sign of (crossing_x - px) without the division
     t = (x - px) * (y2 - y) + (py - y) * (x2 - x)
@@ -138,32 +127,44 @@ class PolygonSet:
 
     Holes are matched to the outer ring containing their centroid at
     construction time; a hole contained in no outer ring is an error.
+
+    Construction also measures the set, once:
+
+    * ``edges``: a read-only (k, 4) float64 table, one x1 y1 x2 y2 row per
+      edge, ring by ring in ``rings()`` order, each ring's edges in vertex
+      order with the closing edge last. Columns 0-1 list every vertex.
+    * ``area``: outer rings minus holes, orientation-independent.
+    * ``bounds``: the bounding box of the outer rings.
     """
 
-    __slots__ = ("outers", "holes", "hole_owner")
+    __slots__ = ("outers", "holes", "hole_owner", "edges", "area", "bounds")
 
     def __init__(self, outers: Sequence[Ring], holes: Sequence[Ring] = ()):
         if not outers:
             raise GeometryError("polygon set needs at least one outer ring")
         self.outers = tuple(outers)
         self.holes = tuple(holes)
+        # each vertex beside the next one round its ring
+        tables = [np.hstack([r.vertices, np.concatenate([r.vertices[1:], r.vertices[:1]])])
+                  for r in self.rings()]
         owner = []
         for h in self.holes:
             c = h.centroid()
-            for oi, outer in enumerate(self.outers):
-                if _ring_parity(c.x, c.y, outer.vertices):
+            for oi in range(len(self.outers)):
+                if _crossing_parity(c.x, c.y, tables[oi]):
                     owner.append(oi)
                     break
             else:
                 raise GeometryError("hole lies outside every outer ring")
         self.hole_owner = tuple(owner)
-
-    @property
-    def bounds(self) -> Bounds:
-        b = self.outers[0].bounds
-        for r in self.outers[1:]:
-            b = b.union(r.bounds)
-        return b
+        self.edges = np.vstack(tables)
+        self.edges.setflags(write=False)
+        a = sum(abs(r.signed_area) for r in self.outers)
+        a -= sum(abs(r.signed_area) for r in self.holes)
+        self.area = float(a)
+        v = self.edges[:sum(len(r) for r in self.outers), :2]
+        lo, hi = v.min(axis=0), v.max(axis=0)
+        self.bounds = Bounds(float(lo[0]), float(lo[1]), float(hi[0]), float(hi[1]))
 
     def rings(self) -> tuple[Ring, ...]:
         return self.outers + self.holes
@@ -171,26 +172,26 @@ class PolygonSet:
 
 def polygon_area(geom: PolygonSet) -> float:
     """Total enclosed area: outer rings minus holes, orientation-independent."""
-    a = sum(abs(r.signed_area) for r in geom.outers)
-    a -= sum(abs(r.signed_area) for r in geom.holes)
-    return float(a)
+    return geom.area
 
 
 def polygon_perimeter(geom: PolygonSet, include_holes: bool = False) -> float:
     """Boundary length of the outer rings; hole boundaries only on request."""
-    p = sum(r.length for r in geom.outers)
+    e = geom.edges
+    lengths = np.hypot(e[:, 2] - e[:, 0], e[:, 3] - e[:, 1])
+    ends = np.cumsum([len(r) for r in geom.rings()])
+    per_ring = [float(np.sum(part)) for part in np.split(lengths, ends[:-1])]
+    n = len(geom.outers)
+    p = sum(per_ring[:n])
     if include_holes:
-        p += sum(r.length for r in geom.holes)
+        p += sum(per_ring[n:])
     return float(p)
 
 
 def point_in_polygon(point: Point2 | tuple[float, float], geom: PolygonSet) -> bool:
     """Even-odd membership over all rings (holes toggle a point back out)."""
     px, py = (point.x, point.y) if isinstance(point, Point2) else (float(point[0]), float(point[1]))
-    parity = 0
-    for ring in geom.rings():
-        parity ^= _ring_parity(px, py, ring.vertices)
-    return bool(parity)
+    return bool(_crossing_parity(px, py, geom.edges))
 
 
 class UnitKind(Enum):
@@ -209,7 +210,7 @@ class VotingUnit:
     def __post_init__(self):
         if self.dem_votes < 0 or self.rep_votes < 0:
             raise GeometryError(f"unit {self.id}: negative vote count")
-        if polygon_area(self.geometry) <= 0.0:
+        if self.geometry.area <= 0.0:
             raise GeometryError(f"unit {self.id}: non-positive area")
 
     @property

@@ -2,9 +2,9 @@
 
 A unit claims a pixel when the pixel center lies inside its polygon under the
 same half-open membership rule as geometry.point_in_polygon, so a partition
-of the plane rasterizes to a partition of the pixels. The fill itself is a
-scanline sweep per unit rather than a per-pixel query; both routes agree by
-construction and a test pins that.
+of the plane rasterizes to a partition of the pixels. The fill itself is one
+even-odd scanline over the edge tables of every unit at once rather than a
+per-pixel query; both routes agree by construction and tests pin that.
 
 Internally row 0 is the bottom of the grid (y = origin.y); PGM output flips
 rows so images come out right side up.
@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import MarginError, ParameterError, RasterError
-from .geometry import Bounds, Point2, PolygonSet, UnitCollection, VotingUnit, polygon_area
+from .geometry import Bounds, Point2, UnitCollection, VotingUnit, polygon_area
 
 BACKGROUND = -1
 
@@ -87,42 +87,22 @@ def unit_margin(unit: VotingUnit, mode: MarginMode = MarginMode.RELATIVE) -> flo
     return diff / polygon_area(unit.geometry)
 
 
-def _fill_unit(labels: np.ndarray, grid: Grid, geom: PolygonSet, value: int) -> None:
-    # gather every ring edge of the unit; even-odd over all rings handles holes
-    segs = []
-    for ring in geom.rings():
-        v = ring.vertices
-        segs.append(np.c_[v, np.roll(v, -1, axis=0)])
-    e = np.vstack(segs)  # columns: x1 y1 x2 y2
-    x1, y1, x2, y2 = e[:, 0], e[:, 1], e[:, 2], e[:, 3]
-
-    s = grid.pixel_size
-    oy = grid.origin.y
-    ox = grid.origin.x
-    b = geom.bounds
-    r0 = max(0, int(math.ceil((b.miny - oy) / s - 0.5)))
-    r1 = min(grid.height - 1, int(math.floor((b.maxy - oy) / s - 0.5)))
-    for row in range(r0, r1 + 1):
-        py = oy + (row + 0.5) * s
-        straddle = (y1 >= py) != (y2 >= py)
-        if not straddle.any():
-            continue
-        xs = x1[straddle] + (py - y1[straddle]) * (x2[straddle] - x1[straddle]) \
-            / (y2[straddle] - y1[straddle])
-        xs.sort()
-        for k in range(0, len(xs) - 1, 2):
-            i0 = int(math.ceil((xs[k] - ox) / s - 0.5))
-            i1 = int(math.ceil((xs[k + 1] - ox) / s - 0.5)) - 1
-            if i1 < 0 or i0 > grid.width - 1:
-                continue
-            labels[row, max(i0, 0):min(i1, grid.width - 1) + 1] = value
+def _ranges(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Every integer of every half-open range [lo, hi), with its range's index."""
+    n = np.maximum(hi - lo, 0)
+    which = np.repeat(np.arange(len(n)), n)
+    return which, np.arange(int(n.sum())) - np.repeat(np.cumsum(n) - n, n) + lo[which]
 
 
 def rasterize(units: UnitCollection, width: int, bounds: Bounds | None = None) -> LabelRaster:
     """Label a width-pixel grid by unit membership of pixel centers.
 
     Height follows from the aspect ratio of the bounds (the collection's own
-    bounding box unless an explicit shared one is given).
+    bounding box unless an explicit shared one is given). One even-odd
+    scanline runs over the edge tables of all units at once: each edge
+    crosses the rows whose centers it straddles, the crossings are sorted by
+    (unit, row, x) and paired into spans, and a pixel that two units claim
+    goes to the later one.
     """
     if width < 1:
         raise ParameterError(f"width must be positive, got {width}")
@@ -132,12 +112,38 @@ def rasterize(units: UnitCollection, width: int, bounds: Bounds | None = None) -
         bounds = units.bounds
     if bounds.width <= 0 or bounds.height <= 0:
         raise RasterError("bounds have no extent")
-    pixel_size = bounds.width / width
-    height = max(1, int(math.ceil(bounds.height / pixel_size - 1e-12)))
-    grid = Grid(width, height, Point2(bounds.minx, bounds.miny), pixel_size)
+    s = bounds.width / width
+    height = max(1, int(math.ceil(bounds.height / s - 1e-12)))
+    grid = Grid(width, height, Point2(bounds.minx, bounds.miny), s)
+    ox, oy = bounds.minx, bounds.miny
+
+    geoms = [u.geometry for u in units]
+    e = np.vstack([g.edges for g in geoms])
+    unit = np.repeat(np.arange(len(geoms), dtype=np.int32), [len(g.edges) for g in geoms])
+    # each unit scans the rows whose centers lie within its bounds and the grid
+    yb = np.array([(g.bounds.miny, g.bounds.maxy) for g in geoms])
+    r0 = np.maximum(0, np.ceil((yb[:, 0] - oy) / s - 0.5).astype(np.int64))
+    r1 = np.minimum(height - 1, np.floor((yb[:, 1] - oy) / s - 0.5).astype(np.int64))
+    # an edge straddles rows lo + 1 .. hi; it tries one more on either side
+    # against rounding, and the straddle test decides
+    lo = np.floor((np.minimum(e[:, 1], e[:, 3]) - oy) / s - 0.5).astype(np.int64)
+    hi = np.floor((np.maximum(e[:, 1], e[:, 3]) - oy) / s - 0.5).astype(np.int64)
+    k, row = _ranges(np.maximum(lo, r0[unit]), np.minimum(hi + 1, r1[unit]) + 1)
+    py = oy + (row + 0.5) * s
+    y1, y2 = e[k, 1], e[k, 3]
+    straddle = (y1 >= py) != (y2 >= py)
+    k, row, py = k[straddle], row[straddle], py[straddle]
+    x1, y1, x2, y2 = e[k].T
+    xs = x1 + (py - y1) * (x2 - x1) / (y2 - y1)
+    # a closed ring crosses a row an even number of times, so once sorted
+    # every (unit, row) run pairs up as [0, 1], [2, 3], ...
+    order = np.lexsort((xs, row, unit[k]))
+    xs, row, unit = xs[order], row[order][::2], unit[k][order][::2]
+    i0 = np.ceil((xs[0::2] - ox) / s - 0.5).astype(np.int64)
+    i1 = np.ceil((xs[1::2] - ox) / s - 0.5).astype(np.int64) - 1
+    span, col = _ranges(np.maximum(i0, 0), np.minimum(i1, width - 1) + 1)
     labels = np.full((height, width), BACKGROUND, dtype=np.int32)
-    for idx, unit in enumerate(units):
-        _fill_unit(labels, grid, unit.geometry, idx)
+    np.maximum.at(labels, (row[span], col), unit[span])
     labels.setflags(write=False)
     return LabelRaster(grid, labels, tuple(u.id for u in units))
 

@@ -48,7 +48,6 @@ class AnalysisConfig:
     max_margin: float = 1.0
     polarity: str = "democratic"
     dim: int = 1
-    seed: int = 0
 
 
 @dataclass(frozen=True)
@@ -116,7 +115,7 @@ def run_year(config: AnalysisConfig) -> YearResult:
             tp["district"][dim] = total_persistence(da, p=1, max_death=max_death)
 
     with _stage("compactness"):
-        rows = tuple(score_units(districts, seed=config.seed))
+        rows = tuple(score_units(districts))
 
     return YearResult(config.year, p_barcode, d_barcode, bn, ws, tp,
                       p_join, d_join, rows, p_field, d_field, schedule)

@@ -1,12 +1,17 @@
 """Diagram distances against brute-force matching oracles and the metric axioms."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import gerrytda
 from gerrytda.compare import (
     INF,
     bottleneck,
@@ -235,3 +240,14 @@ def test_matrix_csv_format():
     assert lines[0] == ",a,b"
     assert lines[1].split(",") == ["a", "0.0", "inf"]
     assert lines[2].split(",") == ["b", "inf", "0.0"]
+
+
+# === import cost ===
+
+def test_import_leaves_scipy_optimize_unloaded():
+    # only wasserstein needs linear_sum_assignment; every command imports the package
+    env = dict(os.environ, PYTHONPATH=str(Path(gerrytda.__file__).parents[1]))
+    out = subprocess.run(
+        [sys.executable, "-c", "import sys, gerrytda; print('scipy.optimize' in sys.modules)"],
+        capture_output=True, text=True, env=env, check=True)
+    assert out.stdout.strip() == "False"

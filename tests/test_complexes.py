@@ -1,9 +1,12 @@
 """Level schedules, cubical level-set filtrations, and adjacency flag complexes."""
 
 import io
+import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gerrytda.complexes import (
     FilteredComplex,
@@ -22,8 +25,9 @@ from gerrytda.errors import (
     StructureError,
 )
 from gerrytda.geometry import PolygonSet, Ring, UnitCollection, VotingUnit
+from gerrytda.ingest import parse_geojson
 from gerrytda.persistence import betti_oracle
-from gerrytda.synth import field_from_array
+from gerrytda.synth import field_from_array, grid_mosaic
 
 
 def rect_unit(uid, x0, y0, x1, y1, dem=10, rep=10):
@@ -255,6 +259,31 @@ def test_rook_subset_of_queen_on_random_tilings():
         rook = detect_adjacency(units, "rook")
         queen = detect_adjacency(units, "queen")
         assert rook <= queen
+
+
+@settings(max_examples=60, deadline=None)
+@given(cols=st.integers(1, 8), rows=st.integers(1, 8), seed=st.integers(0, 2**16),
+       jitter=st.sampled_from([0.0, 0.2, 0.35]))
+def test_adjacency_matches_grid_neighbours(cols, rows, seed, jitter):
+    # a mosaic unit is one jittered grid cell: rook neighbours share a grid
+    # side, queen neighbours also include the cells diagonally across a node
+    units = parse_geojson(json.dumps(grid_mosaic(cols, rows, seed=seed, jitter=jitter)))
+
+    def uid(r, c):
+        return f"P{r * cols + c:04d}"
+
+    rook, diagonal = set(), set()
+    for r in range(rows):
+        for c in range(cols):
+            if c + 1 < cols:
+                rook.add((uid(r, c), uid(r, c + 1)))
+            if r + 1 < rows:
+                rook.add((uid(r, c), uid(r + 1, c)))
+            if r + 1 < rows and c + 1 < cols:
+                diagonal.add((uid(r, c), uid(r + 1, c + 1)))
+                diagonal.add(tuple(sorted((uid(r, c + 1), uid(r + 1, c)))))
+    assert detect_adjacency(units, "rook") == rook
+    assert detect_adjacency(units, "queen") == rook | diagonal
 
 
 # === flag filtration from win margins ===

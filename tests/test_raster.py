@@ -1,9 +1,12 @@
 """Rasterization, margin fields, and the PGM interchange format."""
 
+import json
 import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from gerrytda.errors import MarginError, ParameterError, RasterError
 from gerrytda.geometry import (
@@ -15,6 +18,7 @@ from gerrytda.geometry import (
     VotingUnit,
     point_in_polygon,
 )
+from gerrytda.ingest import parse_geojson
 from gerrytda.raster import (
     BACKGROUND,
     MarginField,
@@ -25,6 +29,7 @@ from gerrytda.raster import (
     unit_margin,
     write_margin_pgm,
 )
+from gerrytda.synth import grid_mosaic
 
 
 def rect_unit(uid, x0, y0, x1, y1, dem=10, rep=10):
@@ -121,6 +126,44 @@ def test_rasterize_matches_pointwise_membership():
                         want = idx
                         break
                 assert ras.labels[row, cc] == want
+
+
+def overlay_units(cols, rows, rng):
+    """Units laid over a cols x rows mosaic: one with a hole, one in two
+    parts, and a triangle followed by a rotated half-size copy about its
+    centroid, so the two overlap."""
+    w, h = cols / 2, rows / 2
+    x0, y0 = rng.uniform(0, w), rng.uniform(0, h)
+    holed = PolygonSet([Ring([(x0, y0), (x0 + w, y0), (x0 + w, y0 + h), (x0, y0 + h)])],
+                       [Ring([(x0 + 0.2 * w, y0 + 0.2 * h), (x0 + 0.8 * w, y0 + 0.3 * h),
+                              (x0 + 0.4 * w, y0 + 0.8 * h)])])
+    parts = PolygonSet([Ring(rng.uniform((0, 0), (w, 2 * h), (3, 2))),
+                        Ring(rng.uniform((w, 0), (2 * w, 2 * h), (3, 2)))])
+    big = rng.uniform((0, 0), (2 * w, 2 * h), (3, 2))
+    c = big.mean(axis=0)
+    a = rng.uniform(0, 2 * math.pi)
+    rot = np.array([[math.cos(a), -math.sin(a)], [math.sin(a), math.cos(a)]])
+    small = c + 0.5 * (big - c) @ rot.T
+    return [VotingUnit(f"X{i}", g, 10, 10) for i, g in
+            enumerate([holed, parts, PolygonSet([Ring(big)]), PolygonSet([Ring(small)])])]
+
+
+@settings(max_examples=50, deadline=None)
+@given(cols=st.integers(1, 5), rows=st.integers(1, 5), seed=st.integers(0, 2**16),
+       width=st.integers(1, 24), overlay=st.booleans())
+def test_rasterize_matches_pointwise_membership_on_mosaics(cols, rows, seed, width, overlay):
+    # every pixel goes to the last unit whose polygon holds its center
+    units = list(parse_geojson(json.dumps(grid_mosaic(cols, rows, seed=seed))))
+    if overlay:
+        units += overlay_units(cols, rows, np.random.default_rng(seed))
+    col = UnitCollection(units)
+    ras = rasterize(col, width)
+    for row in range(ras.grid.height):
+        for cc in range(ras.grid.width):
+            c = ras.grid.center(cc, row)
+            want = next((idx for idx in reversed(range(len(col)))
+                         if point_in_polygon(c, col[idx].geometry)), BACKGROUND)
+            assert ras.labels[row, cc] == want, (row, cc)
 
 
 def test_rasterize_refinement_to_area_share():
