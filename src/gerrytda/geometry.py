@@ -10,6 +10,13 @@ A PolygonSet measures itself once, at construction: its edge table (one
 x1 y1 x2 y2 row per ring edge), its area and its bounds. This is the only
 module that turns rings into edges; rasterization and adjacency detection
 read the table.
+
+A parsed map keeps every ring's vertices end to end in one (V, 2) table
+with ring offsets (the GeoArrow ragged layout). ring_table measures it in
+one pass, giving the (V, 4) edge table and every signed area; each Ring
+then holds a read-only slice of the vertex table and each hole-free
+PolygonSet a slice of the edge table. Areas come from one _shoelace call on
+one array layout either way, so both routes agree bit for bit.
 """
 
 from __future__ import annotations
@@ -89,9 +96,17 @@ class Ring:
         v.setflags(write=False)
         self.vertices = v
         x, y = v[:, 0], v[:, 1]
-        self.signed_area = 0.5 * float(np.dot(x, np.roll(y, -1)) - np.dot(y, np.roll(x, -1)))
+        self.signed_area = _shoelace(x, y, np.roll(x, -1), np.roll(y, -1))
         if self.signed_area == 0.0:
             raise GeometryError("degenerate ring: zero area")
+
+    @classmethod
+    def _of(cls, vertices: np.ndarray, signed_area: float) -> "Ring":
+        """A ring over checked, read-only vertices, measured by ring_table."""
+        ring = object.__new__(cls)
+        ring.vertices = vertices
+        ring.signed_area = signed_area
+        return ring
 
     def centroid(self) -> Point2:
         v = self.vertices
@@ -105,6 +120,35 @@ class Ring:
 
     def __len__(self) -> int:
         return int(self.vertices.shape[0])
+
+
+def _shoelace(x: np.ndarray, y: np.ndarray, x2: np.ndarray, y2: np.ndarray) -> float:
+    """Signed area from vertex columns and their successors round the ring.
+
+    The sum's rounding depends on the operands' memory layout, so every caller
+    passes x and y as strided columns of an (n, 2) array and x2, y2
+    contiguous: then a ring has the same area however it was built.
+    """
+    return 0.5 * float(np.dot(x, y2) - np.dot(y, x2))
+
+
+def ring_table(vertices: np.ndarray, offsets: np.ndarray) -> tuple[np.ndarray, list[float]]:
+    """Edge table and signed areas of rings stored end to end.
+
+    vertices is a C-ordered (V, 2) float64 table; ring r is rows
+    offsets[r]:offsets[r + 1], closing vertex implicit. Returns the (V, 4)
+    edge table, row j being vertex j and the next vertex round its ring,
+    and each ring's signed area exactly as Ring computes it.
+    """
+    nxt = np.arange(1, len(vertices) + 1)
+    nxt[offsets[1:] - 1] = offsets[:-1]
+    x2, y2 = vertices[nxt, 0], vertices[nxt, 1]
+    ends = offsets.tolist()
+    areas = [_shoelace(vertices[a:b, 0], vertices[a:b, 1], x2[a:b], y2[a:b])
+             for a, b in zip(ends[:-1], ends[1:])]
+    edges = np.hstack([vertices, vertices[nxt]])
+    edges.setflags(write=False)
+    return edges, areas
 
 
 def _crossing_parity(px: float, py: float, edges: np.ndarray) -> int:
@@ -159,15 +203,30 @@ class PolygonSet:
         self.hole_owner = tuple(owner)
         self.edges = np.vstack(tables)
         self.edges.setflags(write=False)
-        a = sum(abs(r.signed_area) for r in self.outers)
-        a -= sum(abs(r.signed_area) for r in self.holes)
-        self.area = float(a)
+        self.area = _area(self.outers, self.holes)
         v = self.edges[:sum(len(r) for r in self.outers), :2]
         lo, hi = v.min(axis=0), v.max(axis=0)
         self.bounds = Bounds(float(lo[0]), float(lo[1]), float(hi[0]), float(hi[1]))
 
+    @classmethod
+    def _hole_free(cls, outers: tuple[Ring, ...], edges: np.ndarray,
+                   bounds: Bounds) -> "PolygonSet":
+        """A set of outer rings whose read-only edge table and bounds are known."""
+        geom = object.__new__(cls)
+        geom.outers, geom.holes, geom.hole_owner = outers, (), ()
+        geom.edges = edges
+        geom.area = _area(outers, ())
+        geom.bounds = bounds
+        return geom
+
     def rings(self) -> tuple[Ring, ...]:
         return self.outers + self.holes
+
+
+def _area(outers: Sequence[Ring], holes: Sequence[Ring]) -> float:
+    a = sum(abs(r.signed_area) for r in outers)
+    a -= sum(abs(r.signed_area) for r in holes)
+    return float(a)
 
 
 def polygon_area(geom: PolygonSet) -> float:

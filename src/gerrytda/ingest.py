@@ -5,6 +5,13 @@ string property (default "id"). Votes CSV: header unit_id,dem_votes,rep_votes.
 Units present in the geometry but absent from the CSV are filled with a
 token 10/10 split so margins stay defined; vote rows with no geometry are
 reported as orphans but do not fail the join.
+
+parse_geojson reads every ring of a file into one flat (V, 2) vertex table
+with ring offsets (the GeoArrow ragged layout), checks it in whole-array
+operations, and measures it once with geometry.ring_table. Each Ring's
+vertices are a read-only slice of that table and each hole-free unit's
+edges a slice of its edge table; units with holes are assembled by
+PolygonSet as before. Any malformed input raises IngestError.
 """
 
 from __future__ import annotations
@@ -14,9 +21,13 @@ import io
 import json
 import logging
 from dataclasses import dataclass
+from typing import NoReturn
 
-from .errors import IngestError
-from .geometry import PolygonSet, Ring, UnitCollection, UnitKind, VotingUnit
+import numpy as np
+
+from .errors import GeometryError, IngestError
+from .geometry import (Bounds, PolygonSet, Ring, UnitCollection, UnitKind, VotingUnit,
+                       ring_table)
 
 log = logging.getLogger(__name__)
 
@@ -44,13 +55,59 @@ class JoinReport:
             raise IngestError("join report counts must be non-negative")
 
 
-def _rings_of(coords, feature_idx: int) -> tuple[Ring, list[Ring]]:
+def _count(props: dict, key: str, feature_idx: int) -> int:
+    """A vote-count property as an int; a fractional or non-numeric value is an error."""
+    value = props.get(key, 0)
     try:
-        outer = Ring(coords[0])
-        holes = [Ring(c) for c in coords[1:]]
-    except (IndexError, TypeError) as e:
-        raise IngestError(f"feature {feature_idx}: malformed polygon coordinates") from e
-    return outer, holes
+        count = int(value)
+    except (TypeError, ValueError, OverflowError):
+        count = None
+    if count is None or (isinstance(value, float) and count != value):
+        raise IngestError(f"feature {feature_idx}: non-integer {key} {value!r}")
+    return count
+
+
+def _ring_fault(rings: list, ring_feature: list[int]) -> NoReturn:
+    """Raise the first ring fault in file order, found by building each Ring alone.
+
+    The whole-table checks only tell that some ring is bad; Ring's own checks
+    name the fault, so messages and their precedence are Ring's.
+    """
+    for coords, i in zip(rings, ring_feature):
+        try:
+            Ring(coords)
+        except GeometryError as e:
+            raise IngestError(f"feature {i}: {e}") from e
+        except (TypeError, ValueError, OverflowError) as e:
+            raise IngestError(f"feature {i}: malformed polygon coordinates") from e
+    raise AssertionError("the whole-table ring checks disagree with Ring")
+
+
+def _vertex_table(rings: list, ring_feature: list[int]) -> tuple[np.ndarray, np.ndarray]:
+    """Every ring's vertices end to end in one read-only (V, 2) table, and ring offsets.
+
+    Ring r is rows offsets[r]:offsets[r + 1]. A closing vertex equal to the
+    first is dropped, as Ring drops it; a ring that Ring would reject raises.
+    """
+    try:
+        counts = np.array([len(c) for c in rings], dtype=np.int64)
+        raw = np.array([p for c in rings for p in c], dtype=np.float64)
+        ok = not rings or (raw.ndim == 2 and raw.shape[1] == 2 and counts.all())
+    except (TypeError, ValueError, OverflowError):
+        ok = False
+    if not ok:
+        _ring_fault(rings, ring_feature)
+    raw = raw.reshape(-1, 2)
+    ends = np.cumsum(counts)
+    closed = (counts >= 2) & (raw[ends - counts] == raw[ends - 1]).all(axis=1)
+    keep = np.ones(len(raw), dtype=bool)
+    keep[ends[closed] - 1] = False
+    vertices = raw[keep]
+    sizes = counts - closed
+    if (sizes < 3).any() or not np.isfinite(vertices).all():
+        _ring_fault(rings, ring_feature)
+    vertices.setflags(write=False)
+    return vertices, np.concatenate(([0], np.cumsum(sizes)))
 
 
 def parse_geojson(text: str | bytes, id_property: str = "id",
@@ -58,7 +115,13 @@ def parse_geojson(text: str | bytes, id_property: str = "id",
     """Parse a FeatureCollection into a UnitCollection.
 
     Vote counts default to zero; dem_votes/rep_votes properties are honored
-    when present so a serialized collection round-trips.
+    when present so a serialized collection round-trips. Every ring goes
+    into one vertex table, measured by geometry.ring_table; each Ring gets
+    a slice of it and each hole-free unit a slice of its edge table.
+
+    Faults raise IngestError naming the feature: first those in a feature's
+    properties or nesting, then those in single rings, then those in how a
+    unit's rings fit together, each kind in file order.
     """
     try:
         doc = json.loads(text)
@@ -66,7 +129,11 @@ def parse_geojson(text: str | bytes, id_property: str = "id",
         raise IngestError(f"invalid JSON: {e}") from e
     if not isinstance(doc, dict) or doc.get("type") != "FeatureCollection":
         raise IngestError("expected a FeatureCollection")
-    units: list[VotingUnit] = []
+    meta: list[tuple[str, int, int, UnitKind]] = []
+    rings: list = []  # each ring's coordinates, in file order
+    ring_feature: list[int] = []
+    outer: list[bool] = []
+    first_ring = [0]  # feature i owns rings[first_ring[i]:first_ring[i + 1]]
     seen: set[str] = set()
     for i, feat in enumerate(doc.get("features", [])):
         props = feat.get("properties") or {}
@@ -79,25 +146,58 @@ def parse_geojson(text: str | bytes, id_property: str = "id",
         seen.add(uid)
         geom = feat.get("geometry") or {}
         gtype = geom.get("type")
-        outers: list[Ring] = []
-        holes: list[Ring] = []
+        parts = geom.get("coordinates", [])
         if gtype == "Polygon":
-            o, h = _rings_of(geom.get("coordinates", []), i)
-            outers.append(o)
-            holes.extend(h)
-        elif gtype == "MultiPolygon":
-            for part in geom.get("coordinates", []):
-                o, h = _rings_of(part, i)
-                outers.append(o)
-                holes.extend(h)
-        else:
+            parts = [parts]
+        elif gtype != "MultiPolygon":
             raise IngestError(f"feature {i}: unsupported geometry type {gtype!r}")
-        dem = int(props.get("dem_votes", 0))
-        rep = int(props.get("rep_votes", 0))
+        try:
+            for part in parts:
+                holes = part[1:]
+                rings.append(part[0])
+                rings.extend(holes)
+                outer.append(True)
+                outer.extend([False] * len(holes))
+        except (IndexError, KeyError, TypeError) as e:
+            raise IngestError(f"feature {i}: malformed polygon coordinates") from e
+        ring_feature.extend([i] * (len(rings) - first_ring[-1]))
+        first_ring.append(len(rings))
+        dem = _count(props, "dem_votes", i)
+        rep = _count(props, "rep_votes", i)
         ukind = kind
         if ukind is None:
-            ukind = UnitKind(props["kind"]) if "kind" in props else UnitKind.PRECINCT
-        units.append(VotingUnit(uid, PolygonSet(outers, holes), dem, rep, ukind))
+            try:
+                ukind = UnitKind(props.get("kind", UnitKind.PRECINCT.value))
+            except ValueError:
+                raise IngestError(f"feature {i}: unknown kind {props['kind']!r}") from None
+        meta.append((uid, dem, rep, ukind))
+
+    vertices, offsets = _vertex_table(rings, ring_feature)
+    edges, areas = ring_table(vertices, offsets)
+    if 0.0 in areas:
+        _ring_fault(rings, ring_feature)
+    ends = offsets.tolist()
+    ring_objs = [Ring._of(vertices[a:b], sa) for a, b, sa in zip(ends[:-1], ends[1:], areas)]
+    # each unit's bounding box; a unit without rings is an error below
+    starts = offsets[first_ring[:-1]][np.diff(first_ring) > 0]
+    lows = iter(np.minimum.reduceat(vertices, starts, axis=0).tolist())
+    highs = iter(np.maximum.reduceat(vertices, starts, axis=0).tolist())
+    units: list[VotingUnit] = []
+    for i, (uid, dem, rep, ukind) in enumerate(meta):
+        r0, r1 = first_ring[i], first_ring[i + 1]
+        if r1 > r0:
+            lo, hi = next(lows), next(highs)
+        try:
+            if r1 > r0 and all(outer[r0:r1]):
+                geom = PolygonSet._hole_free(tuple(ring_objs[r0:r1]),
+                                             edges[ends[r0]:ends[r1]],
+                                             Bounds(lo[0], lo[1], hi[0], hi[1]))
+            else:
+                own = list(zip(ring_objs[r0:r1], outer[r0:r1]))
+                geom = PolygonSet([r for r, o in own if o], [r for r, o in own if not o])
+        except GeometryError as e:
+            raise IngestError(f"feature {i}: {e}") from e
+        units.append(VotingUnit(uid, geom, dem, rep, ukind))
     return UnitCollection(units)
 
 

@@ -76,20 +76,31 @@ def _stage(name: str):
         raise PipelineError(f"{name}: {exc}") from exc
 
 
-def _load_layer(geo_path: str, votes_path: str,
-                kind: UnitKind) -> tuple[UnitCollection, JoinReport]:
-    units = parse_geojson(Path(geo_path).read_text(), kind=kind)
+def _load_layer(geo_path: str, votes_path: str, kind: UnitKind,
+                maps: dict | None = None) -> tuple[UnitCollection, JoinReport]:
+    """One layer's units with their votes joined.
+
+    maps holds the maps parsed so far, keyed by (geo_path, kind); a map
+    already in it is not read again. None parses afresh.
+    """
+    maps = {} if maps is None else maps
+    if (geo_path, kind) not in maps:
+        maps[geo_path, kind] = parse_geojson(Path(geo_path).read_text(), kind=kind)
     votes = parse_votes_csv(Path(votes_path).read_text())
-    return join_units(units, votes)
+    return join_units(maps[geo_path, kind], votes)
 
 
-def run_year(config: AnalysisConfig) -> YearResult:
-    """Full precinct-plus-district analysis for one year, deterministically."""
+def run_year(config: AnalysisConfig, maps: dict | None = None) -> YearResult:
+    """Full precinct-plus-district analysis for one year, deterministically.
+
+    maps, if given, holds parsed maps keyed by (geo path, kind); this call
+    reads and adds to it. run_years shares one among its years.
+    """
     with _stage("ingest"):
         precincts, p_join = _load_layer(config.precinct_geo, config.precinct_votes,
-                                        UnitKind.PRECINCT)
+                                        UnitKind.PRECINCT, maps)
         districts, d_join = _load_layer(config.district_geo, config.district_votes,
-                                        UnitKind.DISTRICT)
+                                        UnitKind.DISTRICT, maps)
 
     with _stage("raster"):
         bounds = precincts.bounds.union(districts.bounds)
@@ -122,8 +133,13 @@ def run_year(config: AnalysisConfig) -> YearResult:
 
 
 def run_years(configs: Sequence[AnalysisConfig]) -> list[YearResult]:
-    """run_year over each config in turn, results in config order."""
-    return [run_year(c) for c in configs]
+    """run_year over each config in turn, results in config order.
+
+    Each distinct map file is parsed once per call and shared by the years
+    that name it; a later call reads the files again.
+    """
+    maps: dict = {}
+    return [run_year(c, maps) for c in configs]
 
 
 def cross_year_matrix(results: Sequence[YearResult], which: str = "precinct",

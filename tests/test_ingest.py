@@ -2,12 +2,13 @@
 
 import json
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from gerrytda.errors import IngestError
-from gerrytda.geometry import UnitKind, polygon_area
+from gerrytda.errors import GeometryError, IngestError
+from gerrytda.geometry import PolygonSet, Ring, UnitKind, polygon_area
 from gerrytda.ingest import (
     JoinReport,
     VoteRow,
@@ -16,6 +17,7 @@ from gerrytda.ingest import (
     parse_votes_csv,
     to_geojson,
 )
+from gerrytda.synth import band_districts, grid_mosaic
 
 
 def square_feature(uid, x0, y0, size=1.0, props=None):
@@ -92,6 +94,143 @@ def test_parse_not_a_collection():
 def test_parse_kind_override():
     col = parse_geojson(collection([square_feature("D1", 0, 0)]), kind=UnitKind.DISTRICT)
     assert col.by_id("D1").kind is UnitKind.DISTRICT
+
+
+UNIT_SQUARE = [[0, 0], [1, 0], [1, 1], [0, 1], [0, 0]]
+
+
+def polygon(*rings, props=None):
+    return {"type": "Feature", "properties": {"id": "BAD", **(props or {})},
+            "geometry": {"type": "Polygon", "coordinates": list(rings)}}
+
+
+MALFORMED = {
+    "ragged_vertex": (polygon([[0, 0], [1, 0, 5], [1, 1], [0, 1]]),
+                      "malformed polygon coordinates"),
+    "null_vertex": (polygon([[0, 0], None, [1, 1], [0, 1]]),
+                    "malformed polygon coordinates"),
+    "string_coordinate": (polygon([[0, 0], ["east", 0], [1, 1], [0, 1]]),
+                          "malformed polygon coordinates"),
+    "string_dem_votes": (polygon(UNIT_SQUARE, props={"dem_votes": "many"}),
+                         "non-integer dem_votes 'many'"),
+    "fractional_rep_votes": (polygon(UNIT_SQUARE, props={"rep_votes": 2.5}),
+                             "non-integer rep_votes 2.5"),
+    "unknown_kind": (polygon(UNIT_SQUARE, props={"kind": "county"}),
+                     "unknown kind 'county'"),
+}
+
+GEOMETRY_FAULTS = {
+    "degenerate_ring": (polygon([[0, 0], [1, 0], [0, 0]]),
+                        "degenerate ring: 2 vertices"),
+    "zero_area": (polygon([[0, 0], [1, 0], [2, 0], [0, 0]]),
+                  "degenerate ring: zero area"),
+    "non_finite": (polygon([[0, 0], [1, 0], [1, float("nan")], [0, 1]]),
+                   "non-finite ring coordinate"),
+    "not_n_by_2": (polygon([[0, 0, 0], [1, 0, 0], [1, 1, 0], [0, 1, 0]]),
+                   r"ring coordinates must be an \(n, 2\) sequence"),
+    "hole_outside": (polygon(UNIT_SQUARE, [[5, 5], [6, 5], [6, 6], [5, 6]]),
+                     "hole lies outside every outer ring"),
+    "multipolygon_without_parts": ({"type": "Feature", "properties": {"id": "BAD"},
+                                    "geometry": {"type": "MultiPolygon", "coordinates": []}},
+                                   "polygon set needs at least one outer ring"),
+}
+
+
+@pytest.mark.parametrize("name", MALFORMED)
+def test_parse_malformed_feature_is_ingest_error(name):
+    feat, message = MALFORMED[name]
+    with pytest.raises(IngestError, match=f"^feature 1: {message}$"):
+        parse_geojson(collection([square_feature("OK", 5, 5), feat]))
+
+
+@pytest.mark.parametrize("name", GEOMETRY_FAULTS)
+def test_parse_geometry_fault_names_feature(name):
+    feat, message = GEOMETRY_FAULTS[name]
+    with pytest.raises(IngestError, match=f"^feature 1: {message}$") as info:
+        parse_geojson(collection([square_feature("OK", 5, 5), feat]))
+    assert isinstance(info.value.__cause__, GeometryError)
+
+
+def test_parse_first_ring_fault_wins():
+    # Ring's checks, in file order, decide which of several faults is named
+    feats = [square_feature("A", 0, 0),
+             polygon(UNIT_SQUARE, [[0.2, 0.2], [0.4, 0.2], [0.2, 0.2]]),
+             polygon([[0, 0], None, [1, 1]], props={"id": "C"})]
+    with pytest.raises(IngestError, match="^feature 1: degenerate ring: 2 vertices$"):
+        parse_geojson(collection(feats))
+
+
+# === parse_geojson against Ring and PolygonSet built directly ===
+
+def bits(x):
+    a = np.asarray(x, dtype=np.float64)
+    return a.shape, a.tobytes()
+
+
+def assert_same_units(doc):
+    """parse_geojson's geometry equals Ring/PolygonSet built feature by feature."""
+    parsed = parse_geojson(json.dumps(doc))
+    assert len(parsed) == len(doc["features"])
+    for unit, feat in zip(parsed, doc["features"]):
+        geom = feat["geometry"]
+        parts = [geom["coordinates"]] if geom["type"] == "Polygon" else geom["coordinates"]
+        ref = PolygonSet([Ring(p[0]) for p in parts], [Ring(h) for p in parts for h in p[1:]])
+        got = unit.geometry
+        assert (len(got.outers), len(got.holes)) == (len(ref.outers), len(ref.holes))
+        for a, b in zip(got.rings(), ref.rings()):
+            assert bits(a.vertices) == bits(b.vertices)
+            assert bits(a.signed_area) == bits(b.signed_area)
+            assert not a.vertices.flags.writeable
+        assert bits(got.edges) == bits(ref.edges)
+        assert not got.edges.flags.writeable
+        assert bits(got.area) == bits(ref.area)
+        assert got.bounds == ref.bounds
+        assert bits([got.bounds.minx, got.bounds.miny, got.bounds.maxx, got.bounds.maxy]) \
+            == bits([ref.bounds.minx, ref.bounds.miny, ref.bounds.maxx, ref.bounds.maxy])
+        assert got.hole_owner == ref.hole_owner
+
+
+def star(rng, cx, cy, r, k):
+    """A k-gon round (cx, cy) that contains the disk of radius r / 4 there."""
+    angles = 2 * np.pi * (np.arange(k) + rng.uniform(0.0, 0.5, k)) / k
+    radii = rng.uniform(0.5 * r, r, k)
+    return np.column_stack([cx + radii * np.cos(angles), cy + radii * np.sin(angles)]).tolist()
+
+
+@st.composite
+def star_maps(draw):
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    scale = draw(st.sampled_from([1.0, 1e-3, 1e6]))
+    feats = []
+    for i in range(draw(st.integers(1, 4))):
+        parts = []
+        for j in range(draw(st.integers(1, 3))):
+            cx, cy = scale * rng.uniform(-100.0, 100.0, 2) + 300.0 * scale * j
+            r = scale * rng.uniform(1.0, 50.0)
+            rings = [star(rng, cx, cy, r, draw(st.integers(5, 30)))]
+            rings += [star(rng, cx + r * dx, cy, r / 16, draw(st.integers(5, 9)))
+                      for dx in draw(st.lists(st.sampled_from([-0.15, 0.0, 0.15]),
+                                              max_size=2, unique=True))]
+            if draw(st.booleans()):
+                rings = [ring + [ring[0]] for ring in rings]
+            parts.append(rings)
+        geometry = {"type": "Polygon", "coordinates": parts[0]} \
+            if len(parts) == 1 and draw(st.booleans()) else \
+            {"type": "MultiPolygon", "coordinates": parts}
+        feats.append({"type": "Feature", "properties": {"id": f"S{i}"}, "geometry": geometry})
+    return {"type": "FeatureCollection", "features": feats}
+
+
+@settings(max_examples=300, deadline=None)
+@given(star_maps())
+def test_parse_matches_direct_construction_on_stars(doc):
+    assert_same_units(doc)
+
+
+@pytest.mark.parametrize("cols,rows,seed", [(97, 28, 1), (24, 8, 3), (5, 3, 0)])
+def test_parse_matches_direct_construction_on_mosaics(cols, rows, seed):
+    assert_same_units(grid_mosaic(cols, rows, seed=seed))
+    assert_same_units(band_districts(cols, rows, 4))
 
 
 # === round trip ===

@@ -119,6 +119,30 @@ def test_run_year_missing_file_is_ingest_error(island_files):
         run_year(cfg)
 
 
+def test_run_years_parses_each_map_once(island_files, monkeypatch):
+    # four years over one precinct map and two district plans
+    import gerrytda.report as report
+    calls = []
+    parse = report.parse_geojson
+
+    def counting_parse(text, **kwargs):
+        calls.append(kwargs["kind"])
+        return parse(text, **kwargs)
+
+    configs = [island_config(island_files, plan, year=f"y{i}")
+               for i, plan in enumerate(("packed", "packed", "cracked", "cracked"))]
+    monkeypatch.setattr(report, "parse_geojson", counting_parse)
+    shared = run_years(configs)
+    assert len(calls) == 3
+    # shared maps give the same results as parsing each year afresh
+    for r, cfg in zip(shared, configs):
+        alone = run_year(cfg)
+        assert r.precinct_barcode.dumps() == alone.precinct_barcode.dumps()
+        assert r.district_barcode.dumps() == alone.district_barcode.dumps()
+        assert r.compactness == alone.compactness
+    assert len(calls) == 3 + 2 * len(configs)
+
+
 # === cross-year matrices ===
 
 def test_cross_year_matrix_packed_vs_cracked(island_files):
