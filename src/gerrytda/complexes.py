@@ -7,22 +7,21 @@ Two constructions feed the persistence machinery:
   of its pixels), modeling a Republican "sea" flooding Democratic islands as
   the margin threshold rises;
 * a flag filtration of the unit adjacency graph under a descending win-margin
-  sweep, with triangles filled for mutually adjacent triples.
+  sweep, with triangles filled for mutually adjacent triples. Graph and
+  complex come from whole-map array passes: a sort and sweep of the unit
+  boxes, flat edge-pair tests in bounded blocks, and wedges for triangles.
 
-Cells are stored columnar (dims, levels, boundary CSR) and globally ordered
-by (level, dim, insertion id), which is the filtration order the reduction
-consumes. A vertex that would only enter above the top threshold is excluded
-entirely, so classes it blocks run to infinity.
+Cells are stored columnar (dims, levels, boundary CSR) in the filtration
+order (level, dim, insertion id). A vertex that would only enter above the
+top threshold is excluded entirely, so classes it blocks run to infinity.
 
-The pipeline does not build the cubical complex: persistence.levelset_barcode
-reads the same barcode off the image. build_levelset_filtration is the
-reference it is tested against; the adjacency complex goes through the
-reduction (persistence.barcode).
+persistence.levelset_barcode reads the cubical barcode off the image, so the
+pipeline never builds that complex; build_levelset_filtration is its test
+reference. The adjacency complex goes through persistence.barcode.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -285,16 +284,19 @@ def _sorted_complex(dims, levels, lens, flat, num_levels, thresholds):
 
 # === unit adjacency ===
 
-def _snap_key(x: float, y: float, tol: float) -> tuple[int, int]:
-    return (int(round(x / tol)), int(round(y / tol)))
+# (edge of i, edge of j) rows detect_adjacency tests at once: 2048 4x4 pairs
+_ROW_BLOCK = 1 << 15
+
+
+def _ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
+    """Concatenated aranges starts[k] .. starts[k] + counts[k] - 1."""
+    return np.repeat(starts - np.cumsum(counts) + counts, counts) + np.arange(counts.sum())
 
 
 def _collinear_overlap(ea: np.ndarray, eb: np.ndarray, tol: float) -> np.ndarray:
-    """For each row of edge table eb: does that edge lie on the line of some
-    edge of ea (both endpoints within tol of it) and overlap it by more than
-    tol?"""
-    ax1, ay1, ax2, ay2 = (c[:, None] for c in ea.T)
-    bx1, by1, bx2, by2 = eb.T
+    """Row by row: does edge eb lie on the line of edge ea (both endpoints
+    within tol of it) and overlap it by more than tol?"""
+    (ax1, ay1, ax2, ay2), (bx1, by1, bx2, by2) = ea.T, eb.T
     dax, day = ax2 - ax1, ay2 - ay1
     la = np.hypot(dax, day)
     with np.errstate(divide="ignore", invalid="ignore"):  # la = 0 fails la > tol
@@ -303,7 +305,7 @@ def _collinear_overlap(ea: np.ndarray, eb: np.ndarray, tol: float) -> np.ndarray
         t1 = (dax * (bx1 - ax1) + day * (by1 - ay1)) / la
         t2 = (dax * (bx2 - ax1) + day * (by2 - ay1)) / la
     overlap = np.minimum(la, np.maximum(t1, t2)) - np.maximum(0.0, np.minimum(t1, t2))
-    return np.any((la > tol) & (da <= tol) & (db <= tol) & (overlap > tol), axis=0)
+    return (la > tol) & (da <= tol) & (db <= tol) & (overlap > tol)
 
 
 def detect_adjacency(units: UnitCollection, kind: str = "queen") -> set[tuple[str, str]]:
@@ -312,41 +314,54 @@ def detect_adjacency(units: UnitCollection, kind: str = "queen") -> set[tuple[st
     queen: units share a snapped vertex or a collinear boundary segment.
     rook: units share a collinear boundary segment of positive length.
 
-    Reads each unit's cached edge table and bounds. A bounding-box prefilter
-    picks the candidate partners of each unit, and one array expression
-    tests the unit's edges against the edges of all its partners.
+    One pass over all units' edges. queen snaps every vertex to the
+    snap_tolerance grid at once and pairs the units in each key group of
+    the unique (key, unit) rows. A sort and sweep of the boxes on minx gives
+    the candidate pairs i < j: each box meets the later ones with minx at
+    most its maxx + tol. The collinear overlap test runs on flat (edge of
+    i, edge of j) rows, about _ROW_BLOCK rows at a time to bound memory.
     """
     if kind not in ("queen", "rook"):
         raise ParameterError(f"unknown adjacency kind {kind!r}")
     tol = units.snap_tolerance()
-    edges_of = [u.geometry.edges for u in units]
-    boxes = np.array([(b.minx, b.miny, b.maxx, b.maxy)
-                      for b in (u.geometry.bounds for u in units)]).reshape(-1, 4)
+    n = len(units)
+    edges = np.concatenate([np.empty((0, 4))] + [u.geometry.edges for u in units])
+    count = np.array([len(u.geometry.edges) for u in units], dtype=np.int64)
+    start = np.cumsum(count) - count
+    x0, y0, x1, y1 = np.array([(b.minx, b.miny, b.maxx, b.maxy)
+                               for b in (u.geometry.bounds for u in units)]).reshape(-1, 4).T
 
-    pairs: set[tuple[int, int]] = set()
+    found = [np.empty(0, np.int64)]  # pair keys i * n + j
     if kind == "queen":
-        by_vertex: dict[tuple[int, int], list[int]] = {}
-        for i, e in enumerate(edges_of):
-            for k in {_snap_key(x, y, tol) for x, y in e[:, :2]}:
-                by_vertex.setdefault(k, []).append(i)
-        for members in by_vertex.values():
-            for a in range(len(members)):
-                for b in range(a + 1, len(members)):
-                    pairs.add((members[a], members[b]))
+        keys = np.rint(edges[:, :2] / tol)  # half to even, as round() does
+        rows = np.unique(np.column_stack([keys, np.repeat(np.arange(n), count)]), axis=0)
+        unit = rows[:, 2].astype(np.int64)
+        # rows d apart in key order share a key only if every row between does
+        for d in range(1, len(rows)):
+            same = (rows[d:, :2] == rows[:-d, :2]).all(axis=1)
+            if not same.any():
+                break
+            found.append(unit[:-d][same] * n + unit[d:][same])
 
-    near = (boxes[:, None, 0] <= boxes[None, :, 2] + tol) & \
-           (boxes[None, :, 0] <= boxes[:, None, 2] + tol) & \
-           (boxes[:, None, 1] <= boxes[None, :, 3] + tol) & \
-           (boxes[None, :, 1] <= boxes[:, None, 3] + tol)
-    for i, ea in enumerate(edges_of):
-        js = [j for j in (np.flatnonzero(near[i, i + 1:]) + i + 1).tolist()
-              if (i, j) not in pairs]
-        if js:
-            owner = np.repeat(js, [len(edges_of[j]) for j in js])
-            hit = _collinear_overlap(ea, np.vstack([edges_of[j] for j in js]), tol)
-            pairs.update((i, j) for j in owner[hit].tolist())
+    order, p = np.argsort(x0, kind="stable"), np.arange(n)
+    after = np.searchsorted(x0[order], x1[order] + tol, side="right") - p - 1
+    a, b = order[np.repeat(p, after)], order[_ranges(p + 1, after)]
+    near = (x0[a] <= x1[b] + tol) & (x0[b] <= x1[a] + tol) & \
+           (y0[a] <= y1[b] + tol) & (y0[b] <= y1[a] + tol)
+    i, j = np.minimum(a[near], b[near]), np.maximum(a[near], b[near])
+    todo = ~np.isin(i * n + j, np.concatenate(found))
+    i, j = i[todo], j[todo]
+    size = count[i] * count[j]
+    cuts = np.searchsorted(np.cumsum(size), np.arange(_ROW_BLOCK, size.sum(), _ROW_BLOCK))
+    for bi, bj, bs in zip(*(np.split(x, cuts) for x in (i, j, size))):
+        pair = np.repeat(np.arange(len(bs)), bs)
+        r = _ranges(np.zeros_like(bs), bs)
+        hit = _collinear_overlap(edges[start[bi][pair] + r // count[bj][pair]],
+                                 edges[start[bj][pair] + r % count[bj][pair]], tol)
+        hit = np.unique(pair[hit])
+        found.append(bi[hit] * n + bj[hit])
     ids = [u.id for u in units]
-    return {tuple(sorted((ids[i], ids[j]))) for i, j in pairs}
+    return {tuple(sorted((ids[k // n], ids[k % n]))) for k in np.concatenate(found).tolist()}
 
 
 def flag_filtration(vertex_levels: Sequence[int], edges: Iterable[tuple[int, int]],
@@ -356,52 +371,44 @@ def flag_filtration(vertex_levels: Sequence[int], edges: Iterable[tuple[int, int
 
     A vertex level outside 1..num_levels means the vertex never enters.
     Edge and triangle levels are the max over their vertices.
+
+    Built in array passes: masks drop self-loops and excluded endpoints,
+    np.unique over the keys u * nv + v (u < v) drops repeats, and edge ids
+    follow first occurrences. Triangles are the wedges (u, v), (v, w > v)
+    with (u, w) an edge, by id of (u, v), then w.
     """
     lv = np.asarray(vertex_levels, dtype=np.int64)
     included = (lv >= 1) & (lv <= num_levels)
     if not included.any():
         raise ComplexError("empty complex: no vertex ever enters")
-    vid = np.full(len(lv), -1, dtype=np.int64)
-    vid[included] = np.arange(int(included.sum()))
     nv = int(included.sum())
-
-    adj: dict[int, set[int]] = {i: set() for i in range(nv)}
-    edge_list = []
-    edge_id: dict[tuple[int, int], int] = {}
-    for a, b in edges:
-        if a == b or not (included[a] and included[b]):
-            continue
-        u, v = sorted((int(vid[a]), int(vid[b])))
-        if (u, v) in edge_id:
-            continue
-        edge_id[(u, v)] = nv + len(edge_list)
-        edge_list.append((u, v))
-        adj[u].add(v)
-        adj[v].add(u)
-
+    vid = np.cumsum(included) - 1  # of the included vertices
     v_levels = lv[included]
-    e_levels = np.array([max(v_levels[u], v_levels[v]) for u, v in edge_list],
-                        dtype=np.int64) if edge_list else np.empty(0, np.int64)
-    tris = []
-    for (u, v), eid in sorted(edge_id.items(), key=lambda kv: kv[1]):
-        for w in sorted(adj[u] & adj[v]):
-            if w > v:
-                tris.append((u, v, w))
-    t_levels = np.array([max(v_levels[u], v_levels[v], v_levels[w])
-                         for u, v, w in tris], dtype=np.int64) if tris else np.empty(0, np.int64)
 
-    ne, nt = len(edge_list), len(tris)
-    dims = np.concatenate([np.zeros(nv, np.int8), np.ones(ne, np.int8),
-                           np.full(nt, 2, np.int8)])
-    levels = np.concatenate([v_levels, e_levels, t_levels]).astype(np.int64)
-    lens = np.concatenate([np.zeros(nv, np.int64), np.full(ne, 2, np.int64),
-                           np.full(nt, 3, np.int64)])
-    flat_parts = [np.asarray(edge_list, dtype=np.int64).ravel()] if ne else []
-    if nt:
-        tb = np.array([[edge_id[(u, v)], edge_id[(u, w)], edge_id[(v, w)]]
-                       for u, v, w in tris], dtype=np.int64)
-        flat_parts.append(tb.ravel())
-    flat = np.concatenate(flat_parts) if flat_parts else np.empty(0, np.int64)
+    a, b = np.array(list(edges), dtype=np.int64).reshape(-1, 2).T
+    keep = (a != b) & included[a] & included[b]
+    a, b = vid[a[keep]], vid[b[keep]]
+    key, first = np.unique(np.minimum(a, b) * nv + np.maximum(a, b), return_index=True)
+    lo, hi = key // nv, key % nv
+    by_id = np.argsort(first)
+    edge_id = nv + np.argsort(by_id)  # of each sorted key
+    u, v = lo[by_id], hi[by_id]
+    e_levels = np.maximum(v_levels[u], v_levels[v])
+
+    first_of = np.searchsorted(lo, np.arange(nv + 1))
+    out = first_of[v + 1] - first_of[v]
+    uv, vw = np.repeat(np.arange(len(key)), out), _ranges(first_of[v], out)
+    uw_key = u[uv] * nv + hi[vw]
+    uw = np.minimum(np.searchsorted(key, uw_key), len(key) - 1)
+    closed = key[uw] == uw_key
+    uv, uw, vw = uv[closed], uw[closed], vw[closed]
+
+    counts = [nv, len(key), len(uv)]
+    dims = np.repeat(np.array([0, 1, 2], np.int8), counts)
+    levels = np.concatenate([v_levels, e_levels, np.maximum(e_levels[uv], v_levels[hi[vw]])])
+    lens = np.repeat(np.array([0, 2, 3], np.int64), counts)
+    flat = np.concatenate([np.column_stack([u, v]).ravel(),
+                           np.column_stack([nv + uv, edge_id[uw], edge_id[vw]]).ravel()])
     return _sorted_complex(dims, levels, lens, flat, num_levels, thresholds)
 
 
@@ -424,17 +431,13 @@ def build_adjacency_filtration(units: UnitCollection, schedule: LevelSchedule,
     if party not in ("republican", "democratic"):
         raise ParameterError(f"unknown party {party!r}")
     L = schedule.num_levels
-    t = schedule.thresholds
-    levels = []
-    for u in units:
-        won = u.rep_votes > u.dem_votes if party == "republican" \
-            else u.dem_votes > u.rep_votes
-        if not won:
-            levels.append(_EXCLUDED)
-            continue
-        delta = win_margin(u.dem_votes, u.rep_votes, u.id)
-        k = bisect_right(t, delta)  # thresholds <= delta
-        levels.append(L + 1 - k if k >= 1 else _EXCLUDED)
+    dem, rep = np.array([(u.dem_votes, u.rep_votes) for u in units],
+                        dtype=np.int64).reshape(-1, 2).T
+    won = rep > dem if party == "republican" else dem > rep
+    with np.errstate(invalid="ignore"):  # 0 / 0 for a unit without votes, never won
+        k = np.searchsorted(schedule.thresholds, np.abs(dem - rep) / (dem + rep),
+                            side="right")  # thresholds <= win_margin
+    levels = np.where(won & (k >= 1), L + 1 - k, _EXCLUDED)
     index = {u.id: i for i, u in enumerate(units)}
     pairs = [(index[a], index[b]) for a, b in sorted(detect_adjacency(units, kind))]
     return flag_filtration(levels, pairs, L, None)

@@ -110,13 +110,15 @@ class Ring:
 
     def centroid(self) -> Point2:
         v = self.vertices
-        x, y = v[:, 0], v[:, 1]
+        # about the first vertex: far from the origin, raw cross products cancel
+        x0, y0 = float(v[0, 0]), float(v[0, 1])
+        x, y = v[:, 0] - x0, v[:, 1] - y0
         x2, y2 = np.roll(x, -1), np.roll(y, -1)
         cross = x * y2 - x2 * y
         a = 0.5 * float(np.sum(cross))
         cx = float(np.sum((x + x2) * cross)) / (6.0 * a)
         cy = float(np.sum((y + y2) * cross)) / (6.0 * a)
-        return Point2(cx, cy)
+        return Point2(x0 + cx, y0 + cy)
 
     def __len__(self) -> int:
         return int(self.vertices.shape[0])

@@ -135,8 +135,15 @@ def parse_geojson(text: str | bytes, id_property: str = "id",
     outer: list[bool] = []
     first_ring = [0]  # feature i owns rings[first_ring[i]:first_ring[i + 1]]
     seen: set[str] = set()
-    for i, feat in enumerate(doc.get("features", [])):
+    features = doc.get("features", [])
+    if not isinstance(features, list):
+        raise IngestError("features is not a list")
+    for i, feat in enumerate(features):
+        if not isinstance(feat, dict):
+            raise IngestError(f"feature {i}: not a JSON object")
         props = feat.get("properties") or {}
+        if not isinstance(props, dict):
+            raise IngestError(f"feature {i}: properties is not a JSON object")
         uid = props.get(id_property)
         if uid is None:
             raise IngestError(f"feature {i}: missing id")
@@ -145,6 +152,8 @@ def parse_geojson(text: str | bytes, id_property: str = "id",
             raise IngestError(f"feature {i}: duplicate unit id {uid}")
         seen.add(uid)
         geom = feat.get("geometry") or {}
+        if not isinstance(geom, dict):
+            raise IngestError(f"feature {i}: geometry is not a JSON object")
         gtype = geom.get("type")
         parts = geom.get("coordinates", [])
         if gtype == "Polygon":

@@ -1,11 +1,19 @@
 """Brute-force oracles shared by the unit and acceptance tests.
 
 Everything here trades speed for obviousness: exhaustive enumeration and
-direct quadrature, no shared code with the library paths under test.
+direct quadrature, no shared code with the library paths under test. The
+adjacency references are the library's former per-unit and per-edge loop
+versions of detect_adjacency and flag_filtration; the flag reference shares
+only the final sort into filtration order (complexes._sorted_complex).
 """
 
 import math
 from itertools import combinations, permutations
+
+import numpy as np
+
+from gerrytda.complexes import _sorted_complex
+from gerrytda.errors import ComplexError, ParameterError
 
 
 def _dist(x, y, metric):
@@ -144,3 +152,114 @@ def t_sf_quadrature(t, df):
 def paired_t_pvalue_quadrature(t, df):
     """Two-sided p-value from the quadrature survival function."""
     return 2.0 * t_sf_quadrature(abs(t), df)
+
+
+# === unit adjacency ===
+
+def _snap_key(x, y, tol):
+    return (int(round(x / tol)), int(round(y / tol)))
+
+
+def _collinear_overlap(ea, eb, tol):
+    """For each row of edge table eb: does that edge lie on the line of some
+    edge of ea (both endpoints within tol of it) and overlap it by more than
+    tol?"""
+    ax1, ay1, ax2, ay2 = (c[:, None] for c in ea.T)
+    bx1, by1, bx2, by2 = eb.T
+    dax, day = ax2 - ax1, ay2 - ay1
+    la = np.hypot(dax, day)
+    with np.errstate(divide="ignore", invalid="ignore"):  # la = 0 fails la > tol
+        da = np.abs(dax * (by1 - ay1) - day * (bx1 - ax1)) / la
+        db = np.abs(dax * (by2 - ay1) - day * (bx2 - ax1)) / la
+        t1 = (dax * (bx1 - ax1) + day * (by1 - ay1)) / la
+        t2 = (dax * (bx2 - ax1) + day * (by2 - ay1)) / la
+    overlap = np.minimum(la, np.maximum(t1, t2)) - np.maximum(0.0, np.minimum(t1, t2))
+    return np.any((la > tol) & (da <= tol) & (db <= tol) & (overlap > tol), axis=0)
+
+
+def adjacency_reference(units, kind="queen"):
+    """detect_adjacency one unit at a time: a dense n x n bounding-box test,
+    a dict of snapped vertices, and each unit's edges against all its
+    candidate partners' edges."""
+    if kind not in ("queen", "rook"):
+        raise ParameterError(f"unknown adjacency kind {kind!r}")
+    tol = units.snap_tolerance()
+    edges_of = [u.geometry.edges for u in units]
+    boxes = np.array([(b.minx, b.miny, b.maxx, b.maxy)
+                      for b in (u.geometry.bounds for u in units)]).reshape(-1, 4)
+
+    pairs = set()
+    if kind == "queen":
+        by_vertex = {}
+        for i, e in enumerate(edges_of):
+            for k in {_snap_key(x, y, tol) for x, y in e[:, :2]}:
+                by_vertex.setdefault(k, []).append(i)
+        for members in by_vertex.values():
+            for a in range(len(members)):
+                for b in range(a + 1, len(members)):
+                    pairs.add((members[a], members[b]))
+
+    near = (boxes[:, None, 0] <= boxes[None, :, 2] + tol) & \
+           (boxes[None, :, 0] <= boxes[:, None, 2] + tol) & \
+           (boxes[:, None, 1] <= boxes[None, :, 3] + tol) & \
+           (boxes[None, :, 1] <= boxes[:, None, 3] + tol)
+    for i, ea in enumerate(edges_of):
+        js = [j for j in (np.flatnonzero(near[i, i + 1:]) + i + 1).tolist()
+              if (i, j) not in pairs]
+        if js:
+            owner = np.repeat(js, [len(edges_of[j]) for j in js])
+            hit = _collinear_overlap(ea, np.vstack([edges_of[j] for j in js]), tol)
+            pairs.update((i, j) for j in owner[hit].tolist())
+    ids = [u.id for u in units]
+    return {tuple(sorted((ids[i], ids[j]))) for i, j in pairs}
+
+
+def flag_filtration_reference(vertex_levels, edges, num_levels, thresholds=None):
+    """flag_filtration with a dict of edge ids and a neighbour-set
+    intersection per edge for the triangles."""
+    lv = np.asarray(vertex_levels, dtype=np.int64)
+    included = (lv >= 1) & (lv <= num_levels)
+    if not included.any():
+        raise ComplexError("empty complex: no vertex ever enters")
+    vid = np.full(len(lv), -1, dtype=np.int64)
+    vid[included] = np.arange(int(included.sum()))
+    nv = int(included.sum())
+
+    adj = {i: set() for i in range(nv)}
+    edge_list = []
+    edge_id = {}
+    for a, b in edges:
+        if a == b or not (included[a] and included[b]):
+            continue
+        u, v = sorted((int(vid[a]), int(vid[b])))
+        if (u, v) in edge_id:
+            continue
+        edge_id[(u, v)] = nv + len(edge_list)
+        edge_list.append((u, v))
+        adj[u].add(v)
+        adj[v].add(u)
+
+    v_levels = lv[included]
+    e_levels = np.array([max(v_levels[u], v_levels[v]) for u, v in edge_list],
+                        dtype=np.int64) if edge_list else np.empty(0, np.int64)
+    tris = []
+    for (u, v), eid in sorted(edge_id.items(), key=lambda kv: kv[1]):
+        for w in sorted(adj[u] & adj[v]):
+            if w > v:
+                tris.append((u, v, w))
+    t_levels = np.array([max(v_levels[u], v_levels[v], v_levels[w])
+                         for u, v, w in tris], dtype=np.int64) if tris else np.empty(0, np.int64)
+
+    ne, nt = len(edge_list), len(tris)
+    dims = np.concatenate([np.zeros(nv, np.int8), np.ones(ne, np.int8),
+                           np.full(nt, 2, np.int8)])
+    levels = np.concatenate([v_levels, e_levels, t_levels]).astype(np.int64)
+    lens = np.concatenate([np.zeros(nv, np.int64), np.full(ne, 2, np.int64),
+                           np.full(nt, 3, np.int64)])
+    flat_parts = [np.asarray(edge_list, dtype=np.int64).ravel()] if ne else []
+    if nt:
+        tb = np.array([[edge_id[(u, v)], edge_id[(u, w)], edge_id[(v, w)]]
+                       for u, v, w in tris], dtype=np.int64)
+        flat_parts.append(tb.ravel())
+    flat = np.concatenate(flat_parts) if flat_parts else np.empty(0, np.int64)
+    return _sorted_complex(dims, levels, lens, flat, num_levels, thresholds)

@@ -284,6 +284,15 @@ def test_missing_required_option(capsys):
     assert err == "error: missing required option --geo\n"
 
 
+def test_ingest_non_object_feature_is_an_error(island_files, capsys, tmp_path):
+    geo = tmp_path / "bad.geojson"
+    geo.write_text(json.dumps({"type": "FeatureCollection", "features": [5]}))
+    code, _, err = run_cli(capsys, "ingest", "--geo", str(geo),
+                           "--votes", island_files["precinct_votes"])
+    assert code == 2
+    assert err == "error: feature 0: not a JSON object\n"
+
+
 def test_missing_input_file(island_files, capsys):
     code, _, err = run_cli(capsys, "ingest", "--geo", "/nope/none.geojson",
                            "--votes", island_files["precinct_votes"])

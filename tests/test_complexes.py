@@ -28,6 +28,7 @@ from gerrytda.geometry import PolygonSet, Ring, UnitCollection, VotingUnit
 from gerrytda.ingest import parse_geojson
 from gerrytda.persistence import betti_oracle
 from gerrytda.synth import field_from_array, grid_mosaic
+from oracles import adjacency_reference, flag_filtration_reference
 
 
 def rect_unit(uid, x0, y0, x1, y1, dem=10, rep=10):
@@ -286,6 +287,104 @@ def test_adjacency_matches_grid_neighbours(cols, rows, seed, jitter):
     assert detect_adjacency(units, "queen") == rook | diagonal
 
 
+def test_adjacency_of_no_unit_one_unit_and_disjoint_units():
+    lone = rect_unit("A", 0, 0, 1, 1)
+    apart = [rect_unit(f"U{k}", 3 * k, 5 * (k % 2), 3 * k + 1, 5 * (k % 2) + 1)
+             for k in range(6)]
+    for units in (UnitCollection([]), UnitCollection([lone]), UnitCollection(apart)):
+        for kind in ("queen", "rook"):
+            assert detect_adjacency(units, kind) == set()
+
+
+def _rect(x0, y0, x1, y1):
+    return [[x0, y0], [x1, y0], [x1, y1], [x0, y1], [x0, y0]]
+
+
+def _shrunk(ring, f):
+    """The ring scaled by f about its vertex mean (a hole or island inside it)."""
+    pts = np.asarray(ring[:-1], dtype=float)
+    inner = (pts.mean(axis=0) + f * (pts - pts.mean(axis=0))).tolist()
+    return inner + inner[:1]
+
+
+@st.composite
+def adjacency_maps(draw):
+    """A FeatureCollection to cross-check detect_adjacency on.
+
+    Either a guillotine tiling of rectangles, where edges meet in
+    T-junctions and overlap only partly, or a jittered mosaic. Then units
+    are removed (lakes). Either one unit gets a hole that is left empty or
+    filled by an island unit, or the map moves far from the origin, where a
+    coordinate's spacing is a fifteenth of the snap tolerance. Last, two
+    units may merge into one MultiPolygon, vertices may move by about the
+    snap tolerance, and rings may run either way round.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    if draw(st.booleans()):
+        cells = [(0.0, 0.0, 10.0, 10.0)]
+        for _ in range(draw(st.integers(0, 14))):
+            x0, y0, x1, y1 = cells.pop(int(rng.integers(len(cells))))
+            f = rng.uniform(0.2, 0.8)
+            if rng.random() < 0.5:
+                xm = x0 + f * (x1 - x0)
+                cells += [(x0, y0, xm, y1), (xm, y0, x1, y1)]
+            else:
+                ym = y0 + f * (y1 - y0)
+                cells += [(x0, y0, x1, ym), (x0, ym, x1, y1)]
+        units = [[[_rect(*c)]] for c in cells]
+    else:
+        fc = grid_mosaic(draw(st.integers(1, 8)), draw(st.integers(1, 8)),
+                         seed=draw(st.integers(0, 2**16)),
+                         jitter=draw(st.sampled_from([0.0, 0.2, 0.35])))
+        units = [[f["geometry"]["coordinates"]] for f in fc["features"]]
+    units = [u for u in units if rng.random() >= 0.15] or units[:1]
+    offset = draw(st.sampled_from([0.0, 0.0, 0.0, 5e6, -3.25e6]))
+    if not offset and draw(st.booleans()):
+        polygon = units[int(rng.integers(len(units)))][0]
+        hole = _shrunk(polygon[0], rng.uniform(0.2, 0.6))
+        polygon.append(hole[::-1])
+        if rng.random() < 0.5:
+            units.append([[hole]])
+    if len(units) > 2 and draw(st.booleans()):
+        a, b = rng.choice(len(units), 2, replace=False)
+        units[a] = units[a] + units[b]
+        del units[b]
+    # moves each vertex apart from its copies in other rings, by about the
+    # snap tolerance of a 10 x 10 map (1.4e-8)
+    wobble = draw(st.sampled_from([0.0, 0.0, 1e-8, 3e-8]))
+
+    def moved(ring):
+        pts = np.asarray(ring[:-1]) + offset + rng.uniform(-wobble, wobble, (len(ring) - 1, 2))
+        pts = pts if rng.random() < 0.5 else pts[::-1]
+        return pts.tolist() + pts[:1].tolist()
+
+    features = []
+    for k, polygons in enumerate(units):
+        coords = [[moved(ring) for ring in polygon] for polygon in polygons]
+        features.append({"type": "Feature", "properties": {"id": f"U{k:03d}"},
+                         "geometry": {"type": "MultiPolygon", "coordinates": coords}})
+    return {"type": "FeatureCollection", "features": features}
+
+
+@settings(max_examples=200, deadline=None)
+@given(fc=adjacency_maps())
+def test_adjacency_matches_reference(fc):
+    units = parse_geojson(json.dumps(fc))
+    for kind in ("queen", "rook"):
+        assert detect_adjacency(units, kind) == adjacency_reference(units, kind)
+
+
+def test_adjacency_matches_reference_across_row_blocks():
+    # about 5500 candidate pairs of 4-edge units: three blocks of
+    # complexes._ROW_BLOCK (edge, edge) rows, with lakes
+    fc = grid_mosaic(60, 30, seed=5)
+    rng = np.random.default_rng(5)
+    fc["features"] = [f for f in fc["features"] if rng.random() >= 0.1]
+    units = parse_geojson(json.dumps(fc))
+    for kind in ("queen", "rook"):
+        assert detect_adjacency(units, kind) == adjacency_reference(units, kind)
+
+
 # === flag filtration from win margins ===
 
 def three_mutual_units(margins, dems=None):
@@ -364,3 +463,45 @@ def test_tied_unit_never_enters_sweep():
                             rect_unit("B", 1, 0, 2, 1, dem=10, rep=90)])
     cx = build_adjacency_filtration(units, uniform_schedule(25))
     assert cx.active_counts(25) == (1, 0, 0)
+
+
+def assert_same_complex(a, b):
+    for name in ("dims", "levels", "indptr", "indices"):
+        x, y = getattr(a, name), getattr(b, name)
+        assert x.dtype == y.dtype and np.array_equal(x, y), name
+    assert (a.num_levels, a.thresholds) == (b.num_levels, b.thresholds)
+
+
+@st.composite
+def flag_inputs(draw):
+    """Vertex levels (0, -1 and levels above num_levels never enter) and an
+    edge list with self-loops and duplicates in both orientations."""
+    n = draw(st.integers(1, 14))
+    num_levels = draw(st.integers(1, 5))
+    levels = draw(st.lists(st.integers(-1, num_levels + 2), min_size=n, max_size=n))
+    vertex = st.integers(0, n - 1)
+    edges = draw(st.lists(st.tuples(vertex, vertex), max_size=50))
+    if edges:
+        again = draw(st.lists(st.sampled_from(edges), max_size=10))
+        edges += [e if draw(st.booleans()) else e[::-1] for e in again]
+        edges = draw(st.permutations(edges))
+    return levels, edges, num_levels
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=flag_inputs(), thresholds=st.sampled_from([None, (0.5, 1.0)]))
+def test_flag_filtration_matches_reference(case, thresholds):
+    levels, edges, num_levels = case
+    if not any(1 <= lv <= num_levels for lv in levels):
+        for build in (flag_filtration, flag_filtration_reference):
+            with pytest.raises(ComplexError):
+                build(levels, edges, num_levels, thresholds)
+        return
+    assert_same_complex(flag_filtration(levels, (e for e in edges), num_levels, thresholds),
+                        flag_filtration_reference(levels, edges, num_levels, thresholds))
+
+
+def test_flag_filtration_without_edges():
+    cx = flag_filtration([2, 0, 1], [], num_levels=3)
+    assert_same_complex(cx, flag_filtration_reference([2, 0, 1], [], 3))
+    assert cx.active_counts(3) == (2, 0, 0)

@@ -178,6 +178,17 @@ def test_hole_outside_outer_rejected():
         poly(UNIT_SQUARE, holes=[square(2, 2, 3, 3)])
 
 
+def test_small_hole_far_from_origin_finds_its_outer_ring():
+    # a 3-wide hole at 5e6: the centroid of absolute coordinates lands
+    # hundreds of units outside the map
+    lo, hi = 5000003.460426573, 5000006.539573427
+    hole = Ring(square(lo, lo, hi, hi))
+    c = hole.centroid()
+    assert c.x == pytest.approx(5e6 + 5, abs=1e-6) and c.y == pytest.approx(5e6 + 5, abs=1e-6)
+    outer = square(5e6, 5e6, 5e6 + 10, 5e6 + 10)
+    assert poly(outer, holes=[square(lo, lo, hi, hi)]).hole_owner == (0,)
+
+
 def test_unit_collection_duplicate_id():
     g = poly(UNIT_SQUARE)
     u = VotingUnit("A", g, 1, 2)

@@ -117,6 +117,13 @@ MALFORMED = {
                              "non-integer rep_votes 2.5"),
     "unknown_kind": (polygon(UNIT_SQUARE, props={"kind": "county"}),
                      "unknown kind 'county'"),
+    "number_feature": (5, "not a JSON object"),
+    "list_properties": ({"type": "Feature", "properties": ["id", "BAD"],
+                         "geometry": {"type": "Polygon", "coordinates": [UNIT_SQUARE]}},
+                        "properties is not a JSON object"),
+    "list_geometry": ({"type": "Feature", "properties": {"id": "BAD"},
+                       "geometry": [UNIT_SQUARE]},
+                      "geometry is not a JSON object"),
 }
 
 GEOMETRY_FAULTS = {
@@ -141,6 +148,12 @@ def test_parse_malformed_feature_is_ingest_error(name):
     feat, message = MALFORMED[name]
     with pytest.raises(IngestError, match=f"^feature 1: {message}$"):
         parse_geojson(collection([square_feature("OK", 5, 5), feat]))
+
+
+def test_parse_features_not_a_list():
+    doc = {"type": "FeatureCollection", "features": {"0": square_feature("A", 0, 0)}}
+    with pytest.raises(IngestError, match="^features is not a list$"):
+        parse_geojson(json.dumps(doc))
 
 
 @pytest.mark.parametrize("name", GEOMETRY_FAULTS)
