@@ -15,7 +15,7 @@ from pathlib import Path
 
 from .compactness import paired_t_test, score_units, scores_to_csv
 from .compare import bottleneck, distance_matrix, matrix_to_csv, wasserstein
-from .errors import GerryTdaError, ParameterError
+from .errors import GerryTdaError, IngestError, ParameterError
 from .geometry import UnitKind
 from .ingest import parse_geojson, to_geojson
 from .persistence import levelset_barcode, read_barcode_json
@@ -49,7 +49,11 @@ class _Options:
         if val is not None:
             return val
         if key in self.cfg:
-            return convert(self.cfg[key])
+            try:
+                return convert(self.cfg[key])
+            except ValueError:
+                raise ParameterError(f"config key {key}: {self.cfg[key]!r} is not "
+                                     f"a valid {convert.__name__}") from None
         return default
 
     def require(self, key: str):
@@ -65,6 +69,14 @@ def _dim(opts: _Options) -> int:
     if dim not in (0, 1, 2):
         raise ParameterError(f"--dim must be 0, 1 or 2, got {dim}")
     return dim
+
+
+def _mode(opts: _Options) -> str:
+    """The --mode option, which a config file can set to anything."""
+    mode = opts.get("mode", "density")
+    if mode not in ("relative", "density"):
+        raise ParameterError(f"--mode must be relative or density, got {mode!r}")
+    return mode
 
 
 def _add_common(p: argparse.ArgumentParser, *names: str) -> None:
@@ -102,8 +114,7 @@ def _field(opts: _Options):
     units, report = _load_layer(opts.require("geo"), opts.require("votes"),
                                 UnitKind.PRECINCT)
     width = opts.get("width", 1024, int)
-    mode = MarginMode(opts.get("mode", "density"))
-    return margin_field(rasterize(units, width), units, mode), units, report
+    return margin_field(rasterize(units, width), units, MarginMode(_mode(opts))), units, report
 
 
 def _cmd_ingest(opts: _Options) -> int:
@@ -135,11 +146,15 @@ def _cmd_barcode(opts: _Options) -> int:
     return 0
 
 
+def _read_barcode_file(path: str) -> dict[int, list[tuple[float, float]]]:
+    try:
+        return read_barcode_json(Path(path).read_text())[0]
+    except IngestError as exc:
+        raise IngestError(f"{path}: {exc}") from None
+
+
 def _cmd_compare(opts: _Options) -> int:
-    diagrams = []
-    for path in (opts.args.barcode_a, opts.args.barcode_b):
-        by_dim, _ = read_barcode_json(Path(path).read_text())
-        diagrams.append(by_dim)
+    diagrams = [_read_barcode_file(p) for p in (opts.args.barcode_a, opts.args.barcode_b)]
     dim = _dim(opts)
     a = diagrams[0].get(dim, [])
     b = diagrams[1].get(dim, [])
@@ -168,7 +183,13 @@ def _read_scores_csv(path: str, metric: str) -> list[float]:
     if metric not in header:
         raise ParameterError(f"{path}: no column {metric!r}")
     col = header.index(metric)
-    return [float(ln.split(",")[col]) for ln in lines[1:]]
+    scores = []
+    for n, ln in enumerate(lines[1:], start=2):
+        try:
+            scores.append(float(ln.split(",")[col]))
+        except (IndexError, ValueError):
+            raise IngestError(f"{path}: line {n}: no number in column {metric!r}") from None
+    return scores
 
 
 def _cmd_ttest(opts: _Options) -> int:
@@ -190,7 +211,7 @@ def _cmd_run(opts: _Options) -> int:
         district_geo=opts.require("district_geo"),
         district_votes=opts.require("district_votes"),
         width=opts.get("width", 1024, int),
-        mode=opts.get("mode", "density"),
+        mode=_mode(opts),
         levels=opts.get("levels", 25, int),
         max_margin=opts.get("max_margin", 1.0, float),
         polarity=opts.get("polarity", "democratic"),
@@ -210,9 +231,8 @@ def _cmd_matrix(opts: _Options) -> int:
     dim = _dim(opts)
     labels, diagrams = [], []
     for path in opts.args.barcodes:
-        by_dim, _ = read_barcode_json(Path(path).read_text())
         labels.append(Path(path).stem)
-        diagrams.append(by_dim.get(dim, []))
+        diagrams.append(_read_barcode_file(path).get(dim, []))
     _emit(matrix_to_csv(labels, distance_matrix(labels, diagrams, bottleneck)),
           opts.get("out"))
     return 0

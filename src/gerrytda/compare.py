@@ -9,7 +9,10 @@ The ground metric is L-infinity by default (diagonal projection then costs
 half the persistence); L2 is available behind a flag. Bottleneck is exact:
 binary search over the candidate cost set, each probe two Hopcroft-Karp
 maximum matchings (scipy.sparse.csgraph) between the points. Wasserstein
-solves the diagonal-augmented assignment problem exactly.
+solves the diagonal-augmented assignment problem exactly (scipy.optimize).
+Both scipy modules are imported inside the functions that call them, so
+importing this module, and every command that never compares diagrams,
+loads no scipy.
 """
 
 from __future__ import annotations
@@ -18,8 +21,6 @@ import math
 from typing import Callable, Sequence
 
 import numpy as np
-from scipy.sparse import csr_matrix
-from scipy.sparse.csgraph import maximum_bipartite_matching
 
 from .errors import ParameterError
 
@@ -61,6 +62,9 @@ def _check_metric(metric: str) -> None:
 
 def _saturates(graph: np.ndarray) -> bool:
     """Does a matching of the bipartite graph cover every row? (Hopcroft-Karp)"""
+    from scipy.sparse import csr_matrix
+    from scipy.sparse.csgraph import maximum_bipartite_matching
+
     matched = maximum_bipartite_matching(csr_matrix(graph), perm_type="column")
     return bool((matched >= 0).all())
 
@@ -138,7 +142,6 @@ def wasserstein(a: Diagram, b: Diagram, p: float = 1.0,
             cost[:n, m:] = _diag_cost(pa, metric)[:, None] ** p
         if m:
             cost[n:, :m] = _diag_cost(pb, metric)[None, :] ** p
-        # imported here: scipy.optimize costs every `import gerrytda` ~0.15 s
         from scipy.optimize import linear_sum_assignment
         rows, cols = linear_sum_assignment(cost)
         total += float(cost[rows, cols].sum())

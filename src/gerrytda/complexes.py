@@ -10,6 +10,10 @@ Two constructions feed the persistence machinery:
   sweep, with triangles filled for mutually adjacent triples. Graph and
   complex come from whole-map array passes: a sort and sweep of the unit
   boxes, flat edge-pair tests in bounded blocks, and wedges for triangles.
+  The adjacent index pairs are found once per parsed map and kind, and kept
+  in a memo on the UnitCollection. join_units keeps the map's geometry and
+  unit order, so every vote year joined to one parsed map reads the same
+  memo; any other collection, even of the same units, starts its own.
 
 Cells are stored columnar (dims, levels, boundary CSR) in the filtration
 order (level, dim, insertion id). A vertex that would only enter above the
@@ -309,10 +313,45 @@ def _collinear_overlap(ea: np.ndarray, eb: np.ndarray, tol: float) -> np.ndarray
 
 
 def detect_adjacency(units: UnitCollection, kind: str = "queen") -> set[tuple[str, str]]:
-    """Symmetric adjacency over unit ids.
+    """Symmetric adjacency over unit ids, as (lesser id, greater id) pairs.
 
     queen: units share a snapped vertex or a collinear boundary segment.
     rook: units share a collinear boundary segment of positive length.
+
+    A fresh set from the map's memo (_adjacency_pairs), so changing it
+    changes no later answer.
+    """
+    a, b = _adjacency_pairs(units, kind)
+    ids = [u.id for u in units]
+    return {(ids[i], ids[j]) for i, j in zip(a.tolist(), b.tolist())}
+
+
+def _adjacency_pairs(units: UnitCollection, kind: str) -> tuple[np.ndarray, np.ndarray]:
+    """Adjacent unit index pairs (a, b), id of a < id of b, sorted by the
+    ids' ranks: the order of sorted(detect_adjacency(units, kind)).
+
+    Found once per map and kind, then read from the memo that a collection
+    shares with every join of its geometry (UnitCollection.with_votes).
+    """
+    if kind not in ("queen", "rook"):
+        raise ParameterError(f"unknown adjacency kind {kind!r}")
+    memo = units._adjacency
+    if kind not in memo:
+        n = len(units)
+        by_id = np.array(sorted(range(n), key=lambda k: units[k].id), dtype=np.int64)
+        rank = np.empty(n, dtype=np.int64)
+        rank[by_id] = np.arange(n)
+        key = _adjacency_keys(units, kind)
+        ri, rj = rank[key // n], rank[key % n]
+        key = np.unique(np.minimum(ri, rj) * n + np.maximum(ri, rj))  # by id ranks
+        a, b = by_id[key // n], by_id[key % n]
+        a.flags.writeable = b.flags.writeable = False
+        memo[kind] = a, b
+    return memo[kind]
+
+
+def _adjacency_keys(units: UnitCollection, kind: str) -> np.ndarray:
+    """Keys i * n + j (i < j, with repeats) of the adjacent unit pairs.
 
     One pass over all units' edges. queen snaps every vertex to the
     snap_tolerance grid at once and pairs the units in each key group of
@@ -321,8 +360,6 @@ def detect_adjacency(units: UnitCollection, kind: str = "queen") -> set[tuple[st
     most its maxx + tol. The collinear overlap test runs on flat (edge of
     i, edge of j) rows, about _ROW_BLOCK rows at a time to bound memory.
     """
-    if kind not in ("queen", "rook"):
-        raise ParameterError(f"unknown adjacency kind {kind!r}")
     tol = units.snap_tolerance()
     n = len(units)
     edges = np.concatenate([np.empty((0, 4))] + [u.geometry.edges for u in units])
@@ -360,11 +397,11 @@ def detect_adjacency(units: UnitCollection, kind: str = "queen") -> set[tuple[st
                                  edges[start[bj][pair] + r % count[bj][pair]], tol)
         hit = np.unique(pair[hit])
         found.append(bi[hit] * n + bj[hit])
-    ids = [u.id for u in units]
-    return {tuple(sorted((ids[k // n], ids[k % n]))) for k in np.concatenate(found).tolist()}
+    return np.concatenate(found)
 
 
-def flag_filtration(vertex_levels: Sequence[int], edges: Iterable[tuple[int, int]],
+def flag_filtration(vertex_levels: Sequence[int],
+                    edges: Iterable[tuple[int, int]] | np.ndarray,
                     num_levels: int,
                     thresholds: tuple[float, ...] | None = None) -> FilteredComplex:
     """Flag complex up to dimension 2 from per-vertex entry levels.
@@ -385,7 +422,9 @@ def flag_filtration(vertex_levels: Sequence[int], edges: Iterable[tuple[int, int
     vid = np.cumsum(included) - 1  # of the included vertices
     v_levels = lv[included]
 
-    a, b = np.array(list(edges), dtype=np.int64).reshape(-1, 2).T
+    if not isinstance(edges, np.ndarray):
+        edges = list(edges)
+    a, b = np.asarray(edges, dtype=np.int64).reshape(-1, 2).T
     keep = (a != b) & included[a] & included[b]
     a, b = vid[a[keep]], vid[b[keep]]
     key, first = np.unique(np.minimum(a, b) * nv + np.maximum(a, b), return_index=True)
@@ -438,6 +477,4 @@ def build_adjacency_filtration(units: UnitCollection, schedule: LevelSchedule,
         k = np.searchsorted(schedule.thresholds, np.abs(dem - rep) / (dem + rep),
                             side="right")  # thresholds <= win_margin
     levels = np.where(won & (k >= 1), L + 1 - k, _EXCLUDED)
-    index = {u.id: i for i, u in enumerate(units)}
-    pairs = [(index[a], index[b]) for a, b in sorted(detect_adjacency(units, kind))]
-    return flag_filtration(levels, pairs, L, None)
+    return flag_filtration(levels, np.column_stack(_adjacency_pairs(units, kind)), L, None)

@@ -14,7 +14,7 @@ class GeometryError(GerryTdaError):
 
 
 class IngestError(GerryTdaError):
-    """Malformed GeoJSON or votes CSV, or an inconsistent join."""
+    """Malformed input file (GeoJSON, votes CSV, barcode JSON, scores CSV)."""
 
 
 class MarginError(GerryTdaError):

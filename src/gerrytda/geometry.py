@@ -283,9 +283,14 @@ class VotingUnit:
 
 
 class UnitCollection:
-    """Immutable set of voting units with a cached overall bounding box."""
+    """Immutable set of voting units with a cached overall bounding box.
 
-    __slots__ = ("units", "bounds", "_index")
+    _adjacency is complexes' memo of adjacent index pairs per kind. It
+    depends only on the geometry and unit order, so collections that differ
+    only in votes share one (with_votes); any other collection starts empty.
+    """
+
+    __slots__ = ("units", "bounds", "_index", "_adjacency")
 
     def __init__(self, units: Sequence[VotingUnit]):
         self.units = tuple(units)
@@ -295,6 +300,7 @@ class UnitCollection:
                 raise GeometryError(f"duplicate unit id: {u.id}")
             seen[u.id] = len(seen)
         self._index = seen
+        self._adjacency: dict = {}
         if self.units:
             b = self.units[0].geometry.bounds
             for u in self.units[1:]:
@@ -317,6 +323,13 @@ class UnitCollection:
 
     def __contains__(self, unit_id: str) -> bool:
         return unit_id in self._index
+
+    def with_votes(self, counts: Sequence[tuple[int, int]]) -> "UnitCollection":
+        """The same units, in order, with new (dem, rep) counts."""
+        out = UnitCollection([u.with_votes(d, r)
+                              for u, (d, r) in zip(self.units, counts, strict=True)])
+        out._adjacency = self._adjacency
+        return out
 
     def snap_tolerance(self) -> float:
         d = self.bounds.diagonal

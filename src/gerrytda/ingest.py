@@ -284,24 +284,15 @@ def parse_votes_csv(text: str | bytes) -> list[VoteRow]:
 def join_units(geo: UnitCollection, votes: list[VoteRow]) -> tuple[UnitCollection, JoinReport]:
     """Attach vote counts to geometry by unit id.
 
-    Every geometry unit appears in the result: matched units take the CSV
-    counts, unmatched ones are filled with 10/10.
+    Every geometry unit appears in the result, in geo's order and with its
+    geometry (so the result shares geo's adjacency memo): matched units take
+    the CSV counts, unmatched ones are filled with 10/10.
     """
-    by_id = {v.unit_id: v for v in votes}
-    matched = 0
-    filled = 0
-    joined = []
-    for u in geo:
-        row = by_id.get(u.id)
-        if row is None:
-            filled += 1
-            joined.append(u.with_votes(MISSING_VOTES_FILL, MISSING_VOTES_FILL))
-        else:
-            matched += 1
-            joined.append(u.with_votes(row.dem_votes, row.rep_votes))
+    by_id = {v.unit_id: (v.dem_votes, v.rep_votes) for v in votes}
+    fill = (MISSING_VOTES_FILL, MISSING_VOTES_FILL)
+    counts = [by_id.get(u.id, fill) for u in geo]
+    matched = sum(u.id in by_id for u in geo)
     orphans = tuple(v.unit_id for v in votes if v.unit_id not in geo)
     if orphans:
         log.warning("votes for %d unknown unit(s): %s", len(orphans), ", ".join(orphans[:5]))
-    report = JoinReport(matched, filled, orphans)
-    assert report.matched + report.filled_missing == len(geo)
-    return UnitCollection(joined), report
+    return geo.with_votes(counts), JoinReport(matched, len(geo) - matched, orphans)

@@ -8,6 +8,9 @@ tests hold levelset_barcode to. betti_oracle takes a third route, Gaussian
 elimination ranks of the boundary operators at a fixed level, so the
 reduction can be checked in turn: the number of bars alive at level i in
 dimension k must equal beta_k there.
+
+scipy.ndimage is imported inside levelset_barcode, its only user, so the
+commands and routes that take no raster barcode load no scipy.
 """
 
 from __future__ import annotations
@@ -17,10 +20,9 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import ndimage
 
 from .complexes import _EXCLUDED, FilteredComplex, LevelSchedule, _sweep_levels
-from .errors import ParameterError
+from .errors import IngestError, ParameterError
 from .raster import MarginField
 
 INF = math.inf
@@ -121,14 +123,29 @@ class Barcode:
 
 
 def read_barcode_json(doc: dict | str) -> tuple[dict[int, list[tuple[float, float]]], int]:
-    """Barcode JSON to per-dimension diagrams (in the units the file used)."""
+    """Barcode JSON to per-dimension diagrams (in the units the file used).
+
+    IngestError, naming the pair, for text that is not JSON and for a
+    missing key or a value of the wrong kind.
+    """
     if isinstance(doc, str):
-        doc = json.loads(doc)
+        try:
+            doc = json.loads(doc)
+        except json.JSONDecodeError as exc:
+            raise IngestError(f"not JSON: {exc}") from None
     diagrams: dict[int, list[tuple[float, float]]] = {}
-    for p in doc["pairs"]:
-        death = INF if p["death"] == "inf" else float(p["death"])
-        diagrams.setdefault(int(p["dim"]), []).append((float(p["birth"]), death))
-    return diagrams, int(doc["num_levels"])
+    where = "barcode"
+    try:
+        num_levels = int(doc["num_levels"])
+        for k, p in enumerate(doc["pairs"]):
+            where = f"pair {k}"
+            death = INF if p["death"] == "inf" else float(p["death"])
+            diagrams.setdefault(int(p["dim"]), []).append((float(p["birth"]), death))
+    except KeyError as exc:
+        raise IngestError(f"{where}: no key {exc}") from None
+    except (TypeError, ValueError) as exc:
+        raise IngestError(f"{where}: {exc}") from None
+    return diagrams, num_levels
 
 
 def barcode(cx: FilteredComplex) -> Barcode:
@@ -186,6 +203,8 @@ def levelset_barcode(field: MarginField, schedule: LevelSchedule,
     filled. A merge at level i keeps the child filled last and gives each
     other child the bar (i + 1, fill level). A planar complex has no H2.
     """
+    from scipy import ndimage
+
     L = schedule.num_levels
     lv = _sweep_levels(field, schedule, polarity)
     lv = np.where(lv == _EXCLUDED, L + 1, lv)  # never active

@@ -298,3 +298,66 @@ def test_missing_input_file(island_files, capsys):
                            "--votes", island_files["precinct_votes"])
     assert code == 2
     assert err.startswith("error:")
+
+
+@pytest.mark.parametrize("command", ["compare", "matrix"])
+def test_barcode_file_not_json_is_an_error(island_files, capsys, tmp_path, command):
+    a = barcode_file(capsys, tmp_path / "a.json",
+                     island_files["precinct_geo"], island_files["precinct_votes"])
+    bad = tmp_path / "bad.json"
+    bad.write_text("not json {")
+    code, out, err = run_cli(capsys, command, a, str(bad))
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: {bad}: not JSON: ")
+
+
+@pytest.mark.parametrize("command", ["compare", "matrix"])
+def test_barcode_pair_without_death_is_an_error(capsys, tmp_path, command):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"num_levels": 4, "pairs": [
+        {"dim": 1, "birth": 1, "death": 2}, {"dim": 1, "birth": 1}]}))
+    code, out, err = run_cli(capsys, command, str(bad), str(bad))
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {bad}: pair 1: no key 'death'\n"
+
+
+def test_ttest_score_not_a_number_is_an_error(island_files, capsys, tmp_path):
+    good = tmp_path / "a.csv"
+    run_cli(capsys, "compactness", "--geo", island_files["packed_geo"], "--out", str(good))
+    lines = good.read_text().strip().split("\n")
+    cells = lines[2].split(",")
+    lines[2] = ",".join([cells[0], "abc", cells[2]])
+    bad = tmp_path / "b.csv"
+    bad.write_text("\n".join(lines) + "\n")
+    code, out, err = run_cli(capsys, "ttest", str(good), str(bad))
+    assert code == 2
+    assert out == ""
+    assert err == f"error: {bad}: line 3: no number in column 'polsby_popper'\n"
+
+
+def test_config_value_of_the_wrong_type_is_an_error(island_files, capsys, tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"geo = {island_files['precinct_geo']}\n"
+                   f"votes = {island_files['precinct_votes']}\n"
+                   "width = abc\n")
+    code, out, err = run_cli(capsys, "barcode", "--config", str(cfg))
+    assert code == 2
+    assert out == ""
+    assert err == "error: config key width: 'abc' is not a valid int\n"
+
+
+@pytest.mark.parametrize("command", ["barcode", "run"])
+def test_config_mode_outside_the_choices_is_an_error(island_files, capsys, tmp_path, command):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"geo = {island_files['precinct_geo']}\n"
+                   f"votes = {island_files['precinct_votes']}\n"
+                   f"district_geo = {island_files['packed_geo']}\n"
+                   f"district_votes = {island_files['packed_votes']}\n"
+                   f"out = {tmp_path / 'out'}\n"
+                   "mode = foo\n")
+    code, out, err = run_cli(capsys, command, "--config", str(cfg))
+    assert code == 2
+    assert out == ""
+    assert err == "error: --mode must be relative or density, got 'foo'\n"

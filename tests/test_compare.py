@@ -245,9 +245,16 @@ def test_matrix_csv_format():
 # === import cost ===
 
 def test_import_leaves_scipy_optimize_unloaded():
-    # only wasserstein needs linear_sum_assignment; every command imports the package
+    # only wasserstein needs linear_sum_assignment; every command imports the
+    # package and the CLI, and bottleneck's matchings must not pull it in
     env = dict(os.environ, PYTHONPATH=str(Path(gerrytda.__file__).parents[1]))
-    out = subprocess.run(
-        [sys.executable, "-c", "import sys, gerrytda; print('scipy.optimize' in sys.modules)"],
-        capture_output=True, text=True, env=env, check=True)
-    assert out.stdout.strip() == "False"
+    code = ("import sys, gerrytda, gerrytda.cli\n"
+            "from gerrytda.compare import bottleneck, wasserstein\n"
+            "print('scipy.optimize' in sys.modules)\n"
+            "assert bottleneck([(0.0, 1.0), (0.5, 3.0)], [(0.0, 2.0)]) == 1.0\n"
+            "print('scipy.optimize' in sys.modules)\n"
+            "wasserstein([(0.0, 1.0)], [(0.0, 2.0)])\n"
+            "print('scipy.optimize' in sys.modules)")
+    out = subprocess.run([sys.executable, "-c", code],
+                         capture_output=True, text=True, env=env, check=True)
+    assert out.stdout.split() == ["False", "False", "True"]

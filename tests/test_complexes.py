@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from gerrytda import complexes
 from gerrytda.complexes import (
     FilteredComplex,
     LevelSchedule,
@@ -25,9 +26,9 @@ from gerrytda.errors import (
     StructureError,
 )
 from gerrytda.geometry import PolygonSet, Ring, UnitCollection, VotingUnit
-from gerrytda.ingest import parse_geojson
+from gerrytda.ingest import VoteRow, join_units, parse_geojson
 from gerrytda.persistence import betti_oracle
-from gerrytda.synth import field_from_array, grid_mosaic
+from gerrytda.synth import field_from_array, grid_mosaic, mosaic_votes
 from oracles import adjacency_reference, flag_filtration_reference
 
 
@@ -505,3 +506,90 @@ def test_flag_filtration_without_edges():
     cx = flag_filtration([2, 0, 1], [], num_levels=3)
     assert_same_complex(cx, flag_filtration_reference([2, 0, 1], [], 3))
     assert cx.active_counts(3) == (2, 0, 0)
+
+
+# === one adjacency per map ===
+
+def shuffled_id_map(cols, rows, seed):
+    """A mosaic whose ids sort in an order unrelated to the feature order, as
+    GeoJSON text, and two years of votes for it."""
+    rng = np.random.default_rng(seed)
+    fc = grid_mosaic(cols, rows, seed=seed)
+    names = [f"u{k}" for k in rng.permutation(cols * rows)]
+    for f, name in zip(fc["features"], names):
+        f["properties"]["id"] = name
+    years = [[VoteRow(name, int(d), int(r)) for name, d, r in
+              zip(names, rng.integers(1, 100, len(names)), rng.integers(1, 100, len(names)))]
+             for _ in range(2)]
+    return json.dumps(fc), years
+
+
+def string_route_complex(units, schedule, kind):
+    """build_adjacency_filtration as it was before the memo: id pairs,
+    sorted, mapped back to indices."""
+    L = schedule.num_levels
+    levels = []
+    for u in units:
+        k = sum(t <= win_margin(u.dem_votes, u.rep_votes, u.id) for t in schedule.thresholds)
+        levels.append(L + 1 - k if u.rep_votes > u.dem_votes and k else -1)
+    index = {u.id: i for i, u in enumerate(units)}
+    pairs = [(index[a], index[b]) for a, b in sorted(adjacency_reference(units, kind))]
+    return flag_filtration_reference(levels, pairs, L)
+
+
+def test_joins_of_one_map_match_a_freshly_parsed_map():
+    text, years = shuffled_id_map(9, 7, seed=4)
+    geo = parse_geojson(text)
+    schedule = uniform_schedule(10)
+    for votes in years:
+        shared, _ = join_units(geo, votes)
+        fresh, _ = join_units(parse_geojson(text), votes)
+        for kind in ("queen", "rook"):
+            cx = build_adjacency_filtration(shared, schedule, kind)
+            assert_same_complex(cx, build_adjacency_filtration(fresh, schedule, kind))
+            assert_same_complex(cx, string_route_complex(fresh, schedule, kind))
+
+
+def test_adjacency_found_once_per_map_and_kind(monkeypatch):
+    calls = []
+    keys = complexes._adjacency_keys
+    monkeypatch.setattr(complexes, "_adjacency_keys",
+                        lambda units, kind: calls.append(kind) or keys(units, kind))
+    text, years = shuffled_id_map(5, 4, seed=2)
+    geo = parse_geojson(text)
+    for votes in years:
+        units, _ = join_units(geo, votes)
+        for kind in ("queen", "rook"):
+            build_adjacency_filtration(units, uniform_schedule(5), kind)
+            detect_adjacency(units, kind)
+    detect_adjacency(geo, "queen")
+    assert calls == ["queen", "rook"]
+    detect_adjacency(parse_geojson(text), "queen")
+    assert calls == ["queen", "rook", "queen"]
+
+
+def test_changing_the_adjacency_set_changes_no_later_answer():
+    units = parse_geojson(json.dumps(grid_mosaic(4, 3, seed=1)))
+    first = detect_adjacency(units, "rook")
+    want = set(first)
+    first.clear()
+    second = detect_adjacency(units, "rook")
+    assert second == want
+    second.add(("P0000", "P0011"))
+    assert detect_adjacency(units, "rook") == want
+
+
+def test_separately_built_maps_never_share_an_answer():
+    # the same ids on differently shaped maps, and one map's units reordered
+    votes = [VoteRow(*row) for row in mosaic_votes(4, 3, seed=1)]
+    wide, _ = join_units(parse_geojson(json.dumps(grid_mosaic(4, 3, seed=1))), votes)
+    tall, _ = join_units(parse_geojson(json.dumps(grid_mosaic(3, 4, seed=1))), votes)
+    backwards = UnitCollection(reversed(wide.units))
+    for kind in ("queen", "rook"):
+        answers = [detect_adjacency(units, kind) for units in (wide, tall, backwards)]
+        assert answers[0] != answers[1]
+        for units, got in zip((wide, tall, backwards), answers):
+            assert got == adjacency_reference(units, kind)
+        schedule = uniform_schedule(5)
+        assert_same_complex(build_adjacency_filtration(backwards, schedule, kind),
+                            string_route_complex(backwards, schedule, kind))
