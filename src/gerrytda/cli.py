@@ -2,7 +2,9 @@
 
 Every subcommand accepts --config <path> pointing at a key=value text file;
 explicit flags win over config values, which win over defaults. Keys use the
-flag names with dashes or underscores interchangeably.
+flag names with dashes or underscores interchangeably. A key may name an
+option of any command, so one file can serve several; a key that names none
+is an error.
 """
 
 from __future__ import annotations
@@ -43,6 +45,10 @@ class _Options:
     def __init__(self, args: argparse.Namespace):
         self.args = args
         self.cfg = _read_config(args.config) if getattr(args, "config", None) else {}
+        for key in self.cfg:
+            if key not in args.config_keys:
+                raise ParameterError(f"config key {key}: no command has an option "
+                                     f"--{key.replace('_', '-')}")
 
     def get(self, key: str, default=None, convert=str):
         val = getattr(self.args, key, None)
@@ -284,6 +290,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("barcodes", nargs="+")
     _add_common(p, "dim", "out")
     p.set_defaults(handler=_cmd_matrix)
+
+    # the keys a config file may set: every command's options
+    parser.set_defaults(config_keys=frozenset(
+        a.dest for cmd in sub.choices.values() for a in cmd._actions
+        if a.option_strings and a.dest not in ("help", "config")))
     return parser
 
 

@@ -285,9 +285,10 @@ class VotingUnit:
 class UnitCollection:
     """Immutable set of voting units with a cached overall bounding box.
 
-    _adjacency is complexes' memo of adjacent index pairs per kind. It
-    depends only on the geometry and unit order, so collections that differ
-    only in votes share one (with_votes); any other collection starts empty.
+    _adjacency is complexes' memo of adjacent index pairs per kind. It, the
+    id index and the bounds depend only on the ids, geometry and unit order,
+    so collections that differ only in votes share them (with_votes); any
+    other collection builds its own and starts with an empty memo.
     """
 
     __slots__ = ("units", "bounds", "_index", "_adjacency")
@@ -326,9 +327,10 @@ class UnitCollection:
 
     def with_votes(self, counts: Sequence[tuple[int, int]]) -> "UnitCollection":
         """The same units, in order, with new (dem, rep) counts."""
-        out = UnitCollection([u.with_votes(d, r)
-                              for u, (d, r) in zip(self.units, counts, strict=True)])
-        out._adjacency = self._adjacency
+        out = UnitCollection.__new__(UnitCollection)
+        out.units = tuple(u.with_votes(d, r)
+                          for u, (d, r) in zip(self.units, counts, strict=True))
+        out.bounds, out._index, out._adjacency = self.bounds, self._index, self._adjacency
         return out
 
     def snap_tolerance(self) -> float:

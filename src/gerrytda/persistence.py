@@ -2,9 +2,13 @@
 
 Rasters take levelset_barcode: connected components of the image and of its
 complement per level (scipy.ndimage.label), with no complex built. barcode
-on a FilteredComplex pairs cells by GF(2) column reduction of the boundary
-matrix (reduce); it serves the adjacency route and is the reference that
-tests hold levelset_barcode to. betti_oracle takes a third route, Gaussian
+on a FilteredComplex pairs cells as GF(2) column reduction of the boundary
+matrix does (reduce), with little column arithmetic: squares and triangles
+that form apparent pairs are paired in array passes and only the others go
+through a set-based loop; edges go through union-find. It serves the
+adjacency route and is the reference that tests hold levelset_barcode to;
+the plain column loop is kept in the tests as reduce's own reference.
+betti_oracle takes a third route, Gaussian
 elimination ranks of the boundary operators at a fixed level, so the
 reduction can be checked in turn: the number of bars alive at level i in
 dimension k must equal beta_k there.
@@ -30,42 +34,99 @@ INF = math.inf
 
 @dataclass(frozen=True)
 class Reduction:
-    """Outcome of the column reduction: pairing plus reduced death columns."""
+    """Persistence pairing of a filtered complex, as column reduction gives it."""
 
-    pairs: tuple[tuple[int, int], ...]      # (birth cell, death cell)
+    pairs: tuple[tuple[int, int], ...]      # (birth cell, death cell), by birth
     essential: tuple[int, ...]              # unpaired cells, classes live forever
-    _deaths: dict[int, tuple[int, ...]]     # death cell -> reduced column, sorted
+    _births: dict[int, int]                 # death cell -> birth cell
 
     def low(self, j: int) -> int:
-        col = self._deaths.get(j)
-        return col[-1] if col else -1
+        """Last row of reduced column j: its birth cell, or -1 for a zero column."""
+        return self._births.get(j, -1)
+
+
+def _pairing(cx: FilteredComplex) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Birth and death cells of the persistence pairs, and the unpaired cells.
+
+    Squares and triangles first: the apparent pairs come from array passes,
+    the rest from the set-based GF(2) loop. Then edges, by union-find. See
+    reduce.
+    """
+    dims, indptr, indices = cx.dims, cx.indptr, cx.indices
+    lens = np.diff(indptr)
+    cols = np.flatnonzero(dims == 2)
+    faces = indices[np.repeat(dims == 2, lens)]     # column after column
+    start = np.cumsum(lens[cols]) - lens[cols]
+    lows = np.maximum.reduceat(faces, start) if len(cols) else faces
+    face, at = np.unique(faces, return_index=True)  # at: first, earliest coface
+    earliest = np.zeros(len(cx), np.int64)
+    earliest[face] = np.searchsorted(start, at, side="right") - 1
+    apparent = earliest[lows] == np.arange(len(cols))
+
+    # columns by position k in cols; the set loop reads them as list slices
+    flat, start = faces.tolist(), start.tolist() + [len(faces)]
+    owner = dict(zip(lows[apparent].tolist(), np.flatnonzero(apparent).tolist()))
+    reduced: dict[int, set[int]] = {}       # non-apparent death column -> reduced
+    for k in np.flatnonzero(~apparent).tolist():
+        col = set(flat[start[k]:start[k + 1]])
+        while col:
+            low = max(col)
+            i = owner.get(low)
+            if i is None:
+                owner[low] = k
+                reduced[k] = col
+                break
+            col.symmetric_difference_update(reduced.get(i) or flat[start[i]:start[i + 1]])
+    births, deaths = list(owner), cols[list(owner.values())].tolist()
+
+    edges = dims == 1
+    edges[births] = False                   # cleared: each is an H1 birth
+    edges = np.flatnonzero(edges)
+    parent = {}                             # vertex -> parent; roots are least
+    for j, a, b in zip(edges.tolist(), indices[indptr[edges]].tolist(),
+                       indices[indptr[edges] + 1].tolist()):
+        while (p := parent.get(a, a)) != a:
+            parent[a] = a = parent.get(p, p)
+        while (p := parent.get(b, b)) != b:
+            parent[b] = b = parent.get(p, p)
+        if a != b:
+            a, b = min(a, b), max(a, b)
+            parent[b] = a
+            births.append(b)
+            deaths.append(j)
+    births, deaths = np.array(births, np.int64), np.array(deaths, np.int64)
+    paired = np.zeros(len(cx), bool)
+    paired[births] = paired[deaths] = True
+    return births, deaths, np.flatnonzero(~paired)
 
 
 def reduce(cx: FilteredComplex) -> Reduction:
-    """Reduce the boundary matrix over GF(2); every column ends zero or with unique low.
+    """Persistence pairs of the boundary matrix reduced over GF(2).
 
-    Columns are sets of rows, reduced top dimension first and left to right:
-    while column j's low (largest row) is the low of an earlier reduced
-    column, that column is added to it. Clearing: a column whose index is
-    already a low is a birth, its reduced form is zero, so it is skipped.
+    The pairs are those of the standard reduction, top dimension first and
+    left to right, with clearing: for a fixed cell order the pairing is
+    unique, and two steps find it with little column arithmetic.
+
+    Squares and triangles: a cell j whose largest face f has j as its
+    earliest coface is an apparent pair (f, j) (Bauer, "Ripser",
+    arXiv:1908.02518). No column before j holds f, so the standard loop
+    reaches j with its raw boundary, finds f unowned and pairs (f, j) with
+    no addition; array passes find all of these at once. The other columns
+    go through that loop, adding the raw boundary of an apparent column and
+    the reduced form of any other, exactly as before.
+
+    Edges: clearing skips each edge that is already the low of a square or
+    triangle (an H1 birth, never a merge). The rest go through union-find in
+    index order, each component named by its least vertex, the elder. An
+    edge joining components with roots ra < rb gives the pair (rb, j), which
+    is the low of its reduced column; an edge within a component is an H1
+    birth that no cell kills.
     """
-    indptr, indices = cx.indptr.tolist(), cx.indices.tolist()
-    owner: dict[int, int] = {}              # low row -> its death column
-    deaths: dict[int, tuple[int, ...]] = {}
-    for d in range(int(cx.dims.max()), 0, -1):
-        for j in np.flatnonzero(cx.dims == d).tolist():
-            if j in owner:
-                continue
-            col = set(indices[indptr[j]:indptr[j + 1]])
-            while col:
-                low = max(col)
-                if low not in owner:
-                    owner[low] = j
-                    deaths[j] = tuple(sorted(col))
-                    break
-                col.symmetric_difference_update(deaths[owner[low]])
-    essential = (i for i in range(len(cx)) if i not in owner and i not in deaths)
-    return Reduction(tuple(sorted(owner.items())), tuple(essential), deaths)
+    births, deaths, essential = _pairing(cx)
+    order = np.argsort(births)
+    births, deaths = births[order].tolist(), deaths[order].tolist()
+    return Reduction(tuple(zip(births, deaths)), tuple(essential.tolist()),
+                     dict(zip(deaths, births)))
 
 
 @dataclass(frozen=True, order=True)
@@ -150,17 +211,16 @@ def read_barcode_json(doc: dict | str) -> tuple[dict[int, list[tuple[float, floa
 
 def barcode(cx: FilteredComplex) -> Barcode:
     """Persistence barcode of a filtered complex; zero-length bars dropped."""
-    red = reduce(cx)
-    levels = cx.levels
-    dims = cx.dims
-    out = []
-    for i, j in red.pairs:
-        birth, death = int(levels[i]), int(levels[j])
-        if birth < death:
-            out.append(PersistencePair(int(dims[i]), birth, death))
-    for i in red.essential:
-        out.append(PersistencePair(int(dims[i]), int(levels[i]), INF))
-    return Barcode(tuple(sorted(out)), cx.num_levels, cx.thresholds)
+    births, deaths, essential = _pairing(cx)
+    cells = np.concatenate([births, essential])
+    birth = cx.levels[cells]
+    death = np.concatenate([cx.levels[deaths], np.full(len(essential), INF)])
+    keep = birth < death
+    dim, birth, death = cx.dims[cells][keep], birth[keep], death[keep]
+    order = np.lexsort((death, birth, dim))
+    out = (PersistencePair(d, b, int(x) if x < INF else INF) for d, b, x in
+           zip(dim[order].tolist(), birth[order].tolist(), death[order].tolist()))
+    return Barcode(tuple(out), cx.num_levels, cx.thresholds)
 
 
 # === level-set barcodes straight from the image ===

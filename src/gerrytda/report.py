@@ -208,9 +208,14 @@ def levelset_snapshot_bytes(field: MarginField, schedule: LevelSchedule,
     if not (1 <= level <= schedule.num_levels):
         raise ParameterError(f"level must be in 1..{schedule.num_levels}, got {level}")
     lv = _vertex_levels(field.values, field.background, schedule, polarity)
-    img = np.zeros(field.values.shape, dtype=np.uint8)
+    return _snapshot_pgm(lv, field.background, level)
+
+
+def _snapshot_pgm(lv: np.ndarray, background: np.ndarray, level: int) -> bytes:
+    """levelset_snapshot_bytes from the field's vertex levels."""
+    img = np.zeros(lv.shape, dtype=np.uint8)
     img[(lv >= 1) & (lv <= level)] = 255
-    img[field.background] = 128
+    img[background] = 128
     header = f"P5\n{img.shape[1]} {img.shape[0]}\n255\n".encode("ascii")
     return header + img[::-1].tobytes()
 
@@ -266,11 +271,11 @@ def write_outputs(results: Sequence[YearResult], out_dir: str | Path,
                 render_barcode_svg(bc, dim))
             labels.append(name)
             diagrams.append(bc.diagram(dim))
-            if snapshots:
-                for lv in range(1, r.schedule.num_levels + 1):
-                    write_levelset_snapshot(
-                        fld, r.schedule, lv,
-                        out / "snapshots" / f"{name}_level_{lv:03d}.pgm")
+            if snapshots:  # as write_levelset_snapshot, levels found once
+                lv = _vertex_levels(fld.values, fld.background, r.schedule, "democratic")
+                for level in range(1, r.schedule.num_levels + 1):
+                    (out / "snapshots" / f"{name}_level_{level:03d}.pgm").write_bytes(
+                        _snapshot_pgm(lv, fld.background, level))
 
     matrix = distance_matrix(labels, diagrams, bottleneck)
     (out / "distances.csv").write_text(matrix_to_csv(labels, matrix))

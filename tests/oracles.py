@@ -5,9 +5,12 @@ direct quadrature, no shared code with the library paths under test. The
 adjacency references are the library's former per-unit and per-edge loop
 versions of detect_adjacency and flag_filtration; the flag reference shares
 only the final sort into filtration order (complexes._sorted_complex).
+reduce_reference is the library's former reduce, every column through one
+set-based GF(2) loop.
 """
 
 import math
+from dataclasses import dataclass
 from itertools import combinations, permutations
 
 import numpy as np
@@ -263,3 +266,45 @@ def flag_filtration_reference(vertex_levels, edges, num_levels, thresholds=None)
         flat_parts.append(tb.ravel())
     flat = np.concatenate(flat_parts) if flat_parts else np.empty(0, np.int64)
     return _sorted_complex(dims, levels, lens, flat, num_levels, thresholds)
+
+
+# === persistence ===
+
+@dataclass(frozen=True)
+class ReferenceReduction:
+    """Outcome of the column reduction: pairing plus reduced death columns."""
+
+    pairs: tuple[tuple[int, int], ...]      # (birth cell, death cell)
+    essential: tuple[int, ...]              # unpaired cells, classes live forever
+    _deaths: dict[int, tuple[int, ...]]     # death cell -> reduced column, sorted
+
+    def low(self, j: int) -> int:
+        col = self._deaths.get(j)
+        return col[-1] if col else -1
+
+
+def reduce_reference(cx):
+    """The library's former reduce: every column through one set-based loop.
+
+    Columns are sets of rows, reduced top dimension first and left to right:
+    while column j's low (largest row) is the low of an earlier reduced
+    column, that column is added to it. Clearing: a column whose index is
+    already a low is a birth, its reduced form is zero, so it is skipped.
+    """
+    indptr, indices = cx.indptr.tolist(), cx.indices.tolist()
+    owner: dict[int, int] = {}              # low row -> its death column
+    deaths: dict[int, tuple[int, ...]] = {}
+    for d in range(int(cx.dims.max()), 0, -1):
+        for j in np.flatnonzero(cx.dims == d).tolist():
+            if j in owner:
+                continue
+            col = set(indices[indptr[j]:indptr[j + 1]])
+            while col:
+                low = max(col)
+                if low not in owner:
+                    owner[low] = j
+                    deaths[j] = tuple(sorted(col))
+                    break
+                col.symmetric_difference_update(deaths[owner[low]])
+    essential = (i for i in range(len(cx)) if i not in owner and i not in deaths)
+    return ReferenceReduction(tuple(sorted(owner.items())), tuple(essential), deaths)

@@ -361,3 +361,17 @@ def test_config_mode_outside_the_choices_is_an_error(island_files, capsys, tmp_p
     assert code == 2
     assert out == ""
     assert err == "error: --mode must be relative or density, got 'foo'\n"
+
+
+@pytest.mark.parametrize("key,named", [("widht", "widht"), ("max-margn", "max_margn"),
+                                       ("help", "help"), ("config", "config")])
+def test_config_key_of_no_option_is_an_error(island_files, capsys, tmp_path, key, named):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"geo = {island_files['precinct_geo']}\n"
+                   f"votes = {island_files['precinct_votes']}\n"
+                   f"{key} = 40\n")
+    out = tmp_path / "margin.pgm"
+    code, _, err = run_cli(capsys, "rasterize", "--config", str(cfg), "--out", str(out))
+    assert code == 2
+    assert not out.exists()
+    assert err == f"error: config key {named}: no command has an option --{key}\n"

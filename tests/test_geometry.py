@@ -209,3 +209,20 @@ def test_collection_bounds_enclose_everything():
     col = UnitCollection(units)
     assert col.bounds == Bounds(0.0, -2.0, 6.0, 4.0)
     assert col.by_id("B").kind is UnitKind.PRECINCT
+
+
+def test_with_votes_matches_a_fresh_collection():
+    units = [VotingUnit(uid, poly(square(x, y, x + 1, y + 2)), 1, 1)
+             for uid, x, y in (("C", 3, -1), ("A", 0, 0), ("B", -4, 5))]
+    counts = [(7, 2), (0, 0), (3, 9)]
+    got = UnitCollection(units).with_votes(counts)
+    fresh = UnitCollection([u.with_votes(d, r) for u, (d, r) in zip(units, counts)])
+    assert got.units == fresh.units
+    assert got.bounds == fresh.bounds == Bounds(-4.0, -1.0, 4.0, 7.0)
+    for u in fresh:
+        assert got.by_id(u.id) == u and u.id in got
+    assert "D" not in got
+    with pytest.raises(KeyError):
+        got.by_id("D")
+    with pytest.raises(ValueError):
+        UnitCollection(units).with_votes(counts[:2])

@@ -2,8 +2,9 @@
 
 The oracle (Gaussian elimination ranks) and the reduction pairing are two
 routes to the same Betti numbers; the equivalence tests here keep them
-honest against each other on randomized complexes. The image route,
-levelset_barcode, is held to the reduction's barcode on random fields.
+honest against each other on randomized complexes. reduce is held to the
+plain column loop (oracles.reduce_reference), and the image route,
+levelset_barcode, to the reduction's barcode on random fields.
 """
 
 import hashlib
@@ -42,6 +43,7 @@ from gerrytda.synth import (
     torus_complex,
     votes_csv_text,
 )
+from oracles import reduce_reference
 
 
 def triangle_filtration():
@@ -94,6 +96,45 @@ def test_reduce_is_partial_matching():
     seen = [i for pair in red.pairs for i in pair] + list(red.essential)
     assert len(seen) == len(set(seen)) == len(cx)
     assert all(red.low(j) == i for i, j in red.pairs)
+
+
+@st.composite
+def clique_flag_complexes(draw):
+    # levels -1, 0 and 5 never enter; vertex 0 always does. Edges come in
+    # either orientation, repeated and as self-loops, and planted K4s and
+    # K5s fill tetrahedra whose last triangle is not an apparent pair
+    n = draw(st.integers(1, 10))
+    levels = [draw(st.integers(1, 4))] + draw(st.lists(
+        st.sampled_from([-1, 0, 5, 1, 2, 3, 4]), min_size=n - 1, max_size=n - 1))
+    vertex = st.integers(0, n - 1)
+    edges = draw(st.lists(st.tuples(vertex, vertex), max_size=30))
+    if n >= 4:
+        for clique in draw(st.lists(st.lists(vertex, min_size=4, max_size=5, unique=True),
+                                    max_size=2)):
+            edges += [(a, b) for k, a in enumerate(clique) for b in clique[k + 1:]]
+    return flag_filtration(levels, draw(st.permutations(edges)), num_levels=4)
+
+
+@st.composite
+def cubical_complexes(draw):
+    field, schedule, polarity = draw(level_sweeps())
+    try:
+        return build_levelset_filtration(field, schedule, polarity)
+    except ComplexError:  # no pixel ever enters
+        return draw(clique_flag_complexes())
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.one_of(clique_flag_complexes(), cubical_complexes(),
+                 st.builds(torus_complex, st.integers(2, 5), st.integers(2, 5),
+                           st.integers(1, 3))))
+@example(torus_complex())
+@example(triangle_filtration())
+def test_reduce_matches_reference(cx):
+    got, expected = reduce(cx), reduce_reference(cx)
+    assert got.pairs == expected.pairs
+    assert got.essential == expected.essential
+    assert [got.low(j) for j in range(len(cx))] == [expected.low(j) for j in range(len(cx))]
 
 
 # === barcode ===

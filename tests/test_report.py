@@ -303,6 +303,15 @@ def test_write_outputs_layout_and_determinism(island_files, tmp_path):
     assert "ttest.json" not in names
 
 
+def test_write_outputs_snapshots_match_levelset_snapshot_bytes(island_files, tmp_path):
+    res = run_year(island_config(island_files, "packed", levels=6))
+    write_outputs([res], tmp_path / "out")
+    for which, fld in (("precinct", res.precinct_field), ("district", res.district_field)):
+        for level in range(1, 7):
+            path = tmp_path / "out" / "snapshots" / f"y1_{which}_level_{level:03d}.pgm"
+            assert path.read_bytes() == levelset_snapshot_bytes(fld, res.schedule, level)
+
+
 def test_write_outputs_single_year_plain_ids(island_files, tmp_path):
     res = run_year(island_config(island_files, "packed"))
     write_outputs([res], tmp_path / "out", dim=1, snapshots=False)
