@@ -67,7 +67,6 @@ from .persistence import (
     betti_profile,
     levelset_barcode,
     read_barcode_json,
-    reduce,
 )
 from .compare import (
     bottleneck,
@@ -94,7 +93,6 @@ from .report import (
     render_barcode_svg,
     run_year,
     run_years,
-    write_levelset_snapshot,
     write_outputs,
 )
 

@@ -69,6 +69,13 @@ class _Options:
         return val
 
 
+def flag(text: str) -> bool:
+    """A config value for an on/off option: 1 or 0."""
+    if text not in ("0", "1"):
+        raise ValueError(text)
+    return text == "1"
+
+
 def _dim(opts: _Options) -> int:
     """The --dim option; barcodes have bars in dimensions 0, 1 and 2 only."""
     dim = opts.get("dim", 1, int)
@@ -223,9 +230,9 @@ def _cmd_run(opts: _Options) -> int:
         polarity=opts.get("polarity", "democratic"),
         dim=_dim(opts),
     )
+    snapshots = not opts.get("no_snapshots", False, flag)
     result = run_year(config)
-    write_outputs([result], opts.require("out"), dim=config.dim,
-                  snapshots=not opts.args.no_snapshots)
+    write_outputs([result], opts.require("out"), dim=config.dim, snapshots=snapshots)
     headline = result.bottleneck_by_dim[config.dim]
     sys.stdout.write(
         f"{config.year}: H{config.dim} precinct/district bottleneck = "
@@ -282,7 +289,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("run", help="full one-year pipeline into an output directory")
     _add_common(p, "geo", "votes", "district", "raster", "levels", "dim", "out")
     p.add_argument("--year", help="label for this year's outputs")
-    p.add_argument("--no-snapshots", action="store_true",
+    p.add_argument("--no-snapshots", action="store_true", default=None,
                    help="skip per-level PGM snapshots")
     p.set_defaults(handler=_cmd_run)
 

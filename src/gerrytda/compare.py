@@ -5,8 +5,8 @@ death may be inf. Infinite-death points are matched only among themselves, in
 sorted birth order, and a count mismatch makes the distance inf. Finite
 points may match each other or project to the diagonal.
 
-The ground metric is L-infinity by default (diagonal projection then costs
-half the persistence); L2 is available behind a flag. Bottleneck is exact:
+The ground metric is L-infinity, so diagonal projection costs half the
+persistence, as in the paper's bottleneck distance. Bottleneck is exact:
 binary search over the candidate cost set, each probe two Hopcroft-Karp
 maximum matchings (scipy.sparse.csgraph) between the points. Wasserstein
 solves the diagonal-augmented assignment problem exactly (scipy.optimize).
@@ -43,21 +43,12 @@ def _split(diagram: Diagram) -> tuple[np.ndarray, list[float]]:
     return pts, sorted(essential_births)
 
 
-def _ground_distances(a: np.ndarray, b: np.ndarray, metric: str) -> np.ndarray:
-    diff = np.abs(a[:, None, :] - b[None, :, :])
-    if metric == "linf":
-        return diff.max(axis=2)
-    return np.sqrt((diff ** 2).sum(axis=2))
+def _ground_distances(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    return np.abs(a[:, None, :] - b[None, :, :]).max(axis=2)
 
 
-def _diag_cost(pts: np.ndarray, metric: str) -> np.ndarray:
-    pers = pts[:, 1] - pts[:, 0]
-    return pers / 2.0 if metric == "linf" else pers / math.sqrt(2.0)
-
-
-def _check_metric(metric: str) -> None:
-    if metric not in ("linf", "l2"):
-        raise ParameterError(f"unknown ground metric {metric!r}")
+def _diag_cost(pts: np.ndarray) -> np.ndarray:
+    return (pts[:, 1] - pts[:, 0]) / 2.0
 
 
 def _saturates(graph: np.ndarray) -> bool:
@@ -91,9 +82,8 @@ def _essential_bottleneck(ea: list[float], eb: list[float]) -> float:
     return max(abs(x - y) for x, y in zip(ea, eb))
 
 
-def bottleneck(a: Diagram, b: Diagram, metric: str = "linf") -> float:
+def bottleneck(a: Diagram, b: Diagram) -> float:
     """Smallest achievable worst-point cost over all matchings."""
-    _check_metric(metric)
     pa, ea = _split(a)
     pb, eb = _split(b)
     value = _essential_bottleneck(ea, eb)
@@ -102,9 +92,9 @@ def bottleneck(a: Diagram, b: Diagram, metric: str = "linf") -> float:
     if len(pa) == 0 and len(pb) == 0:
         return value
 
-    cross = _ground_distances(pa, pb, metric)
-    diag_a = _diag_cost(pa, metric)
-    diag_b = _diag_cost(pb, metric)
+    cross = _ground_distances(pa, pb)
+    diag_a = _diag_cost(pa)
+    diag_b = _diag_cost(pb)
     candidates = np.unique(np.concatenate([
         cross.ravel(), diag_a, diag_b, [0.0, value]]))
     # smallest feasible candidate; feasibility is monotone in c
@@ -120,10 +110,8 @@ def bottleneck(a: Diagram, b: Diagram, metric: str = "linf") -> float:
     return max(float(candidates[lo]), value)
 
 
-def wasserstein(a: Diagram, b: Diagram, p: float = 1.0,
-                metric: str = "linf") -> float:
+def wasserstein(a: Diagram, b: Diagram, p: float = 1.0) -> float:
     """p-Wasserstein distance with diagonal augmentation, exact assignment."""
-    _check_metric(metric)
     if p < 1:
         raise ParameterError(f"norm order must be >= 1, got {p}")
     pa, ea = _split(a)
@@ -137,11 +125,11 @@ def wasserstein(a: Diagram, b: Diagram, p: float = 1.0,
         size = n + m
         cost = np.zeros((size, size), dtype=np.float64)
         if n and m:
-            cost[:n, :m] = _ground_distances(pa, pb, metric) ** p
+            cost[:n, :m] = _ground_distances(pa, pb) ** p
         if n:
-            cost[:n, m:] = _diag_cost(pa, metric)[:, None] ** p
+            cost[:n, m:] = _diag_cost(pa)[:, None] ** p
         if m:
-            cost[n:, :m] = _diag_cost(pb, metric)[None, :] ** p
+            cost[n:, :m] = _diag_cost(pb)[None, :] ** p
         from scipy.optimize import linear_sum_assignment
         rows, cols = linear_sum_assignment(cost)
         total += float(cost[rows, cols].sum())

@@ -33,7 +33,7 @@ import numpy as np
 
 from .errors import ComplexError, MarginError, ParameterError, StructureError
 from .geometry import UnitCollection
-from .raster import MarginField
+from .raster import MarginField, _ranges
 
 # vertex activation level for pixels that never enter the sweep
 _EXCLUDED = -1
@@ -70,14 +70,6 @@ def uniform_schedule(levels: int, max_margin: float = 1.0) -> LevelSchedule:
     if not (0.0 < max_margin <= 1.0):
         raise ParameterError(f"max margin must be in (0, 1], got {max_margin}")
     return LevelSchedule(tuple(i * max_margin / levels for i in range(1, levels + 1)))
-
-
-@dataclass(frozen=True)
-class Cell:
-    id: int
-    dim: int
-    level: int
-    boundary: tuple[int, ...]
 
 
 class FilteredComplex:
@@ -142,6 +134,10 @@ class FilteredComplex:
                 raise StructureError("boundary face has wrong dimension")
             if np.any(self.levels[self.indices] > self.levels[col]):
                 raise StructureError("boundary face enters after its cell")
+            for k in (2, 3, 4):  # over GF(2) a repeated face would cancel
+                f = self.indices[self.indptr[:-1][lens == k][:, None] + np.arange(k)]
+                if any(np.any(f[:, i] == f[:, j]) for i in range(k) for j in range(i)):
+                    raise StructureError("boundary names a face twice")
 
     def __len__(self) -> int:
         return len(self.dims)
@@ -149,27 +145,10 @@ class FilteredComplex:
     def boundary(self, cell_id: int) -> np.ndarray:
         return self.indices[self.indptr[cell_id]:self.indptr[cell_id + 1]]
 
-    def cell(self, cell_id: int) -> Cell:
-        return Cell(cell_id, int(self.dims[cell_id]), int(self.levels[cell_id]),
-                    tuple(int(i) for i in self.boundary(cell_id)))
-
-    def cells(self) -> Iterable[Cell]:
-        return (self.cell(i) for i in range(len(self)))
-
     def active_counts(self, level: int) -> tuple[int, int, int]:
         """Cells of each dimension present at or below the given level."""
         mask = self.levels <= level
         return tuple(int(np.count_nonzero(mask & (self.dims == d))) for d in (0, 1, 2))
-
-    def euler_characteristic(self, level: int) -> int:
-        v, e, f = self.active_counts(level)
-        return v - e + f
-
-    def dump(self, fp) -> None:
-        """Debug format: one line per cell in filtration order."""
-        for c in self.cells():
-            b = " ".join(str(i) for i in c.boundary)
-            fp.write(f"cell {c.id} dim {c.dim} level {c.level} boundary {b}".rstrip() + "\n")
 
 
 # === cubical level-set filtration ===
@@ -275,7 +254,7 @@ def _sorted_complex(dims, levels, lens, flat, num_levels, thresholds):
         offsets = np.arange(new_indptr[-1]) - np.repeat(new_indptr[:-1], new_lens)
         src = np.repeat(old_indptr[perm], new_lens) + offsets
         new_flat = inv[flat[src]]
-        # keep each boundary list sorted for reproducible dumps
+        # keep each boundary list sorted, so equal complexes get equal arrays
         order = np.argsort(new_flat + np.repeat(np.arange(n), new_lens) * (n + 1),
                            kind="stable")
         new_flat = new_flat[order]
@@ -290,11 +269,6 @@ def _sorted_complex(dims, levels, lens, flat, num_levels, thresholds):
 
 # (edge of i, edge of j) rows detect_adjacency tests at once: 2048 4x4 pairs
 _ROW_BLOCK = 1 << 15
-
-
-def _ranges(starts: np.ndarray, counts: np.ndarray) -> np.ndarray:
-    """Concatenated aranges starts[k] .. starts[k] + counts[k] - 1."""
-    return np.repeat(starts - np.cumsum(counts) + counts, counts) + np.arange(counts.sum())
 
 
 def _collinear_overlap(ea: np.ndarray, eb: np.ndarray, tol: float) -> np.ndarray:
@@ -380,9 +354,9 @@ def _adjacency_keys(units: UnitCollection, kind: str) -> np.ndarray:
                 break
             found.append(unit[:-d][same] * n + unit[d:][same])
 
-    order, p = np.argsort(x0, kind="stable"), np.arange(n)
-    after = np.searchsorted(x0[order], x1[order] + tol, side="right") - p - 1
-    a, b = order[np.repeat(p, after)], order[_ranges(p + 1, after)]
+    order = np.argsort(x0, kind="stable")
+    end = np.searchsorted(x0[order], x1[order] + tol, side="right")
+    a, b = (order[x] for x in _ranges(np.arange(1, n + 1), end))
     near = (x0[a] <= x1[b] + tol) & (x0[b] <= x1[a] + tol) & \
            (y0[a] <= y1[b] + tol) & (y0[b] <= y1[a] + tol)
     i, j = np.minimum(a[near], b[near]), np.maximum(a[near], b[near])
@@ -391,8 +365,7 @@ def _adjacency_keys(units: UnitCollection, kind: str) -> np.ndarray:
     size = count[i] * count[j]
     cuts = np.searchsorted(np.cumsum(size), np.arange(_ROW_BLOCK, size.sum(), _ROW_BLOCK))
     for bi, bj, bs in zip(*(np.split(x, cuts) for x in (i, j, size))):
-        pair = np.repeat(np.arange(len(bs)), bs)
-        r = _ranges(np.zeros_like(bs), bs)
+        pair, r = _ranges(np.zeros_like(bs), bs)
         hit = _collinear_overlap(edges[start[bi][pair] + r // count[bj][pair]],
                                  edges[start[bj][pair] + r % count[bj][pair]], tol)
         hit = np.unique(pair[hit])
@@ -435,8 +408,7 @@ def flag_filtration(vertex_levels: Sequence[int],
     e_levels = np.maximum(v_levels[u], v_levels[v])
 
     first_of = np.searchsorted(lo, np.arange(nv + 1))
-    out = first_of[v + 1] - first_of[v]
-    uv, vw = np.repeat(np.arange(len(key)), out), _ranges(first_of[v], out)
+    uv, vw = _ranges(first_of[v], first_of[v + 1])
     uw_key = u[uv] * nv + hi[vw]
     uw = np.minimum(np.searchsorted(key, uw_key), len(key) - 1)
     closed = key[uw] == uw_key

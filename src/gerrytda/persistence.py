@@ -3,11 +3,11 @@
 Rasters take levelset_barcode: connected components of the image and of its
 complement per level (scipy.ndimage.label), with no complex built. barcode
 on a FilteredComplex pairs cells as GF(2) column reduction of the boundary
-matrix does (reduce), with little column arithmetic: squares and triangles
+matrix does (_pairing), with little column arithmetic: squares and triangles
 that form apparent pairs are paired in array passes and only the others go
 through a set-based loop; edges go through union-find. It serves the
 adjacency route and is the reference that tests hold levelset_barcode to;
-the plain column loop is kept in the tests as reduce's own reference.
+the plain column loop is kept in the tests as _pairing's own reference.
 betti_oracle takes a third route, Gaussian
 elimination ranks of the boundary operators at a fixed level, so the
 reduction can be checked in turn: the number of bars alive at level i in
@@ -32,25 +32,28 @@ from .raster import MarginField
 INF = math.inf
 
 
-@dataclass(frozen=True)
-class Reduction:
-    """Persistence pairing of a filtered complex, as column reduction gives it."""
-
-    pairs: tuple[tuple[int, int], ...]      # (birth cell, death cell), by birth
-    essential: tuple[int, ...]              # unpaired cells, classes live forever
-    _births: dict[int, int]                 # death cell -> birth cell
-
-    def low(self, j: int) -> int:
-        """Last row of reduced column j: its birth cell, or -1 for a zero column."""
-        return self._births.get(j, -1)
-
-
 def _pairing(cx: FilteredComplex) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Birth and death cells of the persistence pairs, and the unpaired cells.
 
-    Squares and triangles first: the apparent pairs come from array passes,
-    the rest from the set-based GF(2) loop. Then edges, by union-find. See
-    reduce.
+    The pairs are those of the standard reduction of the boundary matrix
+    over GF(2), top dimension first and left to right, with clearing: for a
+    fixed cell order the pairing is unique, and two steps find it with
+    little column arithmetic.
+
+    Squares and triangles: a cell j whose largest face f has j as its
+    earliest coface is an apparent pair (f, j) (Bauer, "Ripser",
+    arXiv:1908.02518). No column before j holds f, so the standard loop
+    reaches j with its raw boundary, finds f unowned and pairs (f, j) with
+    no addition; array passes find all of these at once. The other columns
+    go through that loop, adding the raw boundary of an apparent column and
+    the reduced form of any other.
+
+    Edges: clearing skips each edge that is already the low of a square or
+    triangle (an H1 birth, never a merge). The rest go through union-find in
+    index order, each component named by its least vertex, the elder. An
+    edge joining components with roots ra < rb gives the pair (rb, j), which
+    is the low of its reduced column; an edge within a component is an H1
+    birth that no cell kills.
     """
     dims, indptr, indices = cx.dims, cx.indptr, cx.indices
     lens = np.diff(indptr)
@@ -100,35 +103,6 @@ def _pairing(cx: FilteredComplex) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return births, deaths, np.flatnonzero(~paired)
 
 
-def reduce(cx: FilteredComplex) -> Reduction:
-    """Persistence pairs of the boundary matrix reduced over GF(2).
-
-    The pairs are those of the standard reduction, top dimension first and
-    left to right, with clearing: for a fixed cell order the pairing is
-    unique, and two steps find it with little column arithmetic.
-
-    Squares and triangles: a cell j whose largest face f has j as its
-    earliest coface is an apparent pair (f, j) (Bauer, "Ripser",
-    arXiv:1908.02518). No column before j holds f, so the standard loop
-    reaches j with its raw boundary, finds f unowned and pairs (f, j) with
-    no addition; array passes find all of these at once. The other columns
-    go through that loop, adding the raw boundary of an apparent column and
-    the reduced form of any other, exactly as before.
-
-    Edges: clearing skips each edge that is already the low of a square or
-    triangle (an H1 birth, never a merge). The rest go through union-find in
-    index order, each component named by its least vertex, the elder. An
-    edge joining components with roots ra < rb gives the pair (rb, j), which
-    is the low of its reduced column; an edge within a component is an H1
-    birth that no cell kills.
-    """
-    births, deaths, essential = _pairing(cx)
-    order = np.argsort(births)
-    births, deaths = births[order].tolist(), deaths[order].tolist()
-    return Reduction(tuple(zip(births, deaths)), tuple(essential.tolist()),
-                     dict(zip(deaths, births)))
-
-
 @dataclass(frozen=True, order=True)
 class PersistencePair:
     dim: int
@@ -165,22 +139,19 @@ class Barcode:
         return [(self._to_value(p.birth), self._to_value(p.death))
                 for p in self.bars(dim)]
 
-    def to_json(self, level_units: bool = False) -> dict:
-        if level_units or self.thresholds is None:
-            conv = float
-        else:
-            conv = self._to_value
+    def to_json(self) -> dict:
+        """Bars in threshold units, or in level units when there are no thresholds."""
         out_pairs = []
         for p in self.pairs:
-            death = "inf" if p.essential else conv(p.death)
-            out_pairs.append({"dim": p.dim, "birth": conv(p.birth), "death": death})
+            death = "inf" if p.essential else self._to_value(p.death)
+            out_pairs.append({"dim": p.dim, "birth": self._to_value(p.birth), "death": death})
         doc = {"num_levels": self.num_levels, "pairs": out_pairs}
-        if level_units or self.thresholds is None:
+        if self.thresholds is None:
             doc["units"] = "level"
         return doc
 
-    def dumps(self, level_units: bool = False) -> str:
-        return json.dumps(self.to_json(level_units), sort_keys=True)
+    def dumps(self) -> str:
+        return json.dumps(self.to_json(), sort_keys=True)
 
 
 def read_barcode_json(doc: dict | str) -> tuple[dict[int, list[tuple[float, float]]], int]:

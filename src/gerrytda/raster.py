@@ -43,12 +43,6 @@ class Grid:
         return Point2(self.origin.x + (col + 0.5) * self.pixel_size,
                       self.origin.y + (row + 0.5) * self.pixel_size)
 
-    def centers_x(self) -> np.ndarray:
-        return self.origin.x + (np.arange(self.width) + 0.5) * self.pixel_size
-
-    def centers_y(self) -> np.ndarray:
-        return self.origin.y + (np.arange(self.height) + 0.5) * self.pixel_size
-
 
 class MarginMode(Enum):
     RELATIVE = "relative"

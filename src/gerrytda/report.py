@@ -64,6 +64,7 @@ class YearResult:
     precinct_field: MarginField
     district_field: MarginField
     schedule: LevelSchedule
+    polarity: str = "democratic"  # the sweep the barcodes and snapshots follow
 
 
 @contextmanager
@@ -129,7 +130,7 @@ def run_year(config: AnalysisConfig, maps: dict | None = None) -> YearResult:
         rows = tuple(score_units(districts))
 
     return YearResult(config.year, p_barcode, d_barcode, bn, ws, tp,
-                      p_join, d_join, rows, p_field, d_field, schedule)
+                      p_join, d_join, rows, p_field, d_field, schedule, config.polarity)
 
 
 def run_years(configs: Sequence[AnalysisConfig]) -> list[YearResult]:
@@ -220,12 +221,6 @@ def _snapshot_pgm(lv: np.ndarray, background: np.ndarray, level: int) -> bytes:
     return header + img[::-1].tobytes()
 
 
-def write_levelset_snapshot(field: MarginField, schedule: LevelSchedule,
-                            level: int, path: str | Path,
-                            polarity: str = "democratic") -> None:
-    Path(path).write_bytes(levelset_snapshot_bytes(field, schedule, level, polarity))
-
-
 def _result_json(r: YearResult) -> dict:
     def np_free(x):
         return {k: ("inf" if isinstance(v, float) and math.isinf(v) else v)
@@ -271,8 +266,8 @@ def write_outputs(results: Sequence[YearResult], out_dir: str | Path,
                 render_barcode_svg(bc, dim))
             labels.append(name)
             diagrams.append(bc.diagram(dim))
-            if snapshots:  # as write_levelset_snapshot, levels found once
-                lv = _vertex_levels(fld.values, fld.background, r.schedule, "democratic")
+            if snapshots:  # as levelset_snapshot_bytes, levels found once a field
+                lv = _vertex_levels(fld.values, fld.background, r.schedule, r.polarity)
                 for level in range(1, r.schedule.num_levels + 1):
                     (out / "snapshots" / f"{name}_level_{level:03d}.pgm").write_bytes(
                         _snapshot_pgm(lv, fld.background, level))

@@ -6,7 +6,7 @@ adjacency references are the library's former per-unit and per-edge loop
 versions of detect_adjacency and flag_filtration; the flag reference shares
 only the final sort into filtration order (complexes._sorted_complex).
 reduce_reference is the library's former reduce, every column through one
-set-based GF(2) loop.
+set-based GF(2) loop, which persistence._pairing is held to.
 """
 
 import math
@@ -19,14 +19,12 @@ from gerrytda.complexes import _sorted_complex
 from gerrytda.errors import ComplexError, ParameterError
 
 
-def _dist(x, y, metric):
-    dx, dy = abs(x[0] - y[0]), abs(x[1] - y[1])
-    return max(dx, dy) if metric == "linf" else math.hypot(dx, dy)
+def _dist(x, y):
+    return max(abs(x[0] - y[0]), abs(x[1] - y[1]))
 
 
-def _diag(x, metric):
-    pers = x[1] - x[0]
-    return pers / 2.0 if metric == "linf" else pers / math.sqrt(2.0)
+def _diag(x):
+    return (x[1] - x[0]) / 2.0
 
 
 def _split_essentials(diagram):
@@ -43,7 +41,7 @@ def _matchings(n, m):
                 yield list(zip(left, right))
 
 
-def brute_bottleneck(a, b, metric="linf"):
+def brute_bottleneck(a, b):
     fa, ea = _split_essentials(a)
     fb, eb = _split_essentials(b)
     if len(ea) != len(eb):
@@ -55,18 +53,18 @@ def brute_bottleneck(a, b, metric="linf"):
         used_b = {j for _, j in matching}
         cost = floor
         for i, j in matching:
-            cost = max(cost, _dist(fa[i], fb[j], metric))
+            cost = max(cost, _dist(fa[i], fb[j]))
         for i in range(len(fa)):
             if i not in used_a:
-                cost = max(cost, _diag(fa[i], metric))
+                cost = max(cost, _diag(fa[i]))
         for j in range(len(fb)):
             if j not in used_b:
-                cost = max(cost, _diag(fb[j], metric))
+                cost = max(cost, _diag(fb[j]))
         best = min(best, cost)
     return best if (fa or fb) else floor
 
 
-def brute_wasserstein(a, b, p=1.0, metric="linf"):
+def brute_wasserstein(a, b, p=1.0):
     fa, ea = _split_essentials(a)
     fb, eb = _split_essentials(b)
     if len(ea) != len(eb):
@@ -78,10 +76,10 @@ def brute_wasserstein(a, b, p=1.0, metric="linf"):
         used_b = {j for _, j in matching}
         cost = base
         for i, j in matching:
-            cost += _dist(fa[i], fb[j], metric) ** p
-        cost += sum(_diag(fa[i], metric) ** p
+            cost += _dist(fa[i], fb[j]) ** p
+        cost += sum(_diag(fa[i]) ** p
                     for i in range(len(fa)) if i not in used_a)
-        cost += sum(_diag(fb[j], metric) ** p
+        cost += sum(_diag(fb[j]) ** p
                     for j in range(len(fb)) if j not in used_b)
         best = min(best, cost)
     if not (fa or fb):

@@ -200,6 +200,35 @@ def test_run_no_snapshots(island_files, capsys, tmp_path):
     assert not list((out_dir / "snapshots").glob("*.pgm"))
 
 
+@pytest.mark.parametrize("value, frames", [("1", 0), ("0", 2 * 25)])
+def test_config_no_snapshots(island_files, capsys, tmp_path, value, frames):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"no_snapshots = {value}\n")
+    out_dir = tmp_path / "res"
+    code, _, _ = run_cli(
+        capsys, "run", "--config", str(cfg), "--geo", island_files["precinct_geo"],
+        "--votes", island_files["precinct_votes"],
+        "--district-geo", island_files["cracked_geo"],
+        "--district-votes", island_files["cracked_votes"],
+        "--width", "40", "--mode", "relative", "--out", str(out_dir))
+    assert code == 0
+    assert len(list((out_dir / "snapshots").glob("*.pgm"))) == frames
+
+
+def test_config_no_snapshots_bad_value_is_an_error(island_files, capsys, tmp_path):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text("no-snapshots = yes\n")
+    code, out, err = run_cli(
+        capsys, "run", "--config", str(cfg), "--geo", island_files["precinct_geo"],
+        "--votes", island_files["precinct_votes"],
+        "--district-geo", island_files["cracked_geo"],
+        "--district-votes", island_files["cracked_votes"],
+        "--width", "40", "--mode", "relative", "--out", str(tmp_path / "res"))
+    assert code == 2
+    assert out == ""
+    assert err == "error: config key no_snapshots: 'yes' is not a valid flag\n"
+
+
 @pytest.mark.parametrize("dim", ["3", "-1"])
 def test_run_rejects_dim_outside_0_to_2(island_files, capsys, tmp_path, dim):
     out_dir = tmp_path / "res"

@@ -1,6 +1,5 @@
 """Level schedules, cubical level-set filtrations, and adjacency flag complexes."""
 
-import io
 import json
 
 import numpy as np
@@ -28,7 +27,7 @@ from gerrytda.errors import (
 from gerrytda.geometry import PolygonSet, Ring, UnitCollection, VotingUnit
 from gerrytda.ingest import VoteRow, join_units, parse_geojson
 from gerrytda.persistence import betti_oracle
-from gerrytda.synth import field_from_array, grid_mosaic, mosaic_votes
+from gerrytda.synth import field_from_array, grid_mosaic, mosaic_votes, torus_complex
 from oracles import adjacency_reference, flag_filtration_reference
 
 
@@ -88,15 +87,16 @@ def test_levelset_all_republican_block():
     cx = build_levelset_filtration(field_from_array(np.full((4, 4), -0.5)),
                                    uniform_schedule(25))
     assert set(cx.levels.tolist()) == {1}
-    assert cx.active_counts(1) == (16, 24, 9)
-    assert cx.euler_characteristic(1) == 1
+    v, e, f = cx.active_counts(1)
+    assert (v, e, f) == (16, 24, 9)
+    assert v - e + f == 1
 
 
 def test_levelset_center_island_level():
     cx = build_levelset_filtration(sea_with_center(5, 0.5), uniform_schedule(25))
     # 24 sea vertices at level 1; the center waits for the first tau >= 0.5
     assert cx.active_counts(1) == (24, 36, 12)
-    v_levels = sorted(int(c.level) for c in cx.cells() if c.dim == 0)
+    v_levels = sorted(cx.levels[cx.dims == 0].tolist())
     assert v_levels == [1] * 24 + [13]
     assert cx.active_counts(13) == (25, 40, 16)
 
@@ -145,11 +145,10 @@ def test_levelset_closure_and_monotonicity():
     for _ in range(25):
         cx = build_levelset_filtration(random_field(rng, rng.integers(1, 9),
                                                     rng.integers(1, 9)), sched)
-        for c in cx.cells():
-            for f in c.boundary:
-                face = cx.cell(int(f))
-                assert face.dim == c.dim - 1
-                assert face.level <= c.level
+        for c in range(len(cx)):
+            for f in cx.boundary(c):
+                assert cx.dims[f] == cx.dims[c] - 1
+                assert cx.levels[f] <= cx.levels[c]
         counts = [cx.active_counts(lv) for lv in range(1, sched.num_levels + 1)]
         for a, b in zip(counts, counts[1:]):
             assert all(x <= y for x, y in zip(a, b))
@@ -163,19 +162,8 @@ def test_levelset_euler_matches_betti_oracle():
                                                     rng.integers(2, 7)), sched)
         for lv in range(1, sched.num_levels + 1):
             b0, b1, b2 = betti_oracle(cx, lv)
-            assert cx.euler_characteristic(lv) == b0 - b1 + b2
-
-
-def test_complex_dump_format():
-    cx = FilteredComplex.from_cells(
-        [(0, 1, ()), (0, 1, ()), (1, 2, (0, 1))], num_levels=2)
-    buf = io.StringIO()
-    cx.dump(buf)
-    assert buf.getvalue().splitlines() == [
-        "cell 0 dim 0 level 1 boundary",
-        "cell 1 dim 0 level 1 boundary",
-        "cell 2 dim 1 level 2 boundary 0 1",
-    ]
+            v, e, f = cx.active_counts(lv)
+            assert v - e + f == b0 - b1 + b2
 
 
 def test_from_cells_rebuilds_random_cubical():
@@ -189,8 +177,9 @@ def test_from_cells_rebuilds_random_cubical():
         order = np.argsort(cx.dims, kind="stable")
         pos = np.empty(len(cx), np.int64)
         pos[order] = np.arange(len(cx))
-        cells = [(c.dim, c.level, [int(pos[f]) for f in rng.permutation(c.boundary)])
-                 for c in (cx.cell(int(i)) for i in order)]
+        cells = [(int(cx.dims[i]), int(cx.levels[i]),
+                  [int(pos[f]) for f in rng.permutation(cx.boundary(i))])
+                 for i in order.tolist()]
         rebuilt = FilteredComplex.from_cells(cells, cx.num_levels, cx.thresholds)
         for name in ("dims", "levels", "indptr", "indices"):
             want, got = getattr(cx, name), getattr(rebuilt, name)
@@ -201,6 +190,18 @@ def test_from_cells_rejects_face_after_coface():
     with pytest.raises(StructureError):
         FilteredComplex.from_cells(
             [(0, 1, ()), (0, 3, ()), (1, 2, (0, 1))], num_levels=3)
+
+
+def test_boundary_naming_a_face_twice_rejected():
+    # over GF(2) the two copies cancel, which the set-based reductions miss
+    with pytest.raises(StructureError, match="face twice"):
+        torus_complex(1, 3)  # each vertical edge is a loop at one vertex
+    triangle = [(0, 1, ()), (0, 1, ()), (0, 1, ()),
+                (1, 1, (0, 1)), (1, 1, (1, 2)), (1, 1, (0, 2))]
+    FilteredComplex.from_cells(triangle + [(2, 1, (3, 4, 5))])
+    for bad in ([(1, 1, (0, 0))], [(2, 1, (3, 4, 4))], [(2, 1, (3, 4, 5, 3))]):
+        with pytest.raises(StructureError, match="face twice"):
+            FilteredComplex.from_cells(triangle + bad)
 
 
 def test_empty_complex_rejected():
@@ -440,12 +441,13 @@ def test_flag_margin_below_first_threshold_excluded():
 
 def test_flag_edge_level_is_max_of_endpoints():
     cx = flag_filtration([1, 3, 2], [(0, 1), (1, 2), (0, 2)], num_levels=3)
-    edges = {tuple(sorted(c.boundary)): c.level for c in cx.cells() if c.dim == 1}
-    vert_level = {c.id: c.level for c in cx.cells() if c.dim == 0}
+    edges = {tuple(sorted(cx.boundary(i).tolist())): int(cx.levels[i])
+             for i in np.flatnonzero(cx.dims == 1)}
+    vert_level = {i: int(cx.levels[i]) for i in np.flatnonzero(cx.dims == 0).tolist()}
     for (u, v), lv in edges.items():
         assert lv == max(vert_level[u], vert_level[v])
-    tri = [c for c in cx.cells() if c.dim == 2]
-    assert len(tri) == 1 and tri[0].level == 3
+    tri = np.flatnonzero(cx.dims == 2)
+    assert len(tri) == 1 and cx.levels[tri[0]] == 3
 
 
 def test_flag_excluded_vertices_drop_their_edges():

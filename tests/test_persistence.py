@@ -2,8 +2,8 @@
 
 The oracle (Gaussian elimination ranks) and the reduction pairing are two
 routes to the same Betti numbers; the equivalence tests here keep them
-honest against each other on randomized complexes. reduce is held to the
-plain column loop (oracles.reduce_reference), and the image route,
+honest against each other on randomized complexes. The pairing (_pairing)
+is held to the plain column loop (oracles.reduce_reference), and the image route,
 levelset_barcode, to the reduction's barcode on random fields.
 """
 
@@ -27,12 +27,12 @@ from gerrytda.persistence import (
     INF,
     Barcode,
     PersistencePair,
+    _pairing,
     barcode,
     betti_oracle,
     betti_profile,
     levelset_barcode,
     read_barcode_json,
-    reduce,
 )
 from gerrytda.errors import ComplexError
 from gerrytda.ingest import join_units, parse_geojson, parse_votes_csv
@@ -60,42 +60,51 @@ def triangle_filtration():
     ], num_levels=3)
 
 
-# === reduce ===
+# === the pairing ===
+
+def pairing(cx):
+    """_pairing as the reference gives it: (birth, death) pairs by birth,
+    the unpaired cells, and the low of every cell's reduced column."""
+    births, deaths, essential = _pairing(cx)
+    lows = np.full(len(cx), -1)
+    lows[deaths] = births
+    pairs = tuple(sorted(zip(births.tolist(), deaths.tolist())))
+    return pairs, tuple(essential.tolist()), lows.tolist()
+
 
 def test_reduce_triangle_worked_example():
-    red = reduce(triangle_filtration())
-    assert red.pairs == ((1, 3), (2, 4), (5, 6))
-    assert red.essential == (0,)
+    pairs, essential, _ = pairing(triangle_filtration())
+    assert pairs == ((1, 3), (2, 4), (5, 6))
+    assert essential == (0,)
 
 
 def test_reduce_two_isolated_vertices():
     cx = FilteredComplex.from_cells([(0, 1, ()), (0, 1, ())], num_levels=1)
-    red = reduce(cx)
-    assert red.pairs == ()
-    assert red.essential == (0, 1)
+    pairs, essential, _ = pairing(cx)
+    assert pairs == ()
+    assert essential == (0, 1)
 
 
 def test_reduce_lows_are_unique_and_match_pairs():
-    cx = triangle_filtration()
-    red = reduce(cx)
+    pairs, essential, low = pairing(triangle_filtration())
     lows = {}
-    for _, j in red.pairs:
-        lows[red.low(j)] = j
-    assert sorted(lows.keys()) == [i for i, _ in sorted(red.pairs)]
-    for i, j in red.pairs:
-        assert red.low(j) == i
-    for i in red.essential:
-        assert red.low(i) == -1
+    for _, j in pairs:
+        lows[low[j]] = j
+    assert sorted(lows.keys()) == [i for i, _ in sorted(pairs)]
+    for i, j in pairs:
+        assert low[j] == i
+    for i in essential:
+        assert low[i] == -1
 
 
 def test_reduce_is_partial_matching():
     rng = np.random.default_rng(5)
     field = field_from_array(rng.uniform(-1, 1, (8, 8)))
     cx = build_levelset_filtration(field, uniform_schedule(6))
-    red = reduce(cx)
-    seen = [i for pair in red.pairs for i in pair] + list(red.essential)
+    pairs, essential, low = pairing(cx)
+    seen = [i for pair in pairs for i in pair] + list(essential)
     assert len(seen) == len(set(seen)) == len(cx)
-    assert all(red.low(j) == i for i, j in red.pairs)
+    assert all(low[j] == i for i, j in pairs)
 
 
 @st.composite
@@ -131,10 +140,11 @@ def cubical_complexes(draw):
 @example(torus_complex())
 @example(triangle_filtration())
 def test_reduce_matches_reference(cx):
-    got, expected = reduce(cx), reduce_reference(cx)
-    assert got.pairs == expected.pairs
-    assert got.essential == expected.essential
-    assert [got.low(j) for j in range(len(cx))] == [expected.low(j) for j in range(len(cx))]
+    pairs, essential, low = pairing(cx)
+    expected = reduce_reference(cx)
+    assert pairs == expected.pairs
+    assert essential == expected.essential
+    assert low == [expected.low(j) for j in range(len(cx))]
 
 
 # === barcode ===
@@ -373,8 +383,8 @@ def test_barcode_json_uses_threshold_units():
 
 
 def test_barcode_json_level_units_flag():
-    bc = barcode(triangle_filtration())
-    doc = bc.to_json(level_units=True)
+    bc = barcode(triangle_filtration())  # no thresholds: level units
+    doc = bc.to_json()
     assert doc["units"] == "level"
     assert {"dim": 1, "birth": 2.0, "death": 3.0} in doc["pairs"]
 

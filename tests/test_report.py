@@ -18,7 +18,6 @@ from gerrytda.report import (
     render_barcode_svg,
     run_year,
     run_years,
-    write_levelset_snapshot,
     write_outputs,
 )
 from gerrytda.synth import field_from_array, island_scenario, votes_csv_text
@@ -304,12 +303,18 @@ def test_write_outputs_layout_and_determinism(island_files, tmp_path):
 
 
 def test_write_outputs_snapshots_match_levelset_snapshot_bytes(island_files, tmp_path):
-    res = run_year(island_config(island_files, "packed", levels=6))
-    write_outputs([res], tmp_path / "out")
-    for which, fld in (("precinct", res.precinct_field), ("district", res.district_field)):
-        for level in range(1, 7):
-            path = tmp_path / "out" / "snapshots" / f"y1_{which}_level_{level:03d}.pgm"
-            assert path.read_bytes() == levelset_snapshot_bytes(fld, res.schedule, level)
+    # each run's frames follow its own sweep; the two sweeps differ at level 1
+    for polarity in ("democratic", "republican"):
+        res = run_year(island_config(island_files, "packed", levels=6, polarity=polarity))
+        write_outputs([res], tmp_path / polarity)
+        for which, fld in (("precinct", res.precinct_field), ("district", res.district_field)):
+            for level in range(1, 7):
+                path = tmp_path / polarity / "snapshots" / f"y1_{which}_level_{level:03d}.pgm"
+                assert path.read_bytes() == \
+                    levelset_snapshot_bytes(fld, res.schedule, level, polarity)
+        other = "republican" if polarity == "democratic" else "democratic"
+        assert (tmp_path / polarity / "snapshots" / "y1_precinct_level_001.pgm").read_bytes() \
+            != levelset_snapshot_bytes(res.precinct_field, res.schedule, 1, other)
 
 
 def test_write_outputs_single_year_plain_ids(island_files, tmp_path):
