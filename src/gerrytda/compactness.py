@@ -101,8 +101,8 @@ class CompactnessRow:
 
 
 def score_units(units: UnitCollection) -> list[CompactnessRow]:
-    return [CompactnessRow(u.id, polsby_popper(u.geometry), reock(u.geometry))
-            for u in units]
+    return [CompactnessRow(uid, polsby_popper(g), reock(g))
+            for uid, g in zip(units.ids, units.geometries)]
 
 
 def scores_to_csv(rows: Sequence[CompactnessRow]) -> str:

@@ -11,7 +11,7 @@ Two constructions feed the persistence machinery:
   complex come from whole-map array passes: a sort and sweep of the unit
   boxes, flat edge-pair tests in bounded blocks, and wedges for triangles.
   The adjacent index pairs are found once per parsed map and kind, and kept
-  in a memo on the UnitCollection. join_units keeps the map's geometry and
+  in the UnitCollection's geometry memo. join_units keeps the map's geometry and
   unit order, so every vote year joined to one parsed map reads the same
   memo; any other collection, even of the same units, starts its own.
 
@@ -296,7 +296,7 @@ def detect_adjacency(units: UnitCollection, kind: str = "queen") -> set[tuple[st
     changes no later answer.
     """
     a, b = _adjacency_pairs(units, kind)
-    ids = [u.id for u in units]
+    ids = units.ids
     return {(ids[i], ids[j]) for i, j in zip(a.tolist(), b.tolist())}
 
 
@@ -305,14 +305,14 @@ def _adjacency_pairs(units: UnitCollection, kind: str) -> tuple[np.ndarray, np.n
     ids' ranks: the order of sorted(detect_adjacency(units, kind)).
 
     Found once per map and kind, then read from the memo that a collection
-    shares with every join of its geometry (UnitCollection.with_votes).
+    shares with every join of its geometry (UnitCollection.memo).
     """
     if kind not in ("queen", "rook"):
         raise ParameterError(f"unknown adjacency kind {kind!r}")
-    memo = units._adjacency
-    if kind not in memo:
+
+    def build():
         n = len(units)
-        by_id = np.array(sorted(range(n), key=lambda k: units[k].id), dtype=np.int64)
+        by_id = np.array(sorted(range(n), key=units.ids.__getitem__), dtype=np.int64)
         rank = np.empty(n, dtype=np.int64)
         rank[by_id] = np.arange(n)
         key = _adjacency_keys(units, kind)
@@ -320,8 +320,8 @@ def _adjacency_pairs(units: UnitCollection, kind: str) -> tuple[np.ndarray, np.n
         key = np.unique(np.minimum(ri, rj) * n + np.maximum(ri, rj))  # by id ranks
         a, b = by_id[key // n], by_id[key % n]
         a.flags.writeable = b.flags.writeable = False
-        memo[kind] = a, b
-    return memo[kind]
+        return a, b
+    return units.memo(("adjacency", kind), build)
 
 
 def _adjacency_keys(units: UnitCollection, kind: str) -> np.ndarray:
@@ -336,11 +336,9 @@ def _adjacency_keys(units: UnitCollection, kind: str) -> np.ndarray:
     """
     tol = units.snap_tolerance()
     n = len(units)
-    edges = np.concatenate([np.empty((0, 4))] + [u.geometry.edges for u in units])
-    count = np.array([len(u.geometry.edges) for u in units], dtype=np.int64)
+    edges, count, boxes, _ = units.tables()
     start = np.cumsum(count) - count
-    x0, y0, x1, y1 = np.array([(b.minx, b.miny, b.maxx, b.maxy)
-                               for b in (u.geometry.bounds for u in units)]).reshape(-1, 4).T
+    x0, y0, x1, y1 = boxes.T
 
     found = [np.empty(0, np.int64)]  # pair keys i * n + j
     if kind == "queen":
@@ -442,8 +440,7 @@ def build_adjacency_filtration(units: UnitCollection, schedule: LevelSchedule,
     if party not in ("republican", "democratic"):
         raise ParameterError(f"unknown party {party!r}")
     L = schedule.num_levels
-    dem, rep = np.array([(u.dem_votes, u.rep_votes) for u in units],
-                        dtype=np.int64).reshape(-1, 2).T
+    dem, rep = units.dem, units.rep
     won = rep > dem if party == "republican" else dem > rep
     with np.errstate(invalid="ignore"):  # 0 / 0 for a unit without votes, never won
         k = np.searchsorted(schedule.thresholds, np.abs(dem - rep) / (dem + rep),

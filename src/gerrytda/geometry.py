@@ -8,8 +8,7 @@ without double-claiming boundary points.
 
 A PolygonSet measures itself once, at construction: its edge table (one
 x1 y1 x2 y2 row per ring edge), its area and its bounds. This is the only
-module that turns rings into edges; rasterization and adjacency detection
-read the table.
+module that turns rings into edges.
 
 A parsed map keeps every ring's vertices end to end in one (V, 2) table
 with ring offsets (the GeoArrow ragged layout). ring_table measures it in
@@ -17,14 +16,20 @@ one pass, giving the (V, 4) edge table and every signed area; each Ring
 then holds a read-only slice of the vertex table and each hole-free
 PolygonSet a slice of the edge table. Areas come from one _shoelace call on
 one array layout either way, so both routes agree bit for bit.
+
+A UnitCollection keeps its units in columns, votes as two read-only int64
+arrays (counts at most MAX_VOTES), and a memo of what depends on geometry
+alone: edge, box and area tables in unit order, adjacency, label rasters.
+with_votes swaps the vote arrays and shares the rest, memo included.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Sequence
+from typing import Any, Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -32,6 +37,8 @@ from .errors import GeometryError
 
 # Vertex snap tolerance for adjacency detection, relative to the bbox diagonal.
 SNAP_RELATIVE_TOL = 1e-9
+# Largest vote count: sums and differences of two stay exact in float64.
+MAX_VOTES = 2**52
 
 
 @dataclass(frozen=True)
@@ -271,47 +278,48 @@ class VotingUnit:
     def __post_init__(self):
         if self.dem_votes < 0 or self.rep_votes < 0:
             raise GeometryError(f"unit {self.id}: negative vote count")
+        if self.dem_votes > MAX_VOTES or self.rep_votes > MAX_VOTES:
+            raise GeometryError(f"unit {self.id}: vote count above 2**52")
         if self.geometry.area <= 0.0:
             raise GeometryError(f"unit {self.id}: non-positive area")
 
-    @property
-    def total_votes(self) -> int:
-        return self.dem_votes + self.rep_votes
-
-    def with_votes(self, dem: int, rep: int) -> "VotingUnit":
-        return VotingUnit(self.id, self.geometry, dem, rep, self.kind)
-
 
 class UnitCollection:
-    """Immutable set of voting units with a cached overall bounding box.
+    """Immutable voting units in columns, with a cached overall bounding box.
 
-    _adjacency is complexes' memo of adjacent index pairs per kind. It, the
-    id index and the bounds depend only on the ids, geometry and unit order,
-    so collections that differ only in votes share them (with_votes); any
-    other collection builds its own and starts with an empty memo.
+    ids, geometries and kinds are tuples in unit order; dem and rep are
+    read-only int64 arrays. units (and iteration, [i], by_id) gives
+    VotingUnit objects, built on first access after with_votes. _geometry
+    is the memo (see memo), shared only through with_votes.
     """
 
-    __slots__ = ("units", "bounds", "_index", "_adjacency")
+    __slots__ = ("ids", "geometries", "kinds", "dem", "rep", "bounds",
+                 "_units", "_index", "_geometry")
 
-    def __init__(self, units: Sequence[VotingUnit]):
-        self.units = tuple(units)
-        seen: dict[str, int] = {}
-        for u in self.units:
-            if u.id in seen:
-                raise GeometryError(f"duplicate unit id: {u.id}")
-            seen[u.id] = len(seen)
-        self._index = seen
-        self._adjacency: dict = {}
-        if self.units:
-            b = self.units[0].geometry.bounds
-            for u in self.units[1:]:
-                b = b.union(u.geometry.bounds)
-        else:
-            b = Bounds(0.0, 0.0, 0.0, 0.0)
-        self.bounds = b
+    def __init__(self, units: Iterable[VotingUnit]):
+        self._units = tuple(units)
+        self.ids = tuple(u.id for u in self._units)
+        self.geometries = tuple(u.geometry for u in self._units)
+        self.kinds = tuple(u.kind for u in self._units)
+        self.dem, self.rep = _read_only([u.dem_votes for u in self._units],
+                                        [u.rep_votes for u in self._units])
+        self._index = {}
+        for i, uid in enumerate(self.ids):
+            if self._index.setdefault(uid, i) != i:
+                raise GeometryError(f"duplicate unit id: {uid}")
+        self._geometry: dict = {}
+        boxes = [g.bounds for g in self.geometries] or [Bounds(0.0, 0.0, 0.0, 0.0)]
+        self.bounds = functools.reduce(Bounds.union, boxes)
+
+    @property
+    def units(self) -> tuple[VotingUnit, ...]:
+        if self._units is None:
+            self._units = tuple(map(VotingUnit, self.ids, self.geometries, self.dem.tolist(),
+                                    self.rep.tolist(), self.kinds))
+        return self._units
 
     def __len__(self) -> int:
-        return len(self.units)
+        return len(self.ids)
 
     def __iter__(self):
         return iter(self.units)
@@ -325,14 +333,54 @@ class UnitCollection:
     def __contains__(self, unit_id: str) -> bool:
         return unit_id in self._index
 
-    def with_votes(self, counts: Sequence[tuple[int, int]]) -> "UnitCollection":
-        """The same units, in order, with new (dem, rep) counts."""
+    def positions(self, ids: Iterable[str]) -> np.ndarray:
+        """Each id's index in the collection, -1 for an id it lacks."""
+        return np.array([self._index.get(uid, -1) for uid in ids], dtype=np.int64)
+
+    def with_votes(self, counts: Sequence[tuple[int, int]] | np.ndarray) -> "UnitCollection":
+        """The same units, in order, with new (dem, rep) counts: pairs or an (n, 2) array.
+
+        A count below 0 or above MAX_VOTES raises VotingUnit's error for the
+        first unit that has one.
+        """
+        c = np.array(counts, dtype=np.int64).reshape(-1, 2)
+        if len(c) != len(self):
+            raise ValueError(f"{len(c)} vote counts for {len(self)} units")
+        for i in np.flatnonzero(((c < 0) | (c > MAX_VOTES)).any(axis=1))[:1].tolist():
+            VotingUnit(self.ids[i], self.geometries[i], *c[i].tolist(), self.kinds[i])  # raises
         out = UnitCollection.__new__(UnitCollection)
-        out.units = tuple(u.with_votes(d, r)
-                          for u, (d, r) in zip(self.units, counts, strict=True))
-        out.bounds, out._index, out._adjacency = self.bounds, self._index, self._adjacency
+        for name in self.__slots__:
+            setattr(out, name, getattr(self, name))
+        out.dem, out.rep = _read_only(c[:, 0], c[:, 1])
+        out._units = None
         return out
+
+    def memo(self, key, build: Callable[[], Any]) -> Any:
+        """build(), called once per map and key; every with_votes join reads the result."""
+        if key not in self._geometry:
+            self._geometry[key] = build()
+        return self._geometry[key]
+
+    def tables(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Every unit's edges end to end in unit order as one (E, 4) table, each
+        unit's edge count, its (minx, miny, maxx, maxy) box and its area."""
+        def build():
+            g = self.geometries
+            return _read_only(np.concatenate([np.empty((0, 4))] + [x.edges for x in g]),
+                              np.array([len(x.edges) for x in g], dtype=np.int64),
+                              np.array([(x.bounds.minx, x.bounds.miny, x.bounds.maxx,
+                                         x.bounds.maxy) for x in g]).reshape(-1, 4),
+                              [x.area for x in g], dtype=None)
+        return self.memo("tables", build)
 
     def snap_tolerance(self) -> float:
         d = self.bounds.diagonal
         return SNAP_RELATIVE_TOL * d if d > 0 else SNAP_RELATIVE_TOL
+
+
+def _read_only(*columns, dtype=np.int64) -> tuple[np.ndarray, ...]:
+    """Each column as a new read-only array (of dtype, unless that is None)."""
+    out = tuple(np.array(c, dtype=dtype) for c in columns)
+    for a in out:
+        a.flags.writeable = False
+    return out

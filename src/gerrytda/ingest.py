@@ -4,7 +4,8 @@ GeoJSON: FeatureCollection of Polygon / MultiPolygon features, unit id in a
 string property (default "id"). Votes CSV: header unit_id,dem_votes,rep_votes.
 Units present in the geometry but absent from the CSV are filled with a
 token 10/10 split so margins stay defined; vote rows with no geometry are
-reported as orphans but do not fail the join.
+reported as orphans but do not fail the join. Either text may start with a
+UTF-8 byte order mark; a vote count above 2**52 is an error.
 
 parse_geojson reads every ring of a file into one flat (V, 2) vertex table
 with ring offsets (the GeoArrow ragged layout), checks it in whole-array
@@ -12,6 +13,10 @@ operations, and measures it once with geometry.ring_table. Each Ring's
 vertices are a read-only slice of that table and each hole-free unit's
 edges a slice of its edge table; units with holes are assembled by
 PolygonSet as before. Any malformed input raises IngestError.
+
+parse_votes_csv gives a VoteTable (ids and two count arrays) from whole-text
+passes, or from the csv row loop, which names the first fault, when those
+cannot take the file. join_units scatters a table into the map's unit order.
 """
 
 from __future__ import annotations
@@ -21,13 +26,13 @@ import io
 import json
 import logging
 from dataclasses import dataclass
-from typing import NoReturn
+from typing import Iterable, NoReturn, Sequence
 
 import numpy as np
 
 from .errors import GeometryError, IngestError
-from .geometry import (Bounds, PolygonSet, Ring, UnitCollection, UnitKind, VotingUnit,
-                       ring_table)
+from .geometry import (MAX_VOTES, Bounds, PolygonSet, Ring, UnitCollection, UnitKind,
+                       VotingUnit, _read_only, ring_table)
 
 log = logging.getLogger(__name__)
 
@@ -42,6 +47,38 @@ class VoteRow:
     unit_id: str
     dem_votes: int
     rep_votes: int
+
+
+class VoteTable(Sequence[VoteRow]):
+    """Vote rows in columns: unit ids, and read-only int64 dem and rep arrays.
+
+    A sequence of VoteRow that compares equal to a list of the same rows.
+    """
+
+    __slots__ = ("ids", "dem", "rep")
+
+    def __init__(self, ids: Iterable[str], dem, rep):
+        self.ids = tuple(ids)
+        self.dem, self.rep = _read_only(dem, rep)
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return VoteTable(self.ids[i], self.dem[i], self.rep[i])
+        return VoteRow(self.ids[i], int(self.dem[i]), int(self.rep[i]))
+
+    def __iter__(self):
+        return map(VoteRow, self.ids, self.dem.tolist(), self.rep.tolist())
+
+    def __eq__(self, other):
+        if isinstance(other, (list, VoteTable)):
+            return list(self) == list(other)
+        return NotImplemented
+
+    def __repr__(self) -> str:
+        return f"VoteTable({list(self)!r})"
 
 
 @dataclass(frozen=True)
@@ -64,6 +101,8 @@ def _count(props: dict, key: str, feature_idx: int) -> int:
         count = None
     if count is None or (isinstance(value, float) and count != value):
         raise IngestError(f"feature {feature_idx}: non-integer {key} {value!r}")
+    if count > MAX_VOTES:
+        raise IngestError(f"feature {feature_idx}: {key} above 2**52")
     return count
 
 
@@ -124,7 +163,8 @@ def parse_geojson(text: str | bytes, id_property: str = "id",
     unit's rings fit together, each kind in file order.
     """
     try:
-        doc = json.loads(text)
+        doc = json.loads(text.removeprefix(b"\xef\xbb\xbf" if isinstance(text, bytes)
+                                           else "\ufeff"))
     except json.JSONDecodeError as e:
         raise IngestError(f"invalid JSON: {e}") from e
     if not isinstance(doc, dict) or doc.get("type") != "FeatureCollection":
@@ -219,8 +259,8 @@ def to_geojson(units: UnitCollection, id_property: str = "id") -> dict:
         return pts
 
     features = []
-    for u in units:
-        g = u.geometry
+    for uid, g, dem, rep, kind in zip(units.ids, units.geometries, units.dem.tolist(),
+                                      units.rep.tolist(), units.kinds):
         holes_by_owner: dict[int, list] = {}
         for h, owner in zip(g.holes, g.hole_owner):
             holes_by_owner.setdefault(owner, []).append(ring_coords(h))
@@ -232,30 +272,64 @@ def to_geojson(units: UnitCollection, id_property: str = "id") -> dict:
             geometry = {"type": "MultiPolygon", "coordinates": parts}
         features.append({
             "type": "Feature",
-            "properties": {
-                id_property: u.id,
-                "dem_votes": u.dem_votes,
-                "rep_votes": u.rep_votes,
-                "kind": u.kind.value,
-            },
+            "properties": {id_property: uid, "dem_votes": dem, "rep_votes": rep,
+                           "kind": kind.value},
             "geometry": geometry,
         })
     return {"type": "FeatureCollection", "features": features}
 
 
-def parse_votes_csv(text: str | bytes) -> list[VoteRow]:
-    """Parse the votes CSV; row numbers in errors count the header as row 1."""
+def parse_votes_csv(text: str | bytes) -> VoteTable:
+    """Parse the votes CSV; row numbers in errors count the header as row 1.
+
+    A file of plain rows is read whole (_plain_votes). Any other file, and
+    any file with a fault, goes through the csv row loop, which names the
+    first fault.
+    """
     if isinstance(text, bytes):
         text = text.decode("utf-8")
-    reader = csv.reader(io.StringIO(text))
-    rows = [r for r in reader]
+    text = text.removeprefix("\ufeff")
+    table = _plain_votes(text)
+    return _votes_by_row(text) if table is None else table
+
+
+def _plain_votes(text: str) -> VoteTable | None:
+    """The table of a file with no quote, NUL or lone CR, whose rows each
+    fill one line with three cells and no fault; None for any other file."""
+    text = text.replace("\r\n", "\n")
+    if '"' in text or "\0" in text or "\r" in text:
+        return None
+    head, _, body = text.partition("\n")
+    body = body.removesuffix("\n")
+    if [c.strip() for c in head.split(",")] != _CSV_HEADER or not body:
+        return None
+    # the k-th line break must follow the line's two commas and precede the next
+    b = np.frombuffer(body.encode("utf-8", "surrogatepass"), dtype=np.uint8)
+    ends = np.searchsorted(np.flatnonzero(b == ord(",")), np.flatnonzero(b == ord("\n")))
+    cells = body.replace("\n", ",").split(",")
+    if len(cells) != 3 * (len(ends) + 1) or np.any(ends != np.arange(2, 2 * len(ends) + 1, 2)):
+        return None
+    ids = [c.strip() for c in cells[0::3]]
+    try:
+        table = VoteTable(ids, list(map(int, cells[1::3])), list(map(int, cells[2::3])))
+    except (ValueError, OverflowError):
+        return None
+    if "" in ids or len(set(ids)) < len(ids) or min(table.dem.min(), table.rep.min()) < 0 \
+            or max(table.dem.max(), table.rep.max()) > MAX_VOTES:
+        return None
+    return table
+
+
+def _votes_by_row(text: str) -> VoteTable:
+    """parse_votes_csv one csv row at a time, raising at the first fault."""
+    rows = list(csv.reader(io.StringIO(text, newline="")))  # CR, LF or CRLF rows
     if not rows:
         raise IngestError("missing header: empty votes file")
     header = [c.strip() for c in rows[0]]
     if header != _CSV_HEADER:
         raise IngestError(f"missing or malformed header: expected {','.join(_CSV_HEADER)}")
-    out: list[VoteRow] = []
-    seen: set[str] = set()
+    ids: dict[str, None] = {}  # in row order
+    counts: list[int] = []  # dem, rep, dem, rep, ...
     for lineno, row in enumerate(rows[1:], start=2):
         if not row or all(not c.strip() for c in row):
             continue
@@ -264,10 +338,9 @@ def parse_votes_csv(text: str | bytes) -> list[VoteRow]:
         uid = row[0].strip()
         if not uid:
             raise IngestError(f"row {lineno}: empty unit_id")
-        if uid in seen:
+        if uid in ids:
             raise IngestError(f"row {lineno}: duplicate unit_id {uid}")
-        seen.add(uid)
-        counts = []
+        ids[uid] = None
         for cell in row[1:]:
             s = cell.strip()
             try:
@@ -276,23 +349,36 @@ def parse_votes_csv(text: str | bytes) -> list[VoteRow]:
                 raise IngestError(f"row {lineno}: non-integer count {s!r}") from None
             if v < 0:
                 raise IngestError(f"row {lineno}: negative count")
+            if v > MAX_VOTES:
+                raise IngestError(f"row {lineno}: count above 2**52")
             counts.append(v)
-        out.append(VoteRow(uid, counts[0], counts[1]))
-    return out
+    return VoteTable(ids, counts[0::2], counts[1::2])
 
 
-def join_units(geo: UnitCollection, votes: list[VoteRow]) -> tuple[UnitCollection, JoinReport]:
+def join_units(geo: UnitCollection,
+               votes: Iterable[VoteRow]) -> tuple[UnitCollection, JoinReport]:
     """Attach vote counts to geometry by unit id.
 
     Every geometry unit appears in the result, in geo's order and with its
-    geometry (so the result shares geo's adjacency memo): matched units take
-    the CSV counts, unmatched ones are filled with 10/10.
+    geometry (so the result shares geo's memo): matched units take the vote
+    counts, unmatched ones are filled with 10/10. Rows that are not a
+    VoteTable are read into one first; a unit named twice takes its last row.
     """
-    by_id = {v.unit_id: (v.dem_votes, v.rep_votes) for v in votes}
-    fill = (MISSING_VOTES_FILL, MISSING_VOTES_FILL)
-    counts = [by_id.get(u.id, fill) for u in geo]
-    matched = sum(u.id in by_id for u in geo)
-    orphans = tuple(v.unit_id for v in votes if v.unit_id not in geo)
+    if not isinstance(votes, VoteTable):
+        rows = list(votes)
+        try:
+            votes = VoteTable([r.unit_id for r in rows], [r.dem_votes for r in rows],
+                              [r.rep_votes for r in rows])
+        except OverflowError:
+            uid = next(r.unit_id for r in rows if max(r.dem_votes, r.rep_votes) > MAX_VOTES)
+            raise GeometryError(f"unit {uid}: vote count above 2**52") from None
+    at = geo.positions(votes.ids)
+    # the last row of each unit: the first in reverse order
+    last = len(at) - 1 - np.unique(at[::-1], return_index=True)[1]
+    last = last[at[last] >= 0]
+    counts = np.full((len(geo), 2), MISSING_VOTES_FILL, dtype=np.int64)
+    counts[at[last]] = np.column_stack([votes.dem[last], votes.rep[last]])
+    orphans = tuple(uid for uid, k in zip(votes.ids, at.tolist()) if k < 0)
     if orphans:
         log.warning("votes for %d unknown unit(s): %s", len(orphans), ", ".join(orphans[:5]))
-    return geo.with_votes(counts), JoinReport(matched, len(geo) - matched, orphans)
+    return geo.with_votes(counts), JoinReport(len(last), len(geo) - len(last), orphans)

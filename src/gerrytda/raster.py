@@ -21,7 +21,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import MarginError, ParameterError, RasterError
-from .geometry import Bounds, Point2, UnitCollection, VotingUnit, polygon_area
+from .geometry import Bounds, Point2, UnitCollection
 
 BACKGROUND = -1
 
@@ -56,9 +56,7 @@ class LabelRaster:
     unit_ids: tuple[str, ...]   # label value -> unit id
 
     def pixel_counts(self) -> np.ndarray:
-        counts = np.bincount(self.labels[self.labels >= 0].ravel(),
-                             minlength=len(self.unit_ids))
-        return counts
+        return np.bincount(self.labels[self.labels >= 0], minlength=len(self.unit_ids))
 
 
 @dataclass(frozen=True)
@@ -68,17 +66,6 @@ class MarginField:
     background: np.ndarray  # bool, True where no unit claims the pixel
     mode: MarginMode
     normalizer: float = 1.0  # max |density| divided out in density mode
-
-
-def unit_margin(unit: VotingUnit, mode: MarginMode = MarginMode.RELATIVE) -> float:
-    """Signed margin of one unit; positive means more Democratic votes."""
-    diff = unit.dem_votes - unit.rep_votes
-    if mode is MarginMode.RELATIVE:
-        total = unit.total_votes
-        if total == 0:
-            raise MarginError(f"unit {unit.id}: zero total votes")
-        return diff / total
-    return diff / polygon_area(unit.geometry)
 
 
 def _ranges(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -106,18 +93,21 @@ def rasterize(units: UnitCollection, width: int, bounds: Bounds | None = None) -
         bounds = units.bounds
     if bounds.width <= 0 or bounds.height <= 0:
         raise RasterError("bounds have no extent")
+    return units.memo(("raster", width, bounds), lambda: _label(units, width, bounds))
+
+
+def _label(units: UnitCollection, width: int, bounds: Bounds) -> LabelRaster:
+    """rasterize, run once per map, width and bounds."""
     s = bounds.width / width
     height = max(1, int(math.ceil(bounds.height / s - 1e-12)))
     grid = Grid(width, height, Point2(bounds.minx, bounds.miny), s)
     ox, oy = bounds.minx, bounds.miny
 
-    geoms = [u.geometry for u in units]
-    e = np.vstack([g.edges for g in geoms])
-    unit = np.repeat(np.arange(len(geoms), dtype=np.int32), [len(g.edges) for g in geoms])
+    e, count, boxes, _ = units.tables()
+    unit = np.repeat(np.arange(len(units), dtype=np.int32), count)
     # each unit scans the rows whose centers lie within its bounds and the grid
-    yb = np.array([(g.bounds.miny, g.bounds.maxy) for g in geoms])
-    r0 = np.maximum(0, np.ceil((yb[:, 0] - oy) / s - 0.5).astype(np.int64))
-    r1 = np.minimum(height - 1, np.floor((yb[:, 1] - oy) / s - 0.5).astype(np.int64))
+    r0 = np.maximum(0, np.ceil((boxes[:, 1] - oy) / s - 0.5).astype(np.int64))
+    r1 = np.minimum(height - 1, np.floor((boxes[:, 3] - oy) / s - 0.5).astype(np.int64))
     # an edge straddles rows lo + 1 .. hi; it tries one more on either side
     # against rounding, and the straddle test decides
     lo = np.floor((np.minimum(e[:, 1], e[:, 3]) - oy) / s - 0.5).astype(np.int64)
@@ -139,25 +129,31 @@ def rasterize(units: UnitCollection, width: int, bounds: Bounds | None = None) -
     labels = np.full((height, width), BACKGROUND, dtype=np.int32)
     np.maximum.at(labels, (row[span], col), unit[span])
     labels.setflags(write=False)
-    return LabelRaster(grid, labels, tuple(u.id for u in units))
+    return LabelRaster(grid, labels, units.ids)
 
 
 def margin_field(raster: LabelRaster, units: UnitCollection,
                  mode: MarginMode = MarginMode.RELATIVE) -> MarginField:
     """Spread per-unit margins over the raster.
 
-    Density mode divides the vote difference by unit area and then normalizes
-    the whole field by its maximum absolute value (over units that actually
-    claimed pixels), so values stay in [-1, 1] in both modes.
+    Relative mode divides the vote difference by the unit's votes (a unit
+    that claims a pixel and has none is an error); density mode divides it
+    by unit area and then normalizes the whole field by its maximum absolute
+    value (over units that claim pixels). Values stay in [-1, 1] either way.
     """
     if isinstance(mode, str):
         mode = MarginMode(mode)
     labels = raster.labels
-    present = np.unique(labels)
-    present = present[present >= 0]
+    present = np.flatnonzero(raster.pixel_counts())
+    dem, rep = units.dem[present], units.rep[present]
+    if mode is MarginMode.RELATIVE:
+        total = dem + rep
+        if not total.all():
+            raise MarginError(f"unit {units.ids[present[np.argmin(total)]]}: zero total votes")
+    else:
+        total = units.tables()[3][present]
     margins = np.zeros(len(units), dtype=np.float64)
-    for idx in present:
-        margins[idx] = unit_margin(units[int(idx)], mode)
+    margins[present] = (dem - rep) / total  # exact: every count is at most 2**52
     normalizer = 1.0
     if mode is MarginMode.DENSITY:
         normalizer = float(np.max(np.abs(margins[present]))) if len(present) else 0.0

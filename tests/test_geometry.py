@@ -1,6 +1,7 @@
 """Polygon primitive tests: areas, perimeters, membership, model invariants."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -216,7 +217,8 @@ def test_with_votes_matches_a_fresh_collection():
              for uid, x, y in (("C", 3, -1), ("A", 0, 0), ("B", -4, 5))]
     counts = [(7, 2), (0, 0), (3, 9)]
     got = UnitCollection(units).with_votes(counts)
-    fresh = UnitCollection([u.with_votes(d, r) for u, (d, r) in zip(units, counts)])
+    fresh = UnitCollection([replace(u, dem_votes=d, rep_votes=r)
+                            for u, (d, r) in zip(units, counts)])
     assert got.units == fresh.units
     assert got.bounds == fresh.bounds == Bounds(-4.0, -1.0, 4.0, 7.0)
     for u in fresh:
@@ -226,3 +228,23 @@ def test_with_votes_matches_a_fresh_collection():
         got.by_id("D")
     with pytest.raises(ValueError):
         UnitCollection(units).with_votes(counts[:2])
+
+
+def test_with_votes_swaps_only_the_vote_arrays():
+    units = [VotingUnit(uid, poly(square(x, 0, x + 1, 1)), 1, 1)
+             for uid, x in (("C", 0), ("A", 1), ("B", 2))]
+    col = UnitCollection(units)
+    got = col.with_votes(np.array([[7, 2], [0, 0], [3, 9]]))
+    assert got.ids is col.ids and got.geometries is col.geometries and got.bounds is col.bounds
+    assert got.dem.tolist() == [7, 0, 3] and got.rep.tolist() == [2, 0, 9]
+    assert col.dem.tolist() == col.rep.tolist() == [1, 1, 1]
+    assert not got.dem.flags.writeable and not got.rep.flags.writeable
+    assert got.memo("key", lambda: "built") == col.memo("key", lambda: "again") == "built"
+    assert UnitCollection(units).memo("key", lambda: "again") == "again"
+    assert got[1] == VotingUnit("A", units[1].geometry, 0, 0)
+    with pytest.raises(GeometryError, match="^unit A: negative vote count$"):
+        col.with_votes([(1, 1), (-1, 0), (0, -5)])
+    with pytest.raises(GeometryError, match="^unit B: vote count above 2\\*\\*52$"):
+        col.with_votes([(1, 1), (0, 0), (0, 2**52 + 1)])
+    with pytest.raises(GeometryError, match="^unit C: vote count above 2\\*\\*52$"):
+        VotingUnit("C", units[0].geometry, 2**52 + 1, 0)

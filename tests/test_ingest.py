@@ -4,7 +4,7 @@ import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gerrytda.errors import GeometryError, IngestError
@@ -12,12 +12,15 @@ from gerrytda.geometry import PolygonSet, Ring, UnitKind, polygon_area
 from gerrytda.ingest import (
     JoinReport,
     VoteRow,
+    VoteTable,
+    _plain_votes,
+    _votes_by_row,
     join_units,
     parse_geojson,
     parse_votes_csv,
     to_geojson,
 )
-from gerrytda.synth import band_districts, grid_mosaic
+from gerrytda.synth import band_districts, grid_mosaic, mosaic_votes, votes_csv_text
 
 
 def square_feature(uid, x0, y0, size=1.0, props=None):
@@ -296,9 +299,138 @@ def test_votes_empty_file():
         parse_votes_csv("")
 
 
+def test_votes_lone_carriage_return_ends_a_row():
+    rows = parse_votes_csv("unit_id,dem_votes,rep_votes\rP01,1,2\r\nP02,3,4\rP03,5,6")
+    assert rows == [VoteRow("P01", 1, 2), VoteRow("P02", 3, 4), VoteRow("P03", 5, 6)]
+    with pytest.raises(IngestError, match="^row 3: non-integer count 'x'$"):
+        parse_votes_csv("unit_id,dem_votes,rep_votes\rP01,1,2\rP02,x,4\r")
+
+
 def test_votes_wrong_header():
     with pytest.raises(IngestError, match="header"):
         parse_votes_csv("id,dem,rep\nP01,1,2\n")
+
+
+def test_votes_parse_to_a_read_only_table():
+    rows = parse_votes_csv("unit_id,dem_votes,rep_votes\nP01,150,50\nP02,3,4\n")
+    assert isinstance(rows, VoteTable) and len(rows) == 2
+    assert rows.ids == ("P01", "P02")
+    assert rows[1] == VoteRow("P02", 3, 4) and rows[-1] == rows[1]
+    assert rows[:1] == [VoteRow("P01", 150, 50)]
+    assert rows.dem.dtype == np.int64 and rows.rep.tolist() == [50, 4]
+    with pytest.raises(ValueError):
+        rows.dem[0] = 1
+    assert rows != [VoteRow("P01", 150, 50)]
+    assert rows != "P01"
+
+
+def test_votes_plain_file_takes_the_whole_text_path():
+    text = votes_csv_text(mosaic_votes(97, 28, seed=1))
+    fast = _plain_votes(text)
+    assert fast is not None and len(fast) == 2716
+    assert fast == _votes_by_row(text) == parse_votes_csv(text.encode())
+    assert _plain_votes(text.replace("\n", "\r\n")) == fast
+
+
+COUNT_CAP = 2**52
+
+
+@pytest.mark.parametrize("cell", [str(COUNT_CAP + 1), str(2**63), "9" * 30])
+def test_votes_count_above_cap_is_an_error(cell):
+    for text in (f"unit_id,dem_votes,rep_votes\nP01,1,2\nP02,{cell},3\n",
+                 f'unit_id,dem_votes,rep_votes\nP01,1,2\n"P02",3,{cell}\n'):
+        with pytest.raises(IngestError, match="^row 3: count above 2\\*\\*52$"):
+            parse_votes_csv(text)
+
+
+def test_votes_count_at_cap_is_kept():
+    rows = parse_votes_csv(f"unit_id,dem_votes,rep_votes\nP01,{COUNT_CAP},{COUNT_CAP}\n")
+    assert rows == [VoteRow("P01", COUNT_CAP, COUNT_CAP)]
+
+
+@pytest.mark.parametrize("key", ["dem_votes", "rep_votes"])
+def test_geojson_count_above_cap_is_an_error(key):
+    feats = [square_feature("A", 0, 0), square_feature("B", 1, 0, props={key: 2**63})]
+    with pytest.raises(IngestError, match=f"^feature 1: {key} above 2\\*\\*52$"):
+        parse_geojson(collection(feats))
+    feats[1] = square_feature("B", 1, 0, props={key: COUNT_CAP})
+    assert getattr(parse_geojson(collection(feats)).by_id("B"), key) == COUNT_CAP
+
+
+def test_byte_order_mark_is_accepted():
+    csv_text = "unit_id,dem_votes,rep_votes\nP01,1,2\n"
+    for text in ("\ufeff" + csv_text, "\ufeff" + csv_text.replace("1,2", '"1",2')):
+        assert parse_votes_csv(text) == [VoteRow("P01", 1, 2)]
+        assert parse_votes_csv(text.encode()) == [VoteRow("P01", 1, 2)]
+    geo_text = collection([square_feature("P01", 0, 0)])
+    for text in ("\ufeff" + geo_text, ("\ufeff" + geo_text).encode()):
+        assert parse_geojson(text).ids == ("P01",)
+
+
+def ingest_outcome(parse, text):
+    try:
+        return parse(text)
+    except IngestError as e:
+        return f"IngestError: {e}"
+
+
+# cells the row loop accepts, and cells that make it fail or that the
+# whole-text path must leave to it
+GOOD_IDS = ["P1", "P2", "P3", " P4 ", "Pé", "P\u20036"]
+BAD_IDS = ["", "  ", '"P2"', '"a,b"', "P1"]
+GOOD_COUNTS = ["0", "7", " 12 ", "+5", "-0", "1_000", "٣", "٣١", "５", "\u20035", "00012",
+               "\t9", str(COUNT_CAP)]
+BAD_COUNTS = ["-3", "1__0", "\x1c5", "0x10", "1e3", "a", "", str(COUNT_CAP + 1), str(2**63),
+              "9" * 30, '"4"']
+
+
+@st.composite
+def votes_texts(draw):
+    """Votes files, mostly well formed, each with at most a few faults."""
+    header = draw(st.sampled_from(["unit_id,dem_votes,rep_votes"] * 6 + [
+        " unit_id , dem_votes,rep_votes", "unit_id,dem,rep", '"unit_id",dem_votes,rep_votes', ""]))
+    lines = [header]
+    ids = draw(st.permutations(GOOD_IDS))
+    for k in range(draw(st.integers(0, len(ids)))):
+        fault = draw(st.integers(0, 11))
+        cells = [draw(st.sampled_from(BAD_IDS)) if fault == 0 else ids[k]]
+        cells += [draw(st.sampled_from(BAD_COUNTS if fault == 1 else GOOD_COUNTS))
+                  for _ in range(2)]
+        if fault == 2:  # a short or long row
+            cells = cells[:draw(st.integers(1, 2))] if draw(st.booleans()) else cells + ["1"]
+        if fault == 3:  # a blank line before the row
+            lines.append(draw(st.sampled_from(["", "  ", ",,", " , , "])))
+        lines.append(",".join(cells))
+    end = draw(st.sampled_from(["\n", "\r\n"]))
+    text = end.join(lines) + draw(st.sampled_from(["", end, end + end]))
+    return draw(st.sampled_from(["", "\ufeff"])) + text
+
+
+@settings(max_examples=400, deadline=None)
+@given(votes_texts())
+@example("unit_id,dem_votes,rep_votes\n\"P2\",1,2\n")  # csv unquotes a cell
+@example("unit_id,dem_votes,rep_votes\nP1,1,2,3\n4,5\n")  # a long row, then a short one
+@example("unit_id,dem_votes,rep_votes\nP1\r,1,2\n")  # a lone CR ends a row
+def test_whole_text_parse_matches_the_row_loop(text):
+    slow = ingest_outcome(_votes_by_row, text.removeprefix("\ufeff"))
+    fast = _plain_votes(text.removeprefix("\ufeff"))
+    if fast is not None:
+        assert isinstance(slow, VoteTable) and fast == slow
+        assert fast.ids == slow.ids
+    assert ingest_outcome(parse_votes_csv, text) == slow
+    assert ingest_outcome(parse_votes_csv, text.encode()) == slow
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from(["P1", "P2", "P3", " P4", "Pé"]),
+                          st.integers(0, COUNT_CAP), st.integers(0, COUNT_CAP)),
+                max_size=5, unique_by=lambda r: r[0].strip()),
+       st.sampled_from(["\n", "\r\n"]))
+def test_whole_text_parse_takes_every_plain_file(rows, end):
+    text = end.join(["unit_id,dem_votes,rep_votes"] + [f"{u},{d},{r}" for u, d, r in rows]) + end
+    fast = _plain_votes(text)
+    assert fast is not None or not rows
+    assert parse_votes_csv(text) == [VoteRow(u.strip(), d, r) for u, d, r in rows]
 
 
 # === join_units ===
@@ -346,3 +478,36 @@ def test_join_report_arithmetic(data):
     assert rep.matched + rep.filled_missing == len(geo) == len(joined)
     assert rep.matched == len([u for u in vote_ids if u in ids])
     assert set(rep.orphan_vote_rows) == {u for u in vote_ids if u not in ids}
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(st.sampled_from(["U0", "U1", "U2", "U3", "X1"]),
+                          st.integers(0, 50), st.integers(0, 50)), max_size=8))
+def test_join_reads_a_table_and_a_row_list_alike(rows):
+    geo = geo_of(["U0", "U1", "U2", "U3"])
+    votes = [VoteRow(*r) for r in rows]
+    from_list, rep_list = join_units(geo, votes)
+    by_id = {v.unit_id: (v.dem_votes, v.rep_votes) for v in votes}  # the last row wins
+    assert [(u.dem_votes, u.rep_votes) for u in from_list] == \
+        [by_id.get(uid, (10, 10)) for uid in geo.ids]
+    assert rep_list.orphan_vote_rows == tuple(v.unit_id for v in votes if v.unit_id == "X1")
+    unique = list({v.unit_id: v for v in votes}.values())
+    table = VoteTable([v.unit_id for v in unique], [v.dem_votes for v in unique],
+                      [v.rep_votes for v in unique])
+    from_table, rep_table = join_units(geo, table)
+    assert from_table.dem.tolist() == from_list.dem.tolist()
+    assert from_table.rep.tolist() == from_list.rep.tolist()
+    assert rep_table.matched == rep_list.matched
+    assert rep_table.filled_missing == rep_list.filled_missing
+    from_unique, rep_unique = join_units(geo, unique)
+    assert rep_unique == rep_table and from_unique.units == from_table.units
+
+
+def test_join_rejects_bad_counts_naming_the_unit():
+    geo = geo_of(["A", "B", "C"])
+    with pytest.raises(GeometryError, match="^unit B: negative vote count$"):
+        join_units(geo, [VoteRow("A", 1, 1), VoteRow("B", -1, 1), VoteRow("C", -2, 1)])
+    with pytest.raises(GeometryError, match="^unit C: vote count above 2\\*\\*52$"):
+        join_units(geo, [VoteRow("C", 2**63, 1)])
+    with pytest.raises(GeometryError, match="^unit A: vote count above 2\\*\\*52$"):
+        join_units(geo, [VoteRow("A", 2**52 + 1, 1)])

@@ -2,6 +2,7 @@
 
 import json
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -26,10 +27,11 @@ from gerrytda.raster import (
     margin_field,
     rasterize,
     read_margin_pgm,
-    unit_margin,
     write_margin_pgm,
 )
 from gerrytda.synth import grid_mosaic
+
+from oracles import unit_margin
 
 
 def rect_unit(uid, x0, y0, x1, y1, dem=10, rep=10):
@@ -229,7 +231,8 @@ def test_margin_field_sign_flip_exact():
         rect_unit("A", 0, 0, 0.5, 1, dem=150, rep=50),
         rect_unit("B", 0.5, 0, 1, 1, dem=30, rep=70),
     ])
-    flipped = UnitCollection([u.with_votes(u.rep_votes, u.dem_votes) for u in units])
+    flipped = UnitCollection([replace(u, dem_votes=u.rep_votes, rep_votes=u.dem_votes)
+                              for u in units])
     ras = rasterize(units, width=8)
     for mode in MarginMode:
         f = margin_field(ras, units, mode)
@@ -250,6 +253,91 @@ def test_margin_field_zero_total_unit_named():
     ras = rasterize(units, width=8)
     with pytest.raises(MarginError, match="unit bad"):
         margin_field(ras, units, MarginMode.RELATIVE)
+
+
+def margin_field_reference(raster, units, mode):
+    """margin_field as it was: unit_margin on each unit that claims a pixel."""
+    labels = raster.labels
+    present = [int(i) for i in np.unique(labels) if i >= 0]
+    margins = np.zeros(len(units), dtype=np.float64)
+    for idx in present:
+        margins[idx] = unit_margin(units[idx], mode)
+    normalizer = 1.0
+    if mode is MarginMode.DENSITY:
+        normalizer = float(np.max(np.abs(margins[present]))) if present else 0.0
+        if normalizer > 0:
+            margins = margins / normalizer
+    background = labels == BACKGROUND
+    return np.where(background, 0.0, margins[np.where(background, 0, labels)]), normalizer
+
+
+def margin_outcome(margins, raster, units, mode):
+    try:
+        return margins(raster, units, mode)
+    except MarginError as e:
+        return str(e)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.integers(2, 7), st.integers(1, 5), st.integers(0, 2**32 - 1),
+       st.sampled_from([9, 16, 33]), st.floats(0.0, 2.0), st.data())
+def test_margin_field_matches_the_per_unit_reference(cols, rows, seed, width, pad, data):
+    # counts up to 2**52, and some units without votes
+    small, big = st.integers(0, 3), st.integers(0, 2**52)
+    counts = data.draw(st.lists(st.one_of(st.tuples(small, small), st.tuples(big, big)),
+                                min_size=cols * rows, max_size=cols * rows))
+    units = parse_geojson(json.dumps(grid_mosaic(cols, rows, seed=seed))).with_votes(counts)
+    b = units.bounds
+    ras = rasterize(units, width, Bounds(b.minx - pad, b.miny, b.maxx + pad, b.maxy + pad))
+    for mode in MarginMode:
+        want = margin_outcome(margin_field_reference, ras, units, mode)
+        got = margin_outcome(margin_field, ras, units, mode)
+        if isinstance(want, str):
+            assert got == want
+        else:
+            assert got.values.tobytes() == want[0].tobytes()  # bit for bit
+            assert got.normalizer == want[1]
+
+
+def test_margin_field_skips_a_voteless_unit_that_claims_no_pixel():
+    units = UnitCollection([rect_unit("A", 0, 0, 2, 1, dem=3, rep=1),
+                            rect_unit("B", 2, 0, 4, 1, dem=1, rep=3),
+                            rect_unit("Z", 0.6, 0.2, 0.7, 0.3, dem=0, rep=0)])
+    ras = rasterize(units, width=4)
+    assert ras.pixel_counts().tolist() == [2, 2, 0]
+    f = margin_field(ras, units, MarginMode.RELATIVE)
+    assert f.values.tolist() == [[0.5, 0.5, -0.5, -0.5]]
+
+
+def test_margin_field_names_the_first_voteless_unit_that_claims_a_pixel():
+    units = UnitCollection([rect_unit("Z", 0.6, 0.2, 0.7, 0.3),
+                            rect_unit("A", 0, 0, 2, 1), rect_unit("B", 2, 0, 4, 1)])
+    ras = rasterize(units, width=4)
+    for counts, name in (([(0, 0), (0, 0), (0, 0)], "A"), ([(0, 0), (1, 2), (0, 0)], "B")):
+        with pytest.raises(MarginError, match=f"^unit {name}: zero total votes$"):
+            margin_field(ras, units.with_votes(counts), MarginMode.RELATIVE)
+    assert margin_field(ras, units.with_votes([(0, 0), (1, 2), (0, 0)]),
+                        MarginMode.DENSITY).normalizer == 0.5
+
+
+def test_rasterize_labels_each_map_once_per_width_and_bounds(monkeypatch):
+    from gerrytda import raster
+    calls = []
+    label = raster._label
+    monkeypatch.setattr(raster, "_label", lambda *args: calls.append(args[1:]) or label(*args))
+    text = json.dumps(grid_mosaic(5, 4, seed=2))
+    geo = parse_geojson(text)
+    first = rasterize(geo.with_votes([(1, 2)] * 20), 32)
+    assert rasterize(geo.with_votes([(3, 1)] * 20), 32) is first
+    assert rasterize(geo, 32, geo.bounds) is first
+    assert len(calls) == 1
+    wider = Bounds(geo.bounds.minx, geo.bounds.miny, geo.bounds.maxx + 1, geo.bounds.maxy)
+    rasterize(geo, 40)
+    rasterize(geo, 32, wider)
+    assert calls == [(32, geo.bounds), (40, geo.bounds), (32, wider)]
+    fresh = rasterize(parse_geojson(text), 32)  # another map, even of the same units
+    assert fresh is not first and np.array_equal(fresh.labels, first.labels)
+    assert len(calls) == 4
 
 
 # === PGM + sidecar ===

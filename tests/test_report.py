@@ -20,7 +20,8 @@ from gerrytda.report import (
     run_years,
     write_outputs,
 )
-from gerrytda.synth import field_from_array, island_scenario, votes_csv_text
+from gerrytda.synth import island_scenario, votes_csv_text
+from oracles import field_from_array
 
 
 def island_config(paths, plan, year="y1", mode="relative", width=40, **kw):
@@ -140,6 +141,18 @@ def test_run_years_parses_each_map_once(island_files, monkeypatch):
         assert r.district_barcode.dumps() == alone.district_barcode.dumps()
         assert r.compactness == alone.compactness
     assert len(calls) == 3 + 2 * len(configs)
+
+
+def test_run_years_labels_each_map_once(island_files, monkeypatch):
+    # one precinct map and two district plans: three label rasters for four years
+    from gerrytda import raster
+    calls = []
+    label = raster._label
+    monkeypatch.setattr(raster, "_label", lambda *args: calls.append(args[0].ids) or label(*args))
+    configs = [island_config(island_files, plan, year=f"y{i}")
+               for i, plan in enumerate(("packed", "packed", "cracked", "cracked"))]
+    run_years(configs)
+    assert len(calls) == 3 and len(set(calls)) == 3
 
 
 # === cross-year matrices ===
