@@ -60,8 +60,11 @@ from .complexes import (
 from .persistence import (
     INF,
     Barcode,
+    BettiProfile,
     PersistencePair,
     barcode,
+    betti_oracle,
+    betti_profile,
     levelset_barcode,
     read_barcode_json,
 )

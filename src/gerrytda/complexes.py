@@ -336,7 +336,8 @@ def _adjacency_keys(units: UnitCollection, kind: str) -> np.ndarray:
     """
     tol = units.snap_tolerance()
     n = len(units)
-    edges, count, boxes, _ = units.tables()
+    edges = units.edge_table()
+    count, boxes, _ = units.tables()
     start = np.cumsum(count) - count
     x0, y0, x1, y1 = boxes.T
 

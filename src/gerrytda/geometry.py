@@ -19,7 +19,7 @@ one array layout either way, so both routes agree bit for bit.
 
 A UnitCollection keeps its units in columns, votes as two read-only int64
 arrays (counts at most MAX_VOTES), and a memo of what depends on geometry
-alone: edge, box and area tables in unit order, adjacency, label rasters.
+alone: per-unit edge counts, boxes and areas, adjacency, label rasters.
 with_votes swaps the vote arrays and shares the rest, memo included.
 """
 
@@ -343,11 +343,18 @@ class UnitCollection:
         A count below 0 or above MAX_VOTES raises VotingUnit's error for the
         first unit that has one.
         """
-        c = np.array(counts, dtype=np.int64).reshape(-1, 2)
+        if isinstance(counts, np.ndarray):
+            c = counts.reshape(-1, 2)
+            bad = ((c < 0) | (c > MAX_VOTES)).any(axis=1)
+        else:  # checked before int64 can overflow
+            c = [(d, r) for d, r in counts]
+            bad = [min(d, r) < 0 or max(d, r) > MAX_VOTES for d, r in c]
         if len(c) != len(self):
             raise ValueError(f"{len(c)} vote counts for {len(self)} units")
-        for i in np.flatnonzero(((c < 0) | (c > MAX_VOTES)).any(axis=1))[:1].tolist():
-            VotingUnit(self.ids[i], self.geometries[i], *c[i].tolist(), self.kinds[i])  # raises
+        for i in np.flatnonzero(bad)[:1].tolist():
+            VotingUnit(self.ids[i], self.geometries[i], int(c[i][0]), int(c[i][1]),
+                       self.kinds[i])  # raises
+        c = np.array(c, dtype=np.int64).reshape(-1, 2)
         out = UnitCollection.__new__(UnitCollection)
         for name in self.__slots__:
             setattr(out, name, getattr(self, name))
@@ -361,13 +368,17 @@ class UnitCollection:
             self._geometry[key] = build()
         return self._geometry[key]
 
-    def tables(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Every unit's edges end to end in unit order as one (E, 4) table, each
-        unit's edge count, its (minx, miny, maxx, maxy) box and its area."""
+    def edge_table(self) -> np.ndarray:
+        """Every unit's edges end to end in unit order, one (E, 4) table.
+
+        Built on each call, not kept: its callers run once per map."""
+        return np.concatenate([np.empty((0, 4))] + [g.edges for g in self.geometries])
+
+    def tables(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Each unit's edge count, (minx, miny, maxx, maxy) box and area, read-only."""
         def build():
             g = self.geometries
-            return _read_only(np.concatenate([np.empty((0, 4))] + [x.edges for x in g]),
-                              np.array([len(x.edges) for x in g], dtype=np.int64),
+            return _read_only(np.array([len(x.edges) for x in g], dtype=np.int64),
                               np.array([(x.bounds.minx, x.bounds.miny, x.bounds.maxx,
                                          x.bounds.maxy) for x in g]).reshape(-1, 4),
                               [x.area for x in g], dtype=None)

@@ -14,9 +14,9 @@ vertices are a read-only slice of that table and each hole-free unit's
 edges a slice of its edge table; units with holes are assembled by
 PolygonSet as before. Any malformed input raises IngestError.
 
-parse_votes_csv gives a VoteTable (ids and two count arrays) from whole-text
-passes, or from the csv row loop, which names the first fault, when those
-cannot take the file. join_units scatters a table into the map's unit order.
+parse_votes_csv gives a VoteTable: ids and two read-only count arrays,
+filled by the csv row loop, which names the first fault. join_units
+scatters a table into the map's unit order.
 """
 
 from __future__ import annotations
@@ -280,49 +280,10 @@ def to_geojson(units: UnitCollection, id_property: str = "id") -> dict:
 
 
 def parse_votes_csv(text: str | bytes) -> VoteTable:
-    """Parse the votes CSV; row numbers in errors count the header as row 1.
-
-    A file of plain rows is read whole (_plain_votes). Any other file, and
-    any file with a fault, goes through the csv row loop, which names the
-    first fault.
-    """
+    """Parse the votes CSV; row numbers in errors count the header as row 1."""
     if isinstance(text, bytes):
         text = text.decode("utf-8")
-    text = text.removeprefix("\ufeff")
-    table = _plain_votes(text)
-    return _votes_by_row(text) if table is None else table
-
-
-def _plain_votes(text: str) -> VoteTable | None:
-    """The table of a file with no quote, NUL or lone CR, whose rows each
-    fill one line with three cells and no fault; None for any other file."""
-    text = text.replace("\r\n", "\n")
-    if '"' in text or "\0" in text or "\r" in text:
-        return None
-    head, _, body = text.partition("\n")
-    body = body.removesuffix("\n")
-    if [c.strip() for c in head.split(",")] != _CSV_HEADER or not body:
-        return None
-    # the k-th line break must follow the line's two commas and precede the next
-    b = np.frombuffer(body.encode("utf-8", "surrogatepass"), dtype=np.uint8)
-    ends = np.searchsorted(np.flatnonzero(b == ord(",")), np.flatnonzero(b == ord("\n")))
-    cells = body.replace("\n", ",").split(",")
-    if len(cells) != 3 * (len(ends) + 1) or np.any(ends != np.arange(2, 2 * len(ends) + 1, 2)):
-        return None
-    ids = [c.strip() for c in cells[0::3]]
-    try:
-        table = VoteTable(ids, list(map(int, cells[1::3])), list(map(int, cells[2::3])))
-    except (ValueError, OverflowError):
-        return None
-    if "" in ids or len(set(ids)) < len(ids) or min(table.dem.min(), table.rep.min()) < 0 \
-            or max(table.dem.max(), table.rep.max()) > MAX_VOTES:
-        return None
-    return table
-
-
-def _votes_by_row(text: str) -> VoteTable:
-    """parse_votes_csv one csv row at a time, raising at the first fault."""
-    rows = list(csv.reader(io.StringIO(text, newline="")))  # CR, LF or CRLF rows
+    rows = list(csv.reader(io.StringIO(text.removeprefix("\ufeff"), newline="")))
     if not rows:
         raise IngestError("missing header: empty votes file")
     header = [c.strip() for c in rows[0]]
@@ -366,12 +327,10 @@ def join_units(geo: UnitCollection,
     """
     if not isinstance(votes, VoteTable):
         rows = list(votes)
-        try:
-            votes = VoteTable([r.unit_id for r in rows], [r.dem_votes for r in rows],
-                              [r.rep_votes for r in rows])
-        except OverflowError:
-            uid = next(r.unit_id for r in rows if max(r.dem_votes, r.rep_votes) > MAX_VOTES)
-            raise GeometryError(f"unit {uid}: vote count above 2**52") from None
+        # clamped into int64: a count out of range stays out, for with_votes to name
+        # its unit, and an orphan row's count is never read
+        fit = [min(max(v, -1), MAX_VOTES + 1) for r in rows for v in (r.dem_votes, r.rep_votes)]
+        votes = VoteTable([r.unit_id for r in rows], fit[0::2], fit[1::2])
     at = geo.positions(votes.ids)
     # the last row of each unit: the first in reverse order
     last = len(at) - 1 - np.unique(at[::-1], return_index=True)[1]

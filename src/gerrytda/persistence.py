@@ -1,4 +1,4 @@
-"""Persistence barcodes, by two routes.
+"""Persistence barcodes, by two routes, and an independent Betti-number oracle.
 
 Rasters take levelset_barcode: connected components of the image and of its
 complement per level (scipy.ndimage.label), with no complex built. barcode
@@ -7,9 +7,11 @@ matrix does (_pairing), with little column arithmetic: squares and triangles
 that form apparent pairs are paired in array passes and only the others go
 through a set-based loop; edges go through union-find. It serves the
 adjacency route and is the reference that tests hold levelset_barcode to;
-the plain column loop is kept in the tests as _pairing's own reference,
-and the tests' betti_oracle checks both: the number of bars alive at level
-i in dimension k must equal beta_k there.
+the plain column loop is kept in the tests as _pairing's own reference.
+betti_oracle takes a third route, Gaussian
+elimination ranks of the boundary operators at a fixed level, so the
+reduction can be checked in turn: the number of bars alive at level i in
+dimension k must equal beta_k there.
 
 scipy.ndimage is imported inside levelset_barcode, its only user, so the
 commands and routes that take no raster barcode load no scipy.
@@ -24,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .complexes import _EXCLUDED, FilteredComplex, LevelSchedule, _sweep_levels
-from .errors import IngestError
+from .errors import IngestError, ParameterError
 from .raster import MarginField
 
 INF = math.inf
@@ -255,3 +257,77 @@ def levelset_barcode(field: MarginField, schedule: LevelSchedule,
         out += [PersistencePair(1, i + 1, INF if math.isinf(k) else int(-k))
                 for k in dying]
     return Barcode(tuple(sorted(out)), L, schedule.thresholds)
+
+
+# === independent Betti oracle ===
+
+def _gf2_rank(m: np.ndarray) -> int:
+    """Rank over GF(2) by destructive row elimination on a uint8 copy."""
+    if m.size == 0:
+        return 0
+    m = m.copy()
+    rows, cols = m.shape
+    rank = 0
+    for c in range(cols):
+        hits = np.flatnonzero(m[rank:, c])
+        if len(hits) == 0:
+            continue
+        p = rank + int(hits[0])
+        if p != rank:
+            m[[rank, p]] = m[[p, rank]]
+        below = np.flatnonzero(m[rank + 1:, c]) + rank + 1
+        if len(below):
+            m[below] ^= m[rank]
+        rank += 1
+        if rank == rows:
+            break
+    return rank
+
+
+def betti_oracle(cx: FilteredComplex, level: int) -> tuple[int, int, int]:
+    """(beta_0, beta_1, beta_2) of the subcomplex at a level, by GF(2) ranks.
+
+    beta_k = dim ker boundary_k - rank boundary_{k+1}; independent of the
+    persistence reduction so the two can be cross-checked.
+    """
+    if level < 0:
+        raise ParameterError("level must be non-negative")
+    active = np.flatnonzero(cx.levels <= level)
+    if len(active) == 0:
+        return (0, 0, 0)
+    pos = np.full(len(cx), -1, dtype=np.int64)
+    dims = cx.dims
+    counts = [0, 0, 0]
+    for cell in active:
+        d = int(dims[cell])
+        pos[cell] = counts[d]
+        counts[d] += 1
+    n0, n1, n2 = counts
+
+    d1 = np.zeros((n0, n1), dtype=np.uint8)
+    d2 = np.zeros((n1, n2), dtype=np.uint8)
+    for cell in active:
+        d = int(dims[cell])
+        if d == 0:
+            continue
+        target = d1 if d == 1 else d2
+        for face in cx.boundary(int(cell)):
+            target[pos[face], pos[cell]] ^= 1
+    r1 = _gf2_rank(d1)
+    r2 = _gf2_rank(d2)
+    return (n0 - r1, (n1 - r1) - r2, n2 - r2)
+
+
+@dataclass(frozen=True)
+class BettiProfile:
+    """Betti numbers at every level of the sweep, 1-indexed like the levels."""
+
+    betti: tuple[tuple[int, int, int], ...]
+
+    def at(self, level: int) -> tuple[int, int, int]:
+        return self.betti[level - 1]
+
+
+def betti_profile(cx: FilteredComplex) -> BettiProfile:
+    return BettiProfile(tuple(betti_oracle(cx, lv)
+                              for lv in range(1, cx.num_levels + 1)))

@@ -103,7 +103,8 @@ def _label(units: UnitCollection, width: int, bounds: Bounds) -> LabelRaster:
     grid = Grid(width, height, Point2(bounds.minx, bounds.miny), s)
     ox, oy = bounds.minx, bounds.miny
 
-    e, count, boxes, _ = units.tables()
+    e = units.edge_table()
+    count, boxes, _ = units.tables()
     unit = np.repeat(np.arange(len(units), dtype=np.int32), count)
     # each unit scans the rows whose centers lie within its bounds and the grid
     r0 = np.maximum(0, np.ceil((boxes[:, 1] - oy) / s - 0.5).astype(np.int64))
@@ -151,7 +152,7 @@ def margin_field(raster: LabelRaster, units: UnitCollection,
         if not total.all():
             raise MarginError(f"unit {units.ids[present[np.argmin(total)]]}: zero total votes")
     else:
-        total = units.tables()[3][present]
+        total = units.tables()[2][present]
     margins = np.zeros(len(units), dtype=np.float64)
     margins[present] = (dem - rep) / total  # exact: every count is at most 2**52
     normalizer = 1.0

@@ -1,13 +1,62 @@
-"""Synthetic maps and vote patterns.
+"""Synthetic maps, vote patterns, and reference complexes.
 
 Everything here is deterministic given its seed. The mosaic generator makes
 irregular Voronoi-style tessellations at any unit count; the island scenario
-reproduces the packing/cracking contrast on a 10x10 precinct grid.
+reproduces the packing/cracking contrast on a 10x10 precinct grid; the torus
+is the classic periodic-identification check for the homology machinery.
 """
 
 from __future__ import annotations
 
 import numpy as np
+
+from .complexes import FilteredComplex
+from .geometry import Point2
+from .raster import Grid, MarginField, MarginMode
+
+
+def field_from_array(values, background=None,
+                     mode: MarginMode = MarginMode.RELATIVE,
+                     pixel_size: float = 1.0) -> MarginField:
+    """Wrap a raw margin array (row 0 = bottom) as a MarginField."""
+    v = np.asarray(values, dtype=np.float64)
+    bg = np.zeros_like(v, dtype=bool) if background is None \
+        else np.asarray(background, dtype=bool)
+    v = np.where(bg, 0.0, v)
+    v.setflags(write=False)
+    bg.setflags(write=False)
+    grid = Grid(v.shape[1], v.shape[0], Point2(0.0, 0.0), pixel_size)
+    return MarginField(grid, v, bg, mode, 1.0)
+
+
+def torus_complex(rows: int = 4, cols: int = 4, level: int = 1) -> FilteredComplex:
+    """Cubical torus: a rows x cols grid with periodic identification."""
+    nv = rows * cols
+
+    def vtx(r, c):
+        return (r % rows) * cols + (c % cols)
+
+    def h_edge(r, c):
+        return nv + (r % rows) * cols + (c % cols)
+
+    def v_edge(r, c):
+        return nv + nv + (r % rows) * cols + (c % cols)
+
+    cells: list[tuple[int, int, tuple[int, ...]]] = []
+    for r in range(rows):
+        for c in range(cols):
+            cells.append((0, level, ()))
+    for r in range(rows):
+        for c in range(cols):
+            cells.append((1, level, (vtx(r, c), vtx(r, c + 1))))
+    for r in range(rows):
+        for c in range(cols):
+            cells.append((1, level, (vtx(r, c), vtx(r + 1, c))))
+    for r in range(rows):
+        for c in range(cols):
+            cells.append((2, level, (h_edge(r, c), h_edge(r + 1, c),
+                                     v_edge(r, c), v_edge(r, c + 1))))
+    return FilteredComplex.from_cells(cells, num_levels=level)
 
 
 # === GeoJSON builders ===

@@ -8,11 +8,7 @@ only the final sort into filtration order (complexes._sorted_complex).
 reduce_reference is the library's former reduce, every column through one
 set-based GF(2) loop, which persistence._pairing is held to. unit_margin is
 the library's former per-unit margin, Python int / int, which
-raster.margin_field is held to bit for bit. betti_oracle takes a route of
-its own, Gaussian elimination ranks of the boundary operators at a fixed
-level, so that both barcode routes can be checked against it; torus_complex
-is the classic periodic-identification complex it is checked on, and
-field_from_array wraps a raw margin array as a field.
+raster.margin_field is held to bit for bit.
 """
 
 import math
@@ -21,10 +17,9 @@ from itertools import combinations, permutations
 
 import numpy as np
 
-from gerrytda.complexes import FilteredComplex, _sorted_complex
+from gerrytda.complexes import _sorted_complex
 from gerrytda.errors import ComplexError, MarginError, ParameterError
-from gerrytda.geometry import Point2
-from gerrytda.raster import Grid, MarginField, MarginMode
+from gerrytda.raster import MarginMode
 
 
 def _dist(x, y):
@@ -327,119 +322,3 @@ def reduce_reference(cx):
                 col.symmetric_difference_update(deaths[owner[low]])
     essential = (i for i in range(len(cx)) if i not in owner and i not in deaths)
     return ReferenceReduction(tuple(sorted(owner.items())), tuple(essential), deaths)
-
-
-# === Betti numbers ===
-
-def _gf2_rank(m):
-    """Rank over GF(2) by destructive row elimination on a uint8 copy."""
-    if m.size == 0:
-        return 0
-    m = m.copy()
-    rows, cols = m.shape
-    rank = 0
-    for c in range(cols):
-        hits = np.flatnonzero(m[rank:, c])
-        if len(hits) == 0:
-            continue
-        p = rank + int(hits[0])
-        if p != rank:
-            m[[rank, p]] = m[[p, rank]]
-        below = np.flatnonzero(m[rank + 1:, c]) + rank + 1
-        if len(below):
-            m[below] ^= m[rank]
-        rank += 1
-        if rank == rows:
-            break
-    return rank
-
-
-def betti_oracle(cx, level):
-    """(beta_0, beta_1, beta_2) of the subcomplex at a level, by GF(2) ranks.
-
-    beta_k = dim ker boundary_k - rank boundary_{k+1}; independent of the
-    persistence reduction so the two can be cross-checked.
-    """
-    if level < 0:
-        raise ParameterError("level must be non-negative")
-    active = np.flatnonzero(cx.levels <= level)
-    if len(active) == 0:
-        return (0, 0, 0)
-    pos = np.full(len(cx), -1, dtype=np.int64)
-    dims = cx.dims
-    counts = [0, 0, 0]
-    for cell in active:
-        d = int(dims[cell])
-        pos[cell] = counts[d]
-        counts[d] += 1
-    n0, n1, n2 = counts
-
-    d1 = np.zeros((n0, n1), dtype=np.uint8)
-    d2 = np.zeros((n1, n2), dtype=np.uint8)
-    for cell in active:
-        d = int(dims[cell])
-        if d == 0:
-            continue
-        target = d1 if d == 1 else d2
-        for face in cx.boundary(int(cell)):
-            target[pos[face], pos[cell]] ^= 1
-    r1 = _gf2_rank(d1)
-    r2 = _gf2_rank(d2)
-    return (n0 - r1, (n1 - r1) - r2, n2 - r2)
-
-
-@dataclass(frozen=True)
-class BettiProfile:
-    """Betti numbers at every level of the sweep, 1-indexed like the levels."""
-
-    betti: tuple[tuple[int, int, int], ...]
-
-    def at(self, level: int) -> tuple[int, int, int]:
-        return self.betti[level - 1]
-
-
-def betti_profile(cx):
-    return BettiProfile(tuple(betti_oracle(cx, lv)
-                              for lv in range(1, cx.num_levels + 1)))
-
-
-def torus_complex(rows=4, cols=4, level=1):
-    """Cubical torus: a rows x cols grid with periodic identification."""
-    nv = rows * cols
-
-    def vtx(r, c):
-        return (r % rows) * cols + (c % cols)
-
-    def h_edge(r, c):
-        return nv + (r % rows) * cols + (c % cols)
-
-    def v_edge(r, c):
-        return nv + nv + (r % rows) * cols + (c % cols)
-
-    cells = []
-    for r in range(rows):
-        for c in range(cols):
-            cells.append((0, level, ()))
-    for r in range(rows):
-        for c in range(cols):
-            cells.append((1, level, (vtx(r, c), vtx(r, c + 1))))
-    for r in range(rows):
-        for c in range(cols):
-            cells.append((1, level, (vtx(r, c), vtx(r + 1, c))))
-    for r in range(rows):
-        for c in range(cols):
-            cells.append((2, level, (h_edge(r, c), h_edge(r + 1, c),
-                                     v_edge(r, c), v_edge(r, c + 1))))
-    return FilteredComplex.from_cells(cells, num_levels=level)
-
-
-def field_from_array(values, background=None, mode=MarginMode.RELATIVE, pixel_size=1.0):
-    """Wrap a raw margin array (row 0 = bottom) as a MarginField."""
-    v = np.asarray(values, dtype=np.float64)
-    bg = np.zeros_like(v, dtype=bool) if background is None \
-        else np.asarray(background, dtype=bool)
-    v = np.where(bg, 0.0, v)
-    v.setflags(write=False)
-    bg.setflags(write=False)
-    grid = Grid(v.shape[1], v.shape[0], Point2(0.0, 0.0), pixel_size)
-    return MarginField(grid, v, bg, mode, 1.0)

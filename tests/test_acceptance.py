@@ -28,25 +28,24 @@ from gerrytda.complexes import (
 )
 from gerrytda.geometry import PolygonSet, Ring, UnitKind
 from gerrytda.ingest import join_units, parse_geojson, parse_votes_csv
-from gerrytda.persistence import INF, barcode
+from gerrytda.persistence import INF, barcode, betti_oracle
 from gerrytda.raster import MarginMode, margin_field, rasterize
 from gerrytda.report import AnalysisConfig, run_year, write_outputs
 from gerrytda.synth import (
     aggregate_band_votes,
     band_districts,
+    field_from_array,
     grid_mosaic,
     island_scenario,
     mosaic_votes,
+    torus_complex,
     votes_csv_text,
 )
 from oracles import (
-    betti_oracle,
     brute_bottleneck,
     brute_min_enclosing_circle,
     brute_wasserstein,
-    field_from_array,
     paired_t_pvalue_quadrature,
-    torus_complex,
 )
 
 

@@ -19,17 +19,15 @@ from gerrytda.cli import main
 from gerrytda.compare import bottleneck
 from gerrytda.complexes import uniform_schedule
 from gerrytda.persistence import levelset_barcode
-from gerrytda.synth import band_districts
-from oracles import field_from_array
+from gerrytda.synth import band_districts, field_from_array
 
 SRC = str(Path(gerrytda.__file__).parents[1])
-TESTS = str(Path(__file__).parent)
 
 
 def fresh(code: str) -> list:
     """Run code in a new interpreter; its last stdout line, as JSON."""
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
-                         env=dict(os.environ, PYTHONPATH=os.pathsep.join([SRC, TESTS])))
+                         env=dict(os.environ, PYTHONPATH=SRC))
     assert out.returncode == 0, out.stderr
     return json.loads(out.stdout.strip().split("\n")[-1])
 
@@ -88,7 +86,7 @@ import numpy as np
 from gerrytda.compare import bottleneck
 from gerrytda.complexes import uniform_schedule
 from gerrytda.persistence import levelset_barcode
-from oracles import field_from_array
+from gerrytda.synth import field_from_array
 bc = levelset_barcode(field_from_array(np.array({values.tolist()!r})), uniform_schedule(8))
 print(json.dumps([bc.dumps(), bottleneck({a!r}, {b!r}), {SCIPY}]))
 """

@@ -26,9 +26,9 @@ from gerrytda.errors import (
 )
 from gerrytda.geometry import PolygonSet, Ring, UnitCollection, VotingUnit
 from gerrytda.ingest import VoteRow, join_units, parse_geojson
-from gerrytda.synth import grid_mosaic, mosaic_votes
-from oracles import (adjacency_reference, betti_oracle, field_from_array,
-                     flag_filtration_reference, torus_complex)
+from gerrytda.persistence import betti_oracle
+from gerrytda.synth import field_from_array, grid_mosaic, mosaic_votes, torus_complex
+from oracles import adjacency_reference, flag_filtration_reference
 
 
 def rect_unit(uid, x0, y0, x1, y1, dem=10, rep=10):

@@ -246,5 +246,11 @@ def test_with_votes_swaps_only_the_vote_arrays():
         col.with_votes([(1, 1), (-1, 0), (0, -5)])
     with pytest.raises(GeometryError, match="^unit B: vote count above 2\\*\\*52$"):
         col.with_votes([(1, 1), (0, 0), (0, 2**52 + 1)])
+    with pytest.raises(GeometryError, match="^unit A: vote count above 2\\*\\*52$"):
+        col.with_votes([(1, 1), (2**63, 0), (-1, 0)])  # beyond int64, still VotingUnit's error
+    with pytest.raises(GeometryError, match="^unit C: negative vote count$"):
+        col.with_votes([(-2**64, 1), (0, 0), (0, 0)])
+    with pytest.raises(GeometryError, match="^unit B: negative vote count$"):
+        col.with_votes(np.array([[1, 1], [0, 0], [-1, 0]]))
     with pytest.raises(GeometryError, match="^unit C: vote count above 2\\*\\*52$"):
         VotingUnit("C", units[0].geometry, 2**52 + 1, 0)

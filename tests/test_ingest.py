@@ -13,14 +13,12 @@ from gerrytda.ingest import (
     JoinReport,
     VoteRow,
     VoteTable,
-    _plain_votes,
-    _votes_by_row,
     join_units,
     parse_geojson,
     parse_votes_csv,
     to_geojson,
 )
-from gerrytda.synth import band_districts, grid_mosaic, mosaic_votes, votes_csv_text
+from gerrytda.synth import band_districts, grid_mosaic
 
 
 def square_feature(uid, x0, y0, size=1.0, props=None):
@@ -324,14 +322,6 @@ def test_votes_parse_to_a_read_only_table():
     assert rows != "P01"
 
 
-def test_votes_plain_file_takes_the_whole_text_path():
-    text = votes_csv_text(mosaic_votes(97, 28, seed=1))
-    fast = _plain_votes(text)
-    assert fast is not None and len(fast) == 2716
-    assert fast == _votes_by_row(text) == parse_votes_csv(text.encode())
-    assert _plain_votes(text.replace("\n", "\r\n")) == fast
-
-
 COUNT_CAP = 2**52
 
 
@@ -374,8 +364,7 @@ def ingest_outcome(parse, text):
         return f"IngestError: {e}"
 
 
-# cells the row loop accepts, and cells that make it fail or that the
-# whole-text path must leave to it
+# cells the row loop accepts, and cells that make it fail
 GOOD_IDS = ["P1", "P2", "P3", " P4 ", "Pé", "P\u20036"]
 BAD_IDS = ["", "  ", '"P2"', '"a,b"', "P1"]
 GOOD_COUNTS = ["0", "7", " 12 ", "+5", "-0", "1_000", "٣", "٣١", "５", "\u20035", "00012",
@@ -411,26 +400,11 @@ def votes_texts(draw):
 @example("unit_id,dem_votes,rep_votes\n\"P2\",1,2\n")  # csv unquotes a cell
 @example("unit_id,dem_votes,rep_votes\nP1,1,2,3\n4,5\n")  # a long row, then a short one
 @example("unit_id,dem_votes,rep_votes\nP1\r,1,2\n")  # a lone CR ends a row
-def test_whole_text_parse_matches_the_row_loop(text):
-    slow = ingest_outcome(_votes_by_row, text.removeprefix("\ufeff"))
-    fast = _plain_votes(text.removeprefix("\ufeff"))
-    if fast is not None:
-        assert isinstance(slow, VoteTable) and fast == slow
-        assert fast.ids == slow.ids
-    assert ingest_outcome(parse_votes_csv, text) == slow
-    assert ingest_outcome(parse_votes_csv, text.encode()) == slow
-
-
-@settings(max_examples=100, deadline=None)
-@given(st.lists(st.tuples(st.sampled_from(["P1", "P2", "P3", " P4", "Pé"]),
-                          st.integers(0, COUNT_CAP), st.integers(0, COUNT_CAP)),
-                max_size=5, unique_by=lambda r: r[0].strip()),
-       st.sampled_from(["\n", "\r\n"]))
-def test_whole_text_parse_takes_every_plain_file(rows, end):
-    text = end.join(["unit_id,dem_votes,rep_votes"] + [f"{u},{d},{r}" for u, d, r in rows]) + end
-    fast = _plain_votes(text)
-    assert fast is not None or not rows
-    assert parse_votes_csv(text) == [VoteRow(u.strip(), d, r) for u, d, r in rows]
+def test_votes_parse_gives_a_table_or_an_ingest_error(text):
+    outcome = ingest_outcome(parse_votes_csv, text)
+    assert isinstance(outcome, (VoteTable, str))
+    assert ingest_outcome(parse_votes_csv, text.encode()) == outcome
+    assert ingest_outcome(parse_votes_csv, text.removeprefix("\ufeff")) == outcome
 
 
 # === join_units ===
@@ -511,3 +485,11 @@ def test_join_rejects_bad_counts_naming_the_unit():
         join_units(geo, [VoteRow("C", 2**63, 1)])
     with pytest.raises(GeometryError, match="^unit A: vote count above 2\\*\\*52$"):
         join_units(geo, [VoteRow("A", 2**52 + 1, 1)])
+    with pytest.raises(GeometryError, match="^unit B: negative vote count$"):
+        join_units(geo, [VoteRow("B", -2**64, 1)])
+    # an orphan row's counts are never read, whatever their size; a unit named
+    # twice takes its last row
+    for big in (2**60, 2**63, -2**64):
+        joined, rep = join_units(geo, [VoteRow("Z", big, 1), VoteRow("A", 2**63, 1),
+                                       VoteRow("A", 3, 4)])
+        assert rep.orphan_vote_rows == ("Z",) and joined.by_id("A").dem_votes == 3

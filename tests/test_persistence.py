@@ -29,18 +29,21 @@ from gerrytda.persistence import (
     PersistencePair,
     _pairing,
     barcode,
+    betti_oracle,
+    betti_profile,
     levelset_barcode,
     read_barcode_json,
 )
 from gerrytda.errors import ComplexError
 from gerrytda.ingest import join_units, parse_geojson, parse_votes_csv
 from gerrytda.synth import (
+    field_from_array,
     grid_mosaic,
     mosaic_votes,
+    torus_complex,
     votes_csv_text,
 )
-from oracles import (betti_oracle, betti_profile, field_from_array, reduce_reference,
-                     torus_complex)
+from oracles import reduce_reference
 
 
 def triangle_filtration():

@@ -20,8 +20,7 @@ from gerrytda.report import (
     run_years,
     write_outputs,
 )
-from gerrytda.synth import island_scenario, votes_csv_text
-from oracles import field_from_array
+from gerrytda.synth import field_from_array, island_scenario, votes_csv_text
 
 
 def island_config(paths, plan, year="y1", mode="relative", width=40, **kw):
