@@ -183,7 +183,7 @@ def _cmd_compare(opts: _Options) -> int:
 
 
 def _cmd_compactness(opts: _Options) -> int:
-    units = parse_geojson(Path(opts.require("geo")).read_text(),
+    units = parse_geojson(Path(opts.require("geo")).read_bytes(),
                           kind=UnitKind.DISTRICT)
     rows = score_units(units)
     _emit(scores_to_csv(rows), opts.get("out"))

@@ -8,12 +8,12 @@ Two constructions feed the persistence machinery:
   the margin threshold rises;
 * a flag filtration of the unit adjacency graph under a descending win-margin
   sweep, with triangles filled for mutually adjacent triples. Graph and
-  complex come from whole-map array passes: a sort and sweep of the unit
-  boxes, flat edge-pair tests in bounded blocks, and wedges for triangles.
-  The adjacent index pairs are found once per parsed map and kind, and kept
-  in the UnitCollection's geometry memo. join_units keeps the map's geometry and
-  unit order, so every vote year joined to one parsed map reads the same
-  memo; any other collection, even of the same units, starts its own.
+  complex come from whole-map array passes over the collection's edge and
+  box columns: a sort and sweep of the boxes, flat edge-pair tests in
+  bounded blocks, and wedges for triangles. The adjacent index pairs are
+  found once per parsed map and kind, and kept in its memo, which every
+  vote year joined to that map reads (join_units keeps the columns, memo
+  and unit order); any other collection, even of the same units, has its own.
 
 Cells are stored columnar (dims, levels, boundary CSR) in the filtration
 order (level, dim, insertion id). A vertex that would only enter above the
@@ -336,8 +336,7 @@ def _adjacency_keys(units: UnitCollection, kind: str) -> np.ndarray:
     """
     tol = units.snap_tolerance()
     n = len(units)
-    edges = units.edge_table()
-    count, boxes, _ = units.tables()
+    edges, count, boxes = units.edges, units.edge_counts, units.boxes
     start = np.cumsum(count) - count
     x0, y0, x1, y1 = boxes.T
 

@@ -12,23 +12,23 @@ module that turns rings into edges.
 
 A parsed map keeps every ring's vertices end to end in one (V, 2) table
 with ring offsets (the GeoArrow ragged layout). ring_table measures it in
-one pass, giving the (V, 4) edge table and every signed area; each Ring
-then holds a read-only slice of the vertex table and each hole-free
-PolygonSet a slice of the edge table. Areas come from one _shoelace call on
-one array layout either way, so both routes agree bit for bit.
+one pass, giving the (V, 4) edge table and every signed area, bit for bit
+as Ring and PolygonSet would.
 
-A UnitCollection keeps its units in columns, votes as two read-only int64
-arrays (counts at most MAX_VOTES), and a memo of what depends on geometry
-alone: per-unit edge counts, boxes and areas, adjacency, label rasters.
-with_votes swaps the vote arrays and shares the rest, memo included.
+A UnitCollection is a map in columns: the edge table, each unit's edge
+count, box and area, and votes as two read-only int64 arrays (counts at
+most MAX_VOTES). Its Ring, PolygonSet and VotingUnit objects are built
+from the columns only when asked for. A memo keeps what depends on
+geometry alone (those objects, adjacency, label rasters); with_votes swaps
+the vote arrays and shares the rest, memo included.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
 from enum import Enum
+from itertools import islice, pairwise
 from typing import Any, Callable, Iterable, Sequence
 
 import numpy as np
@@ -106,14 +106,6 @@ class Ring:
         self.signed_area = _shoelace(x, y, np.roll(x, -1), np.roll(y, -1))
         if self.signed_area == 0.0:
             raise GeometryError("degenerate ring: zero area")
-
-    @classmethod
-    def _of(cls, vertices: np.ndarray, signed_area: float) -> "Ring":
-        """A ring over checked, read-only vertices, measured by ring_table."""
-        ring = object.__new__(cls)
-        ring.vertices = vertices
-        ring.signed_area = signed_area
-        return ring
 
     def centroid(self) -> Point2:
         v = self.vertices
@@ -212,30 +204,32 @@ class PolygonSet:
         self.hole_owner = tuple(owner)
         self.edges = np.vstack(tables)
         self.edges.setflags(write=False)
-        self.area = _area(self.outers, self.holes)
+        self.area = _area([r.signed_area for r in self.outers],
+                          [r.signed_area for r in self.holes])
         v = self.edges[:sum(len(r) for r in self.outers), :2]
         lo, hi = v.min(axis=0), v.max(axis=0)
         self.bounds = Bounds(float(lo[0]), float(lo[1]), float(hi[0]), float(hi[1]))
-
-    @classmethod
-    def _hole_free(cls, outers: tuple[Ring, ...], edges: np.ndarray,
-                   bounds: Bounds) -> "PolygonSet":
-        """A set of outer rings whose read-only edge table and bounds are known."""
-        geom = object.__new__(cls)
-        geom.outers, geom.holes, geom.hole_owner = outers, (), ()
-        geom.edges = edges
-        geom.area = _area(outers, ())
-        geom.bounds = bounds
-        return geom
 
     def rings(self) -> tuple[Ring, ...]:
         return self.outers + self.holes
 
 
-def _area(outers: Sequence[Ring], holes: Sequence[Ring]) -> float:
-    a = sum(abs(r.signed_area) for r in outers)
-    a -= sum(abs(r.signed_area) for r in holes)
-    return float(a)
+def _area(outer_areas: Sequence[float], hole_areas: Sequence[float]) -> float:
+    """Outer rings minus holes, from signed areas, summed in ring order."""
+    return float(sum(map(abs, outer_areas)) - sum(map(abs, hole_areas)))
+
+
+def polygon_sets(edges: np.ndarray, ring_ends: np.ndarray,
+                 ring_counts: Iterable[tuple[int, int]]) -> list[PolygonSet]:
+    """Each unit's PolygonSet, from a map's rings stored end to end.
+
+    Ring r's vertices are rows ring_ends[r]:ring_ends[r + 1] of edges; each
+    unit takes the next (outer, hole) = ring_counts[i] rings, outers first.
+    """
+    # closed explicitly, so that Ring keeps exactly the ring's rows
+    rings = (Ring(np.vstack([edges[a:b, :2], edges[a:a + 1, :2]]))
+             for a, b in pairwise(np.asarray(ring_ends).tolist()))
+    return [PolygonSet(list(islice(rings, k)), list(islice(rings, h))) for k, h in ring_counts]
 
 
 def polygon_area(geom: PolygonSet) -> float:
@@ -287,29 +281,71 @@ class VotingUnit:
 class UnitCollection:
     """Immutable voting units in columns, with a cached overall bounding box.
 
-    ids, geometries and kinds are tuples in unit order; dem and rep are
-    read-only int64 arrays. units (and iteration, [i], by_id) gives
-    VotingUnit objects, built on first access after with_votes. _geometry
-    is the memo (see memo), shared only through with_votes.
+    ids and kinds are tuples in unit order; dem and rep are read-only int64
+    arrays. The geometry is read-only columns, set at construction: edges,
+    every unit's PolygonSet.edges rows end to end in unit order; and per
+    unit, edge_counts, boxes (minx, miny, maxx, maxy over the outer rings)
+    and areas. geometries (a PolygonSet per unit) is built from edges on
+    first access and kept in the memo (see memo), which only with_votes
+    shares. units (and iteration, [i], by_id) gives VotingUnit objects,
+    built on first access after with_votes.
     """
 
-    __slots__ = ("ids", "geometries", "kinds", "dem", "rep", "bounds",
-                 "_units", "_index", "_geometry")
+    __slots__ = ("ids", "kinds", "dem", "rep", "edges", "edge_counts", "boxes", "areas",
+                 "bounds", "_rings", "_units", "_index", "_geometry")
 
     def __init__(self, units: Iterable[VotingUnit]):
-        self._units = tuple(units)
-        self.ids = tuple(u.id for u in self._units)
-        self.geometries = tuple(u.geometry for u in self._units)
-        self.kinds = tuple(u.kind for u in self._units)
-        self.dem, self.rep = _read_only([u.dem_votes for u in self._units],
-                                        [u.rep_votes for u in self._units])
+        units = tuple(units)
+        geoms = tuple(u.geometry for u in units)
+        rings = [r for g in geoms for r in g.rings()]
+        self._fill([u.id for u in units], [u.kind for u in units],
+                   [u.dem_votes for u in units], [u.rep_votes for u in units],
+                   np.concatenate([np.empty((0, 4))] + [g.edges for g in geoms]),
+                   np.cumsum([0] + [len(r) for r in rings]),
+                   [(len(g.outers), len(g.holes)) for g in geoms],
+                   [r.signed_area for r in rings])
+        self._units = units
+        self._geometry["geometries"] = geoms
+
+    @classmethod
+    def from_rings(cls, ids, kinds, dem, rep, edges, ring_ends, ring_counts, ring_areas):
+        """Units over ring_table's edges and signed areas, rings as in polygon_sets.
+
+        Each unit's rings must make a valid PolygonSet; none is built to check.
+        """
+        col = cls.__new__(cls)
+        col._fill(ids, kinds, dem, rep, edges, ring_ends, ring_counts, ring_areas)
+        return col
+
+    def _fill(self, ids, kinds, dem, rep, edges, ring_ends, ring_counts, ring_areas) -> None:
+        self.ids, self.kinds = tuple(ids), tuple(kinds)
+        self.dem, self.rep = _read_only(dem, rep)
         self._index = {}
         for i, uid in enumerate(self.ids):
             if self._index.setdefault(uid, i) != i:
                 raise GeometryError(f"duplicate unit id: {uid}")
-        self._geometry: dict = {}
-        boxes = [g.bounds for g in self.geometries] or [Bounds(0.0, 0.0, 0.0, 0.0)]
-        self.bounds = functools.reduce(Bounds.union, boxes)
+        counts = np.array(ring_counts, dtype=np.int64).reshape(-1, 2)
+        first = np.concatenate(([0], np.cumsum(counts.sum(axis=1))))
+        start, stop, end = (np.asarray(ring_ends)[r] for r in
+                            (first[:-1], first[:-1] + counts[:, 0], first[1:]))
+        # min and max over each unit's outer rows start:stop, then over its
+        # holes; one more row lets stop reach len(edges)
+        v, at = np.vstack([edges[:, :2], np.zeros((1, 2))]), np.column_stack([start, stop]).ravel()
+        self.edges, self._rings = edges, (ring_ends, counts.tolist())
+        edges.flags.writeable = False
+        self.edge_counts, self.boxes, self.areas = _read_only(
+            end - start,
+            np.hstack([np.minimum.reduceat(v, at)[::2], np.maximum.reduceat(v, at)[::2]]),
+            [_area(ring_areas[a:a + k], ring_areas[a + k:b])
+             for (a, b), (k, _) in zip(pairwise(first.tolist()), self._rings[1])], dtype=None)
+        b = self.boxes
+        self.bounds = Bounds(*b[:, :2].min(axis=0).tolist(), *b[:, 2:].max(axis=0).tolist()) \
+            if len(b) else Bounds(0.0, 0.0, 0.0, 0.0)
+        self._units, self._geometry = None, {}
+
+    @property
+    def geometries(self) -> tuple[PolygonSet, ...]:
+        return self.memo("geometries", lambda: tuple(polygon_sets(self.edges, *self._rings)))
 
     @property
     def units(self) -> tuple[VotingUnit, ...]:
@@ -367,22 +403,6 @@ class UnitCollection:
         if key not in self._geometry:
             self._geometry[key] = build()
         return self._geometry[key]
-
-    def edge_table(self) -> np.ndarray:
-        """Every unit's edges end to end in unit order, one (E, 4) table.
-
-        Built on each call, not kept: its callers run once per map."""
-        return np.concatenate([np.empty((0, 4))] + [g.edges for g in self.geometries])
-
-    def tables(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Each unit's edge count, (minx, miny, maxx, maxy) box and area, read-only."""
-        def build():
-            g = self.geometries
-            return _read_only(np.array([len(x.edges) for x in g], dtype=np.int64),
-                              np.array([(x.bounds.minx, x.bounds.miny, x.bounds.maxx,
-                                         x.bounds.maxy) for x in g]).reshape(-1, 4),
-                              [x.area for x in g], dtype=None)
-        return self.memo("tables", build)
 
     def snap_tolerance(self) -> float:
         d = self.bounds.diagonal

@@ -7,12 +7,12 @@ token 10/10 split so margins stay defined; vote rows with no geometry are
 reported as orphans but do not fail the join. Either text may start with a
 UTF-8 byte order mark; a vote count above 2**52 is an error.
 
-parse_geojson reads every ring of a file into one flat (V, 2) vertex table
-with ring offsets (the GeoArrow ragged layout), checks it in whole-array
-operations, and measures it once with geometry.ring_table. Each Ring's
-vertices are a read-only slice of that table and each hole-free unit's
-edges a slice of its edge table; units with holes are assembled by
-PolygonSet as before. Any malformed input raises IngestError.
+parse_geojson reads every ring of a file, a unit's outer rings first, into
+one flat (V, 2) vertex table with ring offsets (the GeoArrow ragged layout),
+checks it in whole-array operations, and measures it once with
+geometry.ring_table. The collection keeps those tables; only a unit with
+holes is built as a PolygonSet, to check it. Bytes that are not UTF-8, and
+any other malformed input, raise IngestError.
 
 parse_votes_csv gives a VoteTable: ids and two read-only count arrays,
 filled by the csv row loop, which names the first fault. join_units
@@ -31,8 +31,8 @@ from typing import Iterable, NoReturn, Sequence
 import numpy as np
 
 from .errors import GeometryError, IngestError
-from .geometry import (MAX_VOTES, Bounds, PolygonSet, Ring, UnitCollection, UnitKind,
-                       VotingUnit, _read_only, ring_table)
+from .geometry import (MAX_VOTES, Ring, UnitCollection, UnitKind, _read_only, polygon_sets,
+                       ring_table)
 
 log = logging.getLogger(__name__)
 
@@ -106,12 +106,13 @@ def _count(props: dict, key: str, feature_idx: int) -> int:
     return count
 
 
-def _ring_fault(rings: list, ring_feature: list[int]) -> NoReturn:
-    """Raise the first ring fault in file order, found by building each Ring alone.
+def _ring_fault(rings: list, ring_counts: list[tuple[int, int]]) -> NoReturn:
+    """Raise the first ring fault in rings' order, found by building each Ring alone.
 
     The whole-table checks only tell that some ring is bad; Ring's own checks
     name the fault, so messages and their precedence are Ring's.
     """
+    ring_feature = [i for i, (k, h) in enumerate(ring_counts) for _ in range(k + h)]
     for coords, i in zip(rings, ring_feature):
         try:
             Ring(coords)
@@ -122,8 +123,8 @@ def _ring_fault(rings: list, ring_feature: list[int]) -> NoReturn:
     raise AssertionError("the whole-table ring checks disagree with Ring")
 
 
-def _vertex_table(rings: list, ring_feature: list[int]) -> tuple[np.ndarray, np.ndarray]:
-    """Every ring's vertices end to end in one read-only (V, 2) table, and ring offsets.
+def _vertex_table(rings: list, ring_counts: list[tuple[int, int]]) -> tuple[np.ndarray, np.ndarray]:
+    """Every ring's vertices end to end in one (V, 2) table, and ring offsets.
 
     Ring r is rows offsets[r]:offsets[r + 1]. A closing vertex equal to the
     first is dropped, as Ring drops it; a ring that Ring would reject raises.
@@ -135,7 +136,7 @@ def _vertex_table(rings: list, ring_feature: list[int]) -> tuple[np.ndarray, np.
     except (TypeError, ValueError, OverflowError):
         ok = False
     if not ok:
-        _ring_fault(rings, ring_feature)
+        _ring_fault(rings, ring_counts)
     raw = raw.reshape(-1, 2)
     ends = np.cumsum(counts)
     closed = (counts >= 2) & (raw[ends - counts] == raw[ends - 1]).all(axis=1)
@@ -144,8 +145,7 @@ def _vertex_table(rings: list, ring_feature: list[int]) -> tuple[np.ndarray, np.
     vertices = raw[keep]
     sizes = counts - closed
     if (sizes < 3).any() or not np.isfinite(vertices).all():
-        _ring_fault(rings, ring_feature)
-    vertices.setflags(write=False)
+        _ring_fault(rings, ring_counts)
     return vertices, np.concatenate(([0], np.cumsum(sizes)))
 
 
@@ -155,8 +155,8 @@ def parse_geojson(text: str | bytes, id_property: str = "id",
 
     Vote counts default to zero; dem_votes/rep_votes properties are honored
     when present so a serialized collection round-trips. Every ring goes
-    into one vertex table, measured by geometry.ring_table; each Ring gets
-    a slice of it and each hole-free unit a slice of its edge table.
+    into one vertex table, measured by geometry.ring_table, whose edge table
+    and areas become the collection's columns.
 
     Faults raise IngestError naming the feature: first those in a feature's
     properties or nesting, then those in single rings, then those in how a
@@ -165,16 +165,15 @@ def parse_geojson(text: str | bytes, id_property: str = "id",
     try:
         doc = json.loads(text.removeprefix(b"\xef\xbb\xbf" if isinstance(text, bytes)
                                            else "\ufeff"))
-    except json.JSONDecodeError as e:
+    except (json.JSONDecodeError, UnicodeDecodeError) as e:
         raise IngestError(f"invalid JSON: {e}") from e
     if not isinstance(doc, dict) or doc.get("type") != "FeatureCollection":
         raise IngestError("expected a FeatureCollection")
-    meta: list[tuple[str, int, int, UnitKind]] = []
-    rings: list = []  # each ring's coordinates, in file order
-    ring_feature: list[int] = []
-    outer: list[bool] = []
-    first_ring = [0]  # feature i owns rings[first_ring[i]:first_ring[i + 1]]
-    seen: set[str] = set()
+    ids: dict[str, None] = {}  # in file order
+    kinds: list[UnitKind] = []
+    votes: list[int] = []  # dem, rep, dem, rep, ...
+    rings: list = []  # each ring's coordinates, a feature's outer rings first
+    ring_counts: list[tuple[int, int]] = []  # each feature's outer and hole rings
     features = doc.get("features", [])
     if not isinstance(features, list):
         raise IngestError("features is not a list")
@@ -188,9 +187,9 @@ def parse_geojson(text: str | bytes, id_property: str = "id",
         if uid is None:
             raise IngestError(f"feature {i}: missing id")
         uid = str(uid)
-        if uid in seen:
+        if uid in ids:
             raise IngestError(f"feature {i}: duplicate unit id {uid}")
-        seen.add(uid)
+        ids[uid] = None
         geom = feat.get("geometry") or {}
         if not isinstance(geom, dict):
             raise IngestError(f"feature {i}: geometry is not a JSON object")
@@ -201,75 +200,54 @@ def parse_geojson(text: str | bytes, id_property: str = "id",
         elif gtype != "MultiPolygon":
             raise IngestError(f"feature {i}: unsupported geometry type {gtype!r}")
         try:
-            for part in parts:
-                holes = part[1:]
-                rings.append(part[0])
-                rings.extend(holes)
-                outer.append(True)
-                outer.extend([False] * len(holes))
+            outers = [part[0] for part in parts]
+            holes = [h for part in parts for h in part[1:]]
         except (IndexError, KeyError, TypeError) as e:
             raise IngestError(f"feature {i}: malformed polygon coordinates") from e
-        ring_feature.extend([i] * (len(rings) - first_ring[-1]))
-        first_ring.append(len(rings))
-        dem = _count(props, "dem_votes", i)
-        rep = _count(props, "rep_votes", i)
+        rings += outers
+        rings += holes
+        ring_counts.append((len(outers), len(holes)))
+        votes += [_count(props, "dem_votes", i), _count(props, "rep_votes", i)]
         ukind = kind
         if ukind is None:
             try:
                 ukind = UnitKind(props.get("kind", UnitKind.PRECINCT.value))
             except ValueError:
                 raise IngestError(f"feature {i}: unknown kind {props['kind']!r}") from None
-        meta.append((uid, dem, rep, ukind))
+        kinds.append(ukind)
 
-    vertices, offsets = _vertex_table(rings, ring_feature)
+    vertices, offsets = _vertex_table(rings, ring_counts)
     edges, areas = ring_table(vertices, offsets)
     if 0.0 in areas:
-        _ring_fault(rings, ring_feature)
-    ends = offsets.tolist()
-    ring_objs = [Ring._of(vertices[a:b], sa) for a, b, sa in zip(ends[:-1], ends[1:], areas)]
-    # each unit's bounding box; a unit without rings is an error below
-    starts = offsets[first_ring[:-1]][np.diff(first_ring) > 0]
-    lows = iter(np.minimum.reduceat(vertices, starts, axis=0).tolist())
-    highs = iter(np.maximum.reduceat(vertices, starts, axis=0).tolist())
-    units: list[VotingUnit] = []
-    for i, (uid, dem, rep, ukind) in enumerate(meta):
-        r0, r1 = first_ring[i], first_ring[i + 1]
-        if r1 > r0:
-            lo, hi = next(lows), next(highs)
-        try:
-            if r1 > r0 and all(outer[r0:r1]):
-                geom = PolygonSet._hole_free(tuple(ring_objs[r0:r1]),
-                                             edges[ends[r0]:ends[r1]],
-                                             Bounds(lo[0], lo[1], hi[0], hi[1]))
-            else:
-                own = list(zip(ring_objs[r0:r1], outer[r0:r1]))
-                geom = PolygonSet([r for r, o in own if o], [r for r, o in own if not o])
-        except GeometryError as e:
-            raise IngestError(f"feature {i}: {e}") from e
-        units.append(VotingUnit(uid, geom, dem, rep, ukind))
-    return UnitCollection(units)
+        _ring_fault(rings, ring_counts)
+    # only a unit with holes or without rings can fail; hole-free units are never built
+    r = 0  # the unit's first ring
+    for i, (k, h) in enumerate(ring_counts):
+        if h or not k:
+            try:
+                geom, = polygon_sets(edges, offsets[r:r + k + h + 1], [(k, h)])
+            except GeometryError as e:
+                raise IngestError(f"feature {i}: {e}") from e
+            if geom.area <= 0.0:
+                raise IngestError(f"feature {i}: non-positive area")
+        r += k + h
+    return UnitCollection.from_rings(ids, kinds, votes[0::2], votes[1::2], edges, offsets,
+                                     ring_counts, areas)
 
 
 def to_geojson(units: UnitCollection, id_property: str = "id") -> dict:
     """Serialize back to a FeatureCollection (rings explicitly closed)."""
 
     def ring_coords(ring: Ring) -> list[list[float]]:
-        pts = [[float(x), float(y)] for x, y in ring.vertices]
-        pts.append(pts[0])
-        return pts
+        return ring.vertices.tolist() + ring.vertices[:1].tolist()
 
     features = []
     for uid, g, dem, rep, kind in zip(units.ids, units.geometries, units.dem.tolist(),
                                       units.rep.tolist(), units.kinds):
-        holes_by_owner: dict[int, list] = {}
-        for h, owner in zip(g.holes, g.hole_owner):
-            holes_by_owner.setdefault(owner, []).append(ring_coords(h))
-        parts = [[ring_coords(outer)] + holes_by_owner.get(oi, [])
-                 for oi, outer in enumerate(g.outers)]
-        if len(parts) == 1:
-            geometry = {"type": "Polygon", "coordinates": parts[0]}
-        else:
-            geometry = {"type": "MultiPolygon", "coordinates": parts}
+        parts = [[ring_coords(outer)] + [ring_coords(h) for h, o in zip(g.holes, g.hole_owner)
+                                         if o == oi] for oi, outer in enumerate(g.outers)]
+        geometry = {"type": "Polygon", "coordinates": parts[0]} if len(parts) == 1 else \
+            {"type": "MultiPolygon", "coordinates": parts}
         features.append({
             "type": "Feature",
             "properties": {id_property: uid, "dem_votes": dem, "rep_votes": rep,
@@ -281,9 +259,12 @@ def to_geojson(units: UnitCollection, id_property: str = "id") -> dict:
 
 def parse_votes_csv(text: str | bytes) -> VoteTable:
     """Parse the votes CSV; row numbers in errors count the header as row 1."""
-    if isinstance(text, bytes):
-        text = text.decode("utf-8")
-    rows = list(csv.reader(io.StringIO(text.removeprefix("\ufeff"), newline="")))
+    try:
+        if isinstance(text, bytes):
+            text = text.decode("utf-8")
+        rows = list(csv.reader(io.StringIO(text.removeprefix("\ufeff"), newline="")))
+    except (UnicodeDecodeError, csv.Error) as e:  # not UTF-8, or a cell over csv's limit
+        raise IngestError(f"unreadable votes file: {e}") from e
     if not rows:
         raise IngestError("missing header: empty votes file")
     header = [c.strip() for c in rows[0]]

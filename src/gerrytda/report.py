@@ -86,8 +86,8 @@ def _load_layer(geo_path: str, votes_path: str, kind: UnitKind,
     """
     maps = {} if maps is None else maps
     if (geo_path, kind) not in maps:
-        maps[geo_path, kind] = parse_geojson(Path(geo_path).read_text(), kind=kind)
-    votes = parse_votes_csv(Path(votes_path).read_text())
+        maps[geo_path, kind] = parse_geojson(Path(geo_path).read_bytes(), kind=kind)
+    votes = parse_votes_csv(Path(votes_path).read_bytes())
     return join_units(maps[geo_path, kind], votes)
 
 

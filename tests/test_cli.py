@@ -1,6 +1,7 @@
 """End-to-end subcommand coverage through main(), no subprocesses."""
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -311,6 +312,20 @@ def test_missing_required_option(capsys):
     code, _, err = run_cli(capsys, "compactness")
     assert code == 2
     assert err == "error: missing required option --geo\n"
+
+
+@pytest.mark.parametrize("command", ["ingest", "compactness"])
+def test_input_that_is_not_utf8_is_an_error(command, island_files, capsys, tmp_path):
+    bad = tmp_path / "bad"
+    if command == "ingest":
+        bad.write_bytes(b"unit_id,dem_votes,rep_votes\nP\xff1,1,2\n")
+        args = ["--geo", island_files["precinct_geo"], "--votes", str(bad)]
+    else:
+        bad.write_bytes(Path(island_files["packed_geo"]).read_bytes().replace(b'"', b"\xff", 1))
+        args = ["--geo", str(bad)]
+    code, _, err = run_cli(capsys, command, *args)
+    assert code == 2
+    assert err.startswith("error: ") and "0xff" in err
 
 
 def test_ingest_non_object_feature_is_an_error(island_files, capsys, tmp_path):

@@ -1,5 +1,6 @@
 """GeoJSON / votes CSV parsing and join behavior."""
 
+import functools
 import json
 
 import numpy as np
@@ -8,7 +9,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gerrytda.errors import GeometryError, IngestError
-from gerrytda.geometry import PolygonSet, Ring, UnitKind, polygon_area
+from gerrytda.geometry import (Bounds, PolygonSet, Ring, UnitCollection, UnitKind,
+                               VotingUnit, polygon_area)
 from gerrytda.ingest import (
     JoinReport,
     VoteRow,
@@ -18,7 +20,7 @@ from gerrytda.ingest import (
     parse_votes_csv,
     to_geojson,
 )
-from gerrytda.synth import band_districts, grid_mosaic
+from gerrytda.synth import band_districts, grid_mosaic, mosaic_votes, votes_csv_text
 
 
 def square_feature(uid, x0, y0, size=1.0, props=None):
@@ -125,6 +127,10 @@ MALFORMED = {
     "list_geometry": ({"type": "Feature", "properties": {"id": "BAD"},
                        "geometry": [UNIT_SQUARE]},
                       "geometry is not a JSON object"),
+    # the hole's centroid (0.5, 0.5) lies in the unit square, but it is 4.6 wide
+    "holes_outweigh_outer": (polygon(UNIT_SQUARE, [[-1.8, -1.8], [2.8, -1.8], [2.8, 2.8],
+                                                   [-1.8, 2.8]]),
+                             "non-positive area"),
 }
 
 GEOMETRY_FAULTS = {
@@ -182,13 +188,30 @@ def bits(x):
 
 
 def assert_same_units(doc):
-    """parse_geojson's geometry equals Ring/PolygonSet built feature by feature."""
+    """parse_geojson's geometry equals Ring/PolygonSet built feature by feature.
+
+    So do its columns: they equal those of a collection of those PolygonSets.
+    """
     parsed = parse_geojson(json.dumps(doc))
     assert len(parsed) == len(doc["features"])
-    for unit, feat in zip(parsed, doc["features"]):
+    refs = []
+    for feat in doc["features"]:
         geom = feat["geometry"]
         parts = [geom["coordinates"]] if geom["type"] == "Polygon" else geom["coordinates"]
-        ref = PolygonSet([Ring(p[0]) for p in parts], [Ring(h) for p in parts for h in p[1:]])
+        refs.append(PolygonSet([Ring(p[0]) for p in parts],
+                               [Ring(h) for p in parts for h in p[1:]]))
+    direct = UnitCollection([VotingUnit(uid, g, 0, 0) for uid, g in zip(parsed.ids, refs)])
+    boxes = [[g.bounds.minx, g.bounds.miny, g.bounds.maxx, g.bounds.maxy] for g in refs]
+    expected = {"edges": np.concatenate([g.edges for g in refs]),
+                "edge_counts": np.array([len(g.edges) for g in refs]),
+                "boxes": np.array(boxes), "areas": np.array([g.area for g in refs])}
+    for col in (parsed, direct):
+        for name, ref in expected.items():
+            got = getattr(col, name)
+            assert got.dtype == ref.dtype and bits(got) == bits(ref), name
+            assert not got.flags.writeable
+        assert col.bounds == functools.reduce(Bounds.union, [g.bounds for g in refs])
+    for unit, ref in zip(parsed, refs):
         got = unit.geometry
         assert (len(got.outers), len(got.holes)) == (len(ref.outers), len(ref.holes))
         for a, b in zip(got.rings(), ref.rings()):
@@ -241,10 +264,53 @@ def test_parse_matches_direct_construction_on_stars(doc):
     assert_same_units(doc)
 
 
+def test_parse_matches_direct_construction_when_a_hole_leaves_the_outer_box():
+    # the hole's centroid lies inside, its top vertex above the outer ring
+    square = [[0, 0], [4, 0], [4, 4], [0, 4]]
+    poking = [[1, 1], [3, 1], [2, 5]]
+    inner = [[11, 1], [12, 1], [12, 2]]
+    assert_same_units(json.loads(collection([
+        square_feature("A", 20, 0),
+        polygon(square, poking, props={"id": "B"}),
+        {"type": "Feature", "properties": {"id": "C"},
+         "geometry": {"type": "MultiPolygon", "coordinates": [
+             [[[10, 0], [14, 0], [14, 4], [10, 4]], inner], [square, poking]]}}])))
+
+
 @pytest.mark.parametrize("cols,rows,seed", [(97, 28, 1), (24, 8, 3), (5, 3, 0)])
 def test_parse_matches_direct_construction_on_mosaics(cols, rows, seed):
     assert_same_units(grid_mosaic(cols, rows, seed=seed))
     assert_same_units(band_districts(cols, rows, 4))
+
+
+def test_hole_free_map_runs_without_geometry_objects(monkeypatch):
+    # the pipeline reads a parsed map's columns; no PolygonSet is ever built
+    from gerrytda import complexes, persistence, raster
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("PolygonSet built")
+
+    monkeypatch.setattr(PolygonSet, "__init__", refuse)
+    geo = parse_geojson(json.dumps(grid_mosaic(12, 6, seed=2)))
+    votes = parse_votes_csv(votes_csv_text(mosaic_votes(12, 6, seed=2)))
+    units, report = join_units(geo, votes)
+    assert report.matched == 72
+    for mode in raster.MarginMode:
+        field = raster.margin_field(raster.rasterize(units, 48), units, mode)
+        bc = persistence.levelset_barcode(field, complexes.uniform_schedule(8))
+        assert bc.bars(0)
+    cx = complexes.build_adjacency_filtration(units, complexes.uniform_schedule(8))
+    assert len(cx) > len(units)
+    with pytest.raises(AssertionError, match="PolygonSet built"):
+        units.geometries
+
+
+def test_joins_of_one_map_share_its_geometries():
+    geo = parse_geojson(json.dumps(grid_mosaic(5, 3, seed=0)))
+    first, _ = join_units(geo, [VoteRow(geo.ids[0], 1, 2)])
+    second, _ = join_units(geo, [VoteRow(geo.ids[1], 3, 4)])
+    assert first.geometries is second.geometries is geo.geometries
+    assert first[0].geometry is second[0].geometry
 
 
 # === round trip ===
@@ -355,6 +421,22 @@ def test_byte_order_mark_is_accepted():
     geo_text = collection([square_feature("P01", 0, 0)])
     for text in ("\ufeff" + geo_text, ("\ufeff" + geo_text).encode()):
         assert parse_geojson(text).ids == ("P01",)
+
+
+def test_text_that_is_not_utf8_is_an_ingest_error():
+    with pytest.raises(IngestError, match="^unreadable votes file: .*0xff"):
+        parse_votes_csv(b"unit_id,dem_votes,rep_votes\nP\xff1,1,2\n")
+    geo = collection([square_feature("P01", 0, 0)]).encode().replace(b"P01", b"P\xff1")
+    with pytest.raises(IngestError, match="^invalid JSON: .*0xff"):
+        parse_geojson(geo)
+
+
+def test_votes_cell_over_the_csv_field_limit_is_an_ingest_error():
+    long_id = "P" * 140000
+    for text in (f"unit_id,dem_votes,rep_votes\n{long_id},1,2\n",
+                 f'unit_id,dem_votes,rep_votes\nA,1,2\n"{long_id}",3,4\n'):
+        with pytest.raises(IngestError, match="^unreadable votes file: field larger than"):
+            parse_votes_csv(text)
 
 
 def ingest_outcome(parse, text):
