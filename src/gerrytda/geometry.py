@@ -219,19 +219,6 @@ def _area(outer_areas: Sequence[float], hole_areas: Sequence[float]) -> float:
     return float(sum(map(abs, outer_areas)) - sum(map(abs, hole_areas)))
 
 
-def polygon_sets(edges: np.ndarray, ring_ends: np.ndarray,
-                 ring_counts: Iterable[tuple[int, int]]) -> list[PolygonSet]:
-    """Each unit's PolygonSet, from a map's rings stored end to end.
-
-    Ring r's vertices are rows ring_ends[r]:ring_ends[r + 1] of edges; each
-    unit takes the next (outer, hole) = ring_counts[i] rings, outers first.
-    """
-    # closed explicitly, so that Ring keeps exactly the ring's rows
-    rings = (Ring(np.vstack([edges[a:b, :2], edges[a:a + 1, :2]]))
-             for a, b in pairwise(np.asarray(ring_ends).tolist()))
-    return [PolygonSet(list(islice(rings, k)), list(islice(rings, h))) for k, h in ring_counts]
-
-
 def polygon_area(geom: PolygonSet) -> float:
     """Total enclosed area: outer rings minus holes, orientation-independent."""
     return geom.area
@@ -309,43 +296,59 @@ class UnitCollection:
 
     @classmethod
     def from_rings(cls, ids, kinds, dem, rep, edges, ring_ends, ring_counts, ring_areas):
-        """Units over ring_table's edges and signed areas, rings as in polygon_sets.
+        """Units over ring_table's edges and signed areas.
 
-        Each unit's rings must make a valid PolygonSet; none is built to check.
+        Ring r is edges rows ring_ends[r]:ring_ends[r + 1]; unit i takes the
+        next ring_counts[i] = (outer, hole) rings, outers first. Each unit's
+        rings must make a valid PolygonSet, and each count lie in 0..MAX_VOTES;
+        nothing is checked.
         """
         col = cls.__new__(cls)
         col._fill(ids, kinds, dem, rep, edges, ring_ends, ring_counts, ring_areas)
         return col
 
     def _fill(self, ids, kinds, dem, rep, edges, ring_ends, ring_counts, ring_areas) -> None:
-        self.ids, self.kinds = tuple(ids), tuple(kinds)
+        self.ids = tuple(ids)
+        self.kinds = tuple(kinds)
         self.dem, self.rep = _read_only(dem, rep)
         self._index = {}
         for i, uid in enumerate(self.ids):
             if self._index.setdefault(uid, i) != i:
                 raise GeometryError(f"duplicate unit id: {uid}")
         counts = np.array(ring_counts, dtype=np.int64).reshape(-1, 2)
-        first = np.concatenate(([0], np.cumsum(counts.sum(axis=1))))
-        start, stop, end = (np.asarray(ring_ends)[r] for r in
-                            (first[:-1], first[:-1] + counts[:, 0], first[1:]))
+        first = np.concatenate(([0], np.cumsum(counts.sum(axis=1))))  # each unit's first ring
+        ring_ends = np.asarray(ring_ends)
+        start = ring_ends[first[:-1]]
+        stop = ring_ends[first[:-1] + counts[:, 0]]  # the end of the unit's outer rings
         # min and max over each unit's outer rows start:stop, then over its
         # holes; one more row lets stop reach len(edges)
-        v, at = np.vstack([edges[:, :2], np.zeros((1, 2))]), np.column_stack([start, stop]).ravel()
-        self.edges, self._rings = edges, (ring_ends, counts.tolist())
-        edges.flags.writeable = False
-        self.edge_counts, self.boxes, self.areas = _read_only(
-            end - start,
-            np.hstack([np.minimum.reduceat(v, at)[::2], np.maximum.reduceat(v, at)[::2]]),
-            [_area(ring_areas[a:a + k], ring_areas[a + k:b])
-             for (a, b), (k, _) in zip(pairwise(first.tolist()), self._rings[1])], dtype=None)
-        b = self.boxes
-        self.bounds = Bounds(*b[:, :2].min(axis=0).tolist(), *b[:, 2:].max(axis=0).tolist()) \
-            if len(b) else Bounds(0.0, 0.0, 0.0, 0.0)
-        self._units, self._geometry = None, {}
+        v = np.vstack([edges[:, :2], np.zeros((1, 2))])
+        at = np.column_stack([start, stop]).ravel()
+        boxes = np.hstack([np.minimum.reduceat(v, at)[::2], np.maximum.reduceat(v, at)[::2]])
+        areas = [_area(ring_areas[a:a + k], ring_areas[a + k:b])
+                 for (a, b), k in zip(pairwise(first.tolist()), counts[:, 0].tolist())]
+        self.edge_counts, = _read_only(ring_ends[first[1:]] - start)
+        self.boxes, self.areas = _read_only(boxes, areas, dtype=np.float64)
+        self.edges = edges
+        self.edges.flags.writeable = False
+        self._rings = (ring_ends, counts.tolist())
+        self.bounds = Bounds(0.0, 0.0, 0.0, 0.0)
+        if len(boxes):
+            self.bounds = Bounds(*boxes[:, :2].min(axis=0).tolist(),
+                                 *boxes[:, 2:].max(axis=0).tolist())
+        self._units = None
+        self._geometry = {}
 
     @property
     def geometries(self) -> tuple[PolygonSet, ...]:
-        return self.memo("geometries", lambda: tuple(polygon_sets(self.edges, *self._rings)))
+        def build():
+            ring_ends, counts = self._rings
+            # each ring closed explicitly, so that Ring keeps exactly its rows
+            rings = (Ring(np.vstack([self.edges[a:b, :2], self.edges[a:a + 1, :2]]))
+                     for a, b in pairwise(ring_ends.tolist()))
+            return tuple(PolygonSet(list(islice(rings, k)), list(islice(rings, h)))
+                         for k, h in counts)
+        return self.memo("geometries", build)
 
     @property
     def units(self) -> tuple[VotingUnit, ...]:

@@ -5,7 +5,7 @@ string property (default "id"). Votes CSV: header unit_id,dem_votes,rep_votes.
 Units present in the geometry but absent from the CSV are filled with a
 token 10/10 split so margins stay defined; vote rows with no geometry are
 reported as orphans but do not fail the join. Either text may start with a
-UTF-8 byte order mark; a vote count above 2**52 is an error.
+UTF-8 byte order mark; a negative vote count, or one above 2**52, is an error.
 
 parse_geojson reads every ring of a file, a unit's outer rings first, into
 one flat (V, 2) vertex table with ring offsets (the GeoArrow ragged layout),
@@ -31,7 +31,7 @@ from typing import Iterable, NoReturn, Sequence
 import numpy as np
 
 from .errors import GeometryError, IngestError
-from .geometry import (MAX_VOTES, Ring, UnitCollection, UnitKind, _read_only, polygon_sets,
+from .geometry import (MAX_VOTES, PolygonSet, Ring, UnitCollection, UnitKind, _read_only,
                        ring_table)
 
 log = logging.getLogger(__name__)
@@ -93,7 +93,7 @@ class JoinReport:
 
 
 def _count(props: dict, key: str, feature_idx: int) -> int:
-    """A vote-count property as an int; a fractional or non-numeric value is an error."""
+    """A vote-count property as an int in 0..MAX_VOTES; any other value is an error."""
     value = props.get(key, 0)
     try:
         count = int(value)
@@ -101,29 +101,32 @@ def _count(props: dict, key: str, feature_idx: int) -> int:
         count = None
     if count is None or (isinstance(value, float) and count != value):
         raise IngestError(f"feature {feature_idx}: non-integer {key} {value!r}")
+    if count < 0:
+        raise IngestError(f"feature {feature_idx}: negative {key}")
     if count > MAX_VOTES:
         raise IngestError(f"feature {feature_idx}: {key} above 2**52")
     return count
 
 
-def _ring_fault(rings: list, ring_counts: list[tuple[int, int]]) -> NoReturn:
-    """Raise the first ring fault in rings' order, found by building each Ring alone.
+def _ring_fault(feature_parts: list) -> NoReturn:
+    """Raise the first ring fault in file order, found by building each Ring alone.
 
-    The whole-table checks only tell that some ring is bad; Ring's own checks
+    feature_parts holds each feature's polygons, each a list of rings. The
+    whole-table checks only tell that some ring is bad; Ring's own checks
     name the fault, so messages and their precedence are Ring's.
     """
-    ring_feature = [i for i, (k, h) in enumerate(ring_counts) for _ in range(k + h)]
-    for coords, i in zip(rings, ring_feature):
-        try:
-            Ring(coords)
-        except GeometryError as e:
-            raise IngestError(f"feature {i}: {e}") from e
-        except (TypeError, ValueError, OverflowError) as e:
-            raise IngestError(f"feature {i}: malformed polygon coordinates") from e
+    for i, parts in enumerate(feature_parts):
+        for coords in (ring for part in parts for ring in part):
+            try:
+                Ring(coords)
+            except GeometryError as e:
+                raise IngestError(f"feature {i}: {e}") from e
+            except (TypeError, ValueError, OverflowError) as e:
+                raise IngestError(f"feature {i}: malformed polygon coordinates") from e
     raise AssertionError("the whole-table ring checks disagree with Ring")
 
 
-def _vertex_table(rings: list, ring_counts: list[tuple[int, int]]) -> tuple[np.ndarray, np.ndarray]:
+def _vertex_table(rings: list, feature_parts: list) -> tuple[np.ndarray, np.ndarray]:
     """Every ring's vertices end to end in one (V, 2) table, and ring offsets.
 
     Ring r is rows offsets[r]:offsets[r + 1]. A closing vertex equal to the
@@ -136,7 +139,7 @@ def _vertex_table(rings: list, ring_counts: list[tuple[int, int]]) -> tuple[np.n
     except (TypeError, ValueError, OverflowError):
         ok = False
     if not ok:
-        _ring_fault(rings, ring_counts)
+        _ring_fault(feature_parts)
     raw = raw.reshape(-1, 2)
     ends = np.cumsum(counts)
     closed = (counts >= 2) & (raw[ends - counts] == raw[ends - 1]).all(axis=1)
@@ -145,7 +148,7 @@ def _vertex_table(rings: list, ring_counts: list[tuple[int, int]]) -> tuple[np.n
     vertices = raw[keep]
     sizes = counts - closed
     if (sizes < 3).any() or not np.isfinite(vertices).all():
-        _ring_fault(rings, ring_counts)
+        _ring_fault(feature_parts)
     return vertices, np.concatenate(([0], np.cumsum(sizes)))
 
 
@@ -173,6 +176,7 @@ def parse_geojson(text: str | bytes, id_property: str = "id",
     kinds: list[UnitKind] = []
     votes: list[int] = []  # dem, rep, dem, rep, ...
     rings: list = []  # each ring's coordinates, a feature's outer rings first
+    feature_parts: list = []  # each feature's polygons, in file order
     ring_counts: list[tuple[int, int]] = []  # each feature's outer and hole rings
     features = doc.get("features", [])
     if not isinstance(features, list):
@@ -205,6 +209,7 @@ def parse_geojson(text: str | bytes, id_property: str = "id",
         except (IndexError, KeyError, TypeError) as e:
             raise IngestError(f"feature {i}: malformed polygon coordinates") from e
         rings += outers
+        feature_parts.append(parts)
         rings += holes
         ring_counts.append((len(outers), len(holes)))
         votes += [_count(props, "dem_votes", i), _count(props, "rep_votes", i)]
@@ -216,21 +221,20 @@ def parse_geojson(text: str | bytes, id_property: str = "id",
                 raise IngestError(f"feature {i}: unknown kind {props['kind']!r}") from None
         kinds.append(ukind)
 
-    vertices, offsets = _vertex_table(rings, ring_counts)
+    vertices, offsets = _vertex_table(rings, feature_parts)
     edges, areas = ring_table(vertices, offsets)
     if 0.0 in areas:
-        _ring_fault(rings, ring_counts)
+        _ring_fault(feature_parts)
     # only a unit with holes or without rings can fail; hole-free units are never built
-    r = 0  # the unit's first ring
-    for i, (k, h) in enumerate(ring_counts):
+    for i, ((k, h), parts) in enumerate(zip(ring_counts, feature_parts)):
         if h or not k:
             try:
-                geom, = polygon_sets(edges, offsets[r:r + k + h + 1], [(k, h)])
+                geom = PolygonSet([Ring(p[0]) for p in parts],
+                                  [Ring(r) for p in parts for r in p[1:]])
             except GeometryError as e:
                 raise IngestError(f"feature {i}: {e}") from e
             if geom.area <= 0.0:
                 raise IngestError(f"feature {i}: non-positive area")
-        r += k + h
     return UnitCollection.from_rings(ids, kinds, votes[0::2], votes[1::2], edges, offsets,
                                      ring_counts, areas)
 
@@ -239,15 +243,22 @@ def to_geojson(units: UnitCollection, id_property: str = "id") -> dict:
     """Serialize back to a FeatureCollection (rings explicitly closed)."""
 
     def ring_coords(ring: Ring) -> list[list[float]]:
-        return ring.vertices.tolist() + ring.vertices[:1].tolist()
+        pts = [[float(x), float(y)] for x, y in ring.vertices]
+        pts.append(pts[0])
+        return pts
 
     features = []
     for uid, g, dem, rep, kind in zip(units.ids, units.geometries, units.dem.tolist(),
                                       units.rep.tolist(), units.kinds):
-        parts = [[ring_coords(outer)] + [ring_coords(h) for h, o in zip(g.holes, g.hole_owner)
-                                         if o == oi] for oi, outer in enumerate(g.outers)]
-        geometry = {"type": "Polygon", "coordinates": parts[0]} if len(parts) == 1 else \
-            {"type": "MultiPolygon", "coordinates": parts}
+        holes_by_owner: dict[int, list] = {}
+        for h, owner in zip(g.holes, g.hole_owner):
+            holes_by_owner.setdefault(owner, []).append(ring_coords(h))
+        parts = [[ring_coords(outer)] + holes_by_owner.get(oi, [])
+                 for oi, outer in enumerate(g.outers)]
+        if len(parts) == 1:
+            geometry = {"type": "Polygon", "coordinates": parts[0]}
+        else:
+            geometry = {"type": "MultiPolygon", "coordinates": parts}
         features.append({
             "type": "Feature",
             "properties": {id_property: uid, "dem_votes": dem, "rep_votes": rep,

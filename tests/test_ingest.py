@@ -131,6 +131,8 @@ MALFORMED = {
     "holes_outweigh_outer": (polygon(UNIT_SQUARE, [[-1.8, -1.8], [2.8, -1.8], [2.8, 2.8],
                                                    [-1.8, 2.8]]),
                              "non-positive area"),
+    "negative_dem_votes": (polygon(UNIT_SQUARE, props={"dem_votes": -3, "rep_votes": 1}),
+                           "negative dem_votes"),
 }
 
 GEOMETRY_FAULTS = {
@@ -178,6 +180,16 @@ def test_parse_first_ring_fault_wins():
              polygon([[0, 0], None, [1, 1]], props={"id": "C"})]
     with pytest.raises(IngestError, match="^feature 1: degenerate ring: 2 vertices$"):
         parse_geojson(collection(feats))
+
+
+def test_parse_ring_faults_in_one_feature_are_named_in_file_order():
+    # the first part's hole comes before the second part's outer ring
+    feat = {"type": "Feature", "properties": {"id": "M"},
+            "geometry": {"type": "MultiPolygon", "coordinates": [
+                [UNIT_SQUARE, [[0.2, 0.2], [0.4, 0.2], [0.2, 0.2]]],
+                [[[5, 5], [6, 5], [7, 5], [5, 5]]]]}}
+    with pytest.raises(IngestError, match="^feature 0: degenerate ring: 2 vertices$"):
+        parse_geojson(collection([feat]))
 
 
 # === parse_geojson against Ring and PolygonSet built directly ===
