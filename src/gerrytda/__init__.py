@@ -32,6 +32,7 @@ from .geometry import (
 )
 from .ingest import (
     JoinReport,
+    VoteTable,
     join_units,
     parse_geojson,
     parse_votes_csv,
@@ -89,7 +90,6 @@ from .compactness import (
 from .report import (
     AnalysisConfig,
     YearResult,
-    cross_year_matrix,
     render_barcode_svg,
     run_year,
     run_years,

@@ -26,9 +26,17 @@ from .report import AnalysisConfig, _load_layer, run_year, write_outputs
 from .complexes import uniform_schedule
 
 
+def _read_text(path: str) -> str:
+    """A file's text; bytes that are not UTF-8 are an IngestError naming the path."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise IngestError(f"{path}: not UTF-8: {exc}") from None
+
+
 def _read_config(path: str) -> dict[str, str]:
     cfg: dict[str, str] = {}
-    for n, raw in enumerate(Path(path).read_text().splitlines(), start=1):
+    for n, raw in enumerate(_read_text(path).splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -160,8 +168,9 @@ def _cmd_barcode(opts: _Options) -> int:
 
 
 def _read_barcode_file(path: str) -> dict[int, list[tuple[float, float]]]:
+    text = _read_text(path)
     try:
-        return read_barcode_json(Path(path).read_text())[0]
+        return read_barcode_json(text)[0]
     except IngestError as exc:
         raise IngestError(f"{path}: {exc}") from None
 
@@ -191,7 +200,7 @@ def _cmd_compactness(opts: _Options) -> int:
 
 
 def _read_scores_csv(path: str, metric: str) -> list[float]:
-    lines = Path(path).read_text().strip().split("\n")
+    lines = _read_text(path).strip().split("\n")
     header = lines[0].strip().split(",")
     if metric not in header:
         raise ParameterError(f"{path}: no column {metric!r}")

@@ -17,10 +17,11 @@ as Ring and PolygonSet would.
 
 A UnitCollection is a map in columns: the edge table, each unit's edge
 count, box and area, and votes as two read-only int64 arrays (counts at
-most MAX_VOTES). Its Ring, PolygonSet and VotingUnit objects are built
-from the columns only when asked for. A memo keeps what depends on
-geometry alone (those objects, adjacency, label rasters); with_votes swaps
-the vote arrays and shares the rest, memo included.
+most MAX_VOTES). VotingUnit objects go in, through UnitCollection(units);
+none comes out. A unit's PolygonSet is built from the columns only when
+geometries is asked for. A memo keeps what depends on geometry alone
+(geometries, adjacency, label rasters); with_votes swaps the vote arrays,
+given as one (n, 2) integer array, and shares the rest, memo included.
 """
 
 from __future__ import annotations
@@ -274,12 +275,12 @@ class UnitCollection:
     unit, edge_counts, boxes (minx, miny, maxx, maxy over the outer rings)
     and areas. geometries (a PolygonSet per unit) is built from edges on
     first access and kept in the memo (see memo), which only with_votes
-    shares. units (and iteration, [i], by_id) gives VotingUnit objects,
-    built on first access after with_votes.
+    shares. VotingUnit objects are the in-memory way in; the collection
+    keeps none of them.
     """
 
     __slots__ = ("ids", "kinds", "dem", "rep", "edges", "edge_counts", "boxes", "areas",
-                 "bounds", "_rings", "_units", "_index", "_geometry")
+                 "bounds", "_rings", "_index", "_geometry")
 
     def __init__(self, units: Iterable[VotingUnit]):
         units = tuple(units)
@@ -291,7 +292,6 @@ class UnitCollection:
                    np.cumsum([0] + [len(r) for r in rings]),
                    [(len(g.outers), len(g.holes)) for g in geoms],
                    [r.signed_area for r in rings])
-        self._units = units
         self._geometry["geometries"] = geoms
 
     @classmethod
@@ -336,7 +336,6 @@ class UnitCollection:
         if len(boxes):
             self.bounds = Bounds(*boxes[:, :2].min(axis=0).tolist(),
                                  *boxes[:, 2:].max(axis=0).tolist())
-        self._units = None
         self._geometry = {}
 
     @property
@@ -350,24 +349,8 @@ class UnitCollection:
                          for k, h in counts)
         return self.memo("geometries", build)
 
-    @property
-    def units(self) -> tuple[VotingUnit, ...]:
-        if self._units is None:
-            self._units = tuple(map(VotingUnit, self.ids, self.geometries, self.dem.tolist(),
-                                    self.rep.tolist(), self.kinds))
-        return self._units
-
     def __len__(self) -> int:
         return len(self.ids)
-
-    def __iter__(self):
-        return iter(self.units)
-
-    def __getitem__(self, i: int) -> VotingUnit:
-        return self.units[i]
-
-    def by_id(self, unit_id: str) -> VotingUnit:
-        return self.units[self._index[unit_id]]
 
     def __contains__(self, unit_id: str) -> bool:
         return unit_id in self._index
@@ -376,29 +359,24 @@ class UnitCollection:
         """Each id's index in the collection, -1 for an id it lacks."""
         return np.array([self._index.get(uid, -1) for uid in ids], dtype=np.int64)
 
-    def with_votes(self, counts: Sequence[tuple[int, int]] | np.ndarray) -> "UnitCollection":
-        """The same units, in order, with new (dem, rep) counts: pairs or an (n, 2) array.
+    def with_votes(self, counts: np.ndarray) -> "UnitCollection":
+        """The same units, in order, with new counts: an (n, 2) integer array of (dem, rep).
 
-        A count below 0 or above MAX_VOTES raises VotingUnit's error for the
-        first unit that has one.
+        Any other input raises TypeError. A count below 0 or above MAX_VOTES
+        raises VotingUnit's error for the first unit that has one.
         """
-        if isinstance(counts, np.ndarray):
-            c = counts.reshape(-1, 2)
-            bad = ((c < 0) | (c > MAX_VOTES)).any(axis=1)
-        else:  # checked before int64 can overflow
-            c = [(d, r) for d, r in counts]
-            bad = [min(d, r) < 0 or max(d, r) > MAX_VOTES for d, r in c]
-        if len(c) != len(self):
-            raise ValueError(f"{len(c)} vote counts for {len(self)} units")
-        for i in np.flatnonzero(bad)[:1].tolist():
-            VotingUnit(self.ids[i], self.geometries[i], int(c[i][0]), int(c[i][1]),
-                       self.kinds[i])  # raises
-        c = np.array(c, dtype=np.int64).reshape(-1, 2)
+        if not isinstance(counts, np.ndarray) or counts.dtype.kind not in "iu":
+            raise TypeError("vote counts must be an (n, 2) integer array")
+        if counts.shape != (len(self), 2):
+            raise ValueError(f"vote counts of shape {counts.shape} for {len(self)} units")
+        bad = np.flatnonzero(((counts < 0) | (counts > MAX_VOTES)).any(axis=1))
+        if len(bad):
+            fault = "negative vote count" if counts[bad[0]].min() < 0 else "vote count above 2**52"
+            raise GeometryError(f"unit {self.ids[bad[0]]}: {fault}")
         out = UnitCollection.__new__(UnitCollection)
         for name in self.__slots__:
             setattr(out, name, getattr(self, name))
-        out.dem, out.rep = _read_only(c[:, 0], c[:, 1])
-        out._units = None
+        out.dem, out.rep = _read_only(counts[:, 0], counts[:, 1])
         return out
 
     def memo(self, key, build: Callable[[], Any]) -> Any:

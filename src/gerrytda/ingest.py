@@ -14,9 +14,9 @@ geometry.ring_table. The collection keeps those tables; only a unit with
 holes is built as a PolygonSet, to check it. Bytes that are not UTF-8, and
 any other malformed input, raise IngestError.
 
-parse_votes_csv gives a VoteTable: ids and two read-only count arrays,
-filled by the csv row loop, which names the first fault. join_units
-scatters a table into the map's unit order.
+Votes take one form, a VoteTable: ids and two read-only count arrays of
+one length. parse_votes_csv fills one by the csv row loop, which names the
+first fault, and join_units scatters one into the map's unit order.
 """
 
 from __future__ import annotations
@@ -26,7 +26,7 @@ import io
 import json
 import logging
 from dataclasses import dataclass
-from typing import Iterable, NoReturn, Sequence
+from typing import Iterable, NoReturn
 
 import numpy as np
 
@@ -42,43 +42,20 @@ MISSING_VOTES_FILL = 10
 _CSV_HEADER = ["unit_id", "dem_votes", "rep_votes"]
 
 
-@dataclass(frozen=True)
-class VoteRow:
-    unit_id: str
-    dem_votes: int
-    rep_votes: int
-
-
-class VoteTable(Sequence[VoteRow]):
-    """Vote rows in columns: unit ids, and read-only int64 dem and rep arrays.
-
-    A sequence of VoteRow that compares equal to a list of the same rows.
-    """
+class VoteTable:
+    """A votes file in columns: unit ids, and read-only int64 dem and rep arrays."""
 
     __slots__ = ("ids", "dem", "rep")
 
     def __init__(self, ids: Iterable[str], dem, rep):
         self.ids = tuple(ids)
         self.dem, self.rep = _read_only(dem, rep)
+        if not len(self.ids) == len(self.dem) == len(self.rep):
+            raise ValueError(f"vote columns of unequal length: {len(self.ids)} ids, "
+                             f"{len(self.dem)} dem, {len(self.rep)} rep")
 
     def __len__(self) -> int:
         return len(self.ids)
-
-    def __getitem__(self, i):
-        if isinstance(i, slice):
-            return VoteTable(self.ids[i], self.dem[i], self.rep[i])
-        return VoteRow(self.ids[i], int(self.dem[i]), int(self.rep[i]))
-
-    def __iter__(self):
-        return map(VoteRow, self.ids, self.dem.tolist(), self.rep.tolist())
-
-    def __eq__(self, other):
-        if isinstance(other, (list, VoteTable)):
-            return list(self) == list(other)
-        return NotImplemented
-
-    def __repr__(self) -> str:
-        return f"VoteTable({list(self)!r})"
 
 
 @dataclass(frozen=True)
@@ -308,21 +285,14 @@ def parse_votes_csv(text: str | bytes) -> VoteTable:
     return VoteTable(ids, counts[0::2], counts[1::2])
 
 
-def join_units(geo: UnitCollection,
-               votes: Iterable[VoteRow]) -> tuple[UnitCollection, JoinReport]:
-    """Attach vote counts to geometry by unit id.
+def join_units(geo: UnitCollection, votes: VoteTable) -> tuple[UnitCollection, JoinReport]:
+    """Attach a VoteTable's counts to geometry by unit id.
 
     Every geometry unit appears in the result, in geo's order and with its
     geometry (so the result shares geo's memo): matched units take the vote
-    counts, unmatched ones are filled with 10/10. Rows that are not a
-    VoteTable are read into one first; a unit named twice takes its last row.
+    counts, unmatched ones are filled with 10/10. A unit named twice takes
+    its last row; an orphan row's counts are never read.
     """
-    if not isinstance(votes, VoteTable):
-        rows = list(votes)
-        # clamped into int64: a count out of range stays out, for with_votes to name
-        # its unit, and an orphan row's count is never read
-        fit = [min(max(v, -1), MAX_VOTES + 1) for r in rows for v in (r.dem_votes, r.rep_votes)]
-        votes = VoteTable([r.unit_id for r in rows], fit[0::2], fit[1::2])
     at = geo.positions(votes.ids)
     # the last row of each unit: the first in reverse order
     last = len(at) - 1 - np.unique(at[::-1], return_index=True)[1]

@@ -143,19 +143,6 @@ def run_years(configs: Sequence[AnalysisConfig]) -> list[YearResult]:
     return [run_year(c, maps) for c in configs]
 
 
-def cross_year_matrix(results: Sequence[YearResult], which: str = "precinct",
-                      dim: int = 1) -> tuple[list[str], np.ndarray]:
-    """Pairwise bottleneck distances between the years' chosen barcodes."""
-    if which not in ("precinct", "district"):
-        raise ParameterError(f"unknown barcode selector {which!r}")
-    if not results:
-        raise ParameterError("need at least one year")
-    diagrams = [(r.precinct_barcode if which == "precinct"
-                 else r.district_barcode).diagram(dim) for r in results]
-    labels = [r.year for r in results]
-    return labels, distance_matrix(labels, diagrams, bottleneck)
-
-
 # === artifact writers ===
 
 def render_barcode_svg(bc: Barcode, dim: int) -> str:

@@ -201,9 +201,9 @@ def adjacency_reference(units, kind="queen"):
     if kind not in ("queen", "rook"):
         raise ParameterError(f"unknown adjacency kind {kind!r}")
     tol = units.snap_tolerance()
-    edges_of = [u.geometry.edges for u in units]
+    edges_of = [g.edges for g in units.geometries]
     boxes = np.array([(b.minx, b.miny, b.maxx, b.maxy)
-                      for b in (u.geometry.bounds for u in units)]).reshape(-1, 4)
+                      for b in (g.bounds for g in units.geometries)]).reshape(-1, 4)
 
     pairs = set()
     if kind == "queen":
@@ -227,7 +227,7 @@ def adjacency_reference(units, kind="queen"):
             owner = np.repeat(js, [len(edges_of[j]) for j in js])
             hit = _collinear_overlap(ea, np.vstack([edges_of[j] for j in js]), tol)
             pairs.update((i, j) for j in owner[hit].tolist())
-    ids = [u.id for u in units]
+    ids = units.ids
     return {tuple(sorted((ids[i], ids[j]))) for i, j in pairs}
 
 

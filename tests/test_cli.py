@@ -328,6 +328,28 @@ def test_input_that_is_not_utf8_is_an_error(command, island_files, capsys, tmp_p
     assert err.startswith("error: ") and "0xff" in err
 
 
+@pytest.mark.parametrize("command", ["config", "ttest", "compare", "matrix"])
+def test_a_file_that_is_not_utf8_is_an_error_naming_it(command, island_files, capsys,
+                                                        tmp_path):
+    bad = tmp_path / "bad"
+    if command == "config":
+        bad.write_bytes(b"width=\xff\n")
+        args = ["compactness", "--geo", island_files["packed_geo"], "--config", str(bad)]
+    elif command == "ttest":
+        scores = tmp_path / "scores.csv"
+        assert run_cli(capsys, "compactness", "--geo", island_files["packed_geo"],
+                       "--out", str(scores))[0] == 0
+        lines = scores.read_bytes().split(b"\n")
+        bad.write_bytes(b"\n".join([lines[0], b"\xff" + lines[1]] + lines[2:]))
+        args = ["ttest", str(scores), str(bad)]
+    else:
+        bad.write_bytes(b'{"\xff": []}')
+        args = [command, str(bad), str(bad)]
+    code, _, err = run_cli(capsys, *args)
+    assert code == 2
+    assert err.startswith(f"error: {bad}: not UTF-8: ") and "0xff" in err
+
+
 def test_ingest_non_object_feature_is_an_error(island_files, capsys, tmp_path):
     geo = tmp_path / "bad.geojson"
     geo.write_text(json.dumps({"type": "FeatureCollection", "features": [5]}))

@@ -25,7 +25,7 @@ from gerrytda.errors import (
     StructureError,
 )
 from gerrytda.geometry import PolygonSet, Ring, UnitCollection, VotingUnit
-from gerrytda.ingest import VoteRow, join_units, parse_geojson
+from gerrytda.ingest import VoteTable, join_units, parse_geojson
 from gerrytda.persistence import betti_oracle
 from gerrytda.synth import field_from_array, grid_mosaic, mosaic_votes, torus_complex
 from oracles import adjacency_reference, flag_filtration_reference
@@ -520,8 +520,7 @@ def shuffled_id_map(cols, rows, seed):
     names = [f"u{k}" for k in rng.permutation(cols * rows)]
     for f, name in zip(fc["features"], names):
         f["properties"]["id"] = name
-    years = [[VoteRow(name, int(d), int(r)) for name, d, r in
-              zip(names, rng.integers(1, 100, len(names)), rng.integers(1, 100, len(names)))]
+    years = [VoteTable(names, rng.integers(1, 100, len(names)), rng.integers(1, 100, len(names)))
              for _ in range(2)]
     return json.dumps(fc), years
 
@@ -531,10 +530,10 @@ def string_route_complex(units, schedule, kind):
     sorted, mapped back to indices."""
     L = schedule.num_levels
     levels = []
-    for u in units:
-        k = sum(t <= win_margin(u.dem_votes, u.rep_votes, u.id) for t in schedule.thresholds)
-        levels.append(L + 1 - k if u.rep_votes > u.dem_votes and k else -1)
-    index = {u.id: i for i, u in enumerate(units)}
+    for uid, dem, rep in zip(units.ids, units.dem.tolist(), units.rep.tolist()):
+        k = sum(t <= win_margin(dem, rep, uid) for t in schedule.thresholds)
+        levels.append(L + 1 - k if rep > dem and k else -1)
+    index = {uid: i for i, uid in enumerate(units.ids)}
     pairs = [(index[a], index[b]) for a, b in sorted(adjacency_reference(units, kind))]
     return flag_filtration_reference(levels, pairs, L)
 
@@ -583,10 +582,11 @@ def test_changing_the_adjacency_set_changes_no_later_answer():
 
 def test_separately_built_maps_never_share_an_answer():
     # the same ids on differently shaped maps, and one map's units reordered
-    votes = [VoteRow(*row) for row in mosaic_votes(4, 3, seed=1)]
+    votes = VoteTable(*zip(*mosaic_votes(4, 3, seed=1)))
     wide, _ = join_units(parse_geojson(json.dumps(grid_mosaic(4, 3, seed=1))), votes)
     tall, _ = join_units(parse_geojson(json.dumps(grid_mosaic(3, 4, seed=1))), votes)
-    backwards = UnitCollection(reversed(wide.units))
+    backwards = UnitCollection(map(VotingUnit, wide.ids[::-1], wide.geometries[::-1],
+                                   wide.dem.tolist()[::-1], wide.rep.tolist()[::-1]))
     for kind in ("queen", "rook"):
         answers = [detect_adjacency(units, kind) for units in (wide, tall, backwards)]
         assert answers[0] != answers[1]

@@ -1,5 +1,6 @@
 """Polygon primitive tests: areas, perimeters, membership, model invariants."""
 
+import json
 import math
 from dataclasses import replace
 
@@ -19,6 +20,8 @@ from gerrytda.geometry import (
     polygon_area,
     polygon_perimeter,
 )
+from gerrytda.ingest import parse_geojson
+from gerrytda.synth import grid_mosaic
 
 UNIT_SQUARE = [(0, 0), (1, 0), (1, 1), (0, 1)]
 
@@ -209,23 +212,24 @@ def test_collection_bounds_enclose_everything():
     ]
     col = UnitCollection(units)
     assert col.bounds == Bounds(0.0, -2.0, 6.0, 4.0)
-    assert col.by_id("B").kind is UnitKind.PRECINCT
+    assert col.kinds[1] is UnitKind.PRECINCT
 
 
 def test_with_votes_matches_a_fresh_collection():
     units = [VotingUnit(uid, poly(square(x, y, x + 1, y + 2)), 1, 1)
              for uid, x, y in (("C", 3, -1), ("A", 0, 0), ("B", -4, 5))]
-    counts = [(7, 2), (0, 0), (3, 9)]
+    counts = np.array([(7, 2), (0, 0), (3, 9)])
     got = UnitCollection(units).with_votes(counts)
     fresh = UnitCollection([replace(u, dem_votes=d, rep_votes=r)
-                            for u, (d, r) in zip(units, counts)])
-    assert got.units == fresh.units
+                            for u, (d, r) in zip(units, counts.tolist())])
+    for name in ("ids", "kinds", "geometries"):
+        assert getattr(got, name) == getattr(fresh, name)
+    for name in ("dem", "rep", "edges", "edge_counts", "boxes", "areas"):
+        assert np.array_equal(getattr(got, name), getattr(fresh, name))
     assert got.bounds == fresh.bounds == Bounds(-4.0, -1.0, 4.0, 7.0)
-    for u in fresh:
-        assert got.by_id(u.id) == u and u.id in got
-    assert "D" not in got
-    with pytest.raises(KeyError):
-        got.by_id("D")
+    for uid, k in zip(fresh.ids, got.positions(fresh.ids).tolist()):
+        assert got.ids[k] == uid and uid in got
+    assert "D" not in got and got.positions(["D"]).tolist() == [-1]
     with pytest.raises(ValueError):
         UnitCollection(units).with_votes(counts[:2])
 
@@ -241,16 +245,39 @@ def test_with_votes_swaps_only_the_vote_arrays():
     assert not got.dem.flags.writeable and not got.rep.flags.writeable
     assert got.memo("key", lambda: "built") == col.memo("key", lambda: "again") == "built"
     assert UnitCollection(units).memo("key", lambda: "again") == "again"
-    assert got[1] == VotingUnit("A", units[1].geometry, 0, 0)
+    assert (got.ids[1], got.geometries[1], got.dem[1], got.rep[1], got.kinds[1]) == \
+        ("A", units[1].geometry, 0, 0, UnitKind.PRECINCT)
     with pytest.raises(GeometryError, match="^unit A: negative vote count$"):
-        col.with_votes([(1, 1), (-1, 0), (0, -5)])
+        col.with_votes(np.array([(1, 1), (-1, 0), (0, -5)]))
     with pytest.raises(GeometryError, match="^unit B: vote count above 2\\*\\*52$"):
-        col.with_votes([(1, 1), (0, 0), (0, 2**52 + 1)])
+        col.with_votes(np.array([(1, 1), (0, 0), (0, 2**52 + 1)]))
     with pytest.raises(GeometryError, match="^unit A: vote count above 2\\*\\*52$"):
-        col.with_votes([(1, 1), (2**63, 0), (-1, 0)])  # beyond int64, still VotingUnit's error
-    with pytest.raises(GeometryError, match="^unit C: negative vote count$"):
-        col.with_votes([(-2**64, 1), (0, 0), (0, 0)])
+        col.with_votes(np.array([(1, 1), (2**63, 0), (0, 0)], dtype=np.uint64))  # beyond int64
     with pytest.raises(GeometryError, match="^unit B: negative vote count$"):
         col.with_votes(np.array([[1, 1], [0, 0], [-1, 0]]))
     with pytest.raises(GeometryError, match="^unit C: vote count above 2\\*\\*52$"):
         VotingUnit("C", units[0].geometry, 2**52 + 1, 0)
+
+
+def test_with_votes_takes_only_an_integer_array():
+    col = UnitCollection([VotingUnit(uid, poly(square(x, 0, x + 1, 1)), 1, 1)
+                          for uid, x in (("C", 0), ("A", 1))])
+    for counts in ([(1, 2), (3, 4)], np.array([(1.0, 2.0), (3.0, 4.0)]),
+                   np.asarray([(0, 2**63), (0, 0)]), np.array([(True, False)] * 2)):
+        with pytest.raises(TypeError, match="^vote counts must be an \\(n, 2\\) integer array$"):
+            col.with_votes(counts)
+    with pytest.raises(ValueError):
+        col.with_votes(np.array([1, 2, 3, 4]))
+
+
+def test_a_bad_count_is_named_without_building_a_polygon_set(monkeypatch):
+    col = parse_geojson(json.dumps(grid_mosaic(3, 1, seed=0)))  # no PolygonSet built yet
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("PolygonSet built")
+
+    monkeypatch.setattr(PolygonSet, "__init__", refuse)
+    with pytest.raises(GeometryError, match=f"^unit {col.ids[1]}: negative vote count$"):
+        col.with_votes(np.array([(1, 1), (2, -1), (-3, 2**53)]))
+    with pytest.raises(GeometryError, match=f"^unit {col.ids[2]}: vote count above 2\\*\\*52$"):
+        col.with_votes(np.array([(1, 1), (0, 0), (2**53, 0)]))

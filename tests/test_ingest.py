@@ -13,7 +13,6 @@ from gerrytda.geometry import (Bounds, PolygonSet, Ring, UnitCollection, UnitKin
                                VotingUnit, polygon_area)
 from gerrytda.ingest import (
     JoinReport,
-    VoteRow,
     VoteTable,
     join_units,
     parse_geojson,
@@ -40,10 +39,9 @@ def collection(features):
 
 def test_parse_single_square():
     col = parse_geojson(collection([square_feature("P01", 0, 0)]))
-    assert len(col) == 1
-    u = col.by_id("P01")
-    assert u.dem_votes == 0 and u.rep_votes == 0
-    assert polygon_area(u.geometry) == 1.0
+    assert len(col) == 1 and col.ids == ("P01",)
+    assert col.dem.tolist() == [0] and col.rep.tolist() == [0]
+    assert polygon_area(col.geometries[0]) == 1.0
 
 
 def test_parse_multipolygon_with_hole():
@@ -54,7 +52,8 @@ def test_parse_multipolygon_with_hole():
             "geometry": {"type": "MultiPolygon",
                          "coordinates": [[outer, hole], [island]]}}
     col = parse_geojson(collection([feat]))
-    assert polygon_area(col.by_id("M").geometry) == pytest.approx(16.0 - 1.0 + 1.0)
+    assert col.ids == ("M",)
+    assert polygon_area(col.geometries[0]) == pytest.approx(16.0 - 1.0 + 1.0)
 
 
 def test_parse_large_collection():
@@ -86,7 +85,7 @@ def test_parse_duplicate_id():
 def test_parse_custom_id_property():
     feat = square_feature("ignored", 0, 0, props={"name": "W1"})
     col = parse_geojson(collection([feat]), id_property="name")
-    assert col.by_id("W1").id == "W1"
+    assert col.ids == ("W1",)
 
 
 def test_parse_not_a_collection():
@@ -96,7 +95,7 @@ def test_parse_not_a_collection():
 
 def test_parse_kind_override():
     col = parse_geojson(collection([square_feature("D1", 0, 0)]), kind=UnitKind.DISTRICT)
-    assert col.by_id("D1").kind is UnitKind.DISTRICT
+    assert col.ids == ("D1",) and col.kinds == (UnitKind.DISTRICT,)
 
 
 UNIT_SQUARE = [[0, 0], [1, 0], [1, 1], [0, 1], [0, 0]]
@@ -223,8 +222,7 @@ def assert_same_units(doc):
             assert got.dtype == ref.dtype and bits(got) == bits(ref), name
             assert not got.flags.writeable
         assert col.bounds == functools.reduce(Bounds.union, [g.bounds for g in refs])
-    for unit, ref in zip(parsed, refs):
-        got = unit.geometry
+    for got, ref in zip(parsed.geometries, refs):
         assert (len(got.outers), len(got.holes)) == (len(ref.outers), len(ref.holes))
         for a, b in zip(got.rings(), ref.rings()):
             assert bits(a.vertices) == bits(b.vertices)
@@ -319,10 +317,10 @@ def test_hole_free_map_runs_without_geometry_objects(monkeypatch):
 
 def test_joins_of_one_map_share_its_geometries():
     geo = parse_geojson(json.dumps(grid_mosaic(5, 3, seed=0)))
-    first, _ = join_units(geo, [VoteRow(geo.ids[0], 1, 2)])
-    second, _ = join_units(geo, [VoteRow(geo.ids[1], 3, 4)])
+    first, _ = join_units(geo, votes((geo.ids[0], 1, 2)))
+    second, _ = join_units(geo, votes((geo.ids[1], 3, 4)))
     assert first.geometries is second.geometries is geo.geometries
-    assert first[0].geometry is second[0].geometry
+    assert first.geometries[0] is second.geometries[0]
 
 
 # === round trip ===
@@ -337,22 +335,33 @@ def test_geojson_round_trip():
     ]
     col = parse_geojson(collection(feats))
     back = parse_geojson(json.dumps(to_geojson(col)))
-    assert [u.id for u in back] == [u.id for u in col]
-    for a, b in zip(col, back):
-        assert (a.dem_votes, a.rep_votes, a.kind) == (b.dem_votes, b.rep_votes, b.kind)
-        assert polygon_area(b.geometry) == pytest.approx(polygon_area(a.geometry), rel=1e-9)
+    assert back.ids == col.ids
+    assert (back.dem.tolist(), back.rep.tolist(), back.kinds) == \
+        (col.dem.tolist(), col.rep.tolist(), col.kinds)
+    for a, b in zip(col.geometries, back.geometries):
+        assert polygon_area(b) == pytest.approx(polygon_area(a), rel=1e-9)
 
 
 # === parse_votes_csv ===
 
+def rows_of(table):
+    """A VoteTable's rows as (unit_id, dem, rep) tuples."""
+    return list(zip(table.ids, table.dem.tolist(), table.rep.tolist()))
+
+
+def votes(*rows):
+    """A VoteTable of (unit_id, dem, rep) rows."""
+    return VoteTable([r[0] for r in rows], [r[1] for r in rows], [r[2] for r in rows])
+
+
 def test_votes_basic():
     rows = parse_votes_csv("unit_id,dem_votes,rep_votes\nP01,150,50\n")
-    assert rows == [VoteRow("P01", 150, 50)]
+    assert rows_of(rows) == [("P01", 150, 50)]
 
 
 def test_votes_whitespace_tolerated():
     rows = parse_votes_csv("unit_id, dem_votes, rep_votes\n P01 , 1 , 2 \n")
-    assert rows == [VoteRow("P01", 1, 2)]
+    assert rows_of(rows) == [("P01", 1, 2)]
 
 
 def test_votes_negative_count():
@@ -377,7 +386,7 @@ def test_votes_empty_file():
 
 def test_votes_lone_carriage_return_ends_a_row():
     rows = parse_votes_csv("unit_id,dem_votes,rep_votes\rP01,1,2\r\nP02,3,4\rP03,5,6")
-    assert rows == [VoteRow("P01", 1, 2), VoteRow("P02", 3, 4), VoteRow("P03", 5, 6)]
+    assert rows_of(rows) == [("P01", 1, 2), ("P02", 3, 4), ("P03", 5, 6)]
     with pytest.raises(IngestError, match="^row 3: non-integer count 'x'$"):
         parse_votes_csv("unit_id,dem_votes,rep_votes\rP01,1,2\rP02,x,4\r")
 
@@ -391,13 +400,17 @@ def test_votes_parse_to_a_read_only_table():
     rows = parse_votes_csv("unit_id,dem_votes,rep_votes\nP01,150,50\nP02,3,4\n")
     assert isinstance(rows, VoteTable) and len(rows) == 2
     assert rows.ids == ("P01", "P02")
-    assert rows[1] == VoteRow("P02", 3, 4) and rows[-1] == rows[1]
-    assert rows[:1] == [VoteRow("P01", 150, 50)]
     assert rows.dem.dtype == np.int64 and rows.rep.tolist() == [50, 4]
     with pytest.raises(ValueError):
         rows.dem[0] = 1
-    assert rows != [VoteRow("P01", 150, 50)]
-    assert rows != "P01"
+
+
+def test_vote_table_columns_must_be_of_one_length():
+    with pytest.raises(ValueError, match="^vote columns of unequal length: 1 ids, 3 dem, 3 rep$"):
+        VoteTable(["P0001"], [5, 9, 9], [6, 9, 9])
+    with pytest.raises(ValueError, match="^vote columns of unequal length: 2 ids, 1 dem, 2 rep$"):
+        VoteTable(["P0000", "P0001"], [5], [6, 7])
+    assert len(VoteTable([], [], [])) == 0
 
 
 COUNT_CAP = 2**52
@@ -413,7 +426,7 @@ def test_votes_count_above_cap_is_an_error(cell):
 
 def test_votes_count_at_cap_is_kept():
     rows = parse_votes_csv(f"unit_id,dem_votes,rep_votes\nP01,{COUNT_CAP},{COUNT_CAP}\n")
-    assert rows == [VoteRow("P01", COUNT_CAP, COUNT_CAP)]
+    assert rows_of(rows) == [("P01", COUNT_CAP, COUNT_CAP)]
 
 
 @pytest.mark.parametrize("key", ["dem_votes", "rep_votes"])
@@ -422,14 +435,14 @@ def test_geojson_count_above_cap_is_an_error(key):
     with pytest.raises(IngestError, match=f"^feature 1: {key} above 2\\*\\*52$"):
         parse_geojson(collection(feats))
     feats[1] = square_feature("B", 1, 0, props={key: COUNT_CAP})
-    assert getattr(parse_geojson(collection(feats)).by_id("B"), key) == COUNT_CAP
+    assert getattr(parse_geojson(collection(feats)), key[:3])[1] == COUNT_CAP
 
 
 def test_byte_order_mark_is_accepted():
     csv_text = "unit_id,dem_votes,rep_votes\nP01,1,2\n"
     for text in ("\ufeff" + csv_text, "\ufeff" + csv_text.replace("1,2", '"1",2')):
-        assert parse_votes_csv(text) == [VoteRow("P01", 1, 2)]
-        assert parse_votes_csv(text.encode()) == [VoteRow("P01", 1, 2)]
+        assert rows_of(parse_votes_csv(text)) == [("P01", 1, 2)]
+        assert rows_of(parse_votes_csv(text.encode())) == [("P01", 1, 2)]
     geo_text = collection([square_feature("P01", 0, 0)])
     for text in ("\ufeff" + geo_text, ("\ufeff" + geo_text).encode()):
         assert parse_geojson(text).ids == ("P01",)
@@ -452,10 +465,13 @@ def test_votes_cell_over_the_csv_field_limit_is_an_ingest_error():
 
 
 def ingest_outcome(parse, text):
+    """The rows of the VoteTable that parse gives, or its IngestError."""
     try:
-        return parse(text)
+        table = parse(text)
     except IngestError as e:
         return f"IngestError: {e}"
+    assert isinstance(table, VoteTable)
+    return rows_of(table)
 
 
 # cells the row loop accepts, and cells that make it fail
@@ -496,7 +512,7 @@ def votes_texts(draw):
 @example("unit_id,dem_votes,rep_votes\nP1\r,1,2\n")  # a lone CR ends a row
 def test_votes_parse_gives_a_table_or_an_ingest_error(text):
     outcome = ingest_outcome(parse_votes_csv, text)
-    assert isinstance(outcome, (VoteTable, str))
+    assert isinstance(outcome, (list, str))
     assert ingest_outcome(parse_votes_csv, text.encode()) == outcome
     assert ingest_outcome(parse_votes_csv, text.removeprefix("\ufeff")) == outcome
 
@@ -509,16 +525,14 @@ def geo_of(ids):
 
 def test_join_fills_missing_with_token_votes():
     geo = geo_of(["A", "B", "C"])
-    votes = [VoteRow("A", 100, 50), VoteRow("C", 30, 70)]
-    joined, rep = join_units(geo, votes)
+    joined, rep = join_units(geo, votes(("A", 100, 50), ("C", 30, 70)))
     assert rep == JoinReport(matched=2, filled_missing=1, orphan_vote_rows=())
-    assert joined.by_id("B").dem_votes == 10 and joined.by_id("B").rep_votes == 10
+    assert joined.dem[1] == 10 and joined.rep[1] == 10
 
 
 def test_join_reports_orphans():
     geo = geo_of(["A"])
-    votes = [VoteRow("A", 1, 2), VoteRow("Z", 5, 5)]
-    joined, rep = join_units(geo, votes)
+    joined, rep = join_units(geo, votes(("A", 1, 2), ("Z", 5, 5)))
     assert rep.orphan_vote_rows == ("Z",)
     assert rep.matched == 1 and rep.filled_missing == 0
     assert len(joined) == 1
@@ -526,12 +540,11 @@ def test_join_reports_orphans():
 
 def test_join_idempotent():
     geo = geo_of(["A", "B"])
-    votes = [VoteRow("A", 3, 4)]
-    first, rep1 = join_units(geo, votes)
-    second, rep2 = join_units(first, votes)
+    table = votes(("A", 3, 4))
+    first, rep1 = join_units(geo, table)
+    second, rep2 = join_units(first, table)
     assert rep1 == rep2
-    assert [(u.dem_votes, u.rep_votes) for u in first] == \
-           [(u.dem_votes, u.rep_votes) for u in second]
+    assert (first.dem.tolist(), first.rep.tolist()) == (second.dem.tolist(), second.rep.tolist())
 
 
 @settings(max_examples=60, deadline=None)
@@ -541,8 +554,7 @@ def test_join_report_arithmetic(data):
     geo = geo_of(ids)
     vote_ids = data.draw(st.lists(
         st.sampled_from(ids + ["X1", "X2", "X3"]), unique=True, max_size=11))
-    votes = [VoteRow(u, 1, 2) for u in vote_ids]
-    joined, rep = join_units(geo, votes)
+    joined, rep = join_units(geo, votes(*[(u, 1, 2) for u in vote_ids]))
     assert rep.matched + rep.filled_missing == len(geo) == len(joined)
     assert rep.matched == len([u for u in vote_ids if u in ids])
     assert set(rep.orphan_vote_rows) == {u for u in vote_ids if u not in ids}
@@ -551,39 +563,29 @@ def test_join_report_arithmetic(data):
 @settings(max_examples=60, deadline=None)
 @given(st.lists(st.tuples(st.sampled_from(["U0", "U1", "U2", "U3", "X1"]),
                           st.integers(0, 50), st.integers(0, 50)), max_size=8))
-def test_join_reads_a_table_and_a_row_list_alike(rows):
+def test_join_takes_the_last_row_of_a_unit_named_twice(rows):
     geo = geo_of(["U0", "U1", "U2", "U3"])
-    votes = [VoteRow(*r) for r in rows]
-    from_list, rep_list = join_units(geo, votes)
-    by_id = {v.unit_id: (v.dem_votes, v.rep_votes) for v in votes}  # the last row wins
-    assert [(u.dem_votes, u.rep_votes) for u in from_list] == \
-        [by_id.get(uid, (10, 10)) for uid in geo.ids]
-    assert rep_list.orphan_vote_rows == tuple(v.unit_id for v in votes if v.unit_id == "X1")
-    unique = list({v.unit_id: v for v in votes}.values())
-    table = VoteTable([v.unit_id for v in unique], [v.dem_votes for v in unique],
-                      [v.rep_votes for v in unique])
-    from_table, rep_table = join_units(geo, table)
-    assert from_table.dem.tolist() == from_list.dem.tolist()
-    assert from_table.rep.tolist() == from_list.rep.tolist()
-    assert rep_table.matched == rep_list.matched
-    assert rep_table.filled_missing == rep_list.filled_missing
-    from_unique, rep_unique = join_units(geo, unique)
-    assert rep_unique == rep_table and from_unique.units == from_table.units
+    table = votes(*rows)
+    joined, rep = join_units(geo, table)
+    last = {uid: (d, r) for uid, d, r in rows}
+    assert list(zip(joined.dem.tolist(), joined.rep.tolist())) == \
+        [last.get(uid, (10, 10)) for uid in geo.ids]
+    assert rep.orphan_vote_rows == tuple(uid for uid, _, _ in rows if uid == "X1")
+    unique, rep_unique = join_units(geo, votes(*[(uid, *c) for uid, c in last.items()]))
+    assert unique.dem.tolist() == joined.dem.tolist()
+    assert unique.rep.tolist() == joined.rep.tolist()
+    assert rep_unique.matched == rep.matched
+    assert rep_unique.filled_missing == rep.filled_missing
 
 
 def test_join_rejects_bad_counts_naming_the_unit():
     geo = geo_of(["A", "B", "C"])
     with pytest.raises(GeometryError, match="^unit B: negative vote count$"):
-        join_units(geo, [VoteRow("A", 1, 1), VoteRow("B", -1, 1), VoteRow("C", -2, 1)])
-    with pytest.raises(GeometryError, match="^unit C: vote count above 2\\*\\*52$"):
-        join_units(geo, [VoteRow("C", 2**63, 1)])
+        join_units(geo, votes(("A", 1, 1), ("B", -1, 1), ("C", -2, 1)))
     with pytest.raises(GeometryError, match="^unit A: vote count above 2\\*\\*52$"):
-        join_units(geo, [VoteRow("A", 2**52 + 1, 1)])
-    with pytest.raises(GeometryError, match="^unit B: negative vote count$"):
-        join_units(geo, [VoteRow("B", -2**64, 1)])
+        join_units(geo, votes(("A", 2**52 + 1, 1)))
     # an orphan row's counts are never read, whatever their size; a unit named
     # twice takes its last row
-    for big in (2**60, 2**63, -2**64):
-        joined, rep = join_units(geo, [VoteRow("Z", big, 1), VoteRow("A", 2**63, 1),
-                                       VoteRow("A", 3, 4)])
-        assert rep.orphan_vote_rows == ("Z",) and joined.by_id("A").dem_votes == 3
+    for big in (2**60, -2**60):
+        joined, rep = join_units(geo, votes(("Z", big, 1), ("A", big, 1), ("A", 3, 4)))
+        assert rep.orphan_vote_rows == ("Z",) and joined.dem[0] == 3

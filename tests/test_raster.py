@@ -123,8 +123,8 @@ def test_rasterize_matches_pointwise_membership():
             for cc in range(ras.grid.width):
                 c = ras.grid.center(cc, row)
                 want = BACKGROUND
-                for idx, u in enumerate(col):
-                    if point_in_polygon(c, u.geometry):
+                for idx, g in enumerate(col.geometries):
+                    if point_in_polygon(c, g):
                         want = idx
                         break
                 assert ras.labels[row, cc] == want
@@ -155,7 +155,8 @@ def overlay_units(cols, rows, rng):
        width=st.integers(1, 24), overlay=st.booleans())
 def test_rasterize_matches_pointwise_membership_on_mosaics(cols, rows, seed, width, overlay):
     # every pixel goes to the last unit whose polygon holds its center
-    units = list(parse_geojson(json.dumps(grid_mosaic(cols, rows, seed=seed))))
+    p = parse_geojson(json.dumps(grid_mosaic(cols, rows, seed=seed)))
+    units = list(map(VotingUnit, p.ids, p.geometries, p.dem.tolist(), p.rep.tolist()))
     if overlay:
         units += overlay_units(cols, rows, np.random.default_rng(seed))
     col = UnitCollection(units)
@@ -164,7 +165,7 @@ def test_rasterize_matches_pointwise_membership_on_mosaics(cols, rows, seed, wid
         for cc in range(ras.grid.width):
             c = ras.grid.center(cc, row)
             want = next((idx for idx in reversed(range(len(col)))
-                         if point_in_polygon(c, col[idx].geometry)), BACKGROUND)
+                         if point_in_polygon(c, col.geometries[idx])), BACKGROUND)
             assert ras.labels[row, cc] == want, (row, cc)
 
 
@@ -227,12 +228,11 @@ def test_margin_field_piecewise_constant():
 
 
 def test_margin_field_sign_flip_exact():
-    units = UnitCollection([
-        rect_unit("A", 0, 0, 0.5, 1, dem=150, rep=50),
-        rect_unit("B", 0.5, 0, 1, 1, dem=30, rep=70),
-    ])
+    rects = [rect_unit("A", 0, 0, 0.5, 1, dem=150, rep=50),
+             rect_unit("B", 0.5, 0, 1, 1, dem=30, rep=70)]
+    units = UnitCollection(rects)
     flipped = UnitCollection([replace(u, dem_votes=u.rep_votes, rep_votes=u.dem_votes)
-                              for u in units])
+                              for u in rects])
     ras = rasterize(units, width=8)
     for mode in MarginMode:
         f = margin_field(ras, units, mode)
@@ -261,7 +261,9 @@ def margin_field_reference(raster, units, mode):
     present = [int(i) for i in np.unique(labels) if i >= 0]
     margins = np.zeros(len(units), dtype=np.float64)
     for idx in present:
-        margins[idx] = unit_margin(units[idx], mode)
+        unit = VotingUnit(units.ids[idx], units.geometries[idx], int(units.dem[idx]),
+                          int(units.rep[idx]))
+        margins[idx] = unit_margin(unit, mode)
     normalizer = 1.0
     if mode is MarginMode.DENSITY:
         normalizer = float(np.max(np.abs(margins[present]))) if present else 0.0
@@ -286,7 +288,8 @@ def test_margin_field_matches_the_per_unit_reference(cols, rows, seed, width, pa
     small, big = st.integers(0, 3), st.integers(0, 2**52)
     counts = data.draw(st.lists(st.one_of(st.tuples(small, small), st.tuples(big, big)),
                                 min_size=cols * rows, max_size=cols * rows))
-    units = parse_geojson(json.dumps(grid_mosaic(cols, rows, seed=seed))).with_votes(counts)
+    units = parse_geojson(json.dumps(grid_mosaic(cols, rows, seed=seed))).with_votes(
+        np.array(counts, dtype=np.int64))
     b = units.bounds
     ras = rasterize(units, width, Bounds(b.minx - pad, b.miny, b.maxx + pad, b.maxy + pad))
     for mode in MarginMode:
@@ -315,8 +318,8 @@ def test_margin_field_names_the_first_voteless_unit_that_claims_a_pixel():
     ras = rasterize(units, width=4)
     for counts, name in (([(0, 0), (0, 0), (0, 0)], "A"), ([(0, 0), (1, 2), (0, 0)], "B")):
         with pytest.raises(MarginError, match=f"^unit {name}: zero total votes$"):
-            margin_field(ras, units.with_votes(counts), MarginMode.RELATIVE)
-    assert margin_field(ras, units.with_votes([(0, 0), (1, 2), (0, 0)]),
+            margin_field(ras, units.with_votes(np.array(counts)), MarginMode.RELATIVE)
+    assert margin_field(ras, units.with_votes(np.array([(0, 0), (1, 2), (0, 0)])),
                         MarginMode.DENSITY).normalizer == 0.5
 
 
@@ -327,8 +330,8 @@ def test_rasterize_labels_each_map_once_per_width_and_bounds(monkeypatch):
     monkeypatch.setattr(raster, "_label", lambda *args: calls.append(args[1:]) or label(*args))
     text = json.dumps(grid_mosaic(5, 4, seed=2))
     geo = parse_geojson(text)
-    first = rasterize(geo.with_votes([(1, 2)] * 20), 32)
-    assert rasterize(geo.with_votes([(3, 1)] * 20), 32) is first
+    first = rasterize(geo.with_votes(np.array([(1, 2)] * 20)), 32)
+    assert rasterize(geo.with_votes(np.array([(3, 1)] * 20)), 32) is first
     assert rasterize(geo, 32, geo.bounds) is first
     assert len(calls) == 1
     wider = Bounds(geo.bounds.minx, geo.bounds.miny, geo.bounds.maxx + 1, geo.bounds.maxy)

@@ -13,7 +13,6 @@ from gerrytda.persistence import INF, barcode
 from gerrytda.complexes import build_levelset_filtration, uniform_schedule
 from gerrytda.report import (
     AnalysisConfig,
-    cross_year_matrix,
     levelset_snapshot_bytes,
     render_barcode_svg,
     run_year,
@@ -152,32 +151,6 @@ def test_run_years_labels_each_map_once(island_files, monkeypatch):
                for i, plan in enumerate(("packed", "packed", "cracked", "cracked"))]
     run_years(configs)
     assert len(calls) == 3 and len(set(calls)) == 3
-
-
-# === cross-year matrices ===
-
-def test_cross_year_matrix_packed_vs_cracked(island_files):
-    years = run_years([island_config(island_files, "packed", year="a"),
-                       island_config(island_files, "cracked", year="b")])
-    labels, pm = cross_year_matrix(years, "precinct")
-    assert labels == ["a", "b"]
-    assert pm[0, 1] == 0.0  # identical precinct inputs
-    _, dm = cross_year_matrix(years, "district")
-    assert dm[0, 1] == pytest.approx(0.38)
-
-
-def test_cross_year_matrix_single_year(island_files):
-    years = [run_year(island_config(island_files, "packed"))]
-    labels, m = cross_year_matrix(years, "precinct")
-    assert m.shape == (1, 1) and m[0, 0] == 0.0
-
-
-def test_cross_year_matrix_validates_selector(island_files):
-    with pytest.raises(ParameterError):
-        cross_year_matrix([], "precinct")
-    years = [run_year(island_config(island_files, "packed"))]
-    with pytest.raises(ParameterError):
-        cross_year_matrix(years, "county")
 
 
 # === SVG rendering ===
