@@ -25,9 +25,7 @@ from .geometry import (
     Ring,
     UnitCollection,
     UnitKind,
-    VotingUnit,
     point_in_polygon,
-    polygon_area,
     polygon_perimeter,
 )
 from .ingest import (
@@ -45,7 +43,6 @@ from .raster import (
     MarginMode,
     margin_field,
     rasterize,
-    read_margin_pgm,
     write_margin_pgm,
 )
 from .complexes import (
@@ -56,16 +53,13 @@ from .complexes import (
     detect_adjacency,
     flag_filtration,
     uniform_schedule,
-    win_margin,
 )
 from .persistence import (
     INF,
     Barcode,
-    BettiProfile,
     PersistencePair,
     barcode,
     betti_oracle,
-    betti_profile,
     levelset_barcode,
     read_barcode_json,
 )

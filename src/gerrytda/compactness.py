@@ -14,21 +14,15 @@ from dataclasses import dataclass
 from typing import Sequence
 
 from .errors import DegenerateSampleError, GeometryError, ParameterError
-from .geometry import (
-    Point2,
-    PolygonSet,
-    UnitCollection,
-    polygon_area,
-    polygon_perimeter,
-)
+from .geometry import Point2, PolygonSet, UnitCollection, polygon_perimeter
 
 
 def polsby_popper(geom: PolygonSet) -> float:
     """4 pi A / P^2, holes counted in both area and boundary length."""
-    perimeter = polygon_perimeter(geom, include_holes=True)
+    perimeter = polygon_perimeter(geom)
     if perimeter <= 0.0:
         raise GeometryError("zero perimeter")
-    return 4.0 * math.pi * polygon_area(geom) / (perimeter * perimeter)
+    return 4.0 * math.pi * geom.area / (perimeter * perimeter)
 
 
 def _circle_two(p, q):
@@ -90,7 +84,7 @@ def reock(geom: PolygonSet) -> float:
     _, r = min_enclosing_circle(geom.edges[:, :2])
     if r <= 0.0:
         raise GeometryError("degenerate geometry: enclosing radius is zero")
-    return polygon_area(geom) / (math.pi * r * r)
+    return geom.area / (math.pi * r * r)
 
 
 @dataclass(frozen=True)

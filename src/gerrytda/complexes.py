@@ -31,7 +31,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import ComplexError, MarginError, ParameterError, StructureError
+from .errors import ComplexError, ParameterError, StructureError
 from .geometry import UnitCollection
 from .raster import MarginField, _ranges
 
@@ -169,15 +169,6 @@ def _vertex_levels(values: np.ndarray, background: np.ndarray,
     return lv.astype(np.int64)
 
 
-def _sweep_levels(field: MarginField, schedule: LevelSchedule,
-                  polarity: str) -> np.ndarray:
-    """Vertex levels of a field; ComplexError when no pixel ever enters."""
-    lv = _vertex_levels(field.values, field.background, schedule, polarity)
-    if np.all(lv == _EXCLUDED):
-        raise ComplexError("empty complex: all pixels background or never active")
-    return lv
-
-
 def build_levelset_filtration(field: MarginField, schedule: LevelSchedule,
                               polarity: str = "democratic") -> FilteredComplex:
     """Cubical filtration of the margin field under the threshold sweep.
@@ -187,8 +178,10 @@ def build_levelset_filtration(field: MarginField, schedule: LevelSchedule,
     max of their corners. Pixels that never activate (background, or margin
     at or above the top threshold) contribute no cells at all.
     """
-    lv = _sweep_levels(field, schedule, polarity)
+    lv = _vertex_levels(field.values, field.background, schedule, polarity)
     active = lv != _EXCLUDED
+    if not active.any():
+        raise ComplexError("empty complex: all pixels background or never active")
     h, w = lv.shape
 
     vid = np.full((h, w), -1, dtype=np.int64)
@@ -421,13 +414,6 @@ def flag_filtration(vertex_levels: Sequence[int],
     return _sorted_complex(dims, levels, lens, flat, num_levels, thresholds)
 
 
-def win_margin(dem: int, rep: int, unit_id: str) -> float:
-    total = dem + rep
-    if total == 0:
-        raise MarginError(f"unit {unit_id}: zero total votes")
-    return abs(dem - rep) / total
-
-
 def build_adjacency_filtration(units: UnitCollection, schedule: LevelSchedule,
                                kind: str = "queen",
                                party: str = "republican") -> FilteredComplex:
@@ -444,6 +430,6 @@ def build_adjacency_filtration(units: UnitCollection, schedule: LevelSchedule,
     won = rep > dem if party == "republican" else dem > rep
     with np.errstate(invalid="ignore"):  # 0 / 0 for a unit without votes, never won
         k = np.searchsorted(schedule.thresholds, np.abs(dem - rep) / (dem + rep),
-                            side="right")  # thresholds <= win_margin
+                            side="right")  # thresholds <= the win margin
     levels = np.where(won & (k >= 1), L + 1 - k, _EXCLUDED)
     return flag_filtration(levels, np.column_stack(_adjacency_pairs(units, kind)), L, None)

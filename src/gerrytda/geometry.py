@@ -1,4 +1,4 @@
-"""Planar polygon primitives and the voting-unit data model.
+"""Planar polygon primitives and the unit collection a parsed map becomes.
 
 Coordinates are assumed to live in a planar projection already; nothing in
 here knows about longitude/latitude. Areas come from the shoelace formula,
@@ -17,9 +17,9 @@ as Ring and PolygonSet would.
 
 A UnitCollection is a map in columns: the edge table, each unit's edge
 count, box and area, and votes as two read-only int64 arrays (counts at
-most MAX_VOTES). VotingUnit objects go in, through UnitCollection(units);
-none comes out. A unit's PolygonSet is built from the columns only when
-geometries is asked for. A memo keeps what depends on geometry alone
+most MAX_VOTES). ingest.parse_geojson is the one way to build one. A
+unit's PolygonSet is built from the columns only when geometries is
+asked for. A memo keeps what depends on geometry alone
 (geometries, adjacency, label rasters); with_votes swaps the vote arrays,
 given as one (n, 2) integer array, and shares the rest, memo included.
 """
@@ -220,22 +220,14 @@ def _area(outer_areas: Sequence[float], hole_areas: Sequence[float]) -> float:
     return float(sum(map(abs, outer_areas)) - sum(map(abs, hole_areas)))
 
 
-def polygon_area(geom: PolygonSet) -> float:
-    """Total enclosed area: outer rings minus holes, orientation-independent."""
-    return geom.area
-
-
-def polygon_perimeter(geom: PolygonSet, include_holes: bool = False) -> float:
-    """Boundary length of the outer rings; hole boundaries only on request."""
+def polygon_perimeter(geom: PolygonSet) -> float:
+    """Boundary length: the outer rings' lengths summed, plus the holes' summed."""
     e = geom.edges
     lengths = np.hypot(e[:, 2] - e[:, 0], e[:, 3] - e[:, 1])
     ends = np.cumsum([len(r) for r in geom.rings()])
     per_ring = [float(np.sum(part)) for part in np.split(lengths, ends[:-1])]
     n = len(geom.outers)
-    p = sum(per_ring[:n])
-    if include_holes:
-        p += sum(per_ring[n:])
-    return float(p)
+    return float(sum(per_ring[:n]) + sum(per_ring[n:]))
 
 
 def point_in_polygon(point: Point2 | tuple[float, float], geom: PolygonSet) -> bool:
@@ -249,23 +241,6 @@ class UnitKind(Enum):
     DISTRICT = "district"
 
 
-@dataclass(frozen=True)
-class VotingUnit:
-    id: str
-    geometry: PolygonSet
-    dem_votes: int
-    rep_votes: int
-    kind: UnitKind = UnitKind.PRECINCT
-
-    def __post_init__(self):
-        if self.dem_votes < 0 or self.rep_votes < 0:
-            raise GeometryError(f"unit {self.id}: negative vote count")
-        if self.dem_votes > MAX_VOTES or self.rep_votes > MAX_VOTES:
-            raise GeometryError(f"unit {self.id}: vote count above 2**52")
-        if self.geometry.area <= 0.0:
-            raise GeometryError(f"unit {self.id}: non-positive area")
-
-
 class UnitCollection:
     """Immutable voting units in columns, with a cached overall bounding box.
 
@@ -275,49 +250,26 @@ class UnitCollection:
     unit, edge_counts, boxes (minx, miny, maxx, maxy over the outer rings)
     and areas. geometries (a PolygonSet per unit) is built from edges on
     first access and kept in the memo (see memo), which only with_votes
-    shares. VotingUnit objects are the in-memory way in; the collection
-    keeps none of them.
+    shares. ingest.parse_geojson is the one caller of the constructor.
     """
 
     __slots__ = ("ids", "kinds", "dem", "rep", "edges", "edge_counts", "boxes", "areas",
                  "bounds", "_rings", "_index", "_geometry")
 
-    def __init__(self, units: Iterable[VotingUnit]):
-        units = tuple(units)
-        geoms = tuple(u.geometry for u in units)
-        rings = [r for g in geoms for r in g.rings()]
-        self._fill([u.id for u in units], [u.kind for u in units],
-                   [u.dem_votes for u in units], [u.rep_votes for u in units],
-                   np.concatenate([np.empty((0, 4))] + [g.edges for g in geoms]),
-                   np.cumsum([0] + [len(r) for r in rings]),
-                   [(len(g.outers), len(g.holes)) for g in geoms],
-                   [r.signed_area for r in rings])
-        self._geometry["geometries"] = geoms
-
-    @classmethod
-    def from_rings(cls, ids, kinds, dem, rep, edges, ring_ends, ring_counts, ring_areas):
+    def __init__(self, ids, kinds, dem, rep, edges, ring_ends, ring_counts, ring_areas):
         """Units over ring_table's edges and signed areas.
 
         Ring r is edges rows ring_ends[r]:ring_ends[r + 1]; unit i takes the
-        next ring_counts[i] = (outer, hole) rings, outers first. Each unit's
-        rings must make a valid PolygonSet, and each count lie in 0..MAX_VOTES;
-        nothing is checked.
+        next ring_counts[i] = (outer, hole) rings, outers first. The ids must
+        be distinct, each unit's rings must make a valid PolygonSet, and each
+        count lie in 0..MAX_VOTES; nothing is checked.
         """
-        col = cls.__new__(cls)
-        col._fill(ids, kinds, dem, rep, edges, ring_ends, ring_counts, ring_areas)
-        return col
-
-    def _fill(self, ids, kinds, dem, rep, edges, ring_ends, ring_counts, ring_areas) -> None:
         self.ids = tuple(ids)
         self.kinds = tuple(kinds)
         self.dem, self.rep = _read_only(dem, rep)
-        self._index = {}
-        for i, uid in enumerate(self.ids):
-            if self._index.setdefault(uid, i) != i:
-                raise GeometryError(f"duplicate unit id: {uid}")
+        self._index = {uid: i for i, uid in enumerate(self.ids)}
         counts = np.array(ring_counts, dtype=np.int64).reshape(-1, 2)
         first = np.concatenate(([0], np.cumsum(counts.sum(axis=1))))  # each unit's first ring
-        ring_ends = np.asarray(ring_ends)
         start = ring_ends[first[:-1]]
         stop = ring_ends[first[:-1] + counts[:, 0]]  # the end of the unit's outer rings
         # min and max over each unit's outer rows start:stop, then over its
@@ -352,9 +304,6 @@ class UnitCollection:
     def __len__(self) -> int:
         return len(self.ids)
 
-    def __contains__(self, unit_id: str) -> bool:
-        return unit_id in self._index
-
     def positions(self, ids: Iterable[str]) -> np.ndarray:
         """Each id's index in the collection, -1 for an id it lacks."""
         return np.array([self._index.get(uid, -1) for uid in ids], dtype=np.int64)
@@ -363,7 +312,7 @@ class UnitCollection:
         """The same units, in order, with new counts: an (n, 2) integer array of (dem, rep).
 
         Any other input raises TypeError. A count below 0 or above MAX_VOTES
-        raises VotingUnit's error for the first unit that has one.
+        raises GeometryError naming the first unit that has one.
         """
         if not isinstance(counts, np.ndarray) or counts.dtype.kind not in "iu":
             raise TypeError("vote counts must be an (n, 2) integer array")

@@ -212,8 +212,8 @@ def parse_geojson(text: str | bytes, id_property: str = "id",
                 raise IngestError(f"feature {i}: {e}") from e
             if geom.area <= 0.0:
                 raise IngestError(f"feature {i}: non-positive area")
-    return UnitCollection.from_rings(ids, kinds, votes[0::2], votes[1::2], edges, offsets,
-                                     ring_counts, areas)
+    return UnitCollection(ids, kinds, votes[0::2], votes[1::2], edges, offsets,
+                          ring_counts, areas)
 
 
 def to_geojson(units: UnitCollection, id_property: str = "id") -> dict:

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .complexes import _EXCLUDED, FilteredComplex, LevelSchedule, _sweep_levels
+from .complexes import _EXCLUDED, FilteredComplex, LevelSchedule, _vertex_levels
 from .errors import IngestError, ParameterError
 from .raster import MarginField
 
@@ -233,11 +233,13 @@ def levelset_barcode(field: MarginField, schedule: LevelSchedule,
     at level i + 1, and one holding an excluded or border pixel is never
     filled. A merge at level i keeps the child filled last and gives each
     other child the bar (i + 1, fill level). A planar complex has no H2.
+    A field in which no pixel ever enters has no bars (where
+    build_levelset_filtration raises ComplexError).
     """
     from scipy import ndimage
 
     L = schedule.num_levels
-    lv = _sweep_levels(field, schedule, polarity)
+    lv = _vertex_levels(field.values, field.background, schedule, polarity)
     lv = np.where(lv == _EXCLUDED, L + 1, lv)  # never active
     out = []
     labels = births = None
@@ -316,18 +318,3 @@ def betti_oracle(cx: FilteredComplex, level: int) -> tuple[int, int, int]:
     r1 = _gf2_rank(d1)
     r2 = _gf2_rank(d2)
     return (n0 - r1, (n1 - r1) - r2, n2 - r2)
-
-
-@dataclass(frozen=True)
-class BettiProfile:
-    """Betti numbers at every level of the sweep, 1-indexed like the levels."""
-
-    betti: tuple[tuple[int, int, int], ...]
-
-    def at(self, level: int) -> tuple[int, int, int]:
-        return self.betti[level - 1]
-
-
-def betti_profile(cx: FilteredComplex) -> BettiProfile:
-    return BettiProfile(tuple(betti_oracle(cx, lv)
-                              for lv in range(1, cx.num_levels + 1)))

@@ -166,11 +166,12 @@ def margin_field(raster: LabelRaster, units: UnitCollection,
     return MarginField(raster.grid, values, background, mode, normalizer)
 
 
-# === PGM interchange ===
+# === PGM export ===
 #
-# Margin fields travel as 16-bit big-endian P5 PGM plus a JSON sidecar with
-# the georeferencing and a run-length encoded background mask. Pixel order in
-# both the PGM payload and the RLE is the file order: top row first.
+# A margin field is written as 16-bit big-endian P5 PGM plus a JSON sidecar
+# with the georeferencing and a run-length encoded background mask; the
+# package reads neither back. Pixel order in both the PGM payload and the RLE
+# is the file order: top row first.
 
 def _encode_u16(values: np.ndarray) -> np.ndarray:
     return np.round((values + 1.0) / 2.0 * 65535.0).astype(np.uint16)
@@ -185,28 +186,13 @@ def _rle_encode(flat: np.ndarray) -> dict:
     return {"first": int(flat[0]), "runs": np.diff(edges).tolist()}
 
 
-def _rle_decode(enc: dict, size: int) -> np.ndarray:
-    out = np.empty(size, dtype=bool)
-    val = bool(enc["first"])
-    pos = 0
-    for run in enc["runs"]:
-        out[pos:pos + run] = val
-        pos += run
-        val = not val
-    if pos != size:
-        raise RasterError("background mask length mismatch")
-    return out
-
-
-def write_margin_pgm(field: MarginField, pgm_path: str | Path,
-                     sidecar_path: str | Path | None = None) -> None:
+def write_margin_pgm(field: MarginField, pgm_path: str | Path) -> None:
+    """The field as a PGM at pgm_path and its sidecar beside it, with suffix .json."""
     pgm_path = Path(pgm_path)
     flipped = field.values[::-1]  # file order: top row first
     data = _encode_u16(flipped)
     header = f"P5\n{field.grid.width} {field.grid.height}\n65535\n".encode("ascii")
     pgm_path.write_bytes(header + data.astype(">u2").tobytes())
-    if sidecar_path is None:
-        sidecar_path = pgm_path.with_suffix(".json")
     sidecar = {
         "width": field.grid.width,
         "height": field.grid.height,
@@ -216,31 +202,4 @@ def write_margin_pgm(field: MarginField, pgm_path: str | Path,
         "normalizer": field.normalizer,
         "background_mask": _rle_encode(field.background[::-1].ravel()),
     }
-    Path(sidecar_path).write_text(json.dumps(sidecar, sort_keys=True))
-
-
-def read_margin_pgm(pgm_path: str | Path,
-                    sidecar_path: str | Path | None = None) -> MarginField:
-    pgm_path = Path(pgm_path)
-    if sidecar_path is None:
-        sidecar_path = pgm_path.with_suffix(".json")
-    raw = pgm_path.read_bytes()
-    fields = raw.split(maxsplit=4)
-    if fields[0] != b"P5":
-        raise RasterError("not a P5 PGM file")
-    w, h, maxval = int(fields[1]), int(fields[2]), int(fields[3])
-    if maxval != 65535:
-        raise RasterError(f"expected 16-bit PGM, maxval {maxval}")
-    data = np.frombuffer(fields[4][:w * h * 2], dtype=">u2").reshape(h, w)
-    meta = json.loads(Path(sidecar_path).read_text())
-    if (meta["width"], meta["height"]) != (w, h):
-        raise RasterError("sidecar dimensions do not match PGM")
-    values = data.astype(np.float64) / 65535.0 * 2.0 - 1.0
-    background = _rle_decode(meta["background_mask"], w * h).reshape(h, w)
-    values = np.where(background, 0.0, values)[::-1].copy()
-    background = background[::-1].copy()
-    grid = Grid(w, h, Point2(meta["origin"][0], meta["origin"][1]), meta["pixel_size"])
-    values.setflags(write=False)
-    background.setflags(write=False)
-    return MarginField(grid, values, background, MarginMode(meta["mode"]),
-                       float(meta.get("normalizer", 1.0)))
+    pgm_path.with_suffix(".json").write_text(json.dumps(sidecar, sort_keys=True))

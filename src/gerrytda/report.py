@@ -5,7 +5,9 @@ precinct and district layers of a year, on one shared grid so the two
 barcodes live on the same threshold axis. write_outputs lays the results
 down as barcode JSON, level-set snapshots, SVG plots, distance and
 compactness CSVs, and a machine-readable report.json. Every file is written
-deterministically: same inputs, same bytes.
+deterministically: same inputs, same bytes. levelset_snapshots is the one
+snapshot writer: it makes a field's frames one level at a time, and
+write_outputs writes each before the next is made.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ import math
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Sequence
+from typing import Iterator, Sequence
 
 import numpy as np
 
@@ -190,22 +192,19 @@ def render_barcode_svg(bc: Barcode, dim: int) -> str:
     return "\n".join(lines) + "\n"
 
 
-def levelset_snapshot_bytes(field: MarginField, schedule: LevelSchedule,
-                            level: int, polarity: str = "democratic") -> bytes:
-    """8-bit PGM of one sweep step: active white, waiting black, background gray."""
-    if not (1 <= level <= schedule.num_levels):
-        raise ParameterError(f"level must be in 1..{schedule.num_levels}, got {level}")
+def levelset_snapshots(field: MarginField, schedule: LevelSchedule,
+                       polarity: str) -> Iterator[bytes]:
+    """8-bit PGM of each sweep step, levels 1 to L in turn, made as each is asked for.
+
+    Active pixels are white, waiting ones black and background gray.
+    """
     lv = _vertex_levels(field.values, field.background, schedule, polarity)
-    return _snapshot_pgm(lv, field.background, level)
-
-
-def _snapshot_pgm(lv: np.ndarray, background: np.ndarray, level: int) -> bytes:
-    """levelset_snapshot_bytes from the field's vertex levels."""
-    img = np.zeros(lv.shape, dtype=np.uint8)
-    img[(lv >= 1) & (lv <= level)] = 255
-    img[background] = 128
-    header = f"P5\n{img.shape[1]} {img.shape[0]}\n255\n".encode("ascii")
-    return header + img[::-1].tobytes()
+    header = f"P5\n{lv.shape[1]} {lv.shape[0]}\n255\n".encode("ascii")
+    for level in range(1, schedule.num_levels + 1):
+        img = np.zeros(lv.shape, dtype=np.uint8)
+        img[(lv >= 1) & (lv <= level)] = 255
+        img[field.background] = 128
+        yield header + img[::-1].tobytes()
 
 
 def _result_json(r: YearResult) -> dict:
@@ -237,7 +236,12 @@ def _result_json(r: YearResult) -> dict:
 
 def write_outputs(results: Sequence[YearResult], out_dir: str | Path,
                   dim: int = 1, snapshots: bool = True) -> None:
-    """Lay the full artifact set down under out_dir (created if missing)."""
+    """Lay the full artifact set down under out_dir (created if missing).
+
+    ParameterError, with nothing written, when results is empty.
+    """
+    if not results:
+        raise ParameterError("no year results to write")
     out = Path(out_dir)
     for sub in ("barcodes", "snapshots", "plots"):
         (out / sub).mkdir(parents=True, exist_ok=True)
@@ -253,11 +257,10 @@ def write_outputs(results: Sequence[YearResult], out_dir: str | Path,
                 render_barcode_svg(bc, dim))
             labels.append(name)
             diagrams.append(bc.diagram(dim))
-            if snapshots:  # as levelset_snapshot_bytes, levels found once a field
-                lv = _vertex_levels(fld.values, fld.background, r.schedule, r.polarity)
-                for level in range(1, r.schedule.num_levels + 1):
-                    (out / "snapshots" / f"{name}_level_{level:03d}.pgm").write_bytes(
-                        _snapshot_pgm(lv, fld.background, level))
+            if snapshots:
+                frames = levelset_snapshots(fld, r.schedule, r.polarity)
+                for level, frame in enumerate(frames, start=1):
+                    (out / "snapshots" / f"{name}_level_{level:03d}.pgm").write_bytes(frame)
 
     matrix = distance_matrix(labels, diagrams, bottleneck)
     (out / "distances.csv").write_text(matrix_to_csv(labels, matrix))

@@ -9,8 +9,12 @@ reduce_reference is the library's former reduce, every column through one
 set-based GF(2) loop, which persistence._pairing is held to. unit_margin is
 the library's former per-unit margin, Python int / int, which
 raster.margin_field is held to bit for bit.
+
+unit_map is not an oracle: it builds every test map the one way the library
+builds one, GeoJSON through parse_geojson, from feature dicts.
 """
 
+import json
 import math
 from dataclasses import dataclass
 from itertools import combinations, permutations
@@ -19,7 +23,25 @@ import numpy as np
 
 from gerrytda.complexes import _sorted_complex
 from gerrytda.errors import ComplexError, MarginError, ParameterError
+from gerrytda.ingest import parse_geojson
 from gerrytda.raster import MarginMode
+
+
+# === maps ===
+
+def feature(uid, *polygons, dem=0, rep=0):
+    """A GeoJSON Feature: a Polygon if one polygon is given, else a
+    MultiPolygon. Each polygon is a list of rings, outer ring first."""
+    coords = [[[[float(x), float(y)] for x, y in ring] for ring in rings] for rings in polygons]
+    geometry = ({"type": "Polygon", "coordinates": coords[0]} if len(coords) == 1
+                else {"type": "MultiPolygon", "coordinates": coords})
+    return {"type": "Feature", "properties": {"id": uid, "dem_votes": dem, "rep_votes": rep},
+            "geometry": geometry}
+
+
+def unit_map(features):
+    """The UnitCollection that parse_geojson makes of GeoJSON Feature dicts."""
+    return parse_geojson(json.dumps({"type": "FeatureCollection", "features": list(features)}))
 
 
 def _dist(x, y):
@@ -160,15 +182,14 @@ def paired_t_pvalue_quadrature(t, df):
 
 # === margins ===
 
-def unit_margin(unit, mode=MarginMode.RELATIVE):
-    """Signed margin of one unit; positive means more Democratic votes."""
-    diff = unit.dem_votes - unit.rep_votes
+def unit_margin(units, i, mode=MarginMode.RELATIVE):
+    """Signed margin of unit i; positive means more Democratic votes."""
+    dem, rep = int(units.dem[i]), int(units.rep[i])
     if mode is MarginMode.RELATIVE:
-        total = unit.dem_votes + unit.rep_votes
-        if total == 0:
-            raise MarginError(f"unit {unit.id}: zero total votes")
-        return diff / total
-    return diff / unit.geometry.area
+        if dem + rep == 0:
+            raise MarginError(f"unit {units.ids[i]}: zero total votes")
+        return (dem - rep) / (dem + rep)
+    return (dem - rep) / units.geometries[i].area
 
 
 # === unit adjacency ===

@@ -7,6 +7,7 @@ import pytest
 
 from gerrytda.cli import main
 from gerrytda.ingest import parse_geojson
+from gerrytda.synth import band_districts, votes_csv_text
 
 
 def run_cli(capsys, *args):
@@ -186,6 +187,25 @@ def test_run_writes_tree_and_headline(island_files, capsys, tmp_path):
     assert (out_dir / "snapshots" / "y22_precinct_level_001.pgm").exists()
     assert (out_dir / "compactness.csv").exists()
     assert (out_dir / "distances.csv").exists()
+
+
+def test_run_with_a_plan_no_pixel_of_which_enters_the_sweep(island_files, capsys, tmp_path):
+    # in density mode a one-district plan's only value normalizes to 1.0, the
+    # top threshold, so no district pixel enters the Democratic sweep
+    geo, votes = tmp_path / "state.geojson", tmp_path / "state.csv"
+    geo.write_text(json.dumps(band_districts(10, 10, 1)))
+    votes.write_text(votes_csv_text([("D01", 6000, 4000)]))
+    out_dir = tmp_path / "res"
+    code, out, err = run_cli(
+        capsys, "run", "--geo", island_files["precinct_geo"],
+        "--votes", island_files["precinct_votes"],
+        "--district-geo", str(geo), "--district-votes", str(votes),
+        "--width", "40", "--mode", "density", "--year", "y", "--out", str(out_dir))
+    assert (code, err) == (0, "")
+    assert out.startswith("y: H1 precinct/district bottleneck = ")
+    district = json.loads((out_dir / "barcodes" / "y_district.json").read_text())
+    assert district == {"num_levels": 25, "pairs": []}
+    assert len(list((out_dir / "snapshots").glob("y_district_level_*.pgm"))) == 25
 
 
 def test_run_no_snapshots(island_files, capsys, tmp_path):

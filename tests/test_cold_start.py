@@ -53,6 +53,9 @@ def test_scipy_free_commands_load_no_scipy(island_files, tmp_path):
     commands = [
         ["ingest", "--geo", island_files["precinct_geo"],
          "--votes", island_files["precinct_votes"], "--out", str(tmp_path / "units.geojson")],
+        ["rasterize", "--geo", island_files["precinct_geo"],
+         "--votes", island_files["precinct_votes"], "--width", "40",
+         "--out", str(tmp_path / "margin.pgm")],
         ["compactness", "--geo", island_files["packed_geo"], "--out", str(tmp_path / "s.csv")],
         ["ttest", *scores, "--out", str(tmp_path / "t.json")],
     ]

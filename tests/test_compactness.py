@@ -17,8 +17,8 @@ from gerrytda.compactness import (
     t_p_value,
 )
 from gerrytda.errors import DegenerateSampleError, ParameterError
-from gerrytda.geometry import PolygonSet, Ring, UnitCollection, VotingUnit
-from oracles import brute_min_enclosing_circle, paired_t_pvalue_quadrature
+from gerrytda.geometry import PolygonSet, Ring
+from oracles import brute_min_enclosing_circle, feature, paired_t_pvalue_quadrature, unit_map
 
 
 def rect(x0, y0, x1, y1):
@@ -133,9 +133,9 @@ def test_scores_scale_and_rigid_invariance():
 
 
 def test_score_units_csv():
-    units = UnitCollection([
-        VotingUnit("D1", rect(0, 0, 1, 1), 1, 2),
-        VotingUnit("D2", rect(0, 0, 10, 1), 3, 4),
+    units = unit_map([
+        feature("D1", [[(0, 0), (1, 0), (1, 1), (0, 1)]], dem=1, rep=2),
+        feature("D2", [[(0, 0), (10, 0), (10, 1), (0, 1)]], dem=3, rep=4),
     ])
     rows = score_units(units)
     assert rows[0] == CompactnessRow("D1", pytest.approx(math.pi / 4),

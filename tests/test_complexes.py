@@ -16,24 +16,20 @@ from gerrytda.complexes import (
     detect_adjacency,
     flag_filtration,
     uniform_schedule,
-    win_margin,
 )
 from gerrytda.errors import (
     ComplexError,
-    MarginError,
     ParameterError,
     StructureError,
 )
-from gerrytda.geometry import PolygonSet, Ring, UnitCollection, VotingUnit
-from gerrytda.ingest import VoteTable, join_units, parse_geojson
+from gerrytda.ingest import VoteTable, join_units, parse_geojson, to_geojson
 from gerrytda.persistence import betti_oracle
 from gerrytda.synth import field_from_array, grid_mosaic, mosaic_votes, torus_complex
-from oracles import adjacency_reference, flag_filtration_reference
+from oracles import adjacency_reference, feature, flag_filtration_reference, unit_map
 
 
 def rect_unit(uid, x0, y0, x1, y1, dem=10, rep=10):
-    ring = Ring([(x0, y0), (x1, y0), (x1, y1), (x0, y1)])
-    return VotingUnit(uid, PolygonSet([ring]), dem, rep)
+    return feature(uid, [[(x0, y0), (x1, y0), (x1, y1), (x0, y1)]], dem=dem, rep=rep)
 
 
 # === schedules ===
@@ -212,32 +208,32 @@ def test_empty_complex_rejected():
 # === adjacency detection ===
 
 def test_adjacency_shared_edge_is_both_kinds():
-    units = UnitCollection([rect_unit("A", 0, 0, 1, 1), rect_unit("B", 1, 0, 2, 1)])
+    units = unit_map([rect_unit("A", 0, 0, 1, 1), rect_unit("B", 1, 0, 2, 1)])
     assert detect_adjacency(units, "rook") == {("A", "B")}
     assert detect_adjacency(units, "queen") == {("A", "B")}
 
 
 def test_adjacency_corner_touch_is_queen_only():
-    units = UnitCollection([rect_unit("A", 0, 0, 1, 1), rect_unit("B", 1, 1, 2, 2)])
+    units = unit_map([rect_unit("A", 0, 0, 1, 1), rect_unit("B", 1, 1, 2, 2)])
     assert detect_adjacency(units, "queen") == {("A", "B")}
     assert detect_adjacency(units, "rook") == set()
 
 
 def test_adjacency_separated_is_neither():
-    units = UnitCollection([rect_unit("A", 0, 0, 1, 1), rect_unit("B", 2, 0, 3, 1)])
+    units = unit_map([rect_unit("A", 0, 0, 1, 1), rect_unit("B", 2, 0, 3, 1)])
     assert detect_adjacency(units, "queen") == set()
     assert detect_adjacency(units, "rook") == set()
 
 
 def test_adjacency_partial_edge_overlap():
     # B's left edge covers only part of A's right edge, with no shared vertex
-    units = UnitCollection([rect_unit("A", 0, 0, 1, 3), rect_unit("B", 1, 1, 2, 2)])
+    units = unit_map([rect_unit("A", 0, 0, 1, 3), rect_unit("B", 1, 1, 2, 2)])
     assert detect_adjacency(units, "rook") == {("A", "B")}
     assert detect_adjacency(units, "queen") == {("A", "B")}
 
 
 def test_adjacency_rejects_unknown_kind():
-    units = UnitCollection([rect_unit("A", 0, 0, 1, 1)])
+    units = unit_map([rect_unit("A", 0, 0, 1, 1)])
     with pytest.raises(ParameterError):
         detect_adjacency(units, "bishop")
 
@@ -252,7 +248,7 @@ def random_rect_tiling(rng, max_cells=5):
         for j in range(len(ycuts) - 1):
             units.append(rect_unit(f"U{i}_{j}", xcuts[i], ycuts[j],
                                    xcuts[i + 1], ycuts[j + 1]))
-    return UnitCollection(units)
+    return unit_map(units)
 
 
 def test_rook_subset_of_queen_on_random_tilings():
@@ -293,7 +289,7 @@ def test_adjacency_of_no_unit_one_unit_and_disjoint_units():
     lone = rect_unit("A", 0, 0, 1, 1)
     apart = [rect_unit(f"U{k}", 3 * k, 5 * (k % 2), 3 * k + 1, 5 * (k % 2) + 1)
              for k in range(6)]
-    for units in (UnitCollection([]), UnitCollection([lone]), UnitCollection(apart)):
+    for units in (unit_map([]), unit_map([lone]), unit_map(apart)):
         for kind in ("queen", "rook"):
             assert detect_adjacency(units, kind) == set()
 
@@ -397,7 +393,7 @@ def three_mutual_units(margins, dems=None):
         total = 1000
         rep = int(round(total * (1 + m) / 2))
         units.append(rect_unit(uid, x0, y0, x1, y1, dem=total - rep, rep=rep))
-    return UnitCollection(units)
+    return unit_map(units)
 
 
 def test_flag_landslide_triangle_at_level_one():
@@ -410,7 +406,7 @@ def test_flag_landslide_triangle_at_level_one():
 def test_flag_two_step_sweep_entry():
     # thresholds 0.90 then 0.95: a 0.93 winner misses the first cut only
     sched = LevelSchedule((0.90, 0.95))
-    units = UnitCollection([rect_unit("A", 0, 0, 1, 1, dem=35, rep=965)])
+    units = unit_map([rect_unit("A", 0, 0, 1, 1, dem=35, rep=965)])
     cx = build_adjacency_filtration(units, sched)
     assert len(cx) == 1
     assert int(cx.levels[0]) == 2
@@ -433,10 +429,10 @@ def test_flag_margin_below_first_threshold_excluded():
     # descending sweep stops at tau_1; a 0.3 winner under max_margin 0.5 =
     # thresholds (0.25, 0.5) enters at step 2, but under (0.4, 0.8) never
     u = [rect_unit("A", 0, 0, 1, 1, dem=35, rep=65)]
-    cx = build_adjacency_filtration(UnitCollection(u), LevelSchedule((0.25, 0.5)))
+    cx = build_adjacency_filtration(unit_map(u), LevelSchedule((0.25, 0.5)))
     assert int(cx.levels[0]) == 2
     with pytest.raises(ComplexError):
-        build_adjacency_filtration(UnitCollection(u), LevelSchedule((0.4, 0.8)))
+        build_adjacency_filtration(unit_map(u), LevelSchedule((0.4, 0.8)))
 
 
 def test_flag_edge_level_is_max_of_endpoints():
@@ -455,15 +451,9 @@ def test_flag_excluded_vertices_drop_their_edges():
     assert cx.active_counts(3) == (2, 1, 0)
 
 
-def test_win_margin_tie_and_zero():
-    assert win_margin(35, 65, "A") == pytest.approx(0.3)
-    with pytest.raises(MarginError):
-        win_margin(0, 0, "A")
-
-
 def test_tied_unit_never_enters_sweep():
-    units = UnitCollection([rect_unit("A", 0, 0, 1, 1, dem=50, rep=50),
-                            rect_unit("B", 1, 0, 2, 1, dem=10, rep=90)])
+    units = unit_map([rect_unit("A", 0, 0, 1, 1, dem=50, rep=50),
+                      rect_unit("B", 1, 0, 2, 1, dem=10, rep=90)])
     cx = build_adjacency_filtration(units, uniform_schedule(25))
     assert cx.active_counts(25) == (1, 0, 0)
 
@@ -530,8 +520,8 @@ def string_route_complex(units, schedule, kind):
     sorted, mapped back to indices."""
     L = schedule.num_levels
     levels = []
-    for uid, dem, rep in zip(units.ids, units.dem.tolist(), units.rep.tolist()):
-        k = sum(t <= win_margin(dem, rep, uid) for t in schedule.thresholds)
+    for dem, rep in zip(units.dem.tolist(), units.rep.tolist()):
+        k = sum(t <= abs(dem - rep) / (dem + rep) for t in schedule.thresholds)  # win margin
         levels.append(L + 1 - k if rep > dem and k else -1)
     index = {uid: i for i, uid in enumerate(units.ids)}
     pairs = [(index[a], index[b]) for a, b in sorted(adjacency_reference(units, kind))]
@@ -585,8 +575,7 @@ def test_separately_built_maps_never_share_an_answer():
     votes = VoteTable(*zip(*mosaic_votes(4, 3, seed=1)))
     wide, _ = join_units(parse_geojson(json.dumps(grid_mosaic(4, 3, seed=1))), votes)
     tall, _ = join_units(parse_geojson(json.dumps(grid_mosaic(3, 4, seed=1))), votes)
-    backwards = UnitCollection(map(VotingUnit, wide.ids[::-1], wide.geometries[::-1],
-                                   wide.dem.tolist()[::-1], wide.rep.tolist()[::-1]))
+    backwards = unit_map(to_geojson(wide)["features"][::-1])
     for kind in ("queen", "rook"):
         answers = [detect_adjacency(units, kind) for units in (wide, tall, backwards)]
         assert answers[0] != answers[1]

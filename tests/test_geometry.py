@@ -2,7 +2,6 @@
 
 import json
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -13,15 +12,13 @@ from gerrytda.geometry import (
     Point2,
     PolygonSet,
     Ring,
-    UnitCollection,
     UnitKind,
-    VotingUnit,
     point_in_polygon,
-    polygon_area,
     polygon_perimeter,
 )
 from gerrytda.ingest import parse_geojson
 from gerrytda.synth import grid_mosaic
+from oracles import feature, unit_map
 
 UNIT_SQUARE = [(0, 0), (1, 0), (1, 1), (0, 1)]
 
@@ -37,27 +34,27 @@ def poly(*outers, holes=()):
 # === areas ===
 
 def test_area_unit_square():
-    assert polygon_area(poly(UNIT_SQUARE)) == 1.0
+    assert poly(UNIT_SQUARE).area == 1.0
 
 
 def test_area_triangle():
-    assert polygon_area(poly([(0, 0), (1, 0), (0, 1)])) == 0.5
+    assert poly([(0, 0), (1, 0), (0, 1)]).area == 0.5
 
 
 def test_area_square_with_hole():
     g = poly(UNIT_SQUARE, holes=[square(0.25, 0.25, 0.75, 0.75)])
-    assert polygon_area(g) == pytest.approx(0.75, rel=1e-15)
+    assert g.area == pytest.approx(0.75, rel=1e-15)
 
 
 def test_area_orientation_independent():
     cw = list(reversed(UNIT_SQUARE))
-    assert polygon_area(poly(cw)) == 1.0
+    assert poly(cw).area == 1.0
     assert Ring(cw).signed_area == -1.0
 
 
 def test_area_multipart():
     g = poly(UNIT_SQUARE, square(2, 0, 3, 1))
-    assert polygon_area(g) == 2.0
+    assert g.area == 2.0
 
 
 def test_area_rigid_motion_invariant():
@@ -68,11 +65,11 @@ def test_area_rigid_motion_invariant():
         ang = np.sort(rng.uniform(0, 2 * np.pi, n))
         rad = rng.uniform(0.5, 2.0, n)
         pts = np.c_[rad * np.cos(ang), rad * np.sin(ang)]
-        base = polygon_area(poly(pts))
+        base = poly(pts).area
         th = rng.uniform(0, 2 * np.pi)
         rot = np.array([[np.cos(th), -np.sin(th)], [np.sin(th), np.cos(th)]])
         moved = pts @ rot.T + rng.uniform(-100, 100, 2)
-        assert polygon_area(poly(moved)) == pytest.approx(base, rel=1e-9)
+        assert poly(moved).area == pytest.approx(base, rel=1e-9)
 
 
 # === perimeters ===
@@ -92,8 +89,7 @@ def test_perimeter_two_disjoint_squares():
 
 def test_perimeter_hole_flag():
     g = poly(UNIT_SQUARE, holes=[square(0.25, 0.25, 0.75, 0.75)])
-    assert polygon_perimeter(g) == 4.0
-    assert polygon_perimeter(g, include_holes=True) == 6.0
+    assert polygon_perimeter(g) == 6.0
 
 
 # === point membership ===
@@ -193,60 +189,47 @@ def test_small_hole_far_from_origin_finds_its_outer_ring():
     assert poly(outer, holes=[square(lo, lo, hi, hi)]).hole_owner == (0,)
 
 
-def test_unit_collection_duplicate_id():
-    g = poly(UNIT_SQUARE)
-    u = VotingUnit("A", g, 1, 2)
-    with pytest.raises(GeometryError, match="duplicate unit id"):
-        UnitCollection([u, VotingUnit("A", g, 3, 4)])
-
-
-def test_unit_negative_votes_rejected():
-    with pytest.raises(GeometryError):
-        VotingUnit("A", poly(UNIT_SQUARE), -1, 2)
-
-
 def test_collection_bounds_enclose_everything():
-    units = [
-        VotingUnit("A", poly(square(0, 0, 1, 1)), 1, 1),
-        VotingUnit("B", poly(square(5, -2, 6, 4)), 1, 1),
-    ]
-    col = UnitCollection(units)
+    col = unit_map([feature("A", [square(0, 0, 1, 1)], dem=1, rep=1),
+                    feature("B", [square(5, -2, 6, 4)], dem=1, rep=1)])
     assert col.bounds == Bounds(0.0, -2.0, 6.0, 4.0)
     assert col.kinds[1] is UnitKind.PRECINCT
 
 
 def test_with_votes_matches_a_fresh_collection():
-    units = [VotingUnit(uid, poly(square(x, y, x + 1, y + 2)), 1, 1)
-             for uid, x, y in (("C", 3, -1), ("A", 0, 0), ("B", -4, 5))]
+    places = (("C", 3, -1), ("A", 0, 0), ("B", -4, 5))
     counts = np.array([(7, 2), (0, 0), (3, 9)])
-    got = UnitCollection(units).with_votes(counts)
-    fresh = UnitCollection([replace(u, dem_votes=d, rep_votes=r)
-                            for u, (d, r) in zip(units, counts.tolist())])
-    for name in ("ids", "kinds", "geometries"):
+    got = unit_map(feature(uid, [square(x, y, x + 1, y + 2)], dem=1, rep=1)
+                   for uid, x, y in places).with_votes(counts)
+    fresh = unit_map(feature(uid, [square(x, y, x + 1, y + 2)], dem=d, rep=r)
+                     for (uid, x, y), (d, r) in zip(places, counts.tolist()))
+    for name in ("ids", "kinds"):
         assert getattr(got, name) == getattr(fresh, name)
+    assert [g.edges.tobytes() for g in got.geometries] == \
+        [g.edges.tobytes() for g in fresh.geometries]
     for name in ("dem", "rep", "edges", "edge_counts", "boxes", "areas"):
         assert np.array_equal(getattr(got, name), getattr(fresh, name))
     assert got.bounds == fresh.bounds == Bounds(-4.0, -1.0, 4.0, 7.0)
     for uid, k in zip(fresh.ids, got.positions(fresh.ids).tolist()):
-        assert got.ids[k] == uid and uid in got
-    assert "D" not in got and got.positions(["D"]).tolist() == [-1]
+        assert got.ids[k] == uid
+    assert got.positions(["D"]).tolist() == [-1]
     with pytest.raises(ValueError):
-        UnitCollection(units).with_votes(counts[:2])
+        fresh.with_votes(counts[:2])
 
 
 def test_with_votes_swaps_only_the_vote_arrays():
-    units = [VotingUnit(uid, poly(square(x, 0, x + 1, 1)), 1, 1)
+    feats = [feature(uid, [square(x, 0, x + 1, 1)], dem=1, rep=1)
              for uid, x in (("C", 0), ("A", 1), ("B", 2))]
-    col = UnitCollection(units)
+    col = unit_map(feats)
     got = col.with_votes(np.array([[7, 2], [0, 0], [3, 9]]))
     assert got.ids is col.ids and got.geometries is col.geometries and got.bounds is col.bounds
     assert got.dem.tolist() == [7, 0, 3] and got.rep.tolist() == [2, 0, 9]
     assert col.dem.tolist() == col.rep.tolist() == [1, 1, 1]
     assert not got.dem.flags.writeable and not got.rep.flags.writeable
     assert got.memo("key", lambda: "built") == col.memo("key", lambda: "again") == "built"
-    assert UnitCollection(units).memo("key", lambda: "again") == "again"
+    assert unit_map(feats).memo("key", lambda: "again") == "again"
     assert (got.ids[1], got.geometries[1], got.dem[1], got.rep[1], got.kinds[1]) == \
-        ("A", units[1].geometry, 0, 0, UnitKind.PRECINCT)
+        ("A", col.geometries[1], 0, 0, UnitKind.PRECINCT)
     with pytest.raises(GeometryError, match="^unit A: negative vote count$"):
         col.with_votes(np.array([(1, 1), (-1, 0), (0, -5)]))
     with pytest.raises(GeometryError, match="^unit B: vote count above 2\\*\\*52$"):
@@ -255,13 +238,11 @@ def test_with_votes_swaps_only_the_vote_arrays():
         col.with_votes(np.array([(1, 1), (2**63, 0), (0, 0)], dtype=np.uint64))  # beyond int64
     with pytest.raises(GeometryError, match="^unit B: negative vote count$"):
         col.with_votes(np.array([[1, 1], [0, 0], [-1, 0]]))
-    with pytest.raises(GeometryError, match="^unit C: vote count above 2\\*\\*52$"):
-        VotingUnit("C", units[0].geometry, 2**52 + 1, 0)
 
 
 def test_with_votes_takes_only_an_integer_array():
-    col = UnitCollection([VotingUnit(uid, poly(square(x, 0, x + 1, 1)), 1, 1)
-                          for uid, x in (("C", 0), ("A", 1))])
+    col = unit_map(feature(uid, [square(x, 0, x + 1, 1)], dem=1, rep=1)
+                   for uid, x in (("C", 0), ("A", 1)))
     for counts in ([(1, 2), (3, 4)], np.array([(1.0, 2.0), (3.0, 4.0)]),
                    np.asarray([(0, 2**63), (0, 0)]), np.array([(True, False)] * 2)):
         with pytest.raises(TypeError, match="^vote counts must be an \\(n, 2\\) integer array$"):

@@ -9,8 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gerrytda.errors import GeometryError, IngestError
-from gerrytda.geometry import (Bounds, PolygonSet, Ring, UnitCollection, UnitKind,
-                               VotingUnit, polygon_area)
+from gerrytda.geometry import Bounds, PolygonSet, Ring, UnitKind
 from gerrytda.ingest import (
     JoinReport,
     VoteTable,
@@ -41,7 +40,7 @@ def test_parse_single_square():
     col = parse_geojson(collection([square_feature("P01", 0, 0)]))
     assert len(col) == 1 and col.ids == ("P01",)
     assert col.dem.tolist() == [0] and col.rep.tolist() == [0]
-    assert polygon_area(col.geometries[0]) == 1.0
+    assert col.geometries[0].area == 1.0
 
 
 def test_parse_multipolygon_with_hole():
@@ -53,7 +52,7 @@ def test_parse_multipolygon_with_hole():
                          "coordinates": [[outer, hole], [island]]}}
     col = parse_geojson(collection([feat]))
     assert col.ids == ("M",)
-    assert polygon_area(col.geometries[0]) == pytest.approx(16.0 - 1.0 + 1.0)
+    assert col.geometries[0].area == pytest.approx(16.0 - 1.0 + 1.0)
 
 
 def test_parse_large_collection():
@@ -201,7 +200,7 @@ def bits(x):
 def assert_same_units(doc):
     """parse_geojson's geometry equals Ring/PolygonSet built feature by feature.
 
-    So do its columns: they equal those of a collection of those PolygonSets.
+    So do its columns: they equal those PolygonSets' edges, boxes and areas.
     """
     parsed = parse_geojson(json.dumps(doc))
     assert len(parsed) == len(doc["features"])
@@ -211,17 +210,15 @@ def assert_same_units(doc):
         parts = [geom["coordinates"]] if geom["type"] == "Polygon" else geom["coordinates"]
         refs.append(PolygonSet([Ring(p[0]) for p in parts],
                                [Ring(h) for p in parts for h in p[1:]]))
-    direct = UnitCollection([VotingUnit(uid, g, 0, 0) for uid, g in zip(parsed.ids, refs)])
     boxes = [[g.bounds.minx, g.bounds.miny, g.bounds.maxx, g.bounds.maxy] for g in refs]
     expected = {"edges": np.concatenate([g.edges for g in refs]),
                 "edge_counts": np.array([len(g.edges) for g in refs]),
                 "boxes": np.array(boxes), "areas": np.array([g.area for g in refs])}
-    for col in (parsed, direct):
-        for name, ref in expected.items():
-            got = getattr(col, name)
-            assert got.dtype == ref.dtype and bits(got) == bits(ref), name
-            assert not got.flags.writeable
-        assert col.bounds == functools.reduce(Bounds.union, [g.bounds for g in refs])
+    for name, ref in expected.items():
+        got = getattr(parsed, name)
+        assert got.dtype == ref.dtype and bits(got) == bits(ref), name
+        assert not got.flags.writeable
+    assert parsed.bounds == functools.reduce(Bounds.union, [g.bounds for g in refs])
     for got, ref in zip(parsed.geometries, refs):
         assert (len(got.outers), len(got.holes)) == (len(ref.outers), len(ref.holes))
         for a, b in zip(got.rings(), ref.rings()):
@@ -339,7 +336,7 @@ def test_geojson_round_trip():
     assert (back.dem.tolist(), back.rep.tolist(), back.kinds) == \
         (col.dem.tolist(), col.rep.tolist(), col.kinds)
     for a, b in zip(col.geometries, back.geometries):
-        assert polygon_area(b) == pytest.approx(polygon_area(a), rel=1e-9)
+        assert b.area == pytest.approx(a.area, rel=1e-9)
 
 
 # === parse_votes_csv ===

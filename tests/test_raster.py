@@ -1,8 +1,7 @@
-"""Rasterization, margin fields, and the PGM interchange format."""
+"""Rasterization, margin fields, and the PGM export format."""
 
 import json
 import math
-from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -10,61 +9,51 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gerrytda.errors import MarginError, ParameterError, RasterError
-from gerrytda.geometry import (
-    Bounds,
-    Point2,
-    PolygonSet,
-    Ring,
-    UnitCollection,
-    VotingUnit,
-    point_in_polygon,
-)
+from gerrytda.geometry import Bounds, Point2, point_in_polygon
 from gerrytda.ingest import parse_geojson
 from gerrytda.raster import (
     BACKGROUND,
-    MarginField,
+    Grid,
     MarginMode,
     margin_field,
     rasterize,
-    read_margin_pgm,
     write_margin_pgm,
 )
 from gerrytda.synth import grid_mosaic
 
-from oracles import unit_margin
+from oracles import feature, unit_map, unit_margin
 
 
 def rect_unit(uid, x0, y0, x1, y1, dem=10, rep=10):
-    ring = Ring([(x0, y0), (x1, y0), (x1, y1), (x0, y1)])
-    return VotingUnit(uid, PolygonSet([ring]), dem, rep)
+    return feature(uid, [[(x0, y0), (x1, y0), (x1, y1), (x0, y1)]], dem=dem, rep=rep)
 
 
 # === unit_margin ===
 
 def test_margin_relative_basic():
-    assert unit_margin(rect_unit("A", 0, 0, 1, 1, dem=150, rep=50)) == 0.5
+    assert unit_margin(unit_map([rect_unit("A", 0, 0, 1, 1, dem=150, rep=50)]), 0) == 0.5
 
 
 def test_margin_relative_statewide_totals():
-    u = rect_unit("NC", 0, 0, 1, 1, dem=184969, rep=202762)
-    assert unit_margin(u) == -17793 / 387731
-    assert unit_margin(u) == pytest.approx(-0.045891, abs=1e-6)
+    u = unit_map([rect_unit("NC", 0, 0, 1, 1, dem=184969, rep=202762)])
+    assert unit_margin(u, 0) == -17793 / 387731
+    assert unit_margin(u, 0) == pytest.approx(-0.045891, abs=1e-6)
 
 
 def test_margin_zero_votes_errors():
     with pytest.raises(MarginError, match="unit A: zero total votes"):
-        unit_margin(rect_unit("A", 0, 0, 1, 1, dem=0, rep=0))
+        unit_margin(unit_map([rect_unit("A", 0, 0, 1, 1, dem=0, rep=0)]), 0)
 
 
 def test_margin_density():
-    u = rect_unit("A", 0, 0, 20, 10, dem=150, rep=50)  # area 200
-    assert unit_margin(u, MarginMode.DENSITY) == 0.5
+    u = unit_map([rect_unit("A", 0, 0, 20, 10, dem=150, rep=50)])  # area 200
+    assert unit_margin(u, 0, MarginMode.DENSITY) == 0.5
 
 
 # === rasterize ===
 
 def test_rasterize_two_half_squares():
-    units = UnitCollection([rect_unit("L", 0, 0, 0.5, 1), rect_unit("R", 0.5, 0, 1, 1)])
+    units = unit_map([rect_unit("L", 0, 0, 0.5, 1), rect_unit("R", 0.5, 0, 1, 1)])
     ras = rasterize(units, width=4)
     assert ras.grid.height == 4
     assert (ras.labels[:, :2] == 0).all()
@@ -73,14 +62,14 @@ def test_rasterize_two_half_squares():
 
 
 def test_rasterize_partition_accounting():
-    units = UnitCollection([rect_unit("L", 0, 0, 0.5, 1), rect_unit("R", 0.5, 0.5, 1, 1)])
+    units = unit_map([rect_unit("L", 0, 0, 0.5, 1), rect_unit("R", 0.5, 0.5, 1, 1)])
     ras = rasterize(units, width=8)
     total = int(ras.pixel_counts().sum()) + int(np.count_nonzero(ras.labels == BACKGROUND))
     assert total == ras.grid.width * ras.grid.height
 
 
 def test_rasterize_sub_pixel_unit_gets_no_pixels():
-    units = UnitCollection([
+    units = unit_map([
         rect_unit("big", 0, 0, 1, 1),
         rect_unit("tiny", 2.001, 0.3, 2.004, 0.302),  # no pixel center inside
     ])
@@ -89,21 +78,21 @@ def test_rasterize_sub_pixel_unit_gets_no_pixels():
 
 
 def test_rasterize_single_square_fills_grid():
-    units = UnitCollection([rect_unit("A", 0, 0, 1, 1)])
+    units = unit_map([rect_unit("A", 0, 0, 1, 1)])
     ras = rasterize(units, width=4)
     assert ras.labels.shape == (4, 4)
     assert (ras.labels == 0).all()
 
 
 def test_rasterize_width_floor():
-    units = UnitCollection([rect_unit("A", 0, 0, 1, 1)])
+    units = unit_map([rect_unit("A", 0, 0, 1, 1)])
     with pytest.raises(ParameterError):
         rasterize(units, width=0)
 
 
 def test_rasterize_empty_collection():
     with pytest.raises(RasterError):
-        rasterize(UnitCollection([]), width=8)
+        rasterize(unit_map([]), width=8)
 
 
 def test_rasterize_matches_pointwise_membership():
@@ -117,7 +106,7 @@ def test_rasterize_matches_pointwise_membership():
             y_split = float(np.round(rng.uniform(0.2, 0.8), 3))
             units.append(rect_unit(f"B{i}", cuts[i], 0, cuts[i + 1], y_split))
             units.append(rect_unit(f"T{i}", cuts[i], y_split, cuts[i + 1], 1))
-        col = UnitCollection(units)
+        col = unit_map(units)
         ras = rasterize(col, width=16)
         for row in range(ras.grid.height):
             for cc in range(ras.grid.width):
@@ -136,18 +125,18 @@ def overlay_units(cols, rows, rng):
     centroid, so the two overlap."""
     w, h = cols / 2, rows / 2
     x0, y0 = rng.uniform(0, w), rng.uniform(0, h)
-    holed = PolygonSet([Ring([(x0, y0), (x0 + w, y0), (x0 + w, y0 + h), (x0, y0 + h)])],
-                       [Ring([(x0 + 0.2 * w, y0 + 0.2 * h), (x0 + 0.8 * w, y0 + 0.3 * h),
-                              (x0 + 0.4 * w, y0 + 0.8 * h)])])
-    parts = PolygonSet([Ring(rng.uniform((0, 0), (w, 2 * h), (3, 2))),
-                        Ring(rng.uniform((w, 0), (2 * w, 2 * h), (3, 2)))])
+    holed = [[(x0, y0), (x0 + w, y0), (x0 + w, y0 + h), (x0, y0 + h)],
+             [(x0 + 0.2 * w, y0 + 0.2 * h), (x0 + 0.8 * w, y0 + 0.3 * h),
+              (x0 + 0.4 * w, y0 + 0.8 * h)]]
+    parts = [[rng.uniform((0, 0), (w, 2 * h), (3, 2))],
+             [rng.uniform((w, 0), (2 * w, 2 * h), (3, 2))]]
     big = rng.uniform((0, 0), (2 * w, 2 * h), (3, 2))
     c = big.mean(axis=0)
     a = rng.uniform(0, 2 * math.pi)
     rot = np.array([[math.cos(a), -math.sin(a)], [math.sin(a), math.cos(a)]])
     small = c + 0.5 * (big - c) @ rot.T
-    return [VotingUnit(f"X{i}", g, 10, 10) for i, g in
-            enumerate([holed, parts, PolygonSet([Ring(big)]), PolygonSet([Ring(small)])])]
+    return [feature(f"X{i}", *polygons, dem=10, rep=10) for i, polygons in
+            enumerate([[holed], parts, [[big]], [[small]]])]
 
 
 @settings(max_examples=50, deadline=None)
@@ -155,11 +144,10 @@ def overlay_units(cols, rows, rng):
        width=st.integers(1, 24), overlay=st.booleans())
 def test_rasterize_matches_pointwise_membership_on_mosaics(cols, rows, seed, width, overlay):
     # every pixel goes to the last unit whose polygon holds its center
-    p = parse_geojson(json.dumps(grid_mosaic(cols, rows, seed=seed)))
-    units = list(map(VotingUnit, p.ids, p.geometries, p.dem.tolist(), p.rep.tolist()))
+    units = grid_mosaic(cols, rows, seed=seed)["features"]
     if overlay:
         units += overlay_units(cols, rows, np.random.default_rng(seed))
-    col = UnitCollection(units)
+    col = unit_map(units)
     ras = rasterize(col, width)
     for row in range(ras.grid.height):
         for cc in range(ras.grid.width):
@@ -171,7 +159,7 @@ def test_rasterize_matches_pointwise_membership_on_mosaics(cols, rows, seed, wid
 
 def test_rasterize_refinement_to_area_share():
     # at width 1024 the pixel share of convex units tracks the area share
-    units = UnitCollection([
+    units = unit_map([
         rect_unit("A", 0, 0, 0.3, 1),
         rect_unit("B", 0.3, 0, 1, 0.6),
         rect_unit("C", 0.3, 0.6, 1, 1),
@@ -187,7 +175,7 @@ def test_rasterize_refinement_to_area_share():
 # === margin_field ===
 
 def test_margin_field_relative_values():
-    units = UnitCollection([
+    units = unit_map([
         rect_unit("L", 0, 0, 0.5, 1, dem=150, rep=50),
         rect_unit("R", 0.5, 0, 1, 1, dem=25, rep=75),
     ])
@@ -202,7 +190,7 @@ def test_margin_field_relative_values():
 def test_margin_field_density_normalization():
     # A: +100 over area 200 -> +0.5 density; B: -50 over area 50 -> -1.0;
     # max abs is 1.0 so values survive normalization unchanged
-    units = UnitCollection([
+    units = unit_map([
         rect_unit("A", 0, 0, 20, 10, dem=150, rep=50),
         rect_unit("B", 20, 0, 25, 10, dem=0, rep=50),
     ])
@@ -216,7 +204,7 @@ def test_margin_field_density_normalization():
 
 
 def test_margin_field_piecewise_constant():
-    units = UnitCollection([
+    units = unit_map([
         rect_unit("A", 0, 0, 0.55, 1, dem=9, rep=1),
         rect_unit("B", 0.55, 0, 1, 1, dem=2, rep=8),
     ])
@@ -228,11 +216,10 @@ def test_margin_field_piecewise_constant():
 
 
 def test_margin_field_sign_flip_exact():
-    rects = [rect_unit("A", 0, 0, 0.5, 1, dem=150, rep=50),
-             rect_unit("B", 0.5, 0, 1, 1, dem=30, rep=70)]
-    units = UnitCollection(rects)
-    flipped = UnitCollection([replace(u, dem_votes=u.rep_votes, rep_votes=u.dem_votes)
-                              for u in rects])
+    units = unit_map([rect_unit("A", 0, 0, 0.5, 1, dem=150, rep=50),
+                      rect_unit("B", 0.5, 0, 1, 1, dem=30, rep=70)])
+    flipped = unit_map([rect_unit("A", 0, 0, 0.5, 1, dem=50, rep=150),
+                        rect_unit("B", 0.5, 0, 1, 1, dem=70, rep=30)])
     ras = rasterize(units, width=8)
     for mode in MarginMode:
         f = margin_field(ras, units, mode)
@@ -241,7 +228,7 @@ def test_margin_field_sign_flip_exact():
 
 
 def test_margin_field_background_masked():
-    units = UnitCollection([rect_unit("A", 0, 0, 1, 1, dem=3, rep=1)])
+    units = unit_map([rect_unit("A", 0, 0, 1, 1, dem=3, rep=1)])
     ras = rasterize(units, width=8, bounds=Bounds(0, 0, 2, 1))
     f = margin_field(ras, units)
     assert f.background[:, 4:].all()
@@ -249,7 +236,7 @@ def test_margin_field_background_masked():
 
 
 def test_margin_field_zero_total_unit_named():
-    units = UnitCollection([rect_unit("bad", 0, 0, 1, 1, dem=0, rep=0)])
+    units = unit_map([rect_unit("bad", 0, 0, 1, 1, dem=0, rep=0)])
     ras = rasterize(units, width=8)
     with pytest.raises(MarginError, match="unit bad"):
         margin_field(ras, units, MarginMode.RELATIVE)
@@ -261,9 +248,7 @@ def margin_field_reference(raster, units, mode):
     present = [int(i) for i in np.unique(labels) if i >= 0]
     margins = np.zeros(len(units), dtype=np.float64)
     for idx in present:
-        unit = VotingUnit(units.ids[idx], units.geometries[idx], int(units.dem[idx]),
-                          int(units.rep[idx]))
-        margins[idx] = unit_margin(unit, mode)
+        margins[idx] = unit_margin(units, idx, mode)
     normalizer = 1.0
     if mode is MarginMode.DENSITY:
         normalizer = float(np.max(np.abs(margins[present]))) if present else 0.0
@@ -303,9 +288,9 @@ def test_margin_field_matches_the_per_unit_reference(cols, rows, seed, width, pa
 
 
 def test_margin_field_skips_a_voteless_unit_that_claims_no_pixel():
-    units = UnitCollection([rect_unit("A", 0, 0, 2, 1, dem=3, rep=1),
-                            rect_unit("B", 2, 0, 4, 1, dem=1, rep=3),
-                            rect_unit("Z", 0.6, 0.2, 0.7, 0.3, dem=0, rep=0)])
+    units = unit_map([rect_unit("A", 0, 0, 2, 1, dem=3, rep=1),
+                      rect_unit("B", 2, 0, 4, 1, dem=1, rep=3),
+                      rect_unit("Z", 0.6, 0.2, 0.7, 0.3, dem=0, rep=0)])
     ras = rasterize(units, width=4)
     assert ras.pixel_counts().tolist() == [2, 2, 0]
     f = margin_field(ras, units, MarginMode.RELATIVE)
@@ -313,8 +298,8 @@ def test_margin_field_skips_a_voteless_unit_that_claims_no_pixel():
 
 
 def test_margin_field_names_the_first_voteless_unit_that_claims_a_pixel():
-    units = UnitCollection([rect_unit("Z", 0.6, 0.2, 0.7, 0.3),
-                            rect_unit("A", 0, 0, 2, 1), rect_unit("B", 2, 0, 4, 1)])
+    units = unit_map([rect_unit("Z", 0.6, 0.2, 0.7, 0.3),
+                      rect_unit("A", 0, 0, 2, 1), rect_unit("B", 2, 0, 4, 1)])
     ras = rasterize(units, width=4)
     for counts, name in (([(0, 0), (0, 0), (0, 0)], "A"), ([(0, 0), (1, 2), (0, 0)], "B")):
         with pytest.raises(MarginError, match=f"^unit {name}: zero total votes$"):
@@ -346,7 +331,7 @@ def test_rasterize_labels_each_map_once_per_width_and_bounds(monkeypatch):
 # === PGM + sidecar ===
 
 def _field_fixture():
-    units = UnitCollection([
+    units = unit_map([
         rect_unit("A", 0, 0, 0.5, 1, dem=150, rep=50),
         rect_unit("B", 0.5, 0, 1, 1, dem=25, rep=75),
     ])
@@ -355,16 +340,27 @@ def _field_fixture():
 
 
 def test_pgm_round_trip(tmp_path):
+    # the package reads neither file back, so the test decodes both
     f = _field_fixture()
     pgm = tmp_path / "m.pgm"
     write_margin_pgm(f, pgm)
-    g = read_margin_pgm(pgm)
-    assert g.grid == f.grid
-    assert g.mode is f.mode
-    assert np.array_equal(g.background, f.background)
+    magic, w, h, maxval, payload = pgm.read_bytes().split(maxsplit=4)
+    w, h = int(w), int(h)
+    assert (magic, maxval) == (b"P5", b"65535")
+    meta = json.loads((tmp_path / "m.json").read_text())
+    assert (meta["width"], meta["height"]) == (w, h)
+    grid = Grid(w, h, Point2(*meta["origin"]), meta["pixel_size"])
+    assert grid == f.grid
+    assert MarginMode(meta["mode"]) is f.mode
+    mask = meta["background_mask"]
+    flat = np.repeat([(k + mask["first"]) % 2 == 1 for k in range(len(mask["runs"]))],
+                     mask["runs"])
+    background = flat.reshape(h, w)[::-1]  # file order is top row first
+    assert np.array_equal(background, f.background)
+    data = np.frombuffer(payload[:w * h * 2], dtype=">u2").reshape(h, w)[::-1]
+    values = np.where(background, 0.0, data / 65535.0 * 2.0 - 1.0)
     # 16-bit quantization: half a step of 2/65535
-    assert np.max(np.abs(g.values - f.values)) <= 1.0 / 65535.0
-    assert g.values[g.background].max(initial=0.0) == 0.0
+    assert np.max(np.abs(values - f.values)) <= 1.0 / 65535.0
 
 
 def test_pgm_header_and_encoding(tmp_path):

@@ -9,11 +9,11 @@ import pytest
 from scipy import ndimage
 
 from gerrytda.errors import ParameterError, PipelineError
-from gerrytda.persistence import INF, barcode
+from gerrytda.persistence import INF, Barcode, barcode
 from gerrytda.complexes import build_levelset_filtration, uniform_schedule
 from gerrytda.report import (
     AnalysisConfig,
-    levelset_snapshot_bytes,
+    levelset_snapshots,
     render_barcode_svg,
     run_year,
     run_years,
@@ -92,9 +92,9 @@ def test_run_year_stage_tagged_errors(island_files, tmp_path):
         run_year(cfg2)
 
 
-def test_run_year_all_democratic_map_is_complex_error(island_files, tmp_path):
+def test_run_year_all_democratic_map_has_empty_barcodes(island_files, tmp_path):
     # every unit's margin is +1.0, at the top threshold, so no pixel ever
-    # activates and there is nothing to sweep
+    # activates and neither layer has a bar
     scenario = island_files["scenario"]
     paths = {}
     for name in ("precinct", "packed"):
@@ -104,8 +104,10 @@ def test_run_year_all_democratic_map_is_complex_error(island_files, tmp_path):
     cfg = AnalysisConfig("y", island_files["precinct_geo"], str(paths["precinct"]),
                          island_files["packed_geo"], str(paths["packed"]),
                          width=20, mode="relative")
-    with pytest.raises(PipelineError, match="^complex:"):
-        run_year(cfg)
+    res = run_year(cfg)
+    empty = Barcode((), 25, res.schedule.thresholds)
+    assert res.precinct_barcode == res.district_barcode == empty
+    assert res.bottleneck_by_dim == {0: 0.0, 1: 0.0, 2: 0.0}
 
 
 def test_run_year_missing_file_is_ingest_error(island_files):
@@ -196,10 +198,9 @@ def snapshot_pixels(data):
 def test_snapshot_levels_flip_island():
     v = np.full((5, 5), -0.8)
     v[2, 2] = 0.5
-    field = field_from_array(v)
-    sched = uniform_schedule(25)
-    at12 = snapshot_pixels(levelset_snapshot_bytes(field, sched, 12))
-    at13 = snapshot_pixels(levelset_snapshot_bytes(field, sched, 13))
+    frames = list(levelset_snapshots(field_from_array(v), uniform_schedule(25), "democratic"))
+    assert len(frames) == 25
+    at12, at13 = snapshot_pixels(frames[11]), snapshot_pixels(frames[12])
     assert at12[2, 2] == 0 and at13[2, 2] == 255
     assert at12.sum() == 24 * 255
 
@@ -208,17 +209,9 @@ def test_snapshot_background_gray():
     bg = np.zeros((3, 3), bool)
     bg[0, 0] = True
     field = field_from_array(np.full((3, 3), -0.1), background=bg)
-    img = snapshot_pixels(levelset_snapshot_bytes(field, uniform_schedule(5), 1))
+    img = snapshot_pixels(next(levelset_snapshots(field, uniform_schedule(5), "democratic")))
     assert img[0, 0] == 128
     assert (img != 128).sum() == 8
-
-
-def test_snapshot_level_range_checked():
-    field = field_from_array(np.zeros((2, 2)))
-    with pytest.raises(ParameterError):
-        levelset_snapshot_bytes(field, uniform_schedule(5), 0)
-    with pytest.raises(ParameterError):
-        levelset_snapshot_bytes(field, uniform_schedule(5), 6)
 
 
 def test_snapshot_barcode_consistency(island_files):
@@ -226,12 +219,11 @@ def test_snapshot_barcode_consistency(island_files):
     # filled white by the death snapshot
     res = run_year(island_config(island_files, "packed"))
     sched = res.schedule
+    frames = list(levelset_snapshots(res.precinct_field, sched, "democratic"))
     for bar in res.precinct_barcode.bars(1):
-        birth_img = snapshot_pixels(
-            levelset_snapshot_bytes(res.precinct_field, sched, int(bar.birth)))
+        birth_img = snapshot_pixels(frames[int(bar.birth) - 1])
         death_level = sched.num_levels if math.isinf(bar.death) else int(bar.death)
-        death_img = snapshot_pixels(
-            levelset_snapshot_bytes(res.precinct_field, sched, death_level))
+        death_img = snapshot_pixels(frames[death_level - 1])
         holes, count = ndimage.label(birth_img == 0)
         assert count >= 1
         interior = np.ones_like(birth_img, bool)
@@ -287,19 +279,26 @@ def test_write_outputs_layout_and_determinism(island_files, tmp_path):
     assert "ttest.json" not in names
 
 
-def test_write_outputs_snapshots_match_levelset_snapshot_bytes(island_files, tmp_path):
+def test_write_outputs_snapshots_match_levelset_snapshots(island_files, tmp_path):
     # each run's frames follow its own sweep; the two sweeps differ at level 1
     for polarity in ("democratic", "republican"):
         res = run_year(island_config(island_files, "packed", levels=6, polarity=polarity))
         write_outputs([res], tmp_path / polarity)
         for which, fld in (("precinct", res.precinct_field), ("district", res.district_field)):
-            for level in range(1, 7):
+            frames = list(levelset_snapshots(fld, res.schedule, polarity))
+            assert len(frames) == 6
+            for level, frame in enumerate(frames, start=1):
                 path = tmp_path / polarity / "snapshots" / f"y1_{which}_level_{level:03d}.pgm"
-                assert path.read_bytes() == \
-                    levelset_snapshot_bytes(fld, res.schedule, level, polarity)
+                assert path.read_bytes() == frame
         other = "republican" if polarity == "democratic" else "democratic"
         assert (tmp_path / polarity / "snapshots" / "y1_precinct_level_001.pgm").read_bytes() \
-            != levelset_snapshot_bytes(res.precinct_field, res.schedule, 1, other)
+            != next(levelset_snapshots(res.precinct_field, res.schedule, other))
+
+
+def test_write_outputs_of_no_year_is_an_error_that_writes_nothing(tmp_path):
+    with pytest.raises(ParameterError, match="^no year results to write$"):
+        write_outputs(run_years([]), tmp_path / "out")
+    assert not (tmp_path / "out").exists()
 
 
 def test_write_outputs_single_year_plain_ids(island_files, tmp_path):
