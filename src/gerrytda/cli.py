@@ -10,6 +10,8 @@ is an error.
 from __future__ import annotations
 
 import argparse
+import csv
+import io
 import json
 import math
 import sys
@@ -200,17 +202,21 @@ def _cmd_compactness(opts: _Options) -> int:
 
 
 def _read_scores_csv(path: str, metric: str) -> list[float]:
-    lines = _read_text(path).strip().split("\n")
-    header = lines[0].strip().split(",")
-    if metric not in header:
-        raise ParameterError(f"{path}: no column {metric!r}")
-    col = header.index(metric)
-    scores = []
-    for n, ln in enumerate(lines[1:], start=2):
-        try:
-            scores.append(float(ln.split(",")[col]))
-        except (IndexError, ValueError):
-            raise IngestError(f"{path}: line {n}: no number in column {metric!r}") from None
+    rows = csv.reader(io.StringIO(_read_text(path).strip(), newline=""))
+    try:
+        header = [cell.strip() for cell in next(rows, [])]
+        if metric not in header:
+            raise ParameterError(f"{path}: no column {metric!r}")
+        col = header.index(metric)
+        scores = []
+        for row in rows:
+            try:
+                scores.append(float(row[col]))
+            except (IndexError, ValueError):
+                raise IngestError(f"{path}: line {rows.line_num}: "
+                                  f"no number in column {metric!r}") from None
+    except csv.Error as exc:
+        raise IngestError(f"{path}: line {rows.line_num}: {exc}") from None
     return scores
 
 

@@ -8,6 +8,8 @@ continued fraction, so the package carries no stats dependency.
 
 from __future__ import annotations
 
+import csv
+import io
 import math
 import random
 from dataclasses import dataclass
@@ -100,9 +102,12 @@ def score_units(units: UnitCollection) -> list[CompactnessRow]:
 
 
 def scores_to_csv(rows: Sequence[CompactnessRow]) -> str:
-    lines = ["district_id,polsby_popper,reock"]
-    lines.extend(f"{r.district_id},{r.polsby_popper!r},{r.reock!r}" for r in rows)
-    return "\n".join(lines) + "\n"
+    """One line per district; an id holding a comma, a quote or a newline is quoted."""
+    text = io.StringIO()
+    out = csv.writer(text, lineterminator="\n")
+    out.writerow(["district_id", "polsby_popper", "reock"])
+    out.writerows([r.district_id, repr(r.polsby_popper), repr(r.reock)] for r in rows)
+    return text.getvalue()
 
 
 # === Student-t p-value machinery ===

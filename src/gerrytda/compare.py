@@ -17,6 +17,8 @@ loads no scipy.
 
 from __future__ import annotations
 
+import csv
+import io
 import math
 from typing import Callable, Sequence
 
@@ -169,9 +171,13 @@ def distance_matrix(labels: Sequence[str], diagrams: Sequence[Diagram],
 
 
 def matrix_to_csv(labels: Sequence[str], matrix: np.ndarray) -> str:
-    """Distance matrix as CSV with a label header row and column."""
-    lines = ["," + ",".join(labels)]
+    """Distance matrix as CSV with a label header row and column.
+
+    A label holding a comma, a quote or a newline is quoted.
+    """
+    text = io.StringIO()
+    out = csv.writer(text, lineterminator="\n")
+    out.writerow(["", *labels])
     for lab, row in zip(labels, np.asarray(matrix)):
-        cells = ["inf" if math.isinf(x) else repr(float(x)) for x in row]
-        lines.append(lab + "," + ",".join(cells))
-    return "\n".join(lines) + "\n"
+        out.writerow([lab] + ["inf" if math.isinf(x) else repr(float(x)) for x in row])
+    return text.getvalue()

@@ -1,7 +1,8 @@
 """Persistence barcodes, by two routes, and an independent Betti-number oracle.
 
 Rasters take levelset_barcode: connected components of the image and of its
-complement per level (scipy.ndimage.label), with no complex built. barcode
+complement at every level, swept over a graph of the image's equal-level
+regions (scipy.sparse.csgraph), with no complex built. barcode
 on a FilteredComplex pairs cells as GF(2) column reduction of the boundary
 matrix does (_pairing), with little column arithmetic: squares and triangles
 that form apparent pairs are paired in array passes and only the others go
@@ -13,8 +14,9 @@ elimination ranks of the boundary operators at a fixed level, so the
 reduction can be checked in turn: the number of bars alive at level i in
 dimension k must equal beta_k there.
 
-scipy.ndimage is imported inside levelset_barcode, its only user, so the
-commands and routes that take no raster barcode load no scipy.
+scipy.sparse.csgraph is imported inside _components, the one function here
+that calls scipy, so the commands and routes that take no raster barcode
+load no scipy.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ import numpy as np
 
 from .complexes import _EXCLUDED, FilteredComplex, LevelSchedule, _vertex_levels
 from .errors import IngestError, ParameterError
-from .raster import MarginField
+from .raster import MarginField, _ranges
 
 INF = math.inf
 
@@ -194,30 +196,124 @@ def barcode(cx: FilteredComplex) -> Barcode:
     return Barcode(tuple(out), cx.num_levels, cx.thresholds)
 
 
-# === level-set barcodes straight from the image ===
+# === level-set barcodes from a graph of equal-level regions ===
 
-_EIGHT = np.ones((3, 3), dtype=bool)
+def _components(n: int, u: np.ndarray, v: np.ndarray) -> tuple[int, np.ndarray]:
+    """Number of components of n nodes under the links (u[k], v[k]), and each node's."""
+    from scipy.sparse import coo_matrix
+    from scipy.sparse.csgraph import connected_components
+
+    graph = coo_matrix((np.ones(len(u), np.int8), (u, v)), shape=(n, n))
+    return connected_components(graph, directed=False)
 
 
-def _carry(prev_labels, prev_vals, labels, n, fresh):
-    """Elder rule for one step of a growing sequence of labelled sets.
+def _raster_graph(field: MarginField, schedule: LevelSchedule,
+                  polarity: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Levels, 4-adjacent pairs and 8-adjacent pairs of a field's equal-level regions.
 
-    Each component of prev_labels lies inside one component of labels. A
-    component takes the least value among the old components it contains,
-    or fresh when it contains none; returns its values (indexed by label)
-    and the values of the old components that lost a merge.
+    The level image is padded with a border ring at level L + 1, the level
+    of excluded pixels too, and cut into row runs of equal level. A run
+    touches the next run in its row and the runs below that overlap its
+    columns (4-links) or touch it diagonally (8-links). The runs of a row
+    partition it, so those below form a range of run ids, read off the
+    run-id image below the run's two ends. Runs joined by equal-level
+    4-links make the regions; each region pair is listed once.
     """
-    vals = np.full(n + 1, fresh, dtype=np.float64)
-    if prev_labels is None:
-        return vals, vals[:0]
-    inside = prev_labels > 0
-    parent = np.zeros(len(prev_vals), dtype=np.int64)
-    parent[prev_labels[inside]] = labels[inside]
-    order = np.lexsort((prev_vals[1:], parent[1:]))
-    parent, old = parent[1:][order], prev_vals[1:][order]
-    first = np.diff(parent, prepend=-1) != 0
-    vals[parent[first]] = old[first]
-    return vals, old[~first]
+    L = schedule.num_levels
+    # each image is freed once read, so that the peak memory of a call is
+    # that of _vertex_levels
+    lv = _vertex_levels(field.values, field.background, schedule, polarity)
+    pad = np.full((lv.shape[0] + 2, lv.shape[1] + 2), L + 1, dtype=np.int32)
+    pad[1:-1, 1:-1] = lv
+    del lv
+    pad[pad == _EXCLUDED] = L + 1
+    w = pad.shape[1]
+    new = np.ones(pad.shape, dtype=bool)  # a run starts each row and each change of level
+    np.not_equal(pad[:, 1:], pad[:, :-1], out=new[:, 1:])
+    run = np.cumsum(new, dtype=np.int32)  # flat run-id image
+    run -= 1
+    start = np.flatnonzero(new)
+    del new
+    level = pad.ravel()[start]
+    del pad
+    end = np.append(start[1:], len(run)) - 1
+    # the pixels below each run's two ends; the last row is all border, so
+    # it is the last run and the only one with no row below
+    first_below, last_below = start[:-1] + w, end[:-1] + w
+    lo4, hi4 = run[first_below], run[last_below]
+    lo8 = run[first_below - (start[:-1] % w > 0)]
+    hi8 = run[last_below + (end[:-1] % w < w - 1)]
+    del run
+    up, down = _ranges(lo8, hi8 + 1)
+    beside = np.flatnonzero(start[1:] % w > 0)  # runs followed by one in their row
+    u, v = np.concatenate([beside, up]), np.concatenate([beside + 1, down])
+    four = np.concatenate([np.ones(len(beside), bool), (lo4[up] <= down) & (down <= hi4[up])])
+
+    equal = four & (level[u] == level[v])
+    m, region = _components(len(start), u[equal], v[equal])
+    levels = np.zeros(m, dtype=np.int64)
+    levels[region] = level
+    u, v = region[u], region[v]
+    lo, hi = np.minimum(u, v).astype(np.int64), np.maximum(u, v)
+
+    def pairs(keep):
+        return np.column_stack(np.divmod(np.unique(lo[keep] * m + hi[keep]), m))
+
+    return levels, pairs(four & ~equal), pairs(lo != hi)
+
+
+def _elder(entry: np.ndarray, pairs: np.ndarray,
+           last: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Elder rule for a graph whose nodes enter over times 0 to last.
+
+    Node r is present from time entry[r] on, and a link once both its ends
+    are. One connected-components call labels every time at once, on a graph
+    that holds a copy of the present nodes and links for each time. A
+    component's value is the least entry among its nodes. Of the components
+    at time t that lie in one component at t + 1, all but the least-valued
+    lose the merge. Returns the losers' values, the times they lost at, and
+    the values of the components at time last.
+    """
+    count = np.maximum(last + 1 - entry, 0)
+    first = np.cumsum(count) - count  # node (r, t) is first[r] + t - entry[r]
+    node_r, node_t = _ranges(entry, last + 1)
+    a, b = pairs[:, 0], pairs[:, 1]
+    k, t = _ranges(np.maximum(entry[a], entry[b]), last + 1)
+    a, b = a[k], b[k]
+    m, comp = _components(len(node_t), first[a] + t - entry[a], first[b] + t - entry[b])
+    value = np.full(m, last + 1)
+    np.minimum.at(value, comp, entry[node_r])
+    time = np.empty(m, dtype=np.int64)
+    time[comp] = node_t
+    into = np.empty(m, dtype=np.int64)  # the component at time + 1
+    step = np.flatnonzero(node_t < last)  # node + 1 is (r, t + 1)
+    into[comp[step]] = comp[step + 1]
+    kids = np.flatnonzero(time < last)
+    kids = kids[np.lexsort((value[kids], into[kids]))]
+    lost = kids[1:][into[kids[1:]] == into[kids[:-1]]]
+    return value[lost], time[lost] + 1, value[time == last]
+
+
+def _sweep(levels: np.ndarray, primal: np.ndarray, dual: np.ndarray,
+           L: int) -> list[PersistencePair]:
+    """Bars of a graph whose nodes enter at levels 1 to L (L + 1: never).
+
+    H0 is the components of the active nodes under the primal links, swept
+    upwards: a merge keeps the oldest component and ends each other one's
+    bar. H1 is the bounded components of the inactive nodes under the dual
+    links, swept downwards as they grow. A component is a hole filled at
+    the highest level among its nodes, or never if it holds a never-active
+    node. A merge at level i keeps the hole filled last and gives each
+    other one the bar (i + 1, fill level).
+    """
+    birth, death, alive = _elder(levels, primal, L)
+    bars = [PersistencePair(0, b, d) for b, d in zip(birth.tolist(), death.tolist())]
+    bars += [PersistencePair(0, b, INF) for b in alive.tolist()]
+    # time t is level L - t, and a node is inactive below its level
+    fill, time, _ = _elder(L + 1 - levels, dual, L)
+    bars += [PersistencePair(1, L + 1 - t, INF if f == 0 else L + 1 - f)
+             for f, t in zip(fill.tolist(), time.tolist())]
+    return bars
 
 
 def levelset_barcode(field: MarginField, schedule: LevelSchedule,
@@ -225,40 +321,16 @@ def levelset_barcode(field: MarginField, schedule: LevelSchedule,
     """barcode(build_levelset_filtration(field, schedule, polarity)), from the image.
 
     The complex at level i is the cubical complex of the active pixels, so
-    H0 is their 4-connected components: swept upwards, a merge keeps the
-    oldest component and ends each other one's bar. By Alexander duality H1
-    is the bounded 8-connected components of the complement (pixels not yet
-    active, excluded pixels and a border ring): swept downwards, the
-    complement grows, a component that appears at level i is a hole filled
-    at level i + 1, and one holding an excluded or border pixel is never
-    filled. A merge at level i keeps the child filled last and gives each
-    other child the bar (i + 1, fill level). A planar complex has no H2.
-    A field in which no pixel ever enters has no bars (where
-    build_levelset_filtration raises ComplexError).
+    H0 is their 4-connected components. By Alexander duality H1 is the
+    bounded 8-connected components of the complement: pixels not yet
+    active, excluded pixels and a border ring. Both sweeps run on the
+    field's equal-level regions (_raster_graph), not on its pixels. A planar
+    complex has no H2. A field in which no pixel ever enters has no bars
+    (where build_levelset_filtration raises ComplexError).
     """
-    from scipy import ndimage
-
     L = schedule.num_levels
-    lv = _vertex_levels(field.values, field.background, schedule, polarity)
-    lv = np.where(lv == _EXCLUDED, L + 1, lv)  # never active
-    out = []
-    labels = births = None
-    for i in range(1, L + 1):
-        lab, n = ndimage.label(lv <= i)
-        births, dying = _carry(labels, births, lab, n, i)
-        labels = lab
-        out += [PersistencePair(0, int(b), i) for b in dying]
-    out += [PersistencePair(0, int(b), INF) for b in births[1:]]
-
-    pad = np.pad(lv, 1, constant_values=L + 1)
-    labels = keys = None  # minus the fill level, so the least is filled last
-    for i in range(L, -1, -1):
-        lab, n = ndimage.label(pad > i, structure=_EIGHT)
-        keys, dying = _carry(labels, keys, lab, n, -INF if i == L else -(i + 1))
-        labels = lab
-        out += [PersistencePair(1, i + 1, INF if math.isinf(k) else int(-k))
-                for k in dying]
-    return Barcode(tuple(sorted(out)), L, schedule.thresholds)
+    bars = _sweep(*_raster_graph(field, schedule, polarity), L)
+    return Barcode(tuple(sorted(bars)), L, schedule.thresholds)
 
 
 # === independent Betti oracle ===

@@ -238,12 +238,14 @@ def write_outputs(results: Sequence[YearResult], out_dir: str | Path,
                   dim: int = 1, snapshots: bool = True) -> None:
     """Lay the full artifact set down under out_dir (created if missing).
 
+    snapshots=False writes no frames and no snapshots/ directory.
     ParameterError, with nothing written, when results is empty.
     """
     if not results:
         raise ParameterError("no year results to write")
     out = Path(out_dir)
-    for sub in ("barcodes", "snapshots", "plots"):
+    subs = ("barcodes", "plots", "snapshots") if snapshots else ("barcodes", "plots")
+    for sub in subs:
         (out / sub).mkdir(parents=True, exist_ok=True)
 
     labels: list[str] = []

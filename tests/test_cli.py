@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 from gerrytda.cli import main
+from gerrytda.compactness import paired_t_test, score_units
 from gerrytda.ingest import parse_geojson
 from gerrytda.synth import band_districts, votes_csv_text
 
@@ -157,6 +158,26 @@ def test_ttest_between_plans(island_files, capsys, tmp_path):
     assert 0.0 <= doc["p"] <= 1.0
 
 
+def test_ttest_reads_ids_that_hold_commas_quotes_or_newlines(capsys, tmp_path):
+    # unquoted, the comma in "Wake, 0" shifted the columns, and ttest read
+    # 0, 1 and 2 as the scores
+    rect_plan(tmp_path / "b.geojson", [(1, 1), (1, 2), (1, 3)])
+    plans = {"a": band_districts(10, 10, 3),
+             "b": json.loads((tmp_path / "b.geojson").read_text())}
+    scores = {}
+    for name, plan in plans.items():
+        for f, uid in zip(plan["features"], ["Wake, 0", 'say "hi"', "two\nlines"]):
+            f["properties"]["id"] = uid
+        geo = tmp_path / f"{name}.geojson"
+        geo.write_text(json.dumps(plan))
+        scores[name] = [r.polsby_popper for r in score_units(parse_geojson(geo.read_text()))]
+        assert run_cli(capsys, "compactness", "--geo", str(geo),
+                       "--out", str(tmp_path / f"{name}.csv"))[0] == 0
+    code, out, _ = run_cli(capsys, "ttest", str(tmp_path / "a.csv"), str(tmp_path / "b.csv"))
+    assert code == 0
+    assert json.loads(out)["t"] == paired_t_test(scores["a"], scores["b"]).t_statistic
+
+
 def test_ttest_length_mismatch_fails(island_files, capsys, tmp_path):
     run_cli(capsys, "compactness", "--geo", island_files["packed_geo"],
             "--out", str(tmp_path / "a.csv"))
@@ -218,7 +239,8 @@ def test_run_no_snapshots(island_files, capsys, tmp_path):
         "--width", "40", "--mode", "relative", "--no-snapshots",
         "--out", str(out_dir))
     assert code == 0
-    assert not list((out_dir / "snapshots").glob("*.pgm"))
+    assert (out_dir / "report.json").is_file()
+    assert not (out_dir / "snapshots").exists()
 
 
 @pytest.mark.parametrize("value, frames", [("1", 0), ("0", 2 * 25)])

@@ -1,8 +1,9 @@
 """Which scipy modules each route loads, each checked in a fresh interpreter.
 
-Only raster barcodes (scipy.ndimage), bottleneck (scipy.sparse.csgraph) and
+Only raster barcodes and bottleneck (both scipy.sparse.csgraph) and
 Wasserstein (scipy.optimize) need scipy; they import it on first use, so the
 package, the CLI and the routes that never call them load no scipy module.
+No route loads scipy.ndimage.
 """
 
 import json
@@ -91,11 +92,13 @@ from gerrytda.complexes import uniform_schedule
 from gerrytda.persistence import levelset_barcode
 from gerrytda.synth import field_from_array
 bc = levelset_barcode(field_from_array(np.array({values.tolist()!r})), uniform_schedule(8))
-print(json.dumps([bc.dumps(), bottleneck({a!r}, {b!r}), {SCIPY}]))
+raster = {SCIPY}
+print(json.dumps([bc.dumps(), raster, bottleneck({a!r}, {b!r}), {SCIPY}]))
 """
-    dumps, distance, loaded = fresh(f"import json, sys\n{code}")
+    dumps, raster, distance, loaded = fresh(f"import json, sys\n{code}")
     want = levelset_barcode(field_from_array(values), uniform_schedule(8))
     assert dumps == want.dumps()
     assert distance == pytest.approx(bottleneck(a, b))
-    assert {"scipy.ndimage", "scipy.sparse.csgraph"} <= set(loaded)
+    assert "scipy.sparse.csgraph" in raster  # before bottleneck loads it too
+    assert "scipy.ndimage" not in loaded
     assert "scipy.optimize" not in loaded

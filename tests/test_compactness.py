@@ -1,5 +1,7 @@
 """Compactness scores, the enclosing-circle solver, and the paired t-test."""
 
+import csv
+import io
 import math
 
 import numpy as np
@@ -145,6 +147,16 @@ def test_score_units_csv():
     assert lines[0] == "district_id,polsby_popper,reock"
     assert lines[1].startswith("D1,0.785398163")
     assert len(lines) == 3
+
+
+def test_scores_csv_quotes_ids_that_hold_commas_quotes_or_newlines():
+    ids = ["Wake, 0", 'say "hi"', "two\nlines", "plain"]
+    rows = [CompactnessRow(uid, 0.25 * k, 0.5) for k, uid in enumerate(ids, start=1)]
+    text = scores_to_csv(rows)
+    assert text.endswith("\nplain,1.0,0.5\n")  # an id with none of them is not quoted
+    got = list(csv.reader(io.StringIO(text, newline="")))
+    assert got == [["district_id", "polsby_popper", "reock"]] + \
+        [[uid, repr(0.25 * k), "0.5"] for k, uid in enumerate(ids, start=1)]
 
 
 # === paired t-test ===

@@ -1,5 +1,7 @@
 """Diagram distances against brute-force matching oracles and the metric axioms."""
 
+import csv
+import io
 import math
 import os
 import subprocess
@@ -239,6 +241,16 @@ def test_matrix_csv_format():
     assert lines[0] == ",a,b"
     assert lines[1].split(",") == ["a", "0.0", "inf"]
     assert lines[2].split(",") == ["b", "inf", "0.0"]
+
+
+def test_matrix_csv_quotes_labels_that_hold_commas_quotes_or_newlines():
+    labels = ["Wake, 0", 'say "hi"', "two\nlines"]
+    m = np.array([[0.0, 1.5, INF], [1.5, 0.0, 2.0], [INF, 2.0, 0.0]])
+    rows = list(csv.reader(io.StringIO(matrix_to_csv(labels, m), newline="")))
+    assert rows[0] == ["", *labels]
+    assert [r[0] for r in rows[1:]] == labels
+    assert [r[1:] for r in rows[1:]] == [["0.0", "1.5", "inf"], ["1.5", "0.0", "2.0"],
+                                         ["inf", "2.0", "0.0"]]
 
 
 # === import cost ===

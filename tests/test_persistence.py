@@ -4,7 +4,8 @@ The oracle (Gaussian elimination ranks) and the reduction pairing are two
 routes to the same Betti numbers; the equivalence tests here keep them
 honest against each other on randomized complexes. The pairing (_pairing)
 is held to the plain column loop (oracles.reduce_reference), and the image route,
-levelset_barcode, to the reduction's barcode on random fields.
+levelset_barcode, to the reduction's barcode on random fields and on the
+maps of acceptance gate 8.
 """
 
 import hashlib
@@ -35,7 +36,10 @@ from gerrytda.persistence import (
 )
 from gerrytda.errors import ComplexError
 from gerrytda.ingest import join_units, parse_geojson, parse_votes_csv
+from gerrytda.raster import margin_field, rasterize
 from gerrytda.synth import (
+    aggregate_band_votes,
+    band_districts,
     field_from_array,
     grid_mosaic,
     mosaic_votes,
@@ -363,6 +367,69 @@ def test_levelset_barcode_matches_reduction(sweep):
     got = levelset_barcode(field, schedule, polarity)
     assert got.dumps() == expected.dumps()
     assert got == expected
+
+
+def reduction_barcode(field, schedule, polarity):
+    """The reduction's barcode of the field, or no bars if no pixel ever enters."""
+    try:
+        return barcode(build_levelset_filtration(field, schedule, polarity))
+    except ComplexError:
+        return Barcode((), schedule.num_levels, schedule.thresholds)
+
+
+@st.composite
+def long_row_sweeps(draw):
+    """1-3 rows of up to 64 columns, each cut into runs of 2-4 values.
+
+    levelset_barcode works on row runs: these fields vary where runs and
+    rows end and which runs meet only diagonally at a run's end.
+    """
+    h, w = draw(st.integers(1, 3)), draw(st.integers(1, 64))
+    levels, top = draw(st.integers(2, 7)), draw(st.sampled_from([1.0, 0.6]))
+    margin = st.one_of(st.integers(-1, levels).map(lambda k: k * top / levels),
+                       st.sampled_from([-1.0, 1.0]), st.floats(-1.0, 1.0))
+    palette = draw(st.lists(st.tuples(margin, st.sampled_from([False] * 4 + [True])),
+                            min_size=2, max_size=4))
+    values, background = np.zeros((h, w)), np.zeros((h, w), dtype=bool)
+    for row in range(h):
+        cuts = sorted(draw(st.sets(st.integers(1, w), max_size=w // 4 + 1)))
+        for run in np.split(np.arange(w), cuts):
+            values[row, run], background[row, run] = draw(st.sampled_from(palette))
+    return (field_from_array(values, background=background), uniform_schedule(levels, top),
+            draw(st.sampled_from(["democratic", "republican"])))
+
+
+@settings(max_examples=300, deadline=None)
+@given(long_row_sweeps())
+def test_levelset_barcode_matches_reduction_on_long_rows(sweep):
+    got, expected = levelset_barcode(*sweep), reduction_barcode(*sweep)
+    assert got.dumps() == expected.dumps()
+    assert got == expected
+
+
+@pytest.fixture(scope="module")
+def gate_8_layers():
+    """Acceptance gate 8's precincts and band districts, with their shared bounds."""
+    cols, rows, bands = 97, 28, 14
+    votes = mosaic_votes(cols, rows, seed=0)
+    precincts, _ = join_units(parse_geojson(json.dumps(grid_mosaic(cols, rows, seed=0))),
+                              parse_votes_csv(votes_csv_text(votes)))
+    districts, _ = join_units(parse_geojson(json.dumps(band_districts(cols, rows, bands))),
+                              parse_votes_csv(votes_csv_text(
+                                  aggregate_band_votes(cols, rows, bands, votes))))
+    return precincts, districts, precincts.bounds.union(districts.bounds)
+
+
+@pytest.mark.parametrize("polarity", ["democratic", "republican"])
+@pytest.mark.parametrize("mode", ["density", "relative"])
+def test_levelset_barcode_matches_reduction_on_the_gate_8_mosaic(gate_8_layers, mode, polarity):
+    precincts, districts, bounds = gate_8_layers
+    schedule = uniform_schedule(25)
+    for units in (precincts, districts):
+        field = margin_field(rasterize(units, 64, bounds), units, mode)
+        got = levelset_barcode(field, schedule, polarity)
+        assert got.pairs
+        assert got == reduction_barcode(field, schedule, polarity)
 
 
 # === serialization ===
