@@ -8,13 +8,12 @@ continued fraction, so the package carries no stats dependency.
 
 from __future__ import annotations
 
-import csv
-import io
 import math
 import random
 from dataclasses import dataclass
 from typing import Sequence
 
+from .compare import _csv_text
 from .errors import DegenerateSampleError, GeometryError, ParameterError
 from .geometry import Point2, PolygonSet, UnitCollection, polygon_perimeter
 
@@ -102,12 +101,12 @@ def score_units(units: UnitCollection) -> list[CompactnessRow]:
 
 
 def scores_to_csv(rows: Sequence[CompactnessRow]) -> str:
-    """One line per district; an id holding a comma, a quote or a newline is quoted."""
-    text = io.StringIO()
-    out = csv.writer(text, lineterminator="\n")
-    out.writerow(["district_id", "polsby_popper", "reock"])
-    out.writerows([r.district_id, repr(r.polsby_popper), repr(r.reock)] for r in rows)
-    return text.getvalue()
+    """One line per district.
+
+    An id holding a comma, a quote, a carriage return or a newline is quoted.
+    """
+    return _csv_text([["district_id", "polsby_popper", "reock"]] + [
+        [r.district_id, repr(r.polsby_popper), repr(r.reock)] for r in rows])
 
 
 # === Student-t p-value machinery ===

@@ -6,11 +6,15 @@ sorted birth order, and a count mismatch makes the distance inf. Finite
 points may match each other or project to the diagonal.
 
 The ground metric is L-infinity, so diagonal projection costs half the
-persistence, as in the paper's bottleneck distance. Bottleneck is exact:
-binary search over the candidate cost set, each probe two Hopcroft-Karp
-maximum matchings (scipy.sparse.csgraph) between the points. Wasserstein
-solves the diagonal-augmented assignment problem exactly (scipy.optimize).
-Both scipy modules are imported inside the functions that call them, so
+persistence, as in the paper's bottleneck distance. Bottleneck is exact.
+Its search starts at a lower bound: every finite point goes either to the
+diagonal or across, so no matching costs less than the dearest point's
+cheapest option, nor less than the essential points' cost. That bound is a
+candidate and the first probe; only if it fails does a binary search run
+over the candidate costs above it. Each probe is two Hopcroft-Karp maximum
+matchings (scipy.sparse.csgraph) between the points. Wasserstein solves
+the diagonal-augmented assignment problem exactly (scipy.optimize). Both
+scipy modules are imported inside the functions that call them, so
 importing this module, and every command that never compares diagrams,
 loads no scipy.
 """
@@ -20,7 +24,7 @@ from __future__ import annotations
 import csv
 import io
 import math
-from typing import Callable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -55,6 +59,8 @@ def _diag_cost(pts: np.ndarray) -> np.ndarray:
 
 def _saturates(graph: np.ndarray) -> bool:
     """Does a matching of the bipartite graph cover every row? (Hopcroft-Karp)"""
+    if not len(graph):  # most probes leave no point that must go across
+        return True
     from scipy.sparse import csr_matrix
     from scipy.sparse.csgraph import maximum_bipartite_matching
 
@@ -97,9 +103,16 @@ def bottleneck(a: Diagram, b: Diagram) -> float:
     cross = _ground_distances(pa, pb)
     diag_a = _diag_cost(pa)
     diag_b = _diag_cost(pb)
-    candidates = np.unique(np.concatenate([
-        cross.ravel(), diag_a, diag_b, [0.0, value]]))
-    # smallest feasible candidate; feasibility is monotone in c
+    # each point goes to the diagonal or across, at no less than its cheapest
+    # option; the largest of those is a candidate, and usually the answer
+    cheapest = np.concatenate([np.minimum(diag_a, cross.min(axis=1, initial=INF)),
+                               np.minimum(diag_b, cross.min(axis=0, initial=INF))])
+    bound = max(float(cheapest.max()), value)
+    if _feasible(cross, diag_a, diag_b, bound):
+        return bound
+    candidates = np.unique(np.concatenate([cross.ravel(), diag_a, diag_b]))
+    candidates = candidates[candidates > bound]
+    # smallest feasible candidate above the bound; feasibility is monotone in c
     lo, hi = 0, len(candidates) - 1
     if not _feasible(cross, diag_a, diag_b, candidates[hi]):
         raise AssertionError("matching must be feasible at the max candidate")
@@ -109,7 +122,7 @@ def bottleneck(a: Diagram, b: Diagram) -> float:
             hi = mid
         else:
             lo = mid + 1
-    return max(float(candidates[lo]), value)
+    return float(candidates[lo])
 
 
 def wasserstein(a: Diagram, b: Diagram, p: float = 1.0) -> float:
@@ -173,11 +186,23 @@ def distance_matrix(labels: Sequence[str], diagrams: Sequence[Diagram],
 def matrix_to_csv(labels: Sequence[str], matrix: np.ndarray) -> str:
     """Distance matrix as CSV with a label header row and column.
 
-    A label holding a comma, a quote or a newline is quoted.
+    A label holding a comma, a quote, a carriage return or a newline is quoted.
     """
-    text = io.StringIO()
-    out = csv.writer(text, lineterminator="\n")
-    out.writerow(["", *labels])
-    for lab, row in zip(labels, np.asarray(matrix)):
-        out.writerow([lab] + ["inf" if math.isinf(x) else repr(float(x)) for x in row])
-    return text.getvalue()
+    return _csv_text([["", *labels]] + [
+        [lab] + ["inf" if math.isinf(x) else repr(float(x)) for x in row]
+        for lab, row in zip(labels, np.asarray(matrix))])
+
+
+def _csv_text(rows: Iterable[Sequence[str]]) -> str:
+    """Rows as CSV lines, each ending in a newline.
+
+    A cell holding a comma, a quote, a carriage return or a newline is
+    quoted. csv.writer quotes only the characters of its own line
+    terminator, so each row is written ending in CR LF, then re-ended in LF.
+    """
+    lines = []
+    for row in rows:
+        line = io.StringIO()
+        csv.writer(line, lineterminator="\r\n").writerow(row)
+        lines.append(line.getvalue()[:-2] + "\n")
+    return "".join(lines)

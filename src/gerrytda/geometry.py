@@ -277,8 +277,11 @@ class UnitCollection:
         v = np.vstack([edges[:, :2], np.zeros((1, 2))])
         at = np.column_stack([start, stop]).ravel()
         boxes = np.hstack([np.minimum.reduceat(v, at)[::2], np.maximum.reduceat(v, at)[::2]])
-        areas = [_area(ring_areas[a:a + k], ring_areas[a + k:b])
-                 for (a, b), k in zip(pairwise(first.tolist()), counts[:, 0].tolist())]
+        # one outer ring and no holes: _area is that ring's abs, so take them at once
+        areas = np.abs(np.array(ring_areas, dtype=np.float64)[first[:-1]])
+        for i in np.flatnonzero((counts != (1, 0)).any(axis=1)).tolist():
+            a, k = first[i], counts[i, 0]
+            areas[i] = _area(ring_areas[a:a + k], ring_areas[a + k:first[i + 1]])
         self.edge_counts, = _read_only(ring_ends[first[1:]] - start)
         self.boxes, self.areas = _read_only(boxes, areas, dtype=np.float64)
         self.edges = edges

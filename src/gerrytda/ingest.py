@@ -15,8 +15,10 @@ holes is built as a PolygonSet, to check it. Bytes that are not UTF-8, and
 any other malformed input, raise IngestError.
 
 Votes take one form, a VoteTable: ids and two read-only count arrays of
-one length. parse_votes_csv fills one by the csv row loop, which names the
-first fault, and join_units scatters one into the map's unit order.
+one length. parse_votes_csv fills one from the csv rows a column at a time,
+with whole-array checks; only when a check fails does a row loop run, to
+name the first fault. join_units scatters a VoteTable into the map's unit
+order.
 """
 
 from __future__ import annotations
@@ -69,14 +71,13 @@ class JoinReport:
             raise IngestError("join report counts must be non-negative")
 
 
-def _count(props: dict, key: str, feature_idx: int) -> int:
+def _count(value, key: str, feature_idx: int) -> int:
     """A vote-count property as an int in 0..MAX_VOTES; any other value is an error."""
-    value = props.get(key, 0)
     try:
         count = int(value)
     except (TypeError, ValueError, OverflowError):
         count = None
-    if count is None or (isinstance(value, float) and count != value):
+    if count is None or isinstance(value, bool) or (isinstance(value, float) and count != value):
         raise IngestError(f"feature {feature_idx}: non-integer {key} {value!r}")
     if count < 0:
         raise IngestError(f"feature {feature_idx}: negative {key}")
@@ -176,20 +177,22 @@ def parse_geojson(text: str | bytes, id_property: str = "id",
             raise IngestError(f"feature {i}: geometry is not a JSON object")
         gtype = geom.get("type")
         parts = geom.get("coordinates", [])
-        if gtype == "Polygon":
-            parts = [parts]
-        elif gtype != "MultiPolygon":
-            raise IngestError(f"feature {i}: unsupported geometry type {gtype!r}")
         try:
-            outers = [part[0] for part in parts]
-            holes = [h for part in parts for h in part[1:]]
+            if gtype == "Polygon":
+                outers, holes, parts = [parts[0]], parts[1:], [parts]
+            elif gtype == "MultiPolygon":
+                outers = [part[0] for part in parts]
+                holes = [h for part in parts for h in part[1:]]
+            else:
+                raise IngestError(f"feature {i}: unsupported geometry type {gtype!r}")
         except (IndexError, KeyError, TypeError) as e:
             raise IngestError(f"feature {i}: malformed polygon coordinates") from e
         rings += outers
         feature_parts.append(parts)
         rings += holes
         ring_counts.append((len(outers), len(holes)))
-        votes += [_count(props, "dem_votes", i), _count(props, "rep_votes", i)]
+        votes += [_count(props["dem_votes"], "dem_votes", i) if "dem_votes" in props else 0,
+                  _count(props["rep_votes"], "rep_votes", i) if "rep_votes" in props else 0]
         ukind = kind
         if ukind is None:
             try:
@@ -203,15 +206,15 @@ def parse_geojson(text: str | bytes, id_property: str = "id",
     if 0.0 in areas:
         _ring_fault(feature_parts)
     # only a unit with holes or without rings can fail; hole-free units are never built
-    for i, ((k, h), parts) in enumerate(zip(ring_counts, feature_parts)):
-        if h or not k:
-            try:
-                geom = PolygonSet([Ring(p[0]) for p in parts],
-                                  [Ring(r) for p in parts for r in p[1:]])
-            except GeometryError as e:
-                raise IngestError(f"feature {i}: {e}") from e
-            if geom.area <= 0.0:
-                raise IngestError(f"feature {i}: non-positive area")
+    k, h = np.array(ring_counts, dtype=np.int64).reshape(-1, 2).T
+    for i in np.flatnonzero((h > 0) | (k == 0)).tolist():
+        parts = feature_parts[i]
+        try:
+            geom = PolygonSet([Ring(p[0]) for p in parts], [Ring(r) for p in parts for r in p[1:]])
+        except GeometryError as e:
+            raise IngestError(f"feature {i}: {e}") from e
+        if geom.area <= 0.0:
+            raise IngestError(f"feature {i}: non-positive area")
     return UnitCollection(ids, kinds, votes[0::2], votes[1::2], edges, offsets,
                           ring_counts, areas)
 
@@ -258,10 +261,48 @@ def parse_votes_csv(text: str | bytes) -> VoteTable:
     header = [c.strip() for c in rows[0]]
     if header != _CSV_HEADER:
         raise IngestError(f"missing or malformed header: expected {','.join(_CSV_HEADER)}")
-    ids: dict[str, None] = {}  # in row order
-    counts: list[int] = []  # dem, rep, dem, rep, ...
+    table = _vote_columns(rows[1:])
+    if table is None:  # blank rows to skip, or a fault
+        table = _vote_columns([row for row in rows[1:] if any(map(str.strip, row))])
+    if table is None:
+        _vote_fault(rows)
+    return table
+
+
+def _vote_columns(body: list[list[str]]) -> VoteTable | None:
+    """The table of rows read a column at a time, or None if a row is blank or faulty.
+
+    A blank row has no cells or an empty first cell once stripped, so a body
+    that passes has none. Every cell is stripped before int(), which strips
+    less than str.strip.
+    """
+    if not body:
+        return VoteTable((), (), ())
+    if set(map(len, body)) != {3}:
+        return None
+    uid, dem, rep = zip(*body)
+    ids = dict.fromkeys(map(str.strip, uid))
+    if len(ids) != len(body) or "" in ids:
+        return None
+    try:
+        counts = np.array([list(map(int, map(str.strip, dem))),
+                           list(map(int, map(str.strip, rep)))], dtype=np.int64)
+    except (ValueError, OverflowError):  # not an integer, or not an int64
+        return None
+    if (counts < 0).any() or (counts > MAX_VOTES).any():
+        return None
+    return VoteTable(ids, counts[0], counts[1])
+
+
+def _vote_fault(rows: list[list[str]]) -> NoReturn:
+    """Raise the first fault of the votes rows after the header, read row by row.
+
+    Row numbers count the header as row 1, and blank rows are skipped. The
+    column passes only tell that some row is bad; this loop names it.
+    """
+    ids: set[str] = set()
     for lineno, row in enumerate(rows[1:], start=2):
-        if not row or all(not c.strip() for c in row):
+        if not any(map(str.strip, row)):
             continue
         if len(row) != 3:
             raise IngestError(f"row {lineno}: expected 3 fields, got {len(row)}")
@@ -270,7 +311,7 @@ def parse_votes_csv(text: str | bytes) -> VoteTable:
             raise IngestError(f"row {lineno}: empty unit_id")
         if uid in ids:
             raise IngestError(f"row {lineno}: duplicate unit_id {uid}")
-        ids[uid] = None
+        ids.add(uid)
         for cell in row[1:]:
             s = cell.strip()
             try:
@@ -281,8 +322,7 @@ def parse_votes_csv(text: str | bytes) -> VoteTable:
                 raise IngestError(f"row {lineno}: negative count")
             if v > MAX_VOTES:
                 raise IngestError(f"row {lineno}: count above 2**52")
-            counts.append(v)
-    return VoteTable(ids, counts[0::2], counts[1::2])
+    raise AssertionError("the column checks disagree with the row loop")
 
 
 def join_units(geo: UnitCollection, votes: VoteTable) -> tuple[UnitCollection, JoinReport]:

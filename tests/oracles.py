@@ -8,12 +8,16 @@ only the final sort into filtration order (complexes._sorted_complex).
 reduce_reference is the library's former reduce, every column through one
 set-based GF(2) loop, which persistence._pairing is held to. unit_margin is
 the library's former per-unit margin, Python int / int, which
-raster.margin_field is held to bit for bit.
+raster.margin_field is held to bit for bit. parse_votes_reference is the
+library's former votes parser, one csv row at a time, which
+ingest.parse_votes_csv is held to row for row and message for message.
 
 unit_map is not an oracle: it builds every test map the one way the library
 builds one, GeoJSON through parse_geojson, from feature dicts.
 """
 
+import csv
+import io
 import json
 import math
 from dataclasses import dataclass
@@ -22,8 +26,9 @@ from itertools import combinations, permutations
 import numpy as np
 
 from gerrytda.complexes import _sorted_complex
-from gerrytda.errors import ComplexError, MarginError, ParameterError
-from gerrytda.ingest import parse_geojson
+from gerrytda.errors import ComplexError, IngestError, MarginError, ParameterError
+from gerrytda.geometry import MAX_VOTES
+from gerrytda.ingest import VoteTable, parse_geojson
 from gerrytda.raster import MarginMode
 
 
@@ -190,6 +195,47 @@ def unit_margin(units, i, mode=MarginMode.RELATIVE):
             raise MarginError(f"unit {units.ids[i]}: zero total votes")
         return (dem - rep) / (dem + rep)
     return (dem - rep) / units.geometries[i].area
+
+
+# === votes ===
+
+def parse_votes_reference(text):
+    """A votes CSV as a VoteTable, or the IngestError naming its first fault."""
+    try:
+        if isinstance(text, bytes):
+            text = text.decode("utf-8")
+        rows = list(csv.reader(io.StringIO(text.removeprefix("\ufeff"), newline="")))
+    except (UnicodeDecodeError, csv.Error) as e:
+        raise IngestError(f"unreadable votes file: {e}") from e
+    if not rows:
+        raise IngestError("missing header: empty votes file")
+    if [c.strip() for c in rows[0]] != ["unit_id", "dem_votes", "rep_votes"]:
+        raise IngestError("missing or malformed header: expected unit_id,dem_votes,rep_votes")
+    ids = {}
+    counts = []
+    for lineno, row in enumerate(rows[1:], start=2):
+        if not row or all(not c.strip() for c in row):
+            continue
+        if len(row) != 3:
+            raise IngestError(f"row {lineno}: expected 3 fields, got {len(row)}")
+        uid = row[0].strip()
+        if not uid:
+            raise IngestError(f"row {lineno}: empty unit_id")
+        if uid in ids:
+            raise IngestError(f"row {lineno}: duplicate unit_id {uid}")
+        ids[uid] = None
+        for cell in row[1:]:
+            s = cell.strip()
+            try:
+                v = int(s)
+            except ValueError:
+                raise IngestError(f"row {lineno}: non-integer count {s!r}") from None
+            if v < 0:
+                raise IngestError(f"row {lineno}: negative count")
+            if v > MAX_VOTES:
+                raise IngestError(f"row {lineno}: count above 2**52")
+            counts.append(v)
+    return VoteTable(ids, counts[0::2], counts[1::2])
 
 
 # === unit adjacency ===

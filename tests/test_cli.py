@@ -160,13 +160,13 @@ def test_ttest_between_plans(island_files, capsys, tmp_path):
 
 def test_ttest_reads_ids_that_hold_commas_quotes_or_newlines(capsys, tmp_path):
     # unquoted, the comma in "Wake, 0" shifted the columns, and ttest read
-    # 0, 1 and 2 as the scores
-    rect_plan(tmp_path / "b.geojson", [(1, 1), (1, 2), (1, 3)])
-    plans = {"a": band_districts(10, 10, 3),
+    # 0, 1 and 2 as the scores; "a\rb" ended its row at the carriage return
+    rect_plan(tmp_path / "b.geojson", [(1, 1), (1, 2), (1, 3), (2, 1)])
+    plans = {"a": band_districts(10, 10, 4),
              "b": json.loads((tmp_path / "b.geojson").read_text())}
     scores = {}
     for name, plan in plans.items():
-        for f, uid in zip(plan["features"], ["Wake, 0", 'say "hi"', "two\nlines"]):
+        for f, uid in zip(plan["features"], ["Wake, 0", 'say "hi"', "two\nlines", "a\rb"]):
             f["properties"]["id"] = uid
         geo = tmp_path / f"{name}.geojson"
         geo.write_text(json.dumps(plan))

@@ -7,6 +7,7 @@ import math
 import numpy as np
 import pytest
 
+from gerrytda.cli import _read_scores_csv
 from gerrytda.compactness import (
     CompactnessRow,
     min_enclosing_circle,
@@ -149,14 +150,20 @@ def test_score_units_csv():
     assert len(lines) == 3
 
 
-def test_scores_csv_quotes_ids_that_hold_commas_quotes_or_newlines():
-    ids = ["Wake, 0", 'say "hi"', "two\nlines", "plain"]
+def test_scores_csv_quotes_ids_that_hold_commas_quotes_or_newlines(tmp_path):
+    # a lone carriage return too: csv.writer leaves it unquoted when lines
+    # end in a newline, and csv.reader then ends the row there
+    ids = ["Wake, 0", 'say "hi"', "two\nlines", "a\rb", "c\r\nd", "plain"]
     rows = [CompactnessRow(uid, 0.25 * k, 0.5) for k, uid in enumerate(ids, start=1)]
     text = scores_to_csv(rows)
-    assert text.endswith("\nplain,1.0,0.5\n")  # an id with none of them is not quoted
+    assert '\n"a\rb",1.0,0.5\n' in text
+    assert text.endswith("\nplain,1.5,0.5\n")  # an id with none of them is not quoted
     got = list(csv.reader(io.StringIO(text, newline="")))
     assert got == [["district_id", "polsby_popper", "reock"]] + \
         [[uid, repr(0.25 * k), "0.5"] for k, uid in enumerate(ids, start=1)]
+    path = tmp_path / "scores.csv"
+    path.write_bytes(text.encode())
+    assert _read_scores_csv(str(path), "polsby_popper") == [0.25 * k for k in range(1, 7)]
 
 
 # === paired t-test ===

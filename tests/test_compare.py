@@ -14,6 +14,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import gerrytda
+from gerrytda import compare
 from gerrytda.compare import (
     INF,
     bottleneck,
@@ -68,6 +69,27 @@ def test_bottleneck_augmenting_paths_beyond_recursion_limit():
     a = [(i % 7, i % 7 + 2) for i in range(600)]
     b = [(i % 5, i % 5 + 3) for i in range(600)]
     assert bottleneck(a, b) == bottleneck(b, a) == 1.5
+
+
+def test_bottleneck_when_the_lower_bound_is_not_tight(monkeypatch):
+    # every point's cheapest option costs at most 0.1, but both a-points are
+    # nearest the one b-point, so one of them goes to the diagonal at 5
+    a = [(0.0, 10.0), (0.1, 10.1)]
+    b = [(0.0, 10.05)]
+    probes = []
+    feasible = compare._feasible
+
+    def probe(*args):
+        probes.append((args[-1], feasible(*args)))
+        return probes[-1][1]
+
+    monkeypatch.setattr(compare, "_feasible", probe)
+    for x, y in ((a, b), (b, a)):
+        probes.clear()
+        assert bottleneck(x, y) == brute_bottleneck(x, y) == 5.0
+        # the bound is probed first and fails, so the search runs above it
+        assert probes[0] == (0.1, False)
+        assert len(probes) > 1 and all(c > 0.1 for c, _ in probes[1:])
 
 
 # === wasserstein examples ===
@@ -244,13 +266,17 @@ def test_matrix_csv_format():
 
 
 def test_matrix_csv_quotes_labels_that_hold_commas_quotes_or_newlines():
-    labels = ["Wake, 0", 'say "hi"', "two\nlines"]
-    m = np.array([[0.0, 1.5, INF], [1.5, 0.0, 2.0], [INF, 2.0, 0.0]])
-    rows = list(csv.reader(io.StringIO(matrix_to_csv(labels, m), newline="")))
+    labels = ["Wake, 0", 'say "hi"', "two\nlines", "x\ry", "z"]
+    m = np.array([[0.0, 1.5, INF, 1.0, 1.0], [1.5, 0.0, 2.0, 1.0, 1.0],
+                  [INF, 2.0, 0.0, 1.0, 1.0], [1.0] * 3 + [0.0, 1.0], [1.0] * 4 + [0.0]])
+    text = matrix_to_csv(labels, m)
+    assert '\n"x\ry",1.0,1.0,1.0,0.0,1.0\n' in text
+    assert text.endswith("\nz,1.0,1.0,1.0,1.0,0.0\n")  # a plain label is not quoted
+    rows = list(csv.reader(io.StringIO(text, newline="")))
     assert rows[0] == ["", *labels]
     assert [r[0] for r in rows[1:]] == labels
-    assert [r[1:] for r in rows[1:]] == [["0.0", "1.5", "inf"], ["1.5", "0.0", "2.0"],
-                                         ["inf", "2.0", "0.0"]]
+    assert [r[1:4] for r in rows[1:4]] == [["0.0", "1.5", "inf"], ["1.5", "0.0", "2.0"],
+                                           ["inf", "2.0", "0.0"]]
 
 
 # === import cost ===

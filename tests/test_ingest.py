@@ -19,6 +19,7 @@ from gerrytda.ingest import (
     to_geojson,
 )
 from gerrytda.synth import band_districts, grid_mosaic, mosaic_votes, votes_csv_text
+from oracles import parse_votes_reference
 
 
 def square_feature(uid, x0, y0, size=1.0, props=None):
@@ -116,6 +117,10 @@ MALFORMED = {
                          "non-integer dem_votes 'many'"),
     "fractional_rep_votes": (polygon(UNIT_SQUARE, props={"rep_votes": 2.5}),
                              "non-integer rep_votes 2.5"),
+    "bool_dem_votes": (polygon(UNIT_SQUARE, props={"dem_votes": True}),
+                       "non-integer dem_votes True"),
+    "null_rep_votes": (polygon(UNIT_SQUARE, props={"rep_votes": None}),
+                       "non-integer rep_votes None"),
     "unknown_kind": (polygon(UNIT_SQUARE, props={"kind": "county"}),
                      "unknown kind 'county'"),
     "number_feature": (5, "not a JSON object"),
@@ -507,9 +512,23 @@ def votes_texts(draw):
 @example("unit_id,dem_votes,rep_votes\n\"P2\",1,2\n")  # csv unquotes a cell
 @example("unit_id,dem_votes,rep_votes\nP1,1,2,3\n4,5\n")  # a long row, then a short one
 @example("unit_id,dem_votes,rep_votes\nP1\r,1,2\n")  # a lone CR ends a row
+@example("unit_id,dem_votes,rep_votes\nP1,\x1c5,3\nP2,4,\x1c\x1d6\n")  # int() keeps \x1c
+@example("unit_id,dem_votes,rep_votes\nP1,1,2\n,,\nP2,3,4\n  \nP3,5,6\n , \t, \nP4,7,8\n")
+@example("unit_id,dem_votes,rep_votes\nP1,1,2\n,,\nP1,3,4\n")  # a duplicate after a blank
+@example("unit_id,dem_votes,rep_votes\nP1,1,2\n\n\n \n")  # trailing blank lines
+@example("unit_id,dem_votes,rep_votes\n\n,,\n")  # nothing but blank rows
+@example("\ufeffunit_id,dem_votes,rep_votes\r\nP1,1,2\r\nP2,3,4\r\n")  # a BOM with CRLF
+@example(f"unit_id,dem_votes,rep_votes\nP1,1,2\nP2,{2**63},3\n")  # beyond int64
+@example(f"unit_id,dem_votes,rep_votes\nP1,{'9' * 30},2\nP2,-1,3\n")
+@example("unit_id,dem_votes,rep_votes\nP1,1,2,3\nP2,x,4\n")  # a long row, then a bad count
+@example("unit_id,dem_votes,rep_votes\nP1,x,4\nP2,1,2,3\n")  # a bad count, then a long row
+@example("unit_id,dem_votes,rep_votes\nP1,-1,x\n")  # the first cell's fault wins
+@example("unit_id,dem_votes,rep_votes\n,1,2\n")  # an empty id is no blank row
 def test_votes_parse_gives_a_table_or_an_ingest_error(text):
+    # the same rows, or the same message, as the former row-by-row parser
     outcome = ingest_outcome(parse_votes_csv, text)
     assert isinstance(outcome, (list, str))
+    assert ingest_outcome(parse_votes_reference, text) == outcome
     assert ingest_outcome(parse_votes_csv, text.encode()) == outcome
     assert ingest_outcome(parse_votes_csv, text.removeprefix("\ufeff")) == outcome
 
