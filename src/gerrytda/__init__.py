@@ -21,12 +21,8 @@ from .errors import (
 from .geometry import (
     Bounds,
     Point2,
-    PolygonSet,
-    Ring,
     UnitCollection,
     UnitKind,
-    point_in_polygon,
-    polygon_perimeter,
 )
 from .ingest import (
     JoinReport,
@@ -75,8 +71,6 @@ from .compactness import (
     TTestResult,
     min_enclosing_circle,
     paired_t_test,
-    polsby_popper,
-    reock,
     score_units,
     scores_to_csv,
     t_p_value,

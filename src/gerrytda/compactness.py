@@ -1,7 +1,8 @@
 """Geometric compactness scores and the paired two-tailed t-test.
 
 Polsby-Popper and Reock use the standard definitions (isoperimetric quotient
-and minimal-enclosing-circle quotient). The p-value comes from the Student-t
+and minimal-enclosing-circle quotient), read from a map's columns: its edge
+rows and unit areas. The p-value comes from the Student-t
 distribution through a regularized incomplete beta function evaluated by
 continued fraction, so the package carries no stats dependency.
 """
@@ -13,17 +14,11 @@ import random
 from dataclasses import dataclass
 from typing import Sequence
 
+import numpy as np
+
 from .compare import _csv_text
 from .errors import DegenerateSampleError, GeometryError, ParameterError
-from .geometry import Point2, PolygonSet, UnitCollection, polygon_perimeter
-
-
-def polsby_popper(geom: PolygonSet) -> float:
-    """4 pi A / P^2, holes counted in both area and boundary length."""
-    perimeter = polygon_perimeter(geom)
-    if perimeter <= 0.0:
-        raise GeometryError("zero perimeter")
-    return 4.0 * math.pi * geom.area / (perimeter * perimeter)
+from .geometry import Point2, UnitCollection
 
 
 def _circle_two(p, q):
@@ -80,14 +75,6 @@ def min_enclosing_circle(points: Sequence) -> tuple[Point2, float]:
     return Point2(c[0], c[1]), c[2]
 
 
-def reock(geom: PolygonSet) -> float:
-    """Area over the area of the minimal enclosing circle of all vertices."""
-    _, r = min_enclosing_circle(geom.edges[:, :2])
-    if r <= 0.0:
-        raise GeometryError("degenerate geometry: enclosing radius is zero")
-    return geom.area / (math.pi * r * r)
-
-
 @dataclass(frozen=True)
 class CompactnessRow:
     district_id: str
@@ -96,8 +83,28 @@ class CompactnessRow:
 
 
 def score_units(units: UnitCollection) -> list[CompactnessRow]:
-    return [CompactnessRow(uid, polsby_popper(g), reock(g))
-            for uid, g in zip(units.ids, units.geometries)]
+    """Each unit's Polsby-Popper and Reock scores, holes counted.
+
+    Polsby-Popper is 4 pi A / P^2, with the boundary length P summed ring by
+    ring, then the outer rings' sum plus the holes'. Reock is A over the area
+    of the minimal enclosing circle of all the unit's vertices.
+    """
+    e = units.edges
+    lengths = np.hypot(e[:, 2] - e[:, 0], e[:, 3] - e[:, 1])
+    ends = np.cumsum(units.edge_counts).tolist()
+    rows = []
+    for uid, area, stop, (outers, holes) in zip(units.ids, units.areas.tolist(), ends,
+                                                units.ring_spans()):
+        perimeter = float(sum(float(np.sum(lengths[a:b])) for a, b in outers)
+                          + sum(float(np.sum(lengths[a:b])) for a, b in holes))
+        if perimeter <= 0.0:
+            raise GeometryError("zero perimeter")
+        _, r = min_enclosing_circle(e[outers[0][0]:stop, :2])
+        if r <= 0.0:
+            raise GeometryError("degenerate geometry: enclosing radius is zero")
+        rows.append(CompactnessRow(uid, 4.0 * math.pi * area / (perimeter * perimeter),
+                                   area / (math.pi * r * r)))
+    return rows
 
 
 def scores_to_csv(rows: Sequence[CompactnessRow]) -> str:

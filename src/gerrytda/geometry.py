@@ -2,26 +2,25 @@
 
 Coordinates are assumed to live in a planar projection already; nothing in
 here knows about longitude/latitude. Areas come from the shoelace formula,
-point membership from even-odd ray casting with a half-open tie rule (top
-and left edges inclusive) so that abutting polygons partition the plane
-without double-claiming boundary points.
-
-A PolygonSet measures itself once, at construction: its edge table (one
-x1 y1 x2 y2 row per ring edge), its area and its bounds. This is the only
-module that turns rings into edges.
+and point membership is even-odd ray casting with a half-open tie rule (top
+and left edges inclusive) over an edge table, so that abutting polygons
+partition the plane without double-claiming boundary points.
 
 A parsed map keeps every ring's vertices end to end in one (V, 2) table
 with ring offsets (the GeoArrow ragged layout). ring_table measures it in
-one pass, giving the (V, 4) edge table and every signed area, bit for bit
-as Ring and PolygonSet would.
+one pass, giving the (V, 4) edge table (one x1 y1 x2 y2 row per ring edge)
+and every signed area, bit for bit as Ring would.
+
+Ring and PolygonSet are ingest's checks: a Ring rejects a degenerate ring,
+and a PolygonSet places each hole in the outer ring that holds it. Nothing
+else builds them.
 
 A UnitCollection is a map in columns: the edge table, each unit's edge
 count, box and area, and votes as two read-only int64 arrays (counts at
-most MAX_VOTES). ingest.parse_geojson is the one way to build one. A
-unit's PolygonSet is built from the columns only when geometries is
-asked for. A memo keeps what depends on geometry alone
-(geometries, adjacency, label rasters); with_votes swaps the vote arrays,
-given as one (n, 2) integer array, and shares the rest, memo included.
+most MAX_VOTES). ingest.parse_geojson is the one way to build one. A memo
+keeps what depends on geometry alone (adjacency, label rasters);
+with_votes swaps the vote arrays, given as one (n, 2) integer array, and
+shares the rest, memo included.
 """
 
 from __future__ import annotations
@@ -29,8 +28,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
-from itertools import islice, pairwise
-from typing import Any, Callable, Iterable, Sequence
+from typing import Any, Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -180,10 +178,9 @@ class PolygonSet:
       edge, ring by ring in ``rings()`` order, each ring's edges in vertex
       order with the closing edge last. Columns 0-1 list every vertex.
     * ``area``: outer rings minus holes, orientation-independent.
-    * ``bounds``: the bounding box of the outer rings.
     """
 
-    __slots__ = ("outers", "holes", "hole_owner", "edges", "area", "bounds")
+    __slots__ = ("outers", "holes", "hole_owner", "edges", "area")
 
     def __init__(self, outers: Sequence[Ring], holes: Sequence[Ring] = ()):
         if not outers:
@@ -207,9 +204,6 @@ class PolygonSet:
         self.edges.setflags(write=False)
         self.area = _area([r.signed_area for r in self.outers],
                           [r.signed_area for r in self.holes])
-        v = self.edges[:sum(len(r) for r in self.outers), :2]
-        lo, hi = v.min(axis=0), v.max(axis=0)
-        self.bounds = Bounds(float(lo[0]), float(lo[1]), float(hi[0]), float(hi[1]))
 
     def rings(self) -> tuple[Ring, ...]:
         return self.outers + self.holes
@@ -218,22 +212,6 @@ class PolygonSet:
 def _area(outer_areas: Sequence[float], hole_areas: Sequence[float]) -> float:
     """Outer rings minus holes, from signed areas, summed in ring order."""
     return float(sum(map(abs, outer_areas)) - sum(map(abs, hole_areas)))
-
-
-def polygon_perimeter(geom: PolygonSet) -> float:
-    """Boundary length: the outer rings' lengths summed, plus the holes' summed."""
-    e = geom.edges
-    lengths = np.hypot(e[:, 2] - e[:, 0], e[:, 3] - e[:, 1])
-    ends = np.cumsum([len(r) for r in geom.rings()])
-    per_ring = [float(np.sum(part)) for part in np.split(lengths, ends[:-1])]
-    n = len(geom.outers)
-    return float(sum(per_ring[:n]) + sum(per_ring[n:]))
-
-
-def point_in_polygon(point: Point2 | tuple[float, float], geom: PolygonSet) -> bool:
-    """Even-odd membership over all rings (holes toggle a point back out)."""
-    px, py = (point.x, point.y) if isinstance(point, Point2) else (float(point[0]), float(point[1]))
-    return bool(_crossing_parity(px, py, geom.edges))
 
 
 class UnitKind(Enum):
@@ -246,10 +224,10 @@ class UnitCollection:
 
     ids and kinds are tuples in unit order; dem and rep are read-only int64
     arrays. The geometry is read-only columns, set at construction: edges,
-    every unit's PolygonSet.edges rows end to end in unit order; and per
-    unit, edge_counts, boxes (minx, miny, maxx, maxy over the outer rings)
-    and areas. geometries (a PolygonSet per unit) is built from edges on
-    first access and kept in the memo (see memo), which only with_votes
+    every unit's ring edge rows end to end in unit order, outer rings first;
+    and per unit, edge_counts, boxes (minx, miny, maxx, maxy over the outer
+    rings) and areas. ring_spans gives each ring's rows. Results that depend
+    on geometry alone go in the memo (see memo), which only with_votes
     shares. ingest.parse_geojson is the one caller of the constructor.
     """
 
@@ -293,19 +271,18 @@ class UnitCollection:
                                  *boxes[:, 2:].max(axis=0).tolist())
         self._geometry = {}
 
-    @property
-    def geometries(self) -> tuple[PolygonSet, ...]:
-        def build():
-            ring_ends, counts = self._rings
-            # each ring closed explicitly, so that Ring keeps exactly its rows
-            rings = (Ring(np.vstack([self.edges[a:b, :2], self.edges[a:a + 1, :2]]))
-                     for a, b in pairwise(ring_ends.tolist()))
-            return tuple(PolygonSet(list(islice(rings, k)), list(islice(rings, h)))
-                         for k, h in counts)
-        return self.memo("geometries", build)
-
     def __len__(self) -> int:
         return len(self.ids)
+
+    def ring_spans(self) -> Iterator[tuple[list[tuple[int, int]], list[tuple[int, int]]]]:
+        """Each unit's outer rings and holes, in order, as (start, stop) ranges of edges rows."""
+        ring_ends, counts = self._rings
+        ends = ring_ends.tolist()
+        spans = list(zip(ends[:-1], ends[1:]))
+        r = 0
+        for k, h in counts:
+            yield spans[r:r + k], spans[r + k:r + k + h]
+            r += k + h
 
     def positions(self, ids: Iterable[str]) -> np.ndarray:
         """Each id's index in the collection, -1 for an id it lacks."""

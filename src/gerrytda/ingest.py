@@ -11,8 +11,10 @@ parse_geojson reads every ring of a file, a unit's outer rings first, into
 one flat (V, 2) vertex table with ring offsets (the GeoArrow ragged layout),
 checks it in whole-array operations, and measures it once with
 geometry.ring_table. The collection keeps those tables; only a unit with
-holes is built as a PolygonSet, to check it. Bytes that are not UTF-8, and
-any other malformed input, raise IngestError.
+holes is built as a PolygonSet, to check it, and to_geojson follows the same
+rule to place its holes. Unit ids are stripped of surrounding whitespace in
+both readers, so a map and a votes file join on the same ids. Bytes that are
+not UTF-8, and any other malformed input, raise IngestError.
 
 Votes take one form, a VoteTable: ids and two read-only count arrays of
 one length. parse_votes_csv fills one from the csv rows a column at a time,
@@ -168,7 +170,9 @@ def parse_geojson(text: str | bytes, id_property: str = "id",
         uid = props.get(id_property)
         if uid is None:
             raise IngestError(f"feature {i}: missing id")
-        uid = str(uid)
+        uid = str(uid).strip()  # as parse_votes_csv strips its ids
+        if not uid:
+            raise IngestError(f"feature {i}: empty id")
         if uid in ids:
             raise IngestError(f"feature {i}: duplicate unit id {uid}")
         ids[uid] = None
@@ -220,21 +224,29 @@ def parse_geojson(text: str | bytes, id_property: str = "id",
 
 
 def to_geojson(units: UnitCollection, id_property: str = "id") -> dict:
-    """Serialize back to a FeatureCollection (rings explicitly closed)."""
+    """Serialize back to a FeatureCollection, each ring from its edge rows.
 
-    def ring_coords(ring: Ring) -> list[list[float]]:
-        pts = [[float(x), float(y)] for x, y in ring.vertices]
+    Rings are explicitly closed. A hole goes in the polygon of the outer
+    ring that holds it; only a unit with holes builds a PolygonSet, to
+    place them.
+    """
+    vertices = units.edges[:, :2]
+
+    def closed(a: int, b: int) -> list[list[float]]:
+        pts = vertices[a:b].tolist()
         pts.append(pts[0])
         return pts
 
     features = []
-    for uid, g, dem, rep, kind in zip(units.ids, units.geometries, units.dem.tolist(),
-                                      units.rep.tolist(), units.kinds):
-        holes_by_owner: dict[int, list] = {}
-        for h, owner in zip(g.holes, g.hole_owner):
-            holes_by_owner.setdefault(owner, []).append(ring_coords(h))
-        parts = [[ring_coords(outer)] + holes_by_owner.get(oi, [])
-                 for oi, outer in enumerate(g.outers)]
+    for uid, (outers, holes), dem, rep, kind in zip(units.ids, units.ring_spans(),
+                                                    units.dem.tolist(), units.rep.tolist(),
+                                                    units.kinds):
+        parts = [[closed(a, b)] for a, b in outers]
+        if holes:
+            rings = [closed(a, b) for a, b in holes]
+            owners = PolygonSet([Ring(p[0]) for p in parts], [Ring(h) for h in rings]).hole_owner
+            for h, owner in zip(rings, owners):
+                parts[owner].append(h)
         if len(parts) == 1:
             geometry = {"type": "Polygon", "coordinates": parts[0]}
         else:

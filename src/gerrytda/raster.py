@@ -1,10 +1,10 @@
 """Rasterization of voting maps into labeled grids and margin fields.
 
 A unit claims a pixel when the pixel center lies inside its polygon under the
-same half-open membership rule as geometry.point_in_polygon, so a partition
+same half-open membership rule as geometry._crossing_parity, so a partition
 of the plane rasterizes to a partition of the pixels. The fill itself is one
 even-odd scanline over the edge tables of every unit at once rather than a
-per-pixel query; both routes agree by construction and tests pin that.
+per-pixel query; tests hold it to the per-pixel query.
 
 Internally row 0 is the bottom of the grid (y = origin.y); PGM output flips
 rows so images come out right side up.

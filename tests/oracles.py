@@ -11,6 +11,12 @@ the library's former per-unit margin, Python int / int, which
 raster.margin_field is held to bit for bit. parse_votes_reference is the
 library's former votes parser, one csv row at a time, which
 ingest.parse_votes_csv is held to row for row and message for message.
+compactness_reference is the library's former per-unit scores over Ring and
+PolygonSet built from the raw features, which compactness.score_units is
+held to bit for bit; it shares only the enclosing-circle solver, held to
+brute_min_enclosing_circle. point_in_unit is the former point_in_polygon,
+the even-odd rule over one unit's edge rows, which the scanline fill of
+raster.rasterize is held to pixel for pixel.
 
 unit_map is not an oracle: it builds every test map the one way the library
 builds one, GeoJSON through parse_geojson, from feature dicts.
@@ -25,9 +31,10 @@ from itertools import combinations, permutations
 
 import numpy as np
 
+from gerrytda.compactness import min_enclosing_circle
 from gerrytda.complexes import _sorted_complex
 from gerrytda.errors import ComplexError, IngestError, MarginError, ParameterError
-from gerrytda.geometry import MAX_VOTES
+from gerrytda.geometry import MAX_VOTES, PolygonSet, Ring, _crossing_parity
 from gerrytda.ingest import VoteTable, parse_geojson
 from gerrytda.raster import MarginMode
 
@@ -47,6 +54,41 @@ def feature(uid, *polygons, dem=0, rep=0):
 def unit_map(features):
     """The UnitCollection that parse_geojson makes of GeoJSON Feature dicts."""
     return parse_geojson(json.dumps({"type": "FeatureCollection", "features": list(features)}))
+
+
+def unit_rows(units, i):
+    """The edges rows of unit i: its outer rings, then its holes."""
+    ends = np.concatenate(([0], np.cumsum(units.edge_counts)))
+    return units.edges[ends[i]:ends[i + 1]]
+
+
+def point_in_unit(units, i, point):
+    """Even-odd membership of a Point2 over all of unit i's rings (holes
+    toggle a point back out)."""
+    return bool(_crossing_parity(point.x, point.y, unit_rows(units, i)))
+
+
+# === compactness ===
+
+def compactness_reference(doc):
+    """(Polsby-Popper, Reock) of each feature of a FeatureCollection dict,
+    from a PolygonSet built out of its raw rings."""
+    scores = []
+    for feat in doc["features"]:
+        geom = feat["geometry"]
+        parts = [geom["coordinates"]] if geom["type"] == "Polygon" else geom["coordinates"]
+        g = PolygonSet([Ring(p[0]) for p in parts], [Ring(h) for p in parts for h in p[1:]])
+        # boundary length: each ring summed alone, then outer rings plus holes
+        e = g.edges
+        lengths = np.hypot(e[:, 2] - e[:, 0], e[:, 3] - e[:, 1])
+        ends = np.cumsum([len(r) for r in g.rings()])
+        per_ring = [float(np.sum(part)) for part in np.split(lengths, ends[:-1])]
+        n = len(g.outers)
+        perimeter = float(sum(per_ring[:n]) + sum(per_ring[n:]))
+        _, r = min_enclosing_circle(e[:, :2])
+        scores.append((4.0 * math.pi * g.area / (perimeter * perimeter),
+                       g.area / (math.pi * r * r)))
+    return scores
 
 
 def _dist(x, y):
@@ -194,7 +236,7 @@ def unit_margin(units, i, mode=MarginMode.RELATIVE):
         if dem + rep == 0:
             raise MarginError(f"unit {units.ids[i]}: zero total votes")
         return (dem - rep) / (dem + rep)
-    return (dem - rep) / units.geometries[i].area
+    return (dem - rep) / float(units.areas[i])
 
 
 # === votes ===
@@ -268,9 +310,8 @@ def adjacency_reference(units, kind="queen"):
     if kind not in ("queen", "rook"):
         raise ParameterError(f"unknown adjacency kind {kind!r}")
     tol = units.snap_tolerance()
-    edges_of = [g.edges for g in units.geometries]
-    boxes = np.array([(b.minx, b.miny, b.maxx, b.maxy)
-                      for b in (g.bounds for g in units.geometries)]).reshape(-1, 4)
+    edges_of = [unit_rows(units, i) for i in range(len(units))]
+    boxes = units.boxes
 
     pairs = set()
     if kind == "queen":

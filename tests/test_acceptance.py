@@ -15,8 +15,7 @@ import pytest
 from gerrytda.compactness import (
     min_enclosing_circle,
     paired_t_test,
-    polsby_popper,
-    reock,
+    score_units,
     t_p_value,
 )
 from gerrytda.compare import bottleneck, wasserstein
@@ -26,7 +25,7 @@ from gerrytda.complexes import (
     flag_filtration,
     uniform_schedule,
 )
-from gerrytda.geometry import PolygonSet, Ring, UnitKind
+from gerrytda.geometry import UnitKind
 from gerrytda.ingest import join_units, parse_geojson, parse_votes_csv
 from gerrytda.persistence import INF, barcode, betti_oracle
 from gerrytda.raster import MarginMode, margin_field, rasterize
@@ -45,7 +44,9 @@ from oracles import (
     brute_bottleneck,
     brute_min_enclosing_circle,
     brute_wasserstein,
+    feature,
     paired_t_pvalue_quadrature,
+    unit_map,
 )
 
 
@@ -177,17 +178,18 @@ def test_criterion_5_topology_fixtures():
 
 def regular_ngon(n, radius=1.0):
     ang = 2 * math.pi * np.arange(n) / n
-    return PolygonSet([Ring(np.c_[radius * np.cos(ang), radius * np.sin(ang)])])
+    return np.c_[radius * np.cos(ang), radius * np.sin(ang)]
 
 
 def test_criterion_6_compactness_analytics():
-    square = PolygonSet([Ring([(0, 0), (1, 0), (1, 1), (0, 1)])])
-    assert polsby_popper(square) == pytest.approx(math.pi / 4, abs=1e-12)
-    assert reock(square) == pytest.approx(2 / math.pi, abs=1e-12)
+    square, round_ish = score_units(unit_map([
+        feature("square", [[(0, 0), (1, 0), (1, 1), (0, 1)]]),
+        feature("round", [regular_ngon(360)])]))
+    assert square.polsby_popper == pytest.approx(math.pi / 4, abs=1e-12)
+    assert square.reock == pytest.approx(2 / math.pi, abs=1e-12)
 
-    round_ish = regular_ngon(360)
-    assert polsby_popper(round_ish) == pytest.approx(1.0, abs=1e-3)
-    assert reock(round_ish) == pytest.approx(1.0, abs=1e-3)
+    assert round_ish.polsby_popper == pytest.approx(1.0, abs=1e-3)
+    assert round_ish.reock == pytest.approx(1.0, abs=1e-3)
 
     rng = np.random.default_rng(6)
     for _ in range(100):

@@ -12,51 +12,54 @@ from gerrytda.compactness import (
     CompactnessRow,
     min_enclosing_circle,
     paired_t_test,
-    polsby_popper,
     regularized_incomplete_beta,
-    reock,
     score_units,
     scores_to_csv,
     t_p_value,
 )
 from gerrytda.errors import DegenerateSampleError, ParameterError
-from gerrytda.geometry import PolygonSet, Ring
 from oracles import brute_min_enclosing_circle, feature, paired_t_pvalue_quadrature, unit_map
 
 
+def scores(*rings):
+    """The CompactnessRow of a one-unit map: an outer ring and its holes."""
+    return score_units(unit_map([feature("U", rings)]))[0]
+
+
 def rect(x0, y0, x1, y1):
-    return PolygonSet([Ring([(x0, y0), (x1, y0), (x1, y1), (x0, y1)])])
+    return scores([(x0, y0), (x1, y0), (x1, y1), (x0, y1)])
+
+
+def ngon_ring(n, radius=1.0, cx=0.0, cy=0.0):
+    ang = 2 * math.pi * np.arange(n) / n
+    return np.c_[cx + radius * np.cos(ang), cy + radius * np.sin(ang)]
 
 
 def ngon(n, radius=1.0, cx=0.0, cy=0.0):
-    ang = 2 * math.pi * np.arange(n) / n
-    return PolygonSet([Ring(np.c_[cx + radius * np.cos(ang),
-                                  cy + radius * np.sin(ang)])])
+    return scores(ngon_ring(n, radius, cx, cy))
 
 
 # === Polsby-Popper ===
 
 def test_pp_unit_square():
-    assert polsby_popper(rect(0, 0, 1, 1)) == pytest.approx(math.pi / 4, abs=1e-12)
+    assert rect(0, 0, 1, 1).polsby_popper == pytest.approx(math.pi / 4, abs=1e-12)
 
 
 def test_pp_long_rectangle():
-    assert polsby_popper(rect(0, 0, 10, 1)) == pytest.approx(40 * math.pi / 484,
-                                                             abs=1e-12)
+    assert rect(0, 0, 10, 1).polsby_popper == pytest.approx(40 * math.pi / 484, abs=1e-12)
 
 
 def test_pp_many_sided_polygon_near_one():
-    assert polsby_popper(ngon(360)) == pytest.approx(1.0, abs=1e-4)
+    assert ngon(360).polsby_popper == pytest.approx(1.0, abs=1e-4)
 
 
 def test_pp_hole_lowers_score():
-    outer = Ring([(0, 0), (4, 0), (4, 4), (0, 4)])
-    hole = Ring([(1, 1), (3, 1), (3, 3), (1, 3)])
-    holed = PolygonSet([outer], [hole])
-    assert polsby_popper(holed) < polsby_popper(rect(0, 0, 4, 4))
+    outer = [(0, 0), (4, 0), (4, 4), (0, 4)]
+    hole = [(1, 1), (3, 1), (3, 3), (1, 3)]
+    holed = scores(outer, hole).polsby_popper
+    assert holed < rect(0, 0, 4, 4).polsby_popper
     # area 12, boundary 16 + 8
-    assert polsby_popper(holed) == pytest.approx(4 * math.pi * 12 / 24 ** 2,
-                                                 abs=1e-12)
+    assert holed == pytest.approx(4 * math.pi * 12 / 24 ** 2, abs=1e-12)
 
 
 # === minimal enclosing circle ===
@@ -107,32 +110,31 @@ def test_mec_seed_determinism():
 # === Reock ===
 
 def test_reock_unit_square():
-    assert reock(rect(0, 0, 1, 1)) == pytest.approx(2 / math.pi, abs=1e-12)
+    assert rect(0, 0, 1, 1).reock == pytest.approx(2 / math.pi, abs=1e-12)
 
 
 def test_reock_long_rectangle():
     # enclosing circle passes through the corners: r = sqrt(101)/2
-    assert reock(rect(0, 0, 10, 1)) == pytest.approx(10 / (math.pi * 101 / 4),
-                                                     abs=1e-12)
+    assert rect(0, 0, 10, 1).reock == pytest.approx(10 / (math.pi * 101 / 4), abs=1e-12)
 
 
 def test_reock_disk_near_one():
-    assert reock(ngon(360)) == pytest.approx(1.0, abs=1e-3)
+    assert ngon(360).reock == pytest.approx(1.0, abs=1e-3)
 
 
 def test_scores_scale_and_rigid_invariance():
     rng = np.random.default_rng(23)
-    base = ngon(9, radius=2.0)
-    pp0, rk0 = polsby_popper(base), reock(base)
+    base = ngon_ring(9, radius=2.0)
+    row0 = scores(base)
     for _ in range(8):
         s = rng.uniform(0.1, 50.0)
         theta = rng.uniform(0, 2 * math.pi)
         dx, dy = rng.uniform(-100, 100, 2)
         rot = np.array([[math.cos(theta), -math.sin(theta)],
                         [math.sin(theta), math.cos(theta)]])
-        moved = PolygonSet([Ring(s * base.outers[0].vertices @ rot.T + (dx, dy))])
-        assert polsby_popper(moved) == pytest.approx(pp0, rel=1e-12)
-        assert reock(moved) == pytest.approx(rk0, rel=1e-12)
+        moved = scores(s * base @ rot.T + (dx, dy))
+        assert moved.polsby_popper == pytest.approx(row0.polsby_popper, rel=1e-12)
+        assert moved.reock == pytest.approx(row0.reock, rel=1e-12)
 
 
 def test_score_units_csv():

@@ -1,4 +1,9 @@
-"""Polygon primitive tests: areas, perimeters, membership, model invariants."""
+"""Polygon primitive tests: areas, perimeters, membership, model invariants.
+
+Areas, perimeters and membership are read from a parsed map's columns:
+areas from units.areas, perimeters through the Polsby-Popper score, and
+membership through the even-odd oracle over a unit's edge rows.
+"""
 
 import json
 import math
@@ -6,19 +11,12 @@ import math
 import numpy as np
 import pytest
 
+from gerrytda.compactness import score_units
 from gerrytda.errors import GeometryError
-from gerrytda.geometry import (
-    Bounds,
-    Point2,
-    PolygonSet,
-    Ring,
-    UnitKind,
-    point_in_polygon,
-    polygon_perimeter,
-)
+from gerrytda.geometry import Bounds, Point2, PolygonSet, Ring, UnitKind
 from gerrytda.ingest import parse_geojson
 from gerrytda.synth import grid_mosaic
-from oracles import feature, unit_map
+from oracles import feature, point_in_unit, unit_map
 
 UNIT_SQUARE = [(0, 0), (1, 0), (1, 1), (0, 1)]
 
@@ -31,30 +29,51 @@ def poly(*outers, holes=()):
     return PolygonSet([Ring(o) for o in outers], [Ring(h) for h in holes])
 
 
+def unit(*outers, holes=()):
+    """A one-unit map: the first outer ring holds every hole."""
+    return unit_map([feature("U", [outers[0], *holes], *[[o] for o in outers[1:]])])
+
+
+def area(*outers, holes=()):
+    return float(unit(*outers, holes=holes).areas[0])
+
+
+def pp_of(perimeter, a):
+    """Polsby-Popper of area a and boundary length perimeter, as score_units computes it."""
+    return 4.0 * math.pi * a / (perimeter * perimeter)
+
+
+def polsby_popper(*outers, holes=()):
+    return score_units(unit(*outers, holes=holes))[0].polsby_popper
+
+
+def inside(point, units):
+    return point_in_unit(units, 0, point)
+
+
 # === areas ===
 
 def test_area_unit_square():
-    assert poly(UNIT_SQUARE).area == 1.0
+    assert area(UNIT_SQUARE) == 1.0
 
 
 def test_area_triangle():
-    assert poly([(0, 0), (1, 0), (0, 1)]).area == 0.5
+    assert area([(0, 0), (1, 0), (0, 1)]) == 0.5
 
 
 def test_area_square_with_hole():
-    g = poly(UNIT_SQUARE, holes=[square(0.25, 0.25, 0.75, 0.75)])
-    assert g.area == pytest.approx(0.75, rel=1e-15)
+    assert area(UNIT_SQUARE, holes=[square(0.25, 0.25, 0.75, 0.75)]) == \
+        pytest.approx(0.75, rel=1e-15)
 
 
 def test_area_orientation_independent():
     cw = list(reversed(UNIT_SQUARE))
-    assert poly(cw).area == 1.0
+    assert area(cw) == 1.0
     assert Ring(cw).signed_area == -1.0
 
 
 def test_area_multipart():
-    g = poly(UNIT_SQUARE, square(2, 0, 3, 1))
-    assert g.area == 2.0
+    assert area(UNIT_SQUARE, square(2, 0, 3, 1)) == 2.0
 
 
 def test_area_rigid_motion_invariant():
@@ -65,66 +84,66 @@ def test_area_rigid_motion_invariant():
         ang = np.sort(rng.uniform(0, 2 * np.pi, n))
         rad = rng.uniform(0.5, 2.0, n)
         pts = np.c_[rad * np.cos(ang), rad * np.sin(ang)]
-        base = poly(pts).area
+        base = area(pts)
         th = rng.uniform(0, 2 * np.pi)
         rot = np.array([[np.cos(th), -np.sin(th)], [np.sin(th), np.cos(th)]])
         moved = pts @ rot.T + rng.uniform(-100, 100, 2)
-        assert poly(moved).area == pytest.approx(base, rel=1e-9)
+        assert area(moved) == pytest.approx(base, rel=1e-9)
 
 
-# === perimeters ===
+# === perimeters, through Polsby-Popper ===
 
 def test_perimeter_unit_square():
-    assert polygon_perimeter(poly(UNIT_SQUARE)) == 4.0
+    assert polsby_popper(UNIT_SQUARE) == pp_of(4.0, 1.0)
 
 
 def test_perimeter_triangle():
-    got = polygon_perimeter(poly([(0, 0), (1, 0), (0, 1)]))
-    assert got == pytest.approx(2.0 + math.sqrt(2.0), rel=1e-15)
+    pp = polsby_popper([(0, 0), (1, 0), (0, 1)])
+    assert math.sqrt(4.0 * math.pi * 0.5 / pp) == pytest.approx(2.0 + math.sqrt(2.0), rel=1e-15)
 
 
 def test_perimeter_two_disjoint_squares():
-    assert polygon_perimeter(poly(UNIT_SQUARE, square(2, 0, 3, 1))) == 8.0
+    assert polsby_popper(UNIT_SQUARE, square(2, 0, 3, 1)) == pp_of(8.0, 2.0)
 
 
 def test_perimeter_hole_flag():
-    g = poly(UNIT_SQUARE, holes=[square(0.25, 0.25, 0.75, 0.75)])
-    assert polygon_perimeter(g) == 6.0
+    holes = [square(0.25, 0.25, 0.75, 0.75)]
+    assert polsby_popper(UNIT_SQUARE, holes=holes) == pp_of(6.0, area(UNIT_SQUARE, holes=holes))
 
 
 # === point membership ===
 
 def test_pip_interior_and_exterior():
-    g = poly(UNIT_SQUARE)
-    assert point_in_polygon(Point2(0.5, 0.5), g)
-    assert not point_in_polygon(Point2(1.5, 0.5), g)
-    assert not point_in_polygon(Point2(0.5, -0.5), g)
+    g = unit(UNIT_SQUARE)
+    assert inside(Point2(0.5, 0.5), g)
+    assert not inside(Point2(1.5, 0.5), g)
+    assert not inside(Point2(0.5, -0.5), g)
 
 
 def test_pip_hole():
-    g = poly(UNIT_SQUARE, holes=[square(0.25, 0.25, 0.75, 0.75)])
-    assert not point_in_polygon(Point2(0.5, 0.5), g)
-    assert point_in_polygon(Point2(0.1, 0.5), g)
+    g = unit(UNIT_SQUARE, holes=[square(0.25, 0.25, 0.75, 0.75)])
+    assert not inside(Point2(0.5, 0.5), g)
+    assert inside(Point2(0.1, 0.5), g)
 
 
 def test_pip_half_open_edges():
     # top and left edges belong to the polygon, bottom and right do not
-    g = poly(UNIT_SQUARE)
-    assert point_in_polygon(Point2(0.0, 0.5), g)       # left
-    assert not point_in_polygon(Point2(1.0, 0.5), g)   # right
-    assert point_in_polygon(Point2(0.5, 1.0), g)       # top
-    assert not point_in_polygon(Point2(0.5, 0.0), g)   # bottom
+    g = unit(UNIT_SQUARE)
+    assert inside(Point2(0.0, 0.5), g)       # left
+    assert not inside(Point2(1.0, 0.5), g)   # right
+    assert inside(Point2(0.5, 1.0), g)       # top
+    assert not inside(Point2(0.5, 0.0), g)   # bottom
 
 
 def test_pip_no_double_claim_on_shared_edge():
-    left = poly(square(0, 0, 1, 1))
-    right = poly(square(1, 0, 2, 1))
-    below = poly(square(0, -1, 1, 0))
+    left = unit(square(0, 0, 1, 1))
+    right = unit(square(1, 0, 2, 1))
+    below = unit(square(0, -1, 1, 0))
     for y in (0.25, 0.5, 0.75):
-        claims = point_in_polygon(Point2(1.0, y), left) + point_in_polygon(Point2(1.0, y), right)
+        claims = inside(Point2(1.0, y), left) + inside(Point2(1.0, y), right)
         assert claims == 1
     for x in (0.25, 0.5, 0.75):
-        claims = point_in_polygon(Point2(x, 0.0), left) + point_in_polygon(Point2(x, 0.0), below)
+        claims = inside(Point2(x, 0.0), left) + inside(Point2(x, 0.0), below)
         assert claims == 1
 
 
@@ -138,7 +157,7 @@ def test_pip_convex_oracle():
         if np.min(np.diff(ang)) < 1e-3:
             continue
         pts = np.c_[np.cos(ang), np.sin(ang)]  # ccw on the unit circle
-        g = poly(pts)
+        g = unit(pts)
         for _ in range(30):
             q = rng.uniform(-1.2, 1.2, 2)
             # signed side of every edge; ccw polygon keeps interior on the left
@@ -148,7 +167,7 @@ def test_pip_convex_oracle():
             if np.min(np.abs(side)) < 1e-9:
                 continue  # too close to an edge for the strict oracle
             expect = bool(np.all(side > 0))
-            assert point_in_polygon(Point2(q[0], q[1]), g) == expect
+            assert inside(Point2(q[0], q[1]), g) == expect
 
 
 # === validation ===
@@ -205,10 +224,9 @@ def test_with_votes_matches_a_fresh_collection():
                      for (uid, x, y), (d, r) in zip(places, counts.tolist()))
     for name in ("ids", "kinds"):
         assert getattr(got, name) == getattr(fresh, name)
-    assert [g.edges.tobytes() for g in got.geometries] == \
-        [g.edges.tobytes() for g in fresh.geometries]
     for name in ("dem", "rep", "edges", "edge_counts", "boxes", "areas"):
-        assert np.array_equal(getattr(got, name), getattr(fresh, name))
+        assert getattr(got, name).tobytes() == getattr(fresh, name).tobytes()
+    assert list(got.ring_spans()) == list(fresh.ring_spans())
     assert got.bounds == fresh.bounds == Bounds(-4.0, -1.0, 4.0, 7.0)
     for uid, k in zip(fresh.ids, got.positions(fresh.ids).tolist()):
         assert got.ids[k] == uid
@@ -222,14 +240,15 @@ def test_with_votes_swaps_only_the_vote_arrays():
              for uid, x in (("C", 0), ("A", 1), ("B", 2))]
     col = unit_map(feats)
     got = col.with_votes(np.array([[7, 2], [0, 0], [3, 9]]))
-    assert got.ids is col.ids and got.geometries is col.geometries and got.bounds is col.bounds
+    assert got.ids is col.ids and got.bounds is col.bounds
+    for name in ("edges", "edge_counts", "boxes", "areas"):
+        assert getattr(got, name) is getattr(col, name)
     assert got.dem.tolist() == [7, 0, 3] and got.rep.tolist() == [2, 0, 9]
     assert col.dem.tolist() == col.rep.tolist() == [1, 1, 1]
     assert not got.dem.flags.writeable and not got.rep.flags.writeable
     assert got.memo("key", lambda: "built") == col.memo("key", lambda: "again") == "built"
     assert unit_map(feats).memo("key", lambda: "again") == "again"
-    assert (got.ids[1], got.geometries[1], got.dem[1], got.rep[1], got.kinds[1]) == \
-        ("A", col.geometries[1], 0, 0, UnitKind.PRECINCT)
+    assert (got.ids[1], got.dem[1], got.rep[1], got.kinds[1]) == ("A", 0, 0, UnitKind.PRECINCT)
     with pytest.raises(GeometryError, match="^unit A: negative vote count$"):
         col.with_votes(np.array([(1, 1), (-1, 0), (0, -5)]))
     with pytest.raises(GeometryError, match="^unit B: vote count above 2\\*\\*52$"):

@@ -9,6 +9,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gerrytda.errors import GeometryError, IngestError
+from gerrytda.compactness import score_units
 from gerrytda.geometry import Bounds, PolygonSet, Ring, UnitKind
 from gerrytda.ingest import (
     JoinReport,
@@ -19,7 +20,7 @@ from gerrytda.ingest import (
     to_geojson,
 )
 from gerrytda.synth import band_districts, grid_mosaic, mosaic_votes, votes_csv_text
-from oracles import parse_votes_reference
+from oracles import compactness_reference, parse_votes_reference
 
 
 def square_feature(uid, x0, y0, size=1.0, props=None):
@@ -41,7 +42,7 @@ def test_parse_single_square():
     col = parse_geojson(collection([square_feature("P01", 0, 0)]))
     assert len(col) == 1 and col.ids == ("P01",)
     assert col.dem.tolist() == [0] and col.rep.tolist() == [0]
-    assert col.geometries[0].area == 1.0
+    assert col.areas.tolist() == [1.0]
 
 
 def test_parse_multipolygon_with_hole():
@@ -53,7 +54,7 @@ def test_parse_multipolygon_with_hole():
                          "coordinates": [[outer, hole], [island]]}}
     col = parse_geojson(collection([feat]))
     assert col.ids == ("M",)
-    assert col.geometries[0].area == pytest.approx(16.0 - 1.0 + 1.0)
+    assert col.areas[0] == pytest.approx(16.0 - 1.0 + 1.0)
 
 
 def test_parse_large_collection():
@@ -80,6 +81,15 @@ def test_parse_duplicate_id():
     feats = [square_feature("A", 0, 0), square_feature("A", 2, 0)]
     with pytest.raises(IngestError, match="duplicate unit id"):
         parse_geojson(collection(feats))
+
+
+def test_padded_map_id_joins_its_padded_votes_row():
+    # both readers strip ids, so " P1 " in the map meets " P1 " in the votes
+    geo = parse_geojson(collection([square_feature(" P1 ", 0, 0)]))
+    assert geo.ids == ("P1",)
+    units, report = join_units(geo, parse_votes_csv('unit_id,dem_votes,rep_votes\n" P1 ",100,5\n'))
+    assert report.matched == 1 and report.orphan_vote_rows == ()
+    assert units.dem.tolist() == [100] and units.rep.tolist() == [5]
 
 
 def test_parse_custom_id_property():
@@ -123,6 +133,8 @@ MALFORMED = {
                        "non-integer rep_votes None"),
     "unknown_kind": (polygon(UNIT_SQUARE, props={"kind": "county"}),
                      "unknown kind 'county'"),
+    "blank_id": (polygon(UNIT_SQUARE, props={"id": " \t "}), "empty id"),
+    "padded_duplicate_id": (polygon(UNIT_SQUARE, props={"id": " OK\n"}), "duplicate unit id OK"),
     "number_feature": (5, "not a JSON object"),
     "list_properties": ({"type": "Feature", "properties": ["id", "BAD"],
                          "geometry": {"type": "Polygon", "coordinates": [UNIT_SQUARE]}},
@@ -202,20 +214,24 @@ def bits(x):
     return a.shape, a.tobytes()
 
 
-def assert_same_units(doc):
-    """parse_geojson's geometry equals Ring/PolygonSet built feature by feature.
+def parts_of(feat):
+    """A feature's polygons, each a list of rings."""
+    geom = feat["geometry"]
+    return [geom["coordinates"]] if geom["type"] == "Polygon" else geom["coordinates"]
 
-    So do its columns: they equal those PolygonSets' edges, boxes and areas.
-    """
+
+def assert_same_units(doc):
+    """parse_geojson's columns equal Ring/PolygonSet built feature by feature:
+    their edges, rings, boxes (over the outer rings) and areas. So do the
+    compactness scores read from those columns, bit for bit."""
     parsed = parse_geojson(json.dumps(doc))
     assert len(parsed) == len(doc["features"])
     refs = []
-    for feat in doc["features"]:
-        geom = feat["geometry"]
-        parts = [geom["coordinates"]] if geom["type"] == "Polygon" else geom["coordinates"]
+    for parts in map(parts_of, doc["features"]):
         refs.append(PolygonSet([Ring(p[0]) for p in parts],
                                [Ring(h) for p in parts for h in p[1:]]))
-    boxes = [[g.bounds.minx, g.bounds.miny, g.bounds.maxx, g.bounds.maxy] for g in refs]
+    outer_rows = [g.edges[:sum(map(len, g.outers)), :2] for g in refs]
+    boxes = [[*v.min(axis=0), *v.max(axis=0)] for v in outer_rows]
     expected = {"edges": np.concatenate([g.edges for g in refs]),
                 "edge_counts": np.array([len(g.edges) for g in refs]),
                 "boxes": np.array(boxes), "areas": np.array([g.area for g in refs])}
@@ -223,20 +239,12 @@ def assert_same_units(doc):
         got = getattr(parsed, name)
         assert got.dtype == ref.dtype and bits(got) == bits(ref), name
         assert not got.flags.writeable
-    assert parsed.bounds == functools.reduce(Bounds.union, [g.bounds for g in refs])
-    for got, ref in zip(parsed.geometries, refs):
-        assert (len(got.outers), len(got.holes)) == (len(ref.outers), len(ref.holes))
-        for a, b in zip(got.rings(), ref.rings()):
-            assert bits(a.vertices) == bits(b.vertices)
-            assert bits(a.signed_area) == bits(b.signed_area)
-            assert not a.vertices.flags.writeable
-        assert bits(got.edges) == bits(ref.edges)
-        assert not got.edges.flags.writeable
-        assert bits(got.area) == bits(ref.area)
-        assert got.bounds == ref.bounds
-        assert bits([got.bounds.minx, got.bounds.miny, got.bounds.maxx, got.bounds.maxy]) \
-            == bits([ref.bounds.minx, ref.bounds.miny, ref.bounds.maxx, ref.bounds.maxy])
-        assert got.hole_owner == ref.hole_owner
+    assert parsed.bounds == functools.reduce(Bounds.union, [Bounds(*b) for b in boxes])
+    for (outers, holes), ref in zip(parsed.ring_spans(), refs):
+        assert [b - a for a, b in outers] == list(map(len, ref.outers))
+        assert [b - a for a, b in holes] == list(map(len, ref.holes))
+    scores = [(r.polsby_popper.hex(), r.reock.hex()) for r in score_units(parsed)]
+    assert scores == [(pp.hex(), rk.hex()) for pp, rk in compactness_reference(doc)]
 
 
 def star(rng, cx, cy, r, k):
@@ -293,6 +301,7 @@ def test_parse_matches_direct_construction_when_a_hole_leaves_the_outer_box():
 def test_parse_matches_direct_construction_on_mosaics(cols, rows, seed):
     assert_same_units(grid_mosaic(cols, rows, seed=seed))
     assert_same_units(band_districts(cols, rows, 4))
+    assert_same_units(band_districts(cols, rows, 14))
 
 
 def test_hole_free_map_runs_without_geometry_objects(monkeypatch):
@@ -313,35 +322,44 @@ def test_hole_free_map_runs_without_geometry_objects(monkeypatch):
         assert bc.bars(0)
     cx = complexes.build_adjacency_filtration(units, complexes.uniform_schedule(8))
     assert len(cx) > len(units)
-    with pytest.raises(AssertionError, match="PolygonSet built"):
-        units.geometries
+    assert len(score_units(units)) == 72
+    assert len(to_geojson(units)["features"]) == 72
+    assert not hasattr(units, "geometries")
 
 
 def test_joins_of_one_map_share_its_geometries():
     geo = parse_geojson(json.dumps(grid_mosaic(5, 3, seed=0)))
     first, _ = join_units(geo, votes((geo.ids[0], 1, 2)))
     second, _ = join_units(geo, votes((geo.ids[1], 3, 4)))
-    assert first.geometries is second.geometries is geo.geometries
-    assert first.geometries[0] is second.geometries[0]
+    for name in ("edges", "edge_counts", "boxes", "areas"):
+        assert getattr(first, name) is getattr(second, name) is getattr(geo, name)
+    assert first.memo("key", lambda: "built") == second.memo("key", lambda: "again") == "built"
 
 
 # === round trip ===
 
-def test_geojson_round_trip():
-    outer = [[0, 0], [4, 0], [4, 4], [0, 4], [0, 0]]
-    hole = [[1, 1], [2, 1], [2, 2], [1, 2], [1, 1]]
-    feats = [
-        square_feature("A", 0, 0, props={"dem_votes": 120, "rep_votes": 80}),
-        {"type": "Feature", "properties": {"id": "B", "dem_votes": 5, "rep_votes": 9},
-         "geometry": {"type": "Polygon", "coordinates": [outer, hole]}},
-    ]
-    col = parse_geojson(collection(feats))
-    back = parse_geojson(json.dumps(to_geojson(col)))
+@settings(max_examples=100, deadline=None)
+@given(star_maps())
+@example(json.loads(collection([
+    square_feature("A", 0, 0, props={"dem_votes": 120, "rep_votes": 80}),
+    {"type": "Feature", "properties": {"id": "B", "dem_votes": 5, "rep_votes": 9},
+     "geometry": {"type": "Polygon", "coordinates": [
+         [[0, 0], [4, 0], [4, 4], [0, 4], [0, 0]], [[1, 1], [2, 1], [2, 2], [1, 2], [1, 1]]]}},
+])))
+def test_geojson_round_trip(doc):
+    # to_geojson then parse_geojson gives back the same ids, votes, kinds and
+    # columns; every hole of doc lies in its own polygon's outer ring, and
+    # to_geojson puts it back there
+    col = parse_geojson(json.dumps(doc))
+    out = to_geojson(col)
+    for feat, ref in zip(out["features"], doc["features"]):
+        assert list(map(len, parts_of(feat))) == list(map(len, parts_of(ref)))
+    back = parse_geojson(json.dumps(out))
     assert back.ids == col.ids
     assert (back.dem.tolist(), back.rep.tolist(), back.kinds) == \
         (col.dem.tolist(), col.rep.tolist(), col.kinds)
-    for a, b in zip(col.geometries, back.geometries):
-        assert b.area == pytest.approx(a.area, rel=1e-9)
+    for name in ("edges", "edge_counts", "boxes", "areas"):
+        assert bits(getattr(back, name)) == bits(getattr(col, name)), name
 
 
 # === parse_votes_csv ===

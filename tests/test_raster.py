@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from gerrytda.errors import MarginError, ParameterError, RasterError
-from gerrytda.geometry import Bounds, Point2, point_in_polygon
+from gerrytda.geometry import Bounds, Point2
 from gerrytda.ingest import parse_geojson
 from gerrytda.raster import (
     BACKGROUND,
@@ -21,7 +21,7 @@ from gerrytda.raster import (
 )
 from gerrytda.synth import grid_mosaic
 
-from oracles import feature, unit_map, unit_margin
+from oracles import feature, point_in_unit, unit_map, unit_margin
 
 
 def rect_unit(uid, x0, y0, x1, y1, dem=10, rep=10):
@@ -111,11 +111,8 @@ def test_rasterize_matches_pointwise_membership():
         for row in range(ras.grid.height):
             for cc in range(ras.grid.width):
                 c = ras.grid.center(cc, row)
-                want = BACKGROUND
-                for idx, g in enumerate(col.geometries):
-                    if point_in_polygon(c, g):
-                        want = idx
-                        break
+                want = next((idx for idx in range(len(col)) if point_in_unit(col, idx, c)),
+                            BACKGROUND)
                 assert ras.labels[row, cc] == want
 
 
@@ -153,7 +150,7 @@ def test_rasterize_matches_pointwise_membership_on_mosaics(cols, rows, seed, wid
         for cc in range(ras.grid.width):
             c = ras.grid.center(cc, row)
             want = next((idx for idx in reversed(range(len(col)))
-                         if point_in_polygon(c, col.geometries[idx])), BACKGROUND)
+                         if point_in_unit(col, idx, c)), BACKGROUND)
             assert ras.labels[row, cc] == want, (row, cc)
 
 
