@@ -45,7 +45,6 @@ from .complexes import (
     FilteredComplex,
     LevelSchedule,
     build_adjacency_filtration,
-    build_levelset_filtration,
     detect_adjacency,
     flag_filtration,
     uniform_schedule,
@@ -55,7 +54,6 @@ from .persistence import (
     Barcode,
     PersistencePair,
     barcode,
-    betti_oracle,
     levelset_barcode,
     read_barcode_json,
 )

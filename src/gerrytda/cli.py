@@ -211,10 +211,13 @@ def _read_scores_csv(path: str, metric: str) -> list[float]:
         scores = []
         for row in rows:
             try:
-                scores.append(float(row[col]))
+                score = float(row[col])
             except (IndexError, ValueError):
+                score = math.nan
+            if not math.isfinite(score):
                 raise IngestError(f"{path}: line {rows.line_num}: "
-                                  f"no number in column {metric!r}") from None
+                                  f"no number in column {metric!r}")
+            scores.append(score)
     except csv.Error as exc:
         raise IngestError(f"{path}: line {rows.line_num}: {exc}") from None
     return scores
@@ -243,14 +246,14 @@ def _cmd_run(opts: _Options) -> int:
         levels=opts.get("levels", 25, int),
         max_margin=opts.get("max_margin", 1.0, float),
         polarity=opts.get("polarity", "democratic"),
-        dim=_dim(opts),
     )
+    dim = _dim(opts)
     snapshots = not opts.get("no_snapshots", False, flag)
     result = run_year(config)
-    write_outputs([result], opts.require("out"), dim=config.dim, snapshots=snapshots)
-    headline = result.bottleneck_by_dim[config.dim]
+    write_outputs([result], opts.require("out"), dim=dim, snapshots=snapshots)
+    headline = result.bottleneck_by_dim[dim]
     sys.stdout.write(
-        f"{config.year}: H{config.dim} precinct/district bottleneck = "
+        f"{config.year}: H{dim} precinct/district bottleneck = "
         f"{'inf' if math.isinf(headline) else format(headline, '.6g')}\n")
     return 0
 

@@ -1,27 +1,23 @@
-"""Filtered cell complexes over margin fields and unit adjacency.
+"""Level schedules, and the filtered complex of unit adjacency.
 
-Two constructions feed the persistence machinery:
+The level-set sweep of a rasterized margin field models a Republican "sea"
+flooding Democratic islands as the margin threshold rises: _vertex_levels
+gives each pixel the level it enters at, and persistence.levelset_barcode
+reads the cubical barcode off that image, with no complex built.
 
-* a cubical level-set filtration of a rasterized margin field (pixels are
-  vertices, 4-neighbor edges, 2x2 squares; each cell enters at the max level
-  of its pixels), modeling a Republican "sea" flooding Democratic islands as
-  the margin threshold rises;
-* a flag filtration of the unit adjacency graph under a descending win-margin
-  sweep, with triangles filled for mutually adjacent triples. Graph and
-  complex come from whole-map array passes over the collection's edge and
-  box columns: a sort and sweep of the boxes, flat edge-pair tests in
-  bounded blocks, and wedges for triangles. The adjacent index pairs are
-  found once per parsed map and kind, and kept in its memo, which every
-  vote year joined to that map reads (join_units keeps the columns, memo
-  and unit order); any other collection, even of the same units, has its own.
+The adjacency route builds a complex: a flag filtration of the unit
+adjacency graph under a descending win-margin sweep, with triangles filled
+for mutually adjacent triples, which persistence.barcode pairs. Graph and
+complex come from whole-map array passes over the collection's edge and box
+columns: a sort and sweep of the boxes, flat edge-pair tests in bounded
+blocks, and wedges for triangles. The adjacent index pairs are found once
+per parsed map and kind, and kept in its memo, which every vote year joined
+to that map reads (join_units keeps the columns, memo and unit order); any
+other collection, even of the same units, has its own.
 
 Cells are stored columnar (dims, levels, boundary CSR) in the filtration
 order (level, dim, insertion id). A vertex that would only enter above the
 top threshold is excluded entirely, so classes it blocks run to infinity.
-
-persistence.levelset_barcode reads the cubical barcode off the image, so the
-pipeline never builds that complex; build_levelset_filtration is its test
-reference. The adjacency complex goes through persistence.barcode.
 """
 
 from __future__ import annotations
@@ -33,7 +29,7 @@ import numpy as np
 
 from .errors import ComplexError, ParameterError, StructureError
 from .geometry import UnitCollection
-from .raster import MarginField, _ranges
+from .raster import _ranges
 
 # vertex activation level for pixels that never enter the sweep
 _EXCLUDED = -1
@@ -88,25 +84,6 @@ class FilteredComplex:
         self.thresholds = thresholds
         self._validate()
 
-    @classmethod
-    def from_cells(cls, cells: Sequence[tuple[int, int, Iterable[int]]],
-                   num_levels: int | None = None,
-                   thresholds: tuple[float, ...] | None = None) -> "FilteredComplex":
-        """Build from (dim, level, boundary ids) triples given in id order.
-
-        Boundary ids refer to positions in the input sequence; the
-        constructor re-sorts everything into filtration order.
-        """
-        n = len(cells)
-        dims = np.fromiter((c[0] for c in cells), dtype=np.int8, count=n)
-        levels = np.fromiter((c[1] for c in cells), dtype=np.int64, count=n)
-        faces = [[int(f) for f in c[2]] for c in cells]
-        lens = np.array([len(f) for f in faces], dtype=np.int64)
-        flat = np.array([f for fs in faces for f in fs], dtype=np.int64)
-        if num_levels is None:
-            num_levels = int(levels.max(initial=1))
-        return _sorted_complex(dims, levels, lens, flat, num_levels, thresholds)
-
     def _validate(self):
         n = len(self.dims)
         if n == 0:
@@ -142,16 +119,8 @@ class FilteredComplex:
     def __len__(self) -> int:
         return len(self.dims)
 
-    def boundary(self, cell_id: int) -> np.ndarray:
-        return self.indices[self.indptr[cell_id]:self.indptr[cell_id + 1]]
 
-    def active_counts(self, level: int) -> tuple[int, int, int]:
-        """Cells of each dimension present at or below the given level."""
-        mask = self.levels <= level
-        return tuple(int(np.count_nonzero(mask & (self.dims == d))) for d in (0, 1, 2))
-
-
-# === cubical level-set filtration ===
+# === level-set sweep ===
 
 def _vertex_levels(values: np.ndarray, background: np.ndarray,
                    schedule: LevelSchedule, polarity: str) -> np.ndarray:
@@ -167,71 +136,6 @@ def _vertex_levels(values: np.ndarray, background: np.ndarray,
     lv = np.where(work >= t[-1], _EXCLUDED, lv)
     lv = np.where(background, _EXCLUDED, lv)
     return lv.astype(np.int64)
-
-
-def build_levelset_filtration(field: MarginField, schedule: LevelSchedule,
-                              polarity: str = "democratic") -> FilteredComplex:
-    """Cubical filtration of the margin field under the threshold sweep.
-
-    Pixels are vertices entering at their activation level, edges join
-    4-neighbors at the max of their endpoints, squares fill 2x2 blocks at the
-    max of their corners. Pixels that never activate (background, or margin
-    at or above the top threshold) contribute no cells at all.
-    """
-    lv = _vertex_levels(field.values, field.background, schedule, polarity)
-    active = lv != _EXCLUDED
-    if not active.any():
-        raise ComplexError("empty complex: all pixels background or never active")
-    h, w = lv.shape
-
-    vid = np.full((h, w), -1, dtype=np.int64)
-    vid[active] = np.arange(int(active.sum()))
-    v_levels = lv[active]
-    nv = len(v_levels)
-
-    # horizontal edges (r,c)-(r,c+1), vertical edges (r,c)-(r+1,c)
-    hmask = active[:, :-1] & active[:, 1:]
-    vmask = active[:-1, :] & active[1:, :]
-    h_u, h_v = vid[:, :-1][hmask], vid[:, 1:][hmask]
-    h_lv = np.maximum(lv[:, :-1][hmask], lv[:, 1:][hmask])
-    v_u, v_v = vid[:-1, :][vmask], vid[1:, :][vmask]
-    v_lv = np.maximum(lv[:-1, :][vmask], lv[1:, :][vmask])
-    ne_h, ne_v = len(h_lv), len(v_lv)
-    ne = ne_h + ne_v
-
-    # edge id lookup tables for square boundaries
-    h_id = np.full((h, max(w - 1, 0)), -1, dtype=np.int64)
-    h_id[hmask] = nv + np.arange(ne_h)
-    v_id = np.full((max(h - 1, 0), w), -1, dtype=np.int64)
-    v_id[vmask] = nv + ne_h + np.arange(ne_v)
-
-    smask = active[:-1, :-1] & active[:-1, 1:] & active[1:, :-1] & active[1:, 1:]
-    s_lv = np.maximum.reduce([lv[:-1, :-1][smask], lv[:-1, 1:][smask],
-                              lv[1:, :-1][smask], lv[1:, 1:][smask]])
-    s_b = np.column_stack([
-        h_id[:-1, :][smask],       # bottom edge
-        v_id[:, :-1][smask],       # left edge
-        v_id[:, 1:][smask],        # right edge
-        h_id[1:, :][smask],        # top edge
-    ])
-    ns = len(s_lv)
-
-    dims = np.concatenate([np.zeros(nv, np.int8), np.ones(ne, np.int8),
-                           np.full(ns, 2, np.int8)])
-    levels = np.concatenate([v_levels,
-                             h_lv, v_lv,
-                             s_lv]).astype(np.int64)
-    edge_pairs = np.concatenate([np.column_stack([h_u, h_v]),
-                                 np.column_stack([v_u, v_v])]) \
-        if ne else np.empty((0, 2), np.int64)
-    lens = np.concatenate([np.zeros(nv, np.int64), np.full(ne, 2, np.int64),
-                           np.full(ns, 4, np.int64)])
-    flat = np.concatenate([np.sort(edge_pairs, axis=1).ravel(),
-                           np.sort(s_b, axis=1).ravel()]) \
-        if ne + ns else np.empty(0, np.int64)
-
-    return _sorted_complex(dims, levels, lens, flat,
-                           schedule.num_levels, schedule.thresholds)
 
 
 def _sorted_complex(dims, levels, lens, flat, num_levels, thresholds):

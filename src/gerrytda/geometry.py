@@ -9,11 +9,8 @@ partition the plane without double-claiming boundary points.
 A parsed map keeps every ring's vertices end to end in one (V, 2) table
 with ring offsets (the GeoArrow ragged layout). ring_table measures it in
 one pass, giving the (V, 4) edge table (one x1 y1 x2 y2 row per ring edge)
-and every signed area, bit for bit as Ring would.
-
-Ring and PolygonSet are ingest's checks: a Ring rejects a degenerate ring,
-and a PolygonSet places each hole in the outer ring that holds it. Nothing
-else builds them.
+and every signed area. hole_owners places a unit's holes in its outer
+rings from those edge rows, for ingest's hole check and to_geojson.
 
 A UnitCollection is a map in columns: the edge table, each unit's edge
 count, box and area, and votes as two read-only int64 arrays (counts at
@@ -78,50 +75,6 @@ class Bounds:
         )
 
 
-class Ring:
-    """A closed polygon ring.
-
-    The closing vertex is implicit: pass [(0,0), (1,0), (1,1)] for a triangle,
-    not a repeated first point. Rings must have at least 3 vertices and
-    non-zero signed area.
-    """
-
-    __slots__ = ("vertices", "signed_area")
-
-    def __init__(self, coords: Iterable[tuple[float, float]] | np.ndarray):
-        v = np.asarray(coords, dtype=np.float64)
-        if v.ndim != 2 or v.shape[1] != 2:
-            raise GeometryError("ring coordinates must be an (n, 2) sequence")
-        if v.shape[0] >= 2 and np.array_equal(v[0], v[-1]):
-            v = v[:-1]  # tolerate explicitly closed input
-        if v.shape[0] < 3:
-            raise GeometryError(f"degenerate ring: {v.shape[0]} vertices")
-        if not np.all(np.isfinite(v)):
-            raise GeometryError("non-finite ring coordinate")
-        v = v.copy()
-        v.setflags(write=False)
-        self.vertices = v
-        x, y = v[:, 0], v[:, 1]
-        self.signed_area = _shoelace(x, y, np.roll(x, -1), np.roll(y, -1))
-        if self.signed_area == 0.0:
-            raise GeometryError("degenerate ring: zero area")
-
-    def centroid(self) -> Point2:
-        v = self.vertices
-        # about the first vertex: far from the origin, raw cross products cancel
-        x0, y0 = float(v[0, 0]), float(v[0, 1])
-        x, y = v[:, 0] - x0, v[:, 1] - y0
-        x2, y2 = np.roll(x, -1), np.roll(y, -1)
-        cross = x * y2 - x2 * y
-        a = 0.5 * float(np.sum(cross))
-        cx = float(np.sum((x + x2) * cross)) / (6.0 * a)
-        cy = float(np.sum((y + y2) * cross)) / (6.0 * a)
-        return Point2(x0 + cx, y0 + cy)
-
-    def __len__(self) -> int:
-        return int(self.vertices.shape[0])
-
-
 def _shoelace(x: np.ndarray, y: np.ndarray, x2: np.ndarray, y2: np.ndarray) -> float:
     """Signed area from vertex columns and their successors round the ring.
 
@@ -138,7 +91,7 @@ def ring_table(vertices: np.ndarray, offsets: np.ndarray) -> tuple[np.ndarray, l
     vertices is a C-ordered (V, 2) float64 table; ring r is rows
     offsets[r]:offsets[r + 1], closing vertex implicit. Returns the (V, 4)
     edge table, row j being vertex j and the next vertex round its ring,
-    and each ring's signed area exactly as Ring computes it.
+    and each ring's signed area.
     """
     nxt = np.arange(1, len(vertices) + 1)
     nxt[offsets[1:] - 1] = offsets[:-1]
@@ -166,47 +119,34 @@ def _crossing_parity(px: float, py: float, edges: np.ndarray) -> int:
     return int(np.count_nonzero(straddle & (cross > 0.0)) & 1)
 
 
-class PolygonSet:
-    """One or more outer rings with optional holes.
+def hole_owners(edges: np.ndarray, outers: Sequence[tuple[int, int]],
+                holes: Sequence[tuple[int, int]]) -> list[int]:
+    """For each hole, the index in outers of the ring that holds it.
 
-    Holes are matched to the outer ring containing their centroid at
-    construction time; a hole contained in no outer ring is an error.
-
-    Construction also measures the set, once:
-
-    * ``edges``: a read-only (k, 4) float64 table, one x1 y1 x2 y2 row per
-      edge, ring by ring in ``rings()`` order, each ring's edges in vertex
-      order with the closing edge last. Columns 0-1 list every vertex.
-    * ``area``: outer rings minus holes, orientation-independent.
+    outers and holes are (start, stop) ranges of edges rows, as ring_spans
+    gives a unit's rings. A hole goes to the first outer ring whose crossing
+    parity holds the hole's centroid. GeometryError if there is no outer
+    ring, or a hole lies in none.
     """
-
-    __slots__ = ("outers", "holes", "hole_owner", "edges", "area")
-
-    def __init__(self, outers: Sequence[Ring], holes: Sequence[Ring] = ()):
-        if not outers:
-            raise GeometryError("polygon set needs at least one outer ring")
-        self.outers = tuple(outers)
-        self.holes = tuple(holes)
-        # each vertex beside the next one round its ring
-        tables = [np.hstack([r.vertices, np.concatenate([r.vertices[1:], r.vertices[:1]])])
-                  for r in self.rings()]
-        owner = []
-        for h in self.holes:
-            c = h.centroid()
-            for oi in range(len(self.outers)):
-                if _crossing_parity(c.x, c.y, tables[oi]):
-                    owner.append(oi)
-                    break
-            else:
-                raise GeometryError("hole lies outside every outer ring")
-        self.hole_owner = tuple(owner)
-        self.edges = np.vstack(tables)
-        self.edges.setflags(write=False)
-        self.area = _area([r.signed_area for r in self.outers],
-                          [r.signed_area for r in self.holes])
-
-    def rings(self) -> tuple[Ring, ...]:
-        return self.outers + self.holes
+    if not outers:
+        raise GeometryError("polygon set needs at least one outer ring")
+    owners = []
+    for a, b in holes:
+        # about the first vertex: far from the origin, raw cross products cancel
+        x0, y0 = float(edges[a, 0]), float(edges[a, 1])
+        x, y = edges[a:b, 0] - x0, edges[a:b, 1] - y0
+        x2, y2 = edges[a:b, 2] - x0, edges[a:b, 3] - y0
+        cross = x * y2 - x2 * y
+        area = 0.5 * float(np.sum(cross))
+        c = Point2(x0 + float(np.sum((x + x2) * cross)) / (6.0 * area),
+                   y0 + float(np.sum((y + y2) * cross)) / (6.0 * area))
+        for k, (s, t) in enumerate(outers):
+            if _crossing_parity(c.x, c.y, edges[s:t]):
+                owners.append(k)
+                break
+        else:
+            raise GeometryError("hole lies outside every outer ring")
+    return owners
 
 
 def _area(outer_areas: Sequence[float], hole_areas: Sequence[float]) -> float:
@@ -239,8 +179,8 @@ class UnitCollection:
 
         Ring r is edges rows ring_ends[r]:ring_ends[r + 1]; unit i takes the
         next ring_counts[i] = (outer, hole) rings, outers first. The ids must
-        be distinct, each unit's rings must make a valid PolygonSet, and each
-        count lie in 0..MAX_VOTES; nothing is checked.
+        be distinct and each count lie in 0..MAX_VOTES; nothing is checked,
+        so ingest checks how a unit's rings fit together on the result.
         """
         self.ids = tuple(ids)
         self.kinds = tuple(kinds)
@@ -255,8 +195,9 @@ class UnitCollection:
         v = np.vstack([edges[:, :2], np.zeros((1, 2))])
         at = np.column_stack([start, stop]).ravel()
         boxes = np.hstack([np.minimum.reduceat(v, at)[::2], np.maximum.reduceat(v, at)[::2]])
-        # one outer ring and no holes: _area is that ring's abs, so take them at once
-        areas = np.abs(np.array(ring_areas, dtype=np.float64)[first[:-1]])
+        # one outer ring and no holes: _area is that ring's abs, so take them at
+        # once; one more entry lets a unit without rings index past the end
+        areas = np.abs(np.append(ring_areas, 0.0)[first[:-1]])
         for i in np.flatnonzero((counts != (1, 0)).any(axis=1)).tolist():
             a, k = first[i], counts[i, 0]
             areas[i] = _area(ring_areas[a:a + k], ring_areas[a + k:first[i + 1]])

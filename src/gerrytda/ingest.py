@@ -10,11 +10,12 @@ UTF-8 byte order mark; a negative vote count, or one above 2**52, is an error.
 parse_geojson reads every ring of a file, a unit's outer rings first, into
 one flat (V, 2) vertex table with ring offsets (the GeoArrow ragged layout),
 checks it in whole-array operations, and measures it once with
-geometry.ring_table. The collection keeps those tables; only a unit with
-holes is built as a PolygonSet, to check it, and to_geojson follows the same
-rule to place its holes. Unit ids are stripped of surrounding whitespace in
-both readers, so a map and a votes file join on the same ids. Bytes that are
-not UTF-8, and any other malformed input, raise IngestError.
+geometry.ring_table. The collection keeps those tables. Only a unit with
+holes, or with no ring, is checked further: geometry.hole_owners places its
+holes from its edge rows, as to_geojson places them. Unit ids are stripped
+of surrounding whitespace in both readers, so a map and a votes file join on
+the same ids. Bytes that are not UTF-8, and any other malformed input, raise
+IngestError.
 
 Votes take one form, a VoteTable: ids and two read-only count arrays of
 one length. parse_votes_csv fills one from the csv rows a column at a time,
@@ -35,8 +36,7 @@ from typing import Iterable, NoReturn
 import numpy as np
 
 from .errors import GeometryError, IngestError
-from .geometry import (MAX_VOTES, PolygonSet, Ring, UnitCollection, UnitKind, _read_only,
-                       ring_table)
+from .geometry import MAX_VOTES, UnitCollection, UnitKind, _read_only, hole_owners, ring_table
 
 log = logging.getLogger(__name__)
 
@@ -89,28 +89,48 @@ def _count(value, key: str, feature_idx: int) -> int:
 
 
 def _ring_fault(feature_parts: list) -> NoReturn:
-    """Raise the first ring fault in file order, found by building each Ring alone.
+    """Raise the first ring fault in file order, found by checking each ring alone.
 
     feature_parts holds each feature's polygons, each a list of rings. The
-    whole-table checks only tell that some ring is bad; Ring's own checks
-    name the fault, so messages and their precedence are Ring's.
+    whole-table checks only tell that some ring is bad; _check_ring names
+    the fault.
     """
     for i, parts in enumerate(feature_parts):
         for coords in (ring for part in parts for ring in part):
             try:
-                Ring(coords)
+                _check_ring(coords)
             except GeometryError as e:
                 raise IngestError(f"feature {i}: {e}") from e
             except (TypeError, ValueError, OverflowError) as e:
                 raise IngestError(f"feature {i}: malformed polygon coordinates") from e
-    raise AssertionError("the whole-table ring checks disagree with Ring")
+    raise AssertionError("the whole-table ring checks disagree with _check_ring")
+
+
+def _check_ring(coords) -> None:
+    """GeometryError for a ring that the whole-table checks reject.
+
+    The same steps on one ring: a closing vertex equal to the first is
+    dropped, and the area is ring_table's.
+    """
+    v = np.asarray(coords, dtype=np.float64)
+    if v.ndim != 2 or v.shape[1] != 2:
+        raise GeometryError("ring coordinates must be an (n, 2) sequence")
+    if len(v) >= 2 and (v[0] == v[-1]).all():
+        v = v[:-1]
+    if len(v) < 3:
+        raise GeometryError(f"degenerate ring: {len(v)} vertices")
+    if not np.isfinite(v).all():
+        raise GeometryError("non-finite ring coordinate")
+    if ring_table(v, np.array([0, len(v)]))[1][0] == 0.0:
+        raise GeometryError("degenerate ring: zero area")
 
 
 def _vertex_table(rings: list, feature_parts: list) -> tuple[np.ndarray, np.ndarray]:
     """Every ring's vertices end to end in one (V, 2) table, and ring offsets.
 
     Ring r is rows offsets[r]:offsets[r + 1]. A closing vertex equal to the
-    first is dropped, as Ring drops it; a ring that Ring would reject raises.
+    first is dropped; a ring with fewer than 3 vertices left or a non-finite
+    one raises.
     """
     try:
         counts = np.array([len(c) for c in rings], dtype=np.int64)
@@ -209,26 +229,27 @@ def parse_geojson(text: str | bytes, id_property: str = "id",
     edges, areas = ring_table(vertices, offsets)
     if 0.0 in areas:
         _ring_fault(feature_parts)
-    # only a unit with holes or without rings can fail; hole-free units are never built
+    units = UnitCollection(ids, kinds, votes[0::2], votes[1::2], edges, offsets,
+                           ring_counts, areas)
+    # only a unit with holes or without rings can fail: a hole-free unit's area is positive
     k, h = np.array(ring_counts, dtype=np.int64).reshape(-1, 2).T
-    for i in np.flatnonzero((h > 0) | (k == 0)).tolist():
-        parts = feature_parts[i]
+    flagged = np.flatnonzero((h > 0) | (k == 0)).tolist()
+    spans = list(units.ring_spans()) if flagged else []
+    for i in flagged:
         try:
-            geom = PolygonSet([Ring(p[0]) for p in parts], [Ring(r) for p in parts for r in p[1:]])
+            hole_owners(edges, *spans[i])
         except GeometryError as e:
             raise IngestError(f"feature {i}: {e}") from e
-        if geom.area <= 0.0:
+        if units.areas[i] <= 0.0:
             raise IngestError(f"feature {i}: non-positive area")
-    return UnitCollection(ids, kinds, votes[0::2], votes[1::2], edges, offsets,
-                          ring_counts, areas)
+    return units
 
 
 def to_geojson(units: UnitCollection, id_property: str = "id") -> dict:
     """Serialize back to a FeatureCollection, each ring from its edge rows.
 
     Rings are explicitly closed. A hole goes in the polygon of the outer
-    ring that holds it; only a unit with holes builds a PolygonSet, to
-    place them.
+    ring that holds it, as geometry.hole_owners places it.
     """
     vertices = units.edges[:, :2]
 
@@ -243,10 +264,8 @@ def to_geojson(units: UnitCollection, id_property: str = "id") -> dict:
                                                     units.kinds):
         parts = [[closed(a, b)] for a, b in outers]
         if holes:
-            rings = [closed(a, b) for a, b in holes]
-            owners = PolygonSet([Ring(p[0]) for p in parts], [Ring(h) for h in rings]).hole_owner
-            for h, owner in zip(rings, owners):
-                parts[owner].append(h)
+            for (a, b), owner in zip(holes, hole_owners(units.edges, outers, holes)):
+                parts[owner].append(closed(a, b))
         if len(parts) == 1:
             geometry = {"type": "Polygon", "coordinates": parts[0]}
         else:

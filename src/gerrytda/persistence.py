@@ -1,18 +1,15 @@
-"""Persistence barcodes, by two routes, and an independent Betti-number oracle.
+"""Persistence barcodes, by two routes.
 
 Rasters take levelset_barcode: connected components of the image and of its
 complement at every level, swept over a graph of the image's equal-level
-regions (scipy.sparse.csgraph), with no complex built. barcode
-on a FilteredComplex pairs cells as GF(2) column reduction of the boundary
-matrix does (_pairing), with little column arithmetic: squares and triangles
-that form apparent pairs are paired in array passes and only the others go
+regions (scipy.sparse.csgraph), with no complex built. barcode on a
+FilteredComplex pairs cells as GF(2) column reduction of the boundary matrix
+does (_pairing), with little column arithmetic: squares and triangles that
+form apparent pairs are paired in array passes and only the others go
 through a set-based loop; edges go through union-find. It serves the
-adjacency route and is the reference that tests hold levelset_barcode to;
-the plain column loop is kept in the tests as _pairing's own reference.
-betti_oracle takes a third route, Gaussian
-elimination ranks of the boundary operators at a fixed level, so the
-reduction can be checked in turn: the number of bars alive at level i in
-dimension k must equal beta_k there.
+adjacency route, and the tests hold levelset_barcode to it on the cubical
+complex of the same field; the plain column loop is kept in the tests as
+_pairing's own reference.
 
 scipy.sparse.csgraph is imported inside _components, the one function here
 that calls scipy, so the commands and routes that take no raster barcode
@@ -28,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .complexes import _EXCLUDED, FilteredComplex, LevelSchedule, _vertex_levels
-from .errors import IngestError, ParameterError
+from .errors import IngestError
 from .raster import MarginField, _ranges
 
 INF = math.inf
@@ -159,8 +156,9 @@ class Barcode:
 def read_barcode_json(doc: dict | str) -> tuple[dict[int, list[tuple[float, float]]], int]:
     """Barcode JSON to per-dimension diagrams (in the units the file used).
 
-    IngestError, naming the pair, for text that is not JSON and for a
-    missing key or a value of the wrong kind.
+    IngestError, naming the pair, for text that is not JSON, for a missing
+    key or a value of the wrong kind, and for a birth that is not finite or
+    a death that is NaN or -inf.
     """
     if isinstance(doc, str):
         try:
@@ -174,7 +172,13 @@ def read_barcode_json(doc: dict | str) -> tuple[dict[int, list[tuple[float, floa
         for k, p in enumerate(doc["pairs"]):
             where = f"pair {k}"
             death = INF if p["death"] == "inf" else float(p["death"])
-            diagrams.setdefault(int(p["dim"]), []).append((float(p["birth"]), death))
+            bars = diagrams.setdefault(int(p["dim"]), [])
+            birth = float(p["birth"])
+            if not math.isfinite(birth):
+                raise ValueError(f"birth {birth} is not finite")
+            if not death > -INF:  # NaN or -inf
+                raise ValueError(f"death {death} is neither finite nor inf")
+            bars.append((birth, death))
     except KeyError as exc:
         raise IngestError(f"{where}: no key {exc}") from None
     except (TypeError, ValueError) as exc:
@@ -318,75 +322,17 @@ def _sweep(levels: np.ndarray, primal: np.ndarray, dual: np.ndarray,
 
 def levelset_barcode(field: MarginField, schedule: LevelSchedule,
                      polarity: str = "democratic") -> Barcode:
-    """barcode(build_levelset_filtration(field, schedule, polarity)), from the image.
+    """The barcode of the field's cubical level-set filtration, from the image.
 
-    The complex at level i is the cubical complex of the active pixels, so
-    H0 is their 4-connected components. By Alexander duality H1 is the
+    The complex at level i is the cubical complex of the active pixels:
+    4-neighbor edges and 2x2 squares, each cell entering at the highest
+    level among its pixels. So H0 is their 4-connected components. By Alexander duality H1 is the
     bounded 8-connected components of the complement: pixels not yet
     active, excluded pixels and a border ring. Both sweeps run on the
     field's equal-level regions (_raster_graph), not on its pixels. A planar
-    complex has no H2. A field in which no pixel ever enters has no bars
-    (where build_levelset_filtration raises ComplexError).
+    complex has no H2. A field in which no pixel ever enters has no bars.
     """
     L = schedule.num_levels
     bars = _sweep(*_raster_graph(field, schedule, polarity), L)
     return Barcode(tuple(sorted(bars)), L, schedule.thresholds)
 
-
-# === independent Betti oracle ===
-
-def _gf2_rank(m: np.ndarray) -> int:
-    """Rank over GF(2) by destructive row elimination on a uint8 copy."""
-    if m.size == 0:
-        return 0
-    m = m.copy()
-    rows, cols = m.shape
-    rank = 0
-    for c in range(cols):
-        hits = np.flatnonzero(m[rank:, c])
-        if len(hits) == 0:
-            continue
-        p = rank + int(hits[0])
-        if p != rank:
-            m[[rank, p]] = m[[p, rank]]
-        below = np.flatnonzero(m[rank + 1:, c]) + rank + 1
-        if len(below):
-            m[below] ^= m[rank]
-        rank += 1
-        if rank == rows:
-            break
-    return rank
-
-
-def betti_oracle(cx: FilteredComplex, level: int) -> tuple[int, int, int]:
-    """(beta_0, beta_1, beta_2) of the subcomplex at a level, by GF(2) ranks.
-
-    beta_k = dim ker boundary_k - rank boundary_{k+1}; independent of the
-    persistence reduction so the two can be cross-checked.
-    """
-    if level < 0:
-        raise ParameterError("level must be non-negative")
-    active = np.flatnonzero(cx.levels <= level)
-    if len(active) == 0:
-        return (0, 0, 0)
-    pos = np.full(len(cx), -1, dtype=np.int64)
-    dims = cx.dims
-    counts = [0, 0, 0]
-    for cell in active:
-        d = int(dims[cell])
-        pos[cell] = counts[d]
-        counts[d] += 1
-    n0, n1, n2 = counts
-
-    d1 = np.zeros((n0, n1), dtype=np.uint8)
-    d2 = np.zeros((n1, n2), dtype=np.uint8)
-    for cell in active:
-        d = int(dims[cell])
-        if d == 0:
-            continue
-        target = d1 if d == 1 else d2
-        for face in cx.boundary(int(cell)):
-            target[pos[face], pos[cell]] ^= 1
-    r1 = _gf2_rank(d1)
-    r2 = _gf2_rank(d2)
-    return (n0 - r1, (n1 - r1) - r2, n2 - r2)

@@ -49,7 +49,6 @@ class AnalysisConfig:
     levels: int = 25
     max_margin: float = 1.0
     polarity: str = "democratic"
-    dim: int = 1
 
 
 @dataclass(frozen=True)

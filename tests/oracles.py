@@ -18,9 +18,34 @@ brute_min_enclosing_circle. point_in_unit is the former point_in_polygon,
 the even-odd rule over one unit's edge rows, which the scanline fill of
 raster.rasterize is held to pixel for pixel.
 
+These moved here from the library unchanged, as the references that its
+routes are held to:
+
+* Ring and PolygonSet, the former per-unit polygon objects: parse_geojson's
+  edge, box and area columns are held to them bit for bit, and
+  geometry.hole_owners to PolygonSet's hole placement (test_ingest's
+  assert_same_units).
+* build_levelset_filtration, the cubical level-set complex of a field, with
+  field_from_array to wrap a raw array as a field: persistence.levelset_barcode
+  is held to barcode() of it, pair for pair.
+* betti_oracle and _gf2_rank, Betti numbers by GF(2) ranks of the boundary
+  operators at one level: the bars that barcode() leaves alive at each level
+  are held to them.
+* from_cells, boundary and active_counts, the former FilteredComplex methods
+  that build a complex from cell triples and read it back, and torus_complex,
+  the periodic grid whose Betti numbers are known: fixtures for both checks.
+
+euler_curve is V - E + F of a field's active cubical complex at each level,
+which the H0 minus H1 bars alive in levelset_barcode are held to at any
+width, beyond the reach of the complex reference. Both it and
+build_levelset_filtration take each pixel's entry level from
+complexes._vertex_levels.
+
 unit_map is not an oracle: it builds every test map the one way the library
 builds one, GeoJSON through parse_geojson, from feature dicts.
 """
+
+from __future__ import annotations
 
 import csv
 import io
@@ -28,15 +53,17 @@ import json
 import math
 from dataclasses import dataclass
 from itertools import combinations, permutations
+from typing import Iterable, Sequence
 
 import numpy as np
 
 from gerrytda.compactness import min_enclosing_circle
-from gerrytda.complexes import _sorted_complex
-from gerrytda.errors import ComplexError, IngestError, MarginError, ParameterError
-from gerrytda.geometry import MAX_VOTES, PolygonSet, Ring, _crossing_parity
+from gerrytda.complexes import (_EXCLUDED, FilteredComplex, LevelSchedule, _sorted_complex,
+                                _vertex_levels)
+from gerrytda.errors import ComplexError, GeometryError, IngestError, MarginError, ParameterError
+from gerrytda.geometry import MAX_VOTES, Point2, _area, _crossing_parity, _shoelace
 from gerrytda.ingest import VoteTable, parse_geojson
-from gerrytda.raster import MarginMode
+from gerrytda.raster import Grid, MarginField, MarginMode
 
 
 # === maps ===
@@ -66,6 +93,95 @@ def point_in_unit(units, i, point):
     """Even-odd membership of a Point2 over all of unit i's rings (holes
     toggle a point back out)."""
     return bool(_crossing_parity(point.x, point.y, unit_rows(units, i)))
+
+
+# === the library's former polygon objects ===
+
+class Ring:
+    """A closed polygon ring.
+
+    The closing vertex is implicit: pass [(0,0), (1,0), (1,1)] for a triangle,
+    not a repeated first point. Rings must have at least 3 vertices and
+    non-zero signed area.
+    """
+
+    __slots__ = ("vertices", "signed_area")
+
+    def __init__(self, coords: Iterable[tuple[float, float]] | np.ndarray):
+        v = np.asarray(coords, dtype=np.float64)
+        if v.ndim != 2 or v.shape[1] != 2:
+            raise GeometryError("ring coordinates must be an (n, 2) sequence")
+        if v.shape[0] >= 2 and np.array_equal(v[0], v[-1]):
+            v = v[:-1]  # tolerate explicitly closed input
+        if v.shape[0] < 3:
+            raise GeometryError(f"degenerate ring: {v.shape[0]} vertices")
+        if not np.all(np.isfinite(v)):
+            raise GeometryError("non-finite ring coordinate")
+        v = v.copy()
+        v.setflags(write=False)
+        self.vertices = v
+        x, y = v[:, 0], v[:, 1]
+        self.signed_area = _shoelace(x, y, np.roll(x, -1), np.roll(y, -1))
+        if self.signed_area == 0.0:
+            raise GeometryError("degenerate ring: zero area")
+
+    def centroid(self) -> Point2:
+        v = self.vertices
+        # about the first vertex: far from the origin, raw cross products cancel
+        x0, y0 = float(v[0, 0]), float(v[0, 1])
+        x, y = v[:, 0] - x0, v[:, 1] - y0
+        x2, y2 = np.roll(x, -1), np.roll(y, -1)
+        cross = x * y2 - x2 * y
+        a = 0.5 * float(np.sum(cross))
+        cx = float(np.sum((x + x2) * cross)) / (6.0 * a)
+        cy = float(np.sum((y + y2) * cross)) / (6.0 * a)
+        return Point2(x0 + cx, y0 + cy)
+
+    def __len__(self) -> int:
+        return int(self.vertices.shape[0])
+
+
+class PolygonSet:
+    """One or more outer rings with optional holes.
+
+    Holes are matched to the outer ring containing their centroid at
+    construction time; a hole contained in no outer ring is an error.
+
+    Construction also measures the set, once:
+
+    * ``edges``: a read-only (k, 4) float64 table, one x1 y1 x2 y2 row per
+      edge, ring by ring in ``rings()`` order, each ring's edges in vertex
+      order with the closing edge last. Columns 0-1 list every vertex.
+    * ``area``: outer rings minus holes, orientation-independent.
+    """
+
+    __slots__ = ("outers", "holes", "hole_owner", "edges", "area")
+
+    def __init__(self, outers: Sequence[Ring], holes: Sequence[Ring] = ()):
+        if not outers:
+            raise GeometryError("polygon set needs at least one outer ring")
+        self.outers = tuple(outers)
+        self.holes = tuple(holes)
+        # each vertex beside the next one round its ring
+        tables = [np.hstack([r.vertices, np.concatenate([r.vertices[1:], r.vertices[:1]])])
+                  for r in self.rings()]
+        owner = []
+        for h in self.holes:
+            c = h.centroid()
+            for oi in range(len(self.outers)):
+                if _crossing_parity(c.x, c.y, tables[oi]):
+                    owner.append(oi)
+                    break
+            else:
+                raise GeometryError("hole lies outside every outer ring")
+        self.hole_owner = tuple(owner)
+        self.edges = np.vstack(tables)
+        self.edges.setflags(write=False)
+        self.area = _area([r.signed_area for r in self.outers],
+                          [r.signed_area for r in self.holes])
+
+    def rings(self) -> tuple[Ring, ...]:
+        return self.outers + self.holes
 
 
 # === compactness ===
@@ -388,6 +504,225 @@ def flag_filtration_reference(vertex_levels, edges, num_levels, thresholds=None)
         flat_parts.append(tb.ravel())
     flat = np.concatenate(flat_parts) if flat_parts else np.empty(0, np.int64)
     return _sorted_complex(dims, levels, lens, flat, num_levels, thresholds)
+
+
+# === complexes ===
+
+def from_cells(cells: Sequence[tuple[int, int, Iterable[int]]],
+               num_levels: int | None = None,
+               thresholds: tuple[float, ...] | None = None) -> FilteredComplex:
+    """Build from (dim, level, boundary ids) triples given in id order.
+
+    Boundary ids refer to positions in the input sequence; the
+    constructor re-sorts everything into filtration order.
+    """
+    n = len(cells)
+    dims = np.fromiter((c[0] for c in cells), dtype=np.int8, count=n)
+    levels = np.fromiter((c[1] for c in cells), dtype=np.int64, count=n)
+    faces = [[int(f) for f in c[2]] for c in cells]
+    lens = np.array([len(f) for f in faces], dtype=np.int64)
+    flat = np.array([f for fs in faces for f in fs], dtype=np.int64)
+    if num_levels is None:
+        num_levels = int(levels.max(initial=1))
+    return _sorted_complex(dims, levels, lens, flat, num_levels, thresholds)
+
+
+def boundary(cx: FilteredComplex, cell_id: int) -> np.ndarray:
+    return cx.indices[cx.indptr[cell_id]:cx.indptr[cell_id + 1]]
+
+
+def active_counts(cx: FilteredComplex, level: int) -> tuple[int, int, int]:
+    """Cells of each dimension present at or below the given level."""
+    mask = cx.levels <= level
+    return tuple(int(np.count_nonzero(mask & (cx.dims == d))) for d in (0, 1, 2))
+
+
+def torus_complex(rows: int = 4, cols: int = 4, level: int = 1) -> FilteredComplex:
+    """Cubical torus: a rows x cols grid with periodic identification."""
+    nv = rows * cols
+
+    def vtx(r, c):
+        return (r % rows) * cols + (c % cols)
+
+    def h_edge(r, c):
+        return nv + (r % rows) * cols + (c % cols)
+
+    def v_edge(r, c):
+        return nv + nv + (r % rows) * cols + (c % cols)
+
+    cells: list[tuple[int, int, tuple[int, ...]]] = []
+    for r in range(rows):
+        for c in range(cols):
+            cells.append((0, level, ()))
+    for r in range(rows):
+        for c in range(cols):
+            cells.append((1, level, (vtx(r, c), vtx(r, c + 1))))
+    for r in range(rows):
+        for c in range(cols):
+            cells.append((1, level, (vtx(r, c), vtx(r + 1, c))))
+    for r in range(rows):
+        for c in range(cols):
+            cells.append((2, level, (h_edge(r, c), h_edge(r + 1, c),
+                                     v_edge(r, c), v_edge(r, c + 1))))
+    return from_cells(cells, num_levels=level)
+
+
+def field_from_array(values, background=None,
+                     mode: MarginMode = MarginMode.RELATIVE,
+                     pixel_size: float = 1.0) -> MarginField:
+    """Wrap a raw margin array (row 0 = bottom) as a MarginField."""
+    v = np.asarray(values, dtype=np.float64)
+    bg = np.zeros_like(v, dtype=bool) if background is None \
+        else np.asarray(background, dtype=bool)
+    v = np.where(bg, 0.0, v)
+    v.setflags(write=False)
+    bg.setflags(write=False)
+    grid = Grid(v.shape[1], v.shape[0], Point2(0.0, 0.0), pixel_size)
+    return MarginField(grid, v, bg, mode, 1.0)
+
+
+def build_levelset_filtration(field: MarginField, schedule: LevelSchedule,
+                              polarity: str = "democratic") -> FilteredComplex:
+    """Cubical filtration of the margin field under the threshold sweep.
+
+    Pixels are vertices entering at their activation level, edges join
+    4-neighbors at the max of their endpoints, squares fill 2x2 blocks at the
+    max of their corners. Pixels that never activate (background, or margin
+    at or above the top threshold) contribute no cells at all.
+    """
+    lv = _vertex_levels(field.values, field.background, schedule, polarity)
+    active = lv != _EXCLUDED
+    if not active.any():
+        raise ComplexError("empty complex: all pixels background or never active")
+    h, w = lv.shape
+
+    vid = np.full((h, w), -1, dtype=np.int64)
+    vid[active] = np.arange(int(active.sum()))
+    v_levels = lv[active]
+    nv = len(v_levels)
+
+    # horizontal edges (r,c)-(r,c+1), vertical edges (r,c)-(r+1,c)
+    hmask = active[:, :-1] & active[:, 1:]
+    vmask = active[:-1, :] & active[1:, :]
+    h_u, h_v = vid[:, :-1][hmask], vid[:, 1:][hmask]
+    h_lv = np.maximum(lv[:, :-1][hmask], lv[:, 1:][hmask])
+    v_u, v_v = vid[:-1, :][vmask], vid[1:, :][vmask]
+    v_lv = np.maximum(lv[:-1, :][vmask], lv[1:, :][vmask])
+    ne_h, ne_v = len(h_lv), len(v_lv)
+    ne = ne_h + ne_v
+
+    # edge id lookup tables for square boundaries
+    h_id = np.full((h, max(w - 1, 0)), -1, dtype=np.int64)
+    h_id[hmask] = nv + np.arange(ne_h)
+    v_id = np.full((max(h - 1, 0), w), -1, dtype=np.int64)
+    v_id[vmask] = nv + ne_h + np.arange(ne_v)
+
+    smask = active[:-1, :-1] & active[:-1, 1:] & active[1:, :-1] & active[1:, 1:]
+    s_lv = np.maximum.reduce([lv[:-1, :-1][smask], lv[:-1, 1:][smask],
+                              lv[1:, :-1][smask], lv[1:, 1:][smask]])
+    s_b = np.column_stack([
+        h_id[:-1, :][smask],       # bottom edge
+        v_id[:, :-1][smask],       # left edge
+        v_id[:, 1:][smask],        # right edge
+        h_id[1:, :][smask],        # top edge
+    ])
+    ns = len(s_lv)
+
+    dims = np.concatenate([np.zeros(nv, np.int8), np.ones(ne, np.int8),
+                           np.full(ns, 2, np.int8)])
+    levels = np.concatenate([v_levels,
+                             h_lv, v_lv,
+                             s_lv]).astype(np.int64)
+    edge_pairs = np.concatenate([np.column_stack([h_u, h_v]),
+                                 np.column_stack([v_u, v_v])]) \
+        if ne else np.empty((0, 2), np.int64)
+    lens = np.concatenate([np.zeros(nv, np.int64), np.full(ne, 2, np.int64),
+                           np.full(ns, 4, np.int64)])
+    flat = np.concatenate([np.sort(edge_pairs, axis=1).ravel(),
+                           np.sort(s_b, axis=1).ravel()]) \
+        if ne + ns else np.empty(0, np.int64)
+
+    return _sorted_complex(dims, levels, lens, flat,
+                           schedule.num_levels, schedule.thresholds)
+
+
+def _gf2_rank(m: np.ndarray) -> int:
+    """Rank over GF(2) by destructive row elimination on a uint8 copy."""
+    if m.size == 0:
+        return 0
+    m = m.copy()
+    rows, cols = m.shape
+    rank = 0
+    for c in range(cols):
+        hits = np.flatnonzero(m[rank:, c])
+        if len(hits) == 0:
+            continue
+        p = rank + int(hits[0])
+        if p != rank:
+            m[[rank, p]] = m[[p, rank]]
+        below = np.flatnonzero(m[rank + 1:, c]) + rank + 1
+        if len(below):
+            m[below] ^= m[rank]
+        rank += 1
+        if rank == rows:
+            break
+    return rank
+
+
+def betti_oracle(cx: FilteredComplex, level: int) -> tuple[int, int, int]:
+    """(beta_0, beta_1, beta_2) of the subcomplex at a level, by GF(2) ranks.
+
+    beta_k = dim ker boundary_k - rank boundary_{k+1}; independent of the
+    persistence reduction so the two can be cross-checked.
+    """
+    if level < 0:
+        raise ParameterError("level must be non-negative")
+    active = np.flatnonzero(cx.levels <= level)
+    if len(active) == 0:
+        return (0, 0, 0)
+    pos = np.full(len(cx), -1, dtype=np.int64)
+    dims = cx.dims
+    counts = [0, 0, 0]
+    for cell in active:
+        d = int(dims[cell])
+        pos[cell] = counts[d]
+        counts[d] += 1
+    n0, n1, n2 = counts
+
+    d1 = np.zeros((n0, n1), dtype=np.uint8)
+    d2 = np.zeros((n1, n2), dtype=np.uint8)
+    for cell in active:
+        d = int(dims[cell])
+        if d == 0:
+            continue
+        target = d1 if d == 1 else d2
+        for face in boundary(cx, int(cell)):
+            target[pos[face], pos[cell]] ^= 1
+    r1 = _gf2_rank(d1)
+    r2 = _gf2_rank(d2)
+    return (n0 - r1, (n1 - r1) - r2, n2 - r2)
+
+
+def euler_curve(field: MarginField, schedule: LevelSchedule,
+                polarity: str = "democratic") -> np.ndarray:
+    """V - E + F of the field's active cubical complex at levels 1..L.
+
+    One bincount per cell type over the level each cell enters at (Heiss
+    and Wagner, CAIP 2017): a pixel at its own level, a 4-neighbor edge and
+    a 2x2 square at the highest level among their pixels. A pixel that
+    never enters takes level L + 1, past every level counted. At each level
+    the value equals the H0 bars alive there minus the H1 bars alive there.
+    """
+    L = schedule.num_levels
+    lv = _vertex_levels(field.values, field.background, schedule, polarity)
+    lv[lv == _EXCLUDED] = L + 1
+    cells = [(1, lv),
+             (-1, np.maximum(lv[:, 1:], lv[:, :-1])),
+             (-1, np.maximum(lv[1:], lv[:-1])),
+             (1, np.maximum(np.maximum(lv[1:, 1:], lv[1:, :-1]),
+                            np.maximum(lv[:-1, 1:], lv[:-1, :-1])))]
+    per_level = sum(sign * np.bincount(c.ravel(), minlength=L + 2) for sign, c in cells)
+    return np.cumsum(per_level)[1:L + 1]
 
 
 # === persistence ===

@@ -19,33 +19,31 @@ from gerrytda.compactness import (
     t_p_value,
 )
 from gerrytda.compare import bottleneck, wasserstein
-from gerrytda.complexes import (
-    FilteredComplex,
-    build_levelset_filtration,
-    flag_filtration,
-    uniform_schedule,
-)
+from gerrytda.complexes import flag_filtration, uniform_schedule
 from gerrytda.geometry import UnitKind
 from gerrytda.ingest import join_units, parse_geojson, parse_votes_csv
-from gerrytda.persistence import INF, barcode, betti_oracle
+from gerrytda.persistence import INF, barcode
 from gerrytda.raster import MarginMode, margin_field, rasterize
 from gerrytda.report import AnalysisConfig, run_year, write_outputs
 from gerrytda.synth import (
     aggregate_band_votes,
     band_districts,
-    field_from_array,
     grid_mosaic,
     island_scenario,
     mosaic_votes,
-    torus_complex,
     votes_csv_text,
 )
 from oracles import (
+    betti_oracle,
     brute_bottleneck,
     brute_min_enclosing_circle,
     brute_wasserstein,
+    build_levelset_filtration,
     feature,
+    field_from_array,
+    from_cells,
     paired_t_pvalue_quadrature,
+    torus_complex,
     unit_map,
 )
 
@@ -158,7 +156,7 @@ def betti_at_top(cx):
 
 
 def test_criterion_5_topology_fixtures():
-    hollow_tetrahedron = FilteredComplex.from_cells([
+    hollow_tetrahedron = from_cells([
         (0, 1, ()), (0, 1, ()), (0, 1, ()), (0, 1, ()),
         (1, 1, (0, 1)), (1, 1, (0, 2)), (1, 1, (0, 3)),
         (1, 1, (1, 2)), (1, 1, (1, 3)), (1, 1, (2, 3)),
@@ -167,7 +165,7 @@ def test_criterion_5_topology_fixtures():
     ], num_levels=1)
     assert betti_at_top(hollow_tetrahedron) == (1, 0, 1)
 
-    triangle_boundary = FilteredComplex.from_cells([
+    triangle_boundary = from_cells([
         (0, 1, ()), (0, 1, ()), (0, 1, ()),
         (1, 1, (0, 1)), (1, 1, (1, 2)), (1, 1, (0, 2)),
     ], num_levels=1)

@@ -431,18 +431,35 @@ def test_barcode_pair_without_death_is_an_error(capsys, tmp_path, command):
     assert err == f"error: {bad}: pair 1: no key 'death'\n"
 
 
+@pytest.mark.parametrize("command", ["compare", "matrix"])
+def test_barcode_pair_not_a_bar_is_an_error(capsys, tmp_path, command):
+    # two essential bars born at inf gave a NaN distance; a birth at -inf, a crash
+    for pair, fault in [({"birth": "inf", "death": "inf"}, "birth inf is not finite"),
+                        ({"birth": "-inf", "death": 0.5}, "birth -inf is not finite"),
+                        ({"birth": 0.5, "death": "nan"}, "death nan is neither finite nor inf"),
+                        ({"birth": 0.5, "death": "-inf"}, "death -inf is neither finite nor inf")]:
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps({"num_levels": 4, "pairs": [
+            {"dim": 1, "birth": 0.25, "death": 0.5}, {"dim": 1, **pair}]}))
+        code, out, err = run_cli(capsys, command, str(bad), str(bad))
+        assert code == 2
+        assert out == ""  # no NaN distance printed
+        assert err == f"error: {bad}: pair 1: {fault}\n"
+
+
 def test_ttest_score_not_a_number_is_an_error(island_files, capsys, tmp_path):
     good = tmp_path / "a.csv"
     run_cli(capsys, "compactness", "--geo", island_files["packed_geo"], "--out", str(good))
-    lines = good.read_text().strip().split("\n")
-    cells = lines[2].split(",")
-    lines[2] = ",".join([cells[0], "abc", cells[2]])
-    bad = tmp_path / "b.csv"
-    bad.write_text("\n".join(lines) + "\n")
-    code, out, err = run_cli(capsys, "ttest", str(good), str(bad))
-    assert code == 2
-    assert out == ""
-    assert err == f"error: {bad}: line 3: no number in column 'polsby_popper'\n"
+    for cell in ("abc", "nan", "inf", "-inf"):
+        lines = good.read_text().strip().split("\n")
+        cells = lines[2].split(",")
+        lines[2] = ",".join([cells[0], cell, cells[2]])
+        bad = tmp_path / "b.csv"
+        bad.write_text("\n".join(lines) + "\n")
+        code, out, err = run_cli(capsys, "ttest", str(good), str(bad))
+        assert code == 2
+        assert out == ""
+        assert err == f"error: {bad}: line 3: no number in column 'polsby_popper'\n"
 
 
 def test_config_value_of_the_wrong_type_is_an_error(island_files, capsys, tmp_path):

@@ -9,10 +9,8 @@ from hypothesis import strategies as st
 
 from gerrytda import complexes
 from gerrytda.complexes import (
-    FilteredComplex,
     LevelSchedule,
     build_adjacency_filtration,
-    build_levelset_filtration,
     detect_adjacency,
     flag_filtration,
     uniform_schedule,
@@ -23,9 +21,20 @@ from gerrytda.errors import (
     StructureError,
 )
 from gerrytda.ingest import VoteTable, join_units, parse_geojson, to_geojson
-from gerrytda.persistence import betti_oracle
-from gerrytda.synth import field_from_array, grid_mosaic, mosaic_votes, torus_complex
-from oracles import adjacency_reference, feature, flag_filtration_reference, unit_map
+from gerrytda.synth import grid_mosaic, mosaic_votes
+from oracles import (
+    active_counts,
+    adjacency_reference,
+    betti_oracle,
+    boundary,
+    build_levelset_filtration,
+    feature,
+    field_from_array,
+    flag_filtration_reference,
+    from_cells,
+    torus_complex,
+    unit_map,
+)
 
 
 def rect_unit(uid, x0, y0, x1, y1, dem=10, rep=10):
@@ -83,7 +92,7 @@ def test_levelset_all_republican_block():
     cx = build_levelset_filtration(field_from_array(np.full((4, 4), -0.5)),
                                    uniform_schedule(25))
     assert set(cx.levels.tolist()) == {1}
-    v, e, f = cx.active_counts(1)
+    v, e, f = active_counts(cx, 1)
     assert (v, e, f) == (16, 24, 9)
     assert v - e + f == 1
 
@@ -91,15 +100,15 @@ def test_levelset_all_republican_block():
 def test_levelset_center_island_level():
     cx = build_levelset_filtration(sea_with_center(5, 0.5), uniform_schedule(25))
     # 24 sea vertices at level 1; the center waits for the first tau >= 0.5
-    assert cx.active_counts(1) == (24, 36, 12)
+    assert active_counts(cx, 1) == (24, 36, 12)
     v_levels = sorted(cx.levels[cx.dims == 0].tolist())
     assert v_levels == [1] * 24 + [13]
-    assert cx.active_counts(13) == (25, 40, 16)
+    assert active_counts(cx, 13) == (25, 40, 16)
 
 
 def test_levelset_max_margin_island_never_enters():
     cx = build_levelset_filtration(sea_with_center(5, 1.0), uniform_schedule(25))
-    assert cx.active_counts(25) == (24, 36, 12)
+    assert active_counts(cx, 25) == (24, 36, 12)
 
 
 def test_levelset_background_only_is_error():
@@ -124,7 +133,7 @@ def test_levelset_background_pixels_never_enter():
     bg[1, 1] = True
     cx = build_levelset_filtration(field_from_array(v, background=bg),
                                    uniform_schedule(25))
-    assert cx.active_counts(25)[0] == 8
+    assert active_counts(cx, 25)[0] == 8
 
 
 def random_field(rng, h, w):
@@ -142,10 +151,10 @@ def test_levelset_closure_and_monotonicity():
         cx = build_levelset_filtration(random_field(rng, rng.integers(1, 9),
                                                     rng.integers(1, 9)), sched)
         for c in range(len(cx)):
-            for f in cx.boundary(c):
+            for f in boundary(cx, c):
                 assert cx.dims[f] == cx.dims[c] - 1
                 assert cx.levels[f] <= cx.levels[c]
-        counts = [cx.active_counts(lv) for lv in range(1, sched.num_levels + 1)]
+        counts = [active_counts(cx, lv) for lv in range(1, sched.num_levels + 1)]
         for a, b in zip(counts, counts[1:]):
             assert all(x <= y for x, y in zip(a, b))
 
@@ -158,7 +167,7 @@ def test_levelset_euler_matches_betti_oracle():
                                                     rng.integers(2, 7)), sched)
         for lv in range(1, sched.num_levels + 1):
             b0, b1, b2 = betti_oracle(cx, lv)
-            v, e, f = cx.active_counts(lv)
+            v, e, f = active_counts(cx, lv)
             assert v - e + f == b0 - b1 + b2
 
 
@@ -174,9 +183,9 @@ def test_from_cells_rebuilds_random_cubical():
         pos = np.empty(len(cx), np.int64)
         pos[order] = np.arange(len(cx))
         cells = [(int(cx.dims[i]), int(cx.levels[i]),
-                  [int(pos[f]) for f in rng.permutation(cx.boundary(i))])
+                  [int(pos[f]) for f in rng.permutation(boundary(cx, i))])
                  for i in order.tolist()]
-        rebuilt = FilteredComplex.from_cells(cells, cx.num_levels, cx.thresholds)
+        rebuilt = from_cells(cells, cx.num_levels, cx.thresholds)
         for name in ("dims", "levels", "indptr", "indices"):
             want, got = getattr(cx, name), getattr(rebuilt, name)
             assert got.dtype == want.dtype and np.array_equal(got, want), name
@@ -184,7 +193,7 @@ def test_from_cells_rebuilds_random_cubical():
 
 def test_from_cells_rejects_face_after_coface():
     with pytest.raises(StructureError):
-        FilteredComplex.from_cells(
+        from_cells(
             [(0, 1, ()), (0, 3, ()), (1, 2, (0, 1))], num_levels=3)
 
 
@@ -194,15 +203,15 @@ def test_boundary_naming_a_face_twice_rejected():
         torus_complex(1, 3)  # each vertical edge is a loop at one vertex
     triangle = [(0, 1, ()), (0, 1, ()), (0, 1, ()),
                 (1, 1, (0, 1)), (1, 1, (1, 2)), (1, 1, (0, 2))]
-    FilteredComplex.from_cells(triangle + [(2, 1, (3, 4, 5))])
+    from_cells(triangle + [(2, 1, (3, 4, 5))])
     for bad in ([(1, 1, (0, 0))], [(2, 1, (3, 4, 4))], [(2, 1, (3, 4, 5, 3))]):
         with pytest.raises(StructureError, match="face twice"):
-            FilteredComplex.from_cells(triangle + bad)
+            from_cells(triangle + bad)
 
 
 def test_empty_complex_rejected():
     with pytest.raises(ComplexError):
-        FilteredComplex.from_cells([], num_levels=1)
+        from_cells([], num_levels=1)
 
 
 # === adjacency detection ===
@@ -399,7 +408,7 @@ def three_mutual_units(margins, dems=None):
 def test_flag_landslide_triangle_at_level_one():
     units = three_mutual_units([1.0, 1.0, 1.0])
     cx = build_adjacency_filtration(units, uniform_schedule(25), kind="rook")
-    assert cx.active_counts(1) == (3, 3, 1)
+    assert active_counts(cx, 1) == (3, 3, 1)
     assert set(cx.levels.tolist()) == {1}
 
 
@@ -415,14 +424,14 @@ def test_flag_two_step_sweep_entry():
 def test_flag_democratic_winner_never_included():
     units = three_mutual_units([1.0, -0.5, 1.0])
     cx = build_adjacency_filtration(units, uniform_schedule(25), kind="rook")
-    assert cx.active_counts(25) == (2, 1, 0)
+    assert active_counts(cx, 25) == (2, 1, 0)
 
 
 def test_flag_democratic_polarity():
     units = three_mutual_units([1.0, -0.5, 1.0])
     cx = build_adjacency_filtration(units, uniform_schedule(25), kind="rook",
                                     party="democratic")
-    assert cx.active_counts(25) == (1, 0, 0)
+    assert active_counts(cx, 25) == (1, 0, 0)
 
 
 def test_flag_margin_below_first_threshold_excluded():
@@ -437,7 +446,7 @@ def test_flag_margin_below_first_threshold_excluded():
 
 def test_flag_edge_level_is_max_of_endpoints():
     cx = flag_filtration([1, 3, 2], [(0, 1), (1, 2), (0, 2)], num_levels=3)
-    edges = {tuple(sorted(cx.boundary(i).tolist())): int(cx.levels[i])
+    edges = {tuple(sorted(boundary(cx, i).tolist())): int(cx.levels[i])
              for i in np.flatnonzero(cx.dims == 1)}
     vert_level = {i: int(cx.levels[i]) for i in np.flatnonzero(cx.dims == 0).tolist()}
     for (u, v), lv in edges.items():
@@ -448,14 +457,14 @@ def test_flag_edge_level_is_max_of_endpoints():
 
 def test_flag_excluded_vertices_drop_their_edges():
     cx = flag_filtration([1, -1, 2], [(0, 1), (1, 2), (0, 2)], num_levels=3)
-    assert cx.active_counts(3) == (2, 1, 0)
+    assert active_counts(cx, 3) == (2, 1, 0)
 
 
 def test_tied_unit_never_enters_sweep():
     units = unit_map([rect_unit("A", 0, 0, 1, 1, dem=50, rep=50),
                       rect_unit("B", 1, 0, 2, 1, dem=10, rep=90)])
     cx = build_adjacency_filtration(units, uniform_schedule(25))
-    assert cx.active_counts(25) == (1, 0, 0)
+    assert active_counts(cx, 25) == (1, 0, 0)
 
 
 def assert_same_complex(a, b):
@@ -497,7 +506,7 @@ def test_flag_filtration_matches_reference(case, thresholds):
 def test_flag_filtration_without_edges():
     cx = flag_filtration([2, 0, 1], [], num_levels=3)
     assert_same_complex(cx, flag_filtration_reference([2, 0, 1], [], 3))
-    assert cx.active_counts(3) == (2, 0, 0)
+    assert active_counts(cx, 3) == (2, 0, 0)
 
 
 # === one adjacency per map ===

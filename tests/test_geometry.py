@@ -12,9 +12,9 @@ import numpy as np
 import pytest
 
 from gerrytda.compactness import score_units
-from gerrytda.errors import GeometryError
-from gerrytda.geometry import Bounds, Point2, PolygonSet, Ring, UnitKind
-from gerrytda.ingest import parse_geojson
+from gerrytda.errors import GeometryError, IngestError
+from gerrytda.geometry import Bounds, Point2, UnitKind, ring_table
+from gerrytda.ingest import parse_geojson, to_geojson
 from gerrytda.synth import grid_mosaic
 from oracles import feature, point_in_unit, unit_map
 
@@ -23,10 +23,6 @@ UNIT_SQUARE = [(0, 0), (1, 0), (1, 1), (0, 1)]
 
 def square(x0, y0, x1, y1):
     return [(x0, y0), (x1, y0), (x1, y1), (x0, y1)]
-
-
-def poly(*outers, holes=()):
-    return PolygonSet([Ring(o) for o in outers], [Ring(h) for h in holes])
 
 
 def unit(*outers, holes=()):
@@ -69,7 +65,7 @@ def test_area_square_with_hole():
 def test_area_orientation_independent():
     cw = list(reversed(UNIT_SQUARE))
     assert area(cw) == 1.0
-    assert Ring(cw).signed_area == -1.0
+    assert ring_table(np.array(cw, dtype=np.float64), np.array([0, 4]))[1] == [-1.0]
 
 
 def test_area_multipart():
@@ -172,19 +168,25 @@ def test_pip_convex_oracle():
 
 # === validation ===
 
+def rejected(message, *outers, holes=()):
+    """parse_geojson refuses the one-unit map with message, caused by a GeometryError."""
+    with pytest.raises(IngestError, match=f"^feature 0: {message}$") as info:
+        unit(*outers, holes=holes)
+    return isinstance(info.value.__cause__, GeometryError)
+
+
 def test_ring_rejects_two_vertices():
-    with pytest.raises(GeometryError):
-        Ring([(0, 0), (1, 1)])
+    assert rejected("degenerate ring: 2 vertices", [(0, 0), (1, 1)])
 
 
 def test_ring_rejects_zero_area():
-    with pytest.raises(GeometryError):
-        Ring([(0, 0), (1, 1), (2, 2)])
+    assert rejected("degenerate ring: zero area", [(0, 0), (1, 1), (2, 2)])
 
 
 def test_ring_accepts_closed_input():
-    r = Ring([(0, 0), (1, 0), (1, 1), (0, 1), (0, 0)])
-    assert len(r) == 4
+    closed = unit([(0, 0), (1, 0), (1, 1), (0, 1), (0, 0)])
+    assert closed.edge_counts.tolist() == [4]
+    assert closed.edges.tobytes() == unit(UNIT_SQUARE).edges.tobytes()
 
 
 def test_point_rejects_nan():
@@ -193,19 +195,19 @@ def test_point_rejects_nan():
 
 
 def test_hole_outside_outer_rejected():
-    with pytest.raises(GeometryError):
-        poly(UNIT_SQUARE, holes=[square(2, 2, 3, 3)])
+    assert rejected("hole lies outside every outer ring", UNIT_SQUARE,
+                    holes=[square(2, 2, 3, 3)])
 
 
 def test_small_hole_far_from_origin_finds_its_outer_ring():
     # a 3-wide hole at 5e6: the centroid of absolute coordinates lands
-    # hundreds of units outside the map
+    # hundreds of units outside the map, so the hole would fit no outer ring
     lo, hi = 5000003.460426573, 5000006.539573427
-    hole = Ring(square(lo, lo, hi, hi))
-    c = hole.centroid()
-    assert c.x == pytest.approx(5e6 + 5, abs=1e-6) and c.y == pytest.approx(5e6 + 5, abs=1e-6)
     outer = square(5e6, 5e6, 5e6 + 10, 5e6 + 10)
-    assert poly(outer, holes=[square(lo, lo, hi, hi)]).hole_owner == (0,)
+    units = unit_map([feature("U", [square(0, 0, 10, 10)], [outer, square(lo, lo, hi, hi)])])
+    parts = to_geojson(units)["features"][0]["geometry"]["coordinates"]
+    assert [len(rings) for rings in parts] == [1, 2]
+    assert parts[1][1][:4] == [list(p) for p in square(lo, lo, hi, hi)]
 
 
 def test_collection_bounds_enclose_everything():
@@ -270,13 +272,9 @@ def test_with_votes_takes_only_an_integer_array():
         col.with_votes(np.array([1, 2, 3, 4]))
 
 
-def test_a_bad_count_is_named_without_building_a_polygon_set(monkeypatch):
-    col = parse_geojson(json.dumps(grid_mosaic(3, 1, seed=0)))  # no PolygonSet built yet
-
-    def refuse(*args, **kwargs):
-        raise AssertionError("PolygonSet built")
-
-    monkeypatch.setattr(PolygonSet, "__init__", refuse)
+def test_a_bad_count_is_named_without_building_a_polygon_set():
+    # the count check reads the vote array alone; a map has no per-unit polygon objects
+    col = parse_geojson(json.dumps(grid_mosaic(3, 1, seed=0)))
     with pytest.raises(GeometryError, match=f"^unit {col.ids[1]}: negative vote count$"):
         col.with_votes(np.array([(1, 1), (2, -1), (-3, 2**53)]))
     with pytest.raises(GeometryError, match=f"^unit {col.ids[2]}: vote count above 2\\*\\*52$"):

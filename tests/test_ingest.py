@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from gerrytda.errors import GeometryError, IngestError
 from gerrytda.compactness import score_units
-from gerrytda.geometry import Bounds, PolygonSet, Ring, UnitKind
+from gerrytda.geometry import Bounds, UnitKind, hole_owners
 from gerrytda.ingest import (
     JoinReport,
     VoteTable,
@@ -20,7 +20,7 @@ from gerrytda.ingest import (
     to_geojson,
 )
 from gerrytda.synth import band_districts, grid_mosaic, mosaic_votes, votes_csv_text
-from oracles import compactness_reference, parse_votes_reference
+from oracles import PolygonSet, Ring, compactness_reference, parse_votes_reference
 
 
 def square_feature(uid, x0, y0, size=1.0, props=None):
@@ -189,7 +189,7 @@ def test_parse_geometry_fault_names_feature(name):
 
 
 def test_parse_first_ring_fault_wins():
-    # Ring's checks, in file order, decide which of several faults is named
+    # the ring checks, in file order, decide which of several faults is named
     feats = [square_feature("A", 0, 0),
              polygon(UNIT_SQUARE, [[0.2, 0.2], [0.4, 0.2], [0.2, 0.2]]),
              polygon([[0, 0], None, [1, 1]], props={"id": "C"})]
@@ -207,7 +207,7 @@ def test_parse_ring_faults_in_one_feature_are_named_in_file_order():
         parse_geojson(collection([feat]))
 
 
-# === parse_geojson against Ring and PolygonSet built directly ===
+# === parse_geojson against the former Ring and PolygonSet, built directly ===
 
 def bits(x):
     a = np.asarray(x, dtype=np.float64)
@@ -222,8 +222,9 @@ def parts_of(feat):
 
 def assert_same_units(doc):
     """parse_geojson's columns equal Ring/PolygonSet built feature by feature:
-    their edges, rings, boxes (over the outer rings) and areas. So do the
-    compactness scores read from those columns, bit for bit."""
+    their edges, rings, boxes (over the outer rings) and areas, and
+    hole_owners places each hole as PolygonSet does. So do the compactness
+    scores read from those columns, bit for bit."""
     parsed = parse_geojson(json.dumps(doc))
     assert len(parsed) == len(doc["features"])
     refs = []
@@ -243,6 +244,7 @@ def assert_same_units(doc):
     for (outers, holes), ref in zip(parsed.ring_spans(), refs):
         assert [b - a for a, b in outers] == list(map(len, ref.outers))
         assert [b - a for a, b in holes] == list(map(len, ref.holes))
+        assert hole_owners(parsed.edges, outers, holes) == list(ref.hole_owner)
     scores = [(r.polsby_popper.hex(), r.reock.hex()) for r in score_units(parsed)]
     assert scores == [(pp.hex(), rk.hex()) for pp, rk in compactness_reference(doc)]
 
@@ -304,14 +306,10 @@ def test_parse_matches_direct_construction_on_mosaics(cols, rows, seed):
     assert_same_units(band_districts(cols, rows, 14))
 
 
-def test_hole_free_map_runs_without_geometry_objects(monkeypatch):
-    # the pipeline reads a parsed map's columns; no PolygonSet is ever built
+def test_hole_free_map_runs_without_geometry_objects():
+    # the pipeline reads a parsed map's columns
     from gerrytda import complexes, persistence, raster
 
-    def refuse(*args, **kwargs):
-        raise AssertionError("PolygonSet built")
-
-    monkeypatch.setattr(PolygonSet, "__init__", refuse)
     geo = parse_geojson(json.dumps(grid_mosaic(12, 6, seed=2)))
     votes = parse_votes_csv(votes_csv_text(mosaic_votes(12, 6, seed=2)))
     units, report = join_units(geo, votes)

@@ -1,11 +1,12 @@
 """Boundary-matrix reduction, barcodes, and the independent Betti oracle.
 
-The oracle (Gaussian elimination ranks) and the reduction pairing are two
-routes to the same Betti numbers; the equivalence tests here keep them
-honest against each other on randomized complexes. The pairing (_pairing)
-is held to the plain column loop (oracles.reduce_reference), and the image route,
-levelset_barcode, to the reduction's barcode on random fields and on the
-maps of acceptance gate 8.
+The oracle (oracles.betti_oracle, Gaussian elimination ranks) and the
+reduction pairing are two routes to the same Betti numbers; the equivalence
+tests here keep them honest against each other on randomized complexes. The
+pairing (_pairing) is held to the plain column loop (oracles.reduce_reference),
+and the image route, levelset_barcode, to the reduction's barcode on random
+fields and on the maps of acceptance gate 8 at width 64, and to the Euler
+curve (oracles.euler_curve) on random fields and on gate 8 at width 1024.
 """
 
 import hashlib
@@ -17,20 +18,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from gerrytda.complexes import (
-    FilteredComplex,
-    build_adjacency_filtration,
-    build_levelset_filtration,
-    flag_filtration,
-    uniform_schedule,
-)
+from gerrytda.complexes import build_adjacency_filtration, flag_filtration, uniform_schedule
 from gerrytda.persistence import (
     INF,
     Barcode,
     PersistencePair,
     _pairing,
     barcode,
-    betti_oracle,
     levelset_barcode,
     read_barcode_json,
 )
@@ -40,19 +34,25 @@ from gerrytda.raster import margin_field, rasterize
 from gerrytda.synth import (
     aggregate_band_votes,
     band_districts,
-    field_from_array,
     grid_mosaic,
     mosaic_votes,
-    torus_complex,
     votes_csv_text,
 )
-from oracles import reduce_reference
+from oracles import (
+    betti_oracle,
+    build_levelset_filtration,
+    euler_curve,
+    field_from_array,
+    from_cells,
+    reduce_reference,
+    torus_complex,
+)
 
 
 def triangle_filtration():
     # a, b, c born first; edges ab, bc close a path; ca closes the loop,
     # which the filled triangle kills one level later
-    return FilteredComplex.from_cells([
+    return from_cells([
         (0, 0, ()),        # 0 a
         (0, 0, ()),        # 1 b
         (0, 0, ()),        # 2 c
@@ -82,7 +82,7 @@ def test_reduce_triangle_worked_example():
 
 
 def test_reduce_two_isolated_vertices():
-    cx = FilteredComplex.from_cells([(0, 1, ()), (0, 1, ())], num_levels=1)
+    cx = from_cells([(0, 1, ()), (0, 1, ())], num_levels=1)
     pairs, essential, _ = pairing(cx)
     assert pairs == ()
     assert essential == (0, 1)
@@ -198,7 +198,7 @@ def test_barcode_max_margin_island_is_essential():
 
 def test_barcode_drops_zero_length_bars():
     # both edges enter with their vertices, killing components instantly
-    cx = FilteredComplex.from_cells([
+    cx = from_cells([
         (0, 1, ()), (0, 1, ()), (0, 1, ()),
         (1, 1, (0, 1)), (1, 1, (1, 2)),
     ], num_levels=1)
@@ -218,7 +218,7 @@ def test_torus_betti_numbers():
 # === betti oracle fixtures ===
 
 def test_betti_hollow_tetrahedron():
-    cx = FilteredComplex.from_cells([
+    cx = from_cells([
         (0, 1, ()), (0, 1, ()), (0, 1, ()), (0, 1, ()),
         (1, 1, (0, 1)), (1, 1, (0, 2)), (1, 1, (0, 3)),
         (1, 1, (1, 2)), (1, 1, (1, 3)), (1, 1, (2, 3)),
@@ -229,7 +229,7 @@ def test_betti_hollow_tetrahedron():
 
 
 def test_betti_triangle_boundary():
-    cx = FilteredComplex.from_cells([
+    cx = from_cells([
         (0, 1, ()), (0, 1, ()), (0, 1, ()),
         (1, 1, (0, 1)), (1, 1, (1, 2)), (1, 1, (0, 2)),
     ], num_levels=1)
@@ -246,7 +246,7 @@ def test_betti_two_complete_graphs():
         for i in range(4):
             for j in range(i + 1, 4):
                 cells.append((1, 1, (base + i, base + j)))
-    cx = FilteredComplex.from_cells(cells, num_levels=1)
+    cx = from_cells(cells, num_levels=1)
     assert betti_oracle(cx, 1) == (2, 6, 0)
 
 
@@ -369,6 +369,18 @@ def test_levelset_barcode_matches_reduction(sweep):
     assert got == expected
 
 
+def alive_difference(bc):
+    """H0 bars alive minus H1 bars alive, at each level 1..L."""
+    return [bc.alive(lv, 0) - bc.alive(lv, 1) for lv in range(1, bc.num_levels + 1)]
+
+
+@settings(max_examples=300, deadline=None)
+@given(level_sweeps())
+@example((field_from_array(TWO_BASINS), uniform_schedule(5), "democratic"))
+def test_levelset_barcode_obeys_the_euler_curve(sweep):
+    assert alive_difference(levelset_barcode(*sweep)) == euler_curve(*sweep).tolist()
+
+
 def reduction_barcode(field, schedule, polarity):
     """The reduction's barcode of the field, or no bars if no pixel ever enters."""
     try:
@@ -430,6 +442,20 @@ def test_levelset_barcode_matches_reduction_on_the_gate_8_mosaic(gate_8_layers, 
         got = levelset_barcode(field, schedule, polarity)
         assert got.pairs
         assert got == reduction_barcode(field, schedule, polarity)
+
+
+@pytest.mark.parametrize("polarity", ["democratic", "republican"])
+@pytest.mark.parametrize("mode", ["density", "relative"])
+def test_levelset_barcode_obeys_the_euler_curve_on_the_gate_8_mosaic(gate_8_layers, mode,
+                                                                     polarity):
+    # beyond the reduction's reach: the widths users run
+    precincts, districts, bounds = gate_8_layers
+    schedule = uniform_schedule(25)
+    for units in (precincts, districts):
+        field = margin_field(rasterize(units, 1024, bounds), units, mode)
+        got = levelset_barcode(field, schedule, polarity)
+        assert got.pairs
+        assert alive_difference(got) == euler_curve(field, schedule, polarity).tolist()
 
 
 # === serialization ===

@@ -10,7 +10,7 @@ from scipy import ndimage
 
 from gerrytda.errors import ParameterError, PipelineError
 from gerrytda.persistence import INF, Barcode, barcode
-from gerrytda.complexes import build_levelset_filtration, uniform_schedule
+from gerrytda.complexes import uniform_schedule
 from gerrytda.report import (
     AnalysisConfig,
     levelset_snapshots,
@@ -19,7 +19,8 @@ from gerrytda.report import (
     run_years,
     write_outputs,
 )
-from gerrytda.synth import field_from_array, island_scenario, votes_csv_text
+from gerrytda.synth import island_scenario, votes_csv_text
+from oracles import build_levelset_filtration, field_from_array
 
 
 def island_config(paths, plan, year="y1", mode="relative", width=40, **kw):
