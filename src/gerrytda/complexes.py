@@ -8,12 +8,12 @@ reads the cubical barcode off that image, with no complex built.
 The adjacency route builds a complex: a flag filtration of the unit
 adjacency graph under a descending win-margin sweep, with triangles filled
 for mutually adjacent triples, which persistence.barcode pairs. Graph and
-complex come from whole-map array passes over the collection's edge and box
-columns: a sort and sweep of the boxes, flat edge-pair tests in bounded
-blocks, and wedges for triangles. The adjacent index pairs are found once
-per parsed map and kind, and kept in its memo, which every vote year joined
-to that map reads (join_units keeps the columns, memo and unit order); any
-other collection, even of the same units, has its own.
+complex come from whole-map array passes over the edge and box columns: one
+sort and sweep of the boxes, rows pruned to the partner's box, edge-pair
+tests in blocks of at most _ROW_BLOCK rows, and wedges for triangles. Both
+kinds' pairs are found in one pass per parsed map and kept in its memo, which
+every vote year joined to that map reads (join_units keeps the columns, memo
+and unit order); any other collection, even of the same units, has its own.
 
 Cells are stored columnar (dims, levels, boundary CSR) in the filtration
 order (level, dim, insertion id). A vertex that would only enter above the
@@ -164,7 +164,7 @@ def _sorted_complex(dims, levels, lens, flat, num_levels, thresholds):
 
 # === unit adjacency ===
 
-# (edge of i, edge of j) rows detect_adjacency tests at once: 2048 4x4 pairs
+# (edge of i, edge of j) rows _adjacency_keys tests at once; it prunes about as many
 _ROW_BLOCK = 1 << 15
 
 
@@ -201,8 +201,8 @@ def _adjacency_pairs(units: UnitCollection, kind: str) -> tuple[np.ndarray, np.n
     """Adjacent unit index pairs (a, b), id of a < id of b, sorted by the
     ids' ranks: the order of sorted(detect_adjacency(units, kind)).
 
-    Found once per map and kind, then read from the memo that a collection
-    shares with every join of its geometry (UnitCollection.memo).
+    Both kinds are found in one pass per map (_adjacency_keys), then read from
+    the memo that a collection shares with every join of its geometry.
     """
     if kind not in ("queen", "rook"):
         raise ParameterError(f"unknown adjacency kind {kind!r}")
@@ -210,62 +210,75 @@ def _adjacency_pairs(units: UnitCollection, kind: str) -> tuple[np.ndarray, np.n
     def build():
         n = len(units)
         by_id = np.array(sorted(range(n), key=units.ids.__getitem__), dtype=np.int64)
-        rank = np.empty(n, dtype=np.int64)
-        rank[by_id] = np.arange(n)
-        key = _adjacency_keys(units, kind)
-        ri, rj = rank[key // n], rank[key % n]
-        key = np.unique(np.minimum(ri, rj) * n + np.maximum(ri, rj))  # by id ranks
-        a, b = by_id[key // n], by_id[key % n]
-        a.flags.writeable = b.flags.writeable = False
-        return a, b
-    return units.memo(("adjacency", kind), build)
+        rank = np.argsort(by_id)
+        pairs = {}
+        for name, key in zip(("queen", "rook"), _adjacency_keys(units)):
+            ri, rj = rank[key // n], rank[key % n]
+            key = np.unique(np.minimum(ri, rj) * n + np.maximum(ri, rj))  # by id ranks
+            a, b = by_id[key // n], by_id[key % n]
+            a.flags.writeable = b.flags.writeable = False
+            pairs[name] = a, b
+        return pairs
+    return units.memo("adjacency", build)[kind]
 
 
-def _adjacency_keys(units: UnitCollection, kind: str) -> np.ndarray:
-    """Keys i * n + j (i < j, with repeats) of the adjacent unit pairs.
+def _adjacency_keys(units: UnitCollection) -> tuple[np.ndarray, np.ndarray]:
+    """Keys i * n + j (i < j, with repeats) of the queen and of the rook pairs.
 
-    One pass over all units' edges. queen snaps every vertex to the
-    snap_tolerance grid at once and pairs the units in each key group of
-    the unique (key, unit) rows. A sort and sweep of the boxes on minx gives
-    the candidate pairs i < j: each box meets the later ones with minx at
-    most its maxx + tol. The collinear overlap test runs on flat (edge of
-    i, edge of j) rows, about _ROW_BLOCK rows at a time to bound memory.
+    One pass over all units' edges finds both. Units that share a vertex on
+    the snap_tolerance grid come from one lexsort of (x key, y key, unit)
+    rows. A sort and sweep of the boxes on minx, which leaves only the y
+    tests, gives the candidate pairs; each keeps the edge rows of i within
+    2 tol of j's box over all its rows, holes too, and the same for j. The
+    collinear overlap test on the cross product of those rows, at most
+    _ROW_BLOCK at a time, gives the rook pairs; queen adds the vertex pairs.
     """
-    tol = units.snap_tolerance()
-    n = len(units)
-    edges, count, boxes = units.edges, units.edge_counts, units.boxes
+    tol, n = units.snap_tolerance(), len(units)
+    edges, count = units.edges, units.edge_counts
     start = np.cumsum(count) - count
-    x0, y0, x1, y1 = boxes.T
 
-    found = [np.empty(0, np.int64)]  # pair keys i * n + j
-    if kind == "queen":
-        keys = np.rint(edges[:, :2] / tol)  # half to even, as round() does
-        rows = np.unique(np.column_stack([keys, np.repeat(np.arange(n), count)]), axis=0)
-        unit = rows[:, 2].astype(np.int64)
-        # rows d apart in key order share a key only if every row between does
-        for d in range(1, len(rows)):
-            same = (rows[d:, :2] == rows[:-d, :2]).all(axis=1)
-            if not same.any():
-                break
-            found.append(unit[:-d][same] * n + unit[d:][same])
+    key = np.rint(edges[:, :2] / tol)  # half to even, as round() does
+    unit = np.repeat(np.arange(n), count)
+    s = np.lexsort((unit, key[:, 1], key[:, 0]))
+    group = np.cumsum(np.r_[True, (np.diff(key[s], axis=0) != 0).any(axis=1)])
+    end = np.searchsorted(group, group, side="right")
+    a, b = (s[x] for x in _ranges(np.arange(1, len(s) + 1), end))  # pairs in one group
+    vertex = (unit[a] * n + unit[b])[unit[a] != unit[b]]
+    del key, unit, s, group  # so that the peak is the rook pass's
 
+    x0, y0, x1, y1 = units.boxes.T
     order = np.argsort(x0, kind="stable")
     end = np.searchsorted(x0[order], x1[order] + tol, side="right")
-    a, b = (order[x] for x in _ranges(np.arange(1, n + 1), end))
-    near = (x0[a] <= x1[b] + tol) & (x0[b] <= x1[a] + tol) & \
-           (y0[a] <= y1[b] + tol) & (y0[b] <= y1[a] + tol)
-    i, j = np.minimum(a[near], b[near]), np.maximum(a[near], b[near])
-    todo = ~np.isin(i * n + j, np.concatenate(found))
-    i, j = i[todo], j[todo]
-    size = count[i] * count[j]
+    a, b = _ranges(np.arange(1, n + 1), end)  # positions in order; x holds by the sweep
+    y0, y1 = y0[order], y1[order] + tol
+    near = (y0[a] <= y1[b]) & (y0[b] <= y1[a])
+    a, b = order[a[near]], order[b[near]]
+    i, j = np.minimum(a, b), np.maximum(a, b)
+
+    # each row's box as x0 y0 -x1 -y1, and how far its partners' rows may reach
+    box = np.vstack([np.minimum(edges[:, :2], edges[:, 2:]).T,
+                     -np.maximum(edges[:, :2], edges[:, 2:]).T])
+    far = 2 * tol - np.minimum.reduceat(box, start, axis=1)[[2, 3, 0, 1]]
+    size = count[i] + count[j]
     cuts = np.searchsorted(np.cumsum(size), np.arange(_ROW_BLOCK, size.sum(), _ROW_BLOCK))
-    for bi, bj, bs in zip(*(np.split(x, cuts) for x in (i, j, size))):
-        pair, r = _ranges(np.zeros_like(bs), bs)
-        hit = _collinear_overlap(edges[start[bi][pair] + r // count[bj][pair]],
-                                 edges[start[bj][pair] + r % count[bj][pair]], tol)
-        hit = np.unique(pair[hit])
-        found.append(bi[hit] * n + bj[hit])
-    return np.concatenate(found)
+    rook = [np.empty(0, np.int64)]
+    for bi, bj in zip(np.split(i, cuts), np.split(j, cuts)):
+        own, m = np.r_[bi, bj], len(bi)
+        side, r = _ranges(start[own], start[own] + count[own])
+        other = np.r_[bj, bi][side]
+        keep = np.logical_and.reduce([box[d][r] <= far[d][other] for d in range(4)])
+        side, r = side[keep], r[keep]  # i's rows of each pair, then j's
+        c = np.bincount(side, minlength=2 * m)
+        at, size = np.cumsum(c) - c, c[:m] * c[m:]
+        stop, hit = np.cumsum(size), np.zeros(m, dtype=bool)
+        for s in range(0, int(size.sum()), _ROW_BLOCK):
+            q, k = _ranges(np.maximum(stop - size, s), np.minimum(stop, s + _ROW_BLOCK))
+            k, v = np.divmod(k - (stop - size)[q], c[m + q])  # i's and j's row in the pair
+            ea, eb = np.take(edges, r[at[q] + k], axis=0), np.take(edges, r[at[m + q] + v], axis=0)
+            hit[q[_collinear_overlap(ea, eb, tol)]] = True
+        rook.append(bi[hit] * n + bj[hit])
+    rook = np.concatenate(rook)
+    return np.concatenate([vertex, rook]), rook
 
 
 def flag_filtration(vertex_levels: Sequence[int],

@@ -126,7 +126,7 @@ def hole_owners(edges: np.ndarray, outers: Sequence[tuple[int, int]],
     outers and holes are (start, stop) ranges of edges rows, as ring_spans
     gives a unit's rings. A hole goes to the first outer ring whose crossing
     parity holds the hole's centroid. GeometryError if there is no outer
-    ring, or a hole lies in none.
+    ring, or a hole has zero area about its first vertex or lies in none.
     """
     if not outers:
         raise GeometryError("polygon set needs at least one outer ring")
@@ -138,6 +138,8 @@ def hole_owners(edges: np.ndarray, outers: Sequence[tuple[int, int]],
         x2, y2 = edges[a:b, 2] - x0, edges[a:b, 3] - y0
         cross = x * y2 - x2 * y
         area = 0.5 * float(np.sum(cross))
+        if area == 0.0:  # ring_table's absolute-coordinate area can be rounding error
+            raise GeometryError("degenerate ring: zero area")
         c = Point2(x0 + float(np.sum((x + x2) * cross)) / (6.0 * area),
                    y0 + float(np.sum((y + y2) * cross)) / (6.0 * area))
         for k, (s, t) in enumerate(outers):

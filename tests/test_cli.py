@@ -401,6 +401,22 @@ def test_ingest_non_object_feature_is_an_error(island_files, capsys, tmp_path):
     assert err == "error: feature 0: not a JSON object\n"
 
 
+def test_ingest_zero_area_hole_far_from_origin_is_an_error(island_files, capsys, tmp_path):
+    # the hole's area about its first vertex is exactly 0 (see test_ingest.FAR_SLIVER)
+    c = 5e6
+    outer = [[c - 100, c - 100], [c + 100, c - 100], [c + 100, c + 100], [c - 100, c + 100]]
+    hole = [[5000008.881183207, 5000002.258694285], [5000009.217837148, 5000002.906522723],
+            [5000009.55449109, 5000003.554351161]]
+    geo = tmp_path / "sliver.geojson"
+    geo.write_text(json.dumps({"type": "FeatureCollection", "features": [
+        {"type": "Feature", "properties": {"id": "P1"},
+         "geometry": {"type": "Polygon", "coordinates": [outer + outer[:1], hole + hole[:1]]}}]}))
+    code, _, err = run_cli(capsys, "ingest", "--geo", str(geo),
+                           "--votes", island_files["precinct_votes"])
+    assert code == 2
+    assert err == "error: feature 0: degenerate ring: zero area\n"
+
+
 def test_missing_input_file(island_files, capsys):
     code, _, err = run_cli(capsys, "ingest", "--geo", "/nope/none.geojson",
                            "--votes", island_files["precinct_votes"])

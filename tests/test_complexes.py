@@ -1,6 +1,7 @@
 """Level schedules, cubical level-set filtrations, and adjacency flag complexes."""
 
 import json
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -314,6 +315,21 @@ def _shrunk(ring, f):
     return inner + inner[:1]
 
 
+def _split(ring, k):
+    """The closed ring with every edge cut into k equal collinear pieces.
+
+    The cut points are taken from the edge's lesser end, so two rings that
+    share an edge share its cut points exactly.
+    """
+    out = []
+    for p, q in zip(ring[:-1], ring[1:]):
+        lo, hi = sorted([p, q])
+        cuts = [[lo[0] + (hi[0] - lo[0]) * t / k, lo[1] + (hi[1] - lo[1]) * t / k]
+                for t in range(1, k)]
+        out += [p] + (cuts if lo is p else cuts[::-1])
+    return out + out[:1]
+
+
 @st.composite
 def adjacency_maps(draw):
     """A FeatureCollection to cross-check detect_adjacency on.
@@ -322,9 +338,11 @@ def adjacency_maps(draw):
     T-junctions and overlap only partly, or a jittered mosaic. Then units
     are removed (lakes). Either one unit gets a hole that is left empty or
     filled by an island unit, or the map moves far from the origin, where a
-    coordinate's spacing is a fifteenth of the snap tolerance. Last, two
-    units may merge into one MultiPolygon, vertices may move by about the
-    snap tolerance, and rings may run either way round.
+    coordinate's spacing is a fifteenth of the snap tolerance. Two units may
+    merge into one MultiPolygon, and every edge may be cut into k = 2..6
+    collinear pieces, so that a shared side is many edges in both units.
+    Last, vertices may move by about the snap tolerance, and rings may run
+    either way round.
     """
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     if draw(st.booleans()):
@@ -356,6 +374,10 @@ def adjacency_maps(draw):
         a, b = rng.choice(len(units), 2, replace=False)
         units[a] = units[a] + units[b]
         del units[b]
+    if draw(st.booleans()):
+        k = draw(st.integers(2, 6))
+        units = [[[_split(ring, k) for ring in polygon] for polygon in polygons]
+                 for polygons in units]
     # moves each vertex apart from its copies in other rings, by about the
     # snap tolerance of a 10 x 10 map (1.4e-8)
     wobble = draw(st.sampled_from([0.0, 0.0, 1e-8, 3e-8]))
@@ -381,15 +403,36 @@ def test_adjacency_matches_reference(fc):
         assert detect_adjacency(units, kind) == adjacency_reference(units, kind)
 
 
+def test_rook_contact_on_a_hole_edge_outside_the_outer_box():
+    # A's hole pokes out of its outer square 0..4 to x = 5, where it runs
+    # along B's side: only A's box over all its rows reaches B's edge at x = 5
+    units = unit_map([
+        feature("A", [[(0, 0), (4, 0), (4, 4), (0, 4)], [(2, 1), (2, 3), (5, 3), (5, 1)]]),
+        feature("B", [[(5, 1), (8, 1), (8, 6), (4, 6), (4, 5), (5, 5)]])])
+    assert units.boxes[0].tolist() == [0.0, 0.0, 4.0, 4.0]
+    for kind in ("queen", "rook"):
+        assert detect_adjacency(units, kind) == adjacency_reference(units, kind) == {("A", "B")}
+
+
 def test_adjacency_matches_reference_across_row_blocks():
-    # about 5500 candidate pairs of 4-edge units: three blocks of
-    # complexes._ROW_BLOCK (edge, edge) rows, with lakes
+    # about 5500 candidate pairs of 4-edge units: two chunks of about
+    # complexes._ROW_BLOCK edge rows to prune, with lakes
     fc = grid_mosaic(60, 30, seed=5)
     rng = np.random.default_rng(5)
     fc["features"] = [f for f in fc["features"] if rng.random() >= 0.1]
     units = parse_geojson(json.dumps(fc))
     for kind in ("queen", "rook"):
         assert detect_adjacency(units, kind) == adjacency_reference(units, kind)
+
+
+@settings(max_examples=100, deadline=None)
+@given(fc=adjacency_maps(), block=st.integers(1, 50))
+def test_adjacency_matches_reference_in_small_blocks(fc, block):
+    # blocks of a few (edge, edge) rows cut pairs' cross products apart
+    units = parse_geojson(json.dumps(fc))
+    with mock.patch.object(complexes, "_ROW_BLOCK", block):
+        for kind in ("queen", "rook"):
+            assert detect_adjacency(units, kind) == adjacency_reference(units, kind)
 
 
 # === flag filtration from win margins ===
@@ -550,11 +593,11 @@ def test_joins_of_one_map_match_a_freshly_parsed_map():
             assert_same_complex(cx, string_route_complex(fresh, schedule, kind))
 
 
-def test_adjacency_found_once_per_map_and_kind(monkeypatch):
+def test_adjacency_found_once_per_map_for_both_kinds(monkeypatch):
     calls = []
     keys = complexes._adjacency_keys
     monkeypatch.setattr(complexes, "_adjacency_keys",
-                        lambda units, kind: calls.append(kind) or keys(units, kind))
+                        lambda units: calls.append(len(units)) or keys(units))
     text, years = shuffled_id_map(5, 4, seed=2)
     geo = parse_geojson(text)
     for votes in years:
@@ -562,10 +605,10 @@ def test_adjacency_found_once_per_map_and_kind(monkeypatch):
         for kind in ("queen", "rook"):
             build_adjacency_filtration(units, uniform_schedule(5), kind)
             detect_adjacency(units, kind)
-    detect_adjacency(geo, "queen")
-    assert calls == ["queen", "rook"]
-    detect_adjacency(parse_geojson(text), "queen")
-    assert calls == ["queen", "rook", "queen"]
+    detect_adjacency(geo, "rook")
+    assert calls == [len(geo)]  # one detection for both kinds and every join
+    detect_adjacency(parse_geojson(text), "rook")
+    assert calls == [len(geo), len(geo)]
 
 
 def test_changing_the_adjacency_set_changes_no_later_answer():

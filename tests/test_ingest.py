@@ -150,6 +150,14 @@ MALFORMED = {
                            "negative dem_votes"),
 }
 
+# a nearly collinear hole far from the origin, inside a 200-wide square: its
+# shoelace area on absolute coordinates is rounding error, not 0, and its
+# area about its first vertex is exactly 0
+FAR_SLIVER = [[5000008.881183207, 5000002.258694285], [5000009.217837148, 5000002.906522723],
+              [5000009.55449109, 5000003.554351161], [5000008.881183207, 5000002.258694285]]
+FAR_SQUARE = [[5e6 - 100, 5e6 - 100], [5e6 + 100, 5e6 - 100], [5e6 + 100, 5e6 + 100],
+              [5e6 - 100, 5e6 + 100], [5e6 - 100, 5e6 - 100]]
+
 GEOMETRY_FAULTS = {
     "degenerate_ring": (polygon([[0, 0], [1, 0], [0, 0]]),
                         "degenerate ring: 2 vertices"),
@@ -161,6 +169,8 @@ GEOMETRY_FAULTS = {
                    r"ring coordinates must be an \(n, 2\) sequence"),
     "hole_outside": (polygon(UNIT_SQUARE, [[5, 5], [6, 5], [6, 6], [5, 6]]),
                      "hole lies outside every outer ring"),
+    "zero_area_hole_far_from_origin": (polygon(FAR_SQUARE, FAR_SLIVER),
+                                       "degenerate ring: zero area"),
     "multipolygon_without_parts": ({"type": "Feature", "properties": {"id": "BAD"},
                                     "geometry": {"type": "MultiPolygon", "coordinates": []}},
                                    "polygon set needs at least one outer ring"),
