@@ -1,9 +1,9 @@
 """Level schedules, and the filtered complex of unit adjacency.
 
 The level-set sweep of a rasterized margin field models a Republican "sea"
-flooding Democratic islands as the margin threshold rises: _vertex_levels
-gives each pixel the level it enters at, and persistence.levelset_barcode
-reads the cubical barcode off that image, with no complex built.
+flooding Democratic islands as the margin threshold rises: each pixel enters
+at its unit's level (_unit_levels), and persistence.levelset_barcode reads
+the cubical barcode off that image, with no complex built.
 
 The adjacency route builds a complex: a flag filtration of the unit
 adjacency graph under a descending win-margin sweep, with triangles filled
@@ -16,8 +16,8 @@ every vote year joined to that map reads (join_units keeps the columns, memo
 and unit order); any other collection, even of the same units, has its own.
 
 Cells are stored columnar (dims, levels, boundary CSR) in the filtration
-order (level, dim, insertion id). A vertex that would only enter above the
-top threshold is excluded entirely, so classes it blocks run to infinity.
+order (level, dim, insertion id). A vertex whose level lies outside 1..L
+never enters and is left out, so classes it blocks run to infinity.
 """
 
 from __future__ import annotations
@@ -29,10 +29,7 @@ import numpy as np
 
 from .errors import ComplexError, ParameterError, StructureError
 from .geometry import UnitCollection
-from .raster import _ranges
-
-# vertex activation level for pixels that never enter the sweep
-_EXCLUDED = -1
+from .raster import MarginField, _ranges
 
 
 @dataclass(frozen=True)
@@ -122,20 +119,18 @@ class FilteredComplex:
 
 # === level-set sweep ===
 
-def _vertex_levels(values: np.ndarray, background: np.ndarray,
-                   schedule: LevelSchedule, polarity: str) -> np.ndarray:
+def _unit_levels(field: MarginField, schedule: LevelSchedule, polarity: str) -> np.ndarray:
+    """Each unit's entry level, then L + 1 for BACKGROUND, the label -1 (int32)."""
     if polarity not in ("democratic", "republican"):
         raise ParameterError(f"unknown polarity {polarity!r}")
-    work = values if polarity == "democratic" else -values
+    work = field.margins if polarity == "democratic" else -field.margins
     t = np.asarray(schedule.thresholds)
     L = schedule.num_levels
-    # smallest i with tau_i >= value; the sea (<= 0) floods at level 1;
-    # values at or above the top threshold never enter
+    # smallest i with tau_i >= margin, so the sea (<= 0) floods at level 1;
+    # margins at or above the top threshold never enter
     lv = np.searchsorted(t, work, side="left") + 1
-    lv = np.where(work <= 0.0, 1, lv)
-    lv = np.where(work >= t[-1], _EXCLUDED, lv)
-    lv = np.where(background, _EXCLUDED, lv)
-    return lv.astype(np.int64)
+    lv[work >= t[-1]] = L + 1
+    return np.append(lv, L + 1).astype(np.int32)
 
 
 def _sorted_complex(dims, levels, lens, flat, num_levels, thresholds):
@@ -348,5 +343,5 @@ def build_adjacency_filtration(units: UnitCollection, schedule: LevelSchedule,
     with np.errstate(invalid="ignore"):  # 0 / 0 for a unit without votes, never won
         k = np.searchsorted(schedule.thresholds, np.abs(dem - rep) / (dem + rep),
                             side="right")  # thresholds <= the win margin
-    levels = np.where(won & (k >= 1), L + 1 - k, _EXCLUDED)
+    levels = np.where(won & (k >= 1), L + 1 - k, L + 1)
     return flag_filtration(levels, np.column_stack(_adjacency_pairs(units, kind)), L, None)

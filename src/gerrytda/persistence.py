@@ -2,7 +2,8 @@
 
 Rasters take levelset_barcode: connected components of the image and of its
 complement at every level, swept over a graph of the image's equal-level
-regions (scipy.sparse.csgraph), with no complex built. barcode on a
+regions (scipy.sparse.csgraph), with no complex built. The image holds each
+pixel's unit's level, read through the field's labels. barcode on a
 FilteredComplex pairs cells as GF(2) column reduction of the boundary matrix
 does (_pairing), with little column arithmetic: squares and triangles that
 form apparent pairs are paired in array passes and only the others go
@@ -24,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .complexes import _EXCLUDED, FilteredComplex, LevelSchedule, _vertex_levels
+from .complexes import FilteredComplex, LevelSchedule, _unit_levels
 from .errors import IngestError
 from .raster import MarginField, _ranges
 
@@ -215,31 +216,25 @@ def _raster_graph(field: MarginField, schedule: LevelSchedule,
                   polarity: str) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Levels, 4-adjacent pairs and 8-adjacent pairs of a field's equal-level regions.
 
-    The level image is padded with a border ring at level L + 1, the level
-    of excluded pixels too, and cut into row runs of equal level. A run
-    touches the next run in its row and the runs below that overlap its
+    Each pixel takes its unit's level through the labels (_unit_levels).
+    The image is padded with a border ring at L + 1, the level of background
+    and of units that never enter, and cut into row runs of equal level. A
+    run touches the next run in its row and the runs below that overlap its
     columns (4-links) or touch it diagonally (8-links). The runs of a row
     partition it, so those below form a range of run ids, read off the
     run-id image below the run's two ends. Runs joined by equal-level
     4-links make the regions; each region pair is listed once.
     """
     L = schedule.num_levels
-    # each image is freed once read, so that the peak memory of a call is
-    # that of _vertex_levels
-    lv = _vertex_levels(field.values, field.background, schedule, polarity)
-    pad = np.full((lv.shape[0] + 2, lv.shape[1] + 2), L + 1, dtype=np.int32)
-    pad[1:-1, 1:-1] = lv
-    del lv
-    pad[pad == _EXCLUDED] = L + 1
+    pad = np.full(np.add(field.labels.shape, 2), L + 1, dtype=np.int32)
+    pad[1:-1, 1:-1] = _unit_levels(field, schedule, polarity)[field.labels]
     w = pad.shape[1]
     new = np.ones(pad.shape, dtype=bool)  # a run starts each row and each change of level
     np.not_equal(pad[:, 1:], pad[:, :-1], out=new[:, 1:])
     run = np.cumsum(new, dtype=np.int32)  # flat run-id image
     run -= 1
     start = np.flatnonzero(new)
-    del new
     level = pad.ravel()[start]
-    del pad
     end = np.append(start[1:], len(run)) - 1
     # the pixels below each run's two ends; the last row is all border, so
     # it is the last run and the only one with no row below
@@ -247,7 +242,6 @@ def _raster_graph(field: MarginField, schedule: LevelSchedule,
     lo4, hi4 = run[first_below], run[last_below]
     lo8 = run[first_below - (start[:-1] % w > 0)]
     hi8 = run[last_below + (end[:-1] % w < w - 1)]
-    del run
     up, down = _ranges(lo8, hi8 + 1)
     beside = np.flatnonzero(start[1:] % w > 0)  # runs followed by one in their row
     u, v = np.concatenate([beside, up]), np.concatenate([beside + 1, down])

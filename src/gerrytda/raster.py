@@ -6,6 +6,9 @@ of the plane rasterizes to a partition of the pixels. The fill itself is one
 even-odd scanline over the edge tables of every unit at once rather than a
 per-pixel query; tests hold it to the per-pixel query.
 
+A margin field is per-unit margins over the map's label raster; its pixel
+values and background mask (for write_margin_pgm) are made when read.
+
 Internally row 0 is the bottom of the grid (y = origin.y); PGM output flips
 rows so images come out right side up.
 """
@@ -62,10 +65,18 @@ class LabelRaster:
 @dataclass(frozen=True)
 class MarginField:
     grid: Grid
-    values: np.ndarray      # float64 in [-1, 1], 0 where background
-    background: np.ndarray  # bool, True where no unit claims the pixel
+    labels: np.ndarray       # the label raster's own, read-only
+    margins: np.ndarray      # float64 per unit in [-1, 1]; 0 for one that claims no pixel
     mode: MarginMode
     normalizer: float = 1.0  # max |density| divided out in density mode
+
+    @property
+    def values(self) -> np.ndarray:  # each pixel's unit margin; BACKGROUND (-1) reads the 0
+        return np.append(self.margins, 0.0)[self.labels]
+
+    @property
+    def background(self) -> np.ndarray:  # True where no unit claims the pixel
+        return self.labels == BACKGROUND
 
 
 def _ranges(lo: np.ndarray, hi: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -134,16 +145,18 @@ def _label(units: UnitCollection, width: int, bounds: Bounds) -> LabelRaster:
 
 def margin_field(raster: LabelRaster, units: UnitCollection,
                  mode: MarginMode = MarginMode.RELATIVE) -> MarginField:
-    """Spread per-unit margins over the raster.
+    """Per-unit margins over the raster's labels.
 
     Relative mode divides the vote difference by the unit's votes (a unit
     that claims a pixel and has none is an error); density mode divides it
-    by unit area and then normalizes the whole field by its maximum absolute
-    value (over units that claim pixels). Values stay in [-1, 1] either way.
+    by unit area and then normalizes every margin by the maximum absolute
+    value over units that claim pixels. Margins stay in [-1, 1] either way.
+    ParameterError when the raster labels other units than these.
     """
     if isinstance(mode, str):
         mode = MarginMode(mode)
-    labels = raster.labels
+    if raster.unit_ids != units.ids:
+        raise ParameterError("the raster labels other units than the ones given")
     present = np.flatnonzero(raster.pixel_counts())
     dem, rep = units.dem[present], units.rep[present]
     if mode is MarginMode.RELATIVE:
@@ -159,11 +172,8 @@ def margin_field(raster: LabelRaster, units: UnitCollection,
         normalizer = float(np.max(np.abs(margins[present]))) if len(present) else 0.0
         if normalizer > 0:
             margins = margins / normalizer
-    background = labels == BACKGROUND
-    values = np.where(background, 0.0, margins[np.where(background, 0, labels)])
-    values.setflags(write=False)
-    background.setflags(write=False)
-    return MarginField(raster.grid, values, background, mode, normalizer)
+    margins.setflags(write=False)
+    return MarginField(raster.grid, raster.labels, margins, mode, normalizer)
 
 
 # === PGM export ===

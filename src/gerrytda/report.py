@@ -5,9 +5,11 @@ precinct and district layers of a year, on one shared grid so the two
 barcodes live on the same threshold axis. write_outputs lays the results
 down as barcode JSON, level-set snapshots, SVG plots, distance and
 compactness CSVs, and a machine-readable report.json. Every file is written
-deterministically: same inputs, same bytes. levelset_snapshots is the one
-snapshot writer: it makes a field's frames one level at a time, and
-write_outputs writes each before the next is made.
+deterministically: same inputs, same bytes; write_outputs checks its
+arguments before it makes a directory. levelset_snapshots is the one
+snapshot writer: it reads each pixel's level through the labels once, then
+makes the frames one level at a time, and write_outputs writes each before
+the next is made.
 """
 
 from __future__ import annotations
@@ -29,7 +31,7 @@ from .compare import (
     total_persistence,
     wasserstein,
 )
-from .complexes import LevelSchedule, _vertex_levels, uniform_schedule
+from .complexes import LevelSchedule, _unit_levels, uniform_schedule
 from .errors import DegenerateSampleError, GerryTdaError, ParameterError, PipelineError
 from .geometry import UnitCollection, UnitKind
 from .ingest import JoinReport, join_units, parse_geojson, parse_votes_csv
@@ -197,13 +199,13 @@ def levelset_snapshots(field: MarginField, schedule: LevelSchedule,
 
     Active pixels are white, waiting ones black and background gray.
     """
-    lv = _vertex_levels(field.values, field.background, schedule, polarity)
+    lv = _unit_levels(field, schedule, polarity)[field.labels[::-1]]  # file order: top row first
+    background = field.background[::-1]
     header = f"P5\n{lv.shape[1]} {lv.shape[0]}\n255\n".encode("ascii")
     for level in range(1, schedule.num_levels + 1):
-        img = np.zeros(lv.shape, dtype=np.uint8)
-        img[(lv >= 1) & (lv <= level)] = 255
-        img[field.background] = 128
-        yield header + img[::-1].tobytes()
+        img = np.where(lv <= level, np.uint8(255), np.uint8(0))
+        img[background] = 128
+        yield header + img.tobytes()
 
 
 def _result_json(r: YearResult) -> dict:
@@ -238,10 +240,19 @@ def write_outputs(results: Sequence[YearResult], out_dir: str | Path,
     """Lay the full artifact set down under out_dir (created if missing).
 
     snapshots=False writes no frames and no snapshots/ directory.
-    ParameterError, with nothing written, when results is empty.
+    ParameterError, with nothing written, when results is empty, dim is not
+    0, 1 or 2, two results share a year, or a year holds '/' or NUL.
     """
     if not results:
         raise ParameterError("no year results to write")
+    if dim not in (0, 1, 2):
+        raise ParameterError(f"dim must be 0, 1 or 2, got {dim}")
+    years = [r.year for r in results]
+    for y in years:
+        if "/" in y or "\0" in y:
+            raise ParameterError(f"year {y!r}: a year names files, so it may not hold '/' or NUL")
+        if years.count(y) > 1:
+            raise ParameterError(f"year {y!r} labels {years.count(y)} results")
     out = Path(out_dir)
     subs = ("barcodes", "plots", "snapshots") if snapshots else ("barcodes", "plots")
     for sub in subs:

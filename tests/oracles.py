@@ -38,8 +38,9 @@ routes are held to:
 euler_curve is V - E + F of a field's active cubical complex at each level,
 which the H0 minus H1 bars alive in levelset_barcode are held to at any
 width, beyond the reach of the complex reference. Both it and
-build_levelset_filtration take each pixel's entry level from
-complexes._vertex_levels.
+build_levelset_filtration take each pixel's entry level from vertex_levels,
+the library's former per-pixel rule on the field's values and background
+images; complexes._unit_levels, read through the labels, is held to it.
 
 unit_map is not an oracle: it builds every test map the one way the library
 builds one, GeoJSON through parse_geojson, from feature dicts.
@@ -58,12 +59,11 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from gerrytda.compactness import min_enclosing_circle
-from gerrytda.complexes import (_EXCLUDED, FilteredComplex, LevelSchedule, _sorted_complex,
-                                _vertex_levels)
+from gerrytda.complexes import FilteredComplex, LevelSchedule, _sorted_complex
 from gerrytda.errors import ComplexError, GeometryError, IngestError, MarginError, ParameterError
 from gerrytda.geometry import MAX_VOTES, Point2, _area, _crossing_parity, _shoelace
 from gerrytda.ingest import VoteTable, parse_geojson
-from gerrytda.raster import Grid, MarginField, MarginMode
+from gerrytda.raster import BACKGROUND, Grid, MarginField, MarginMode
 
 
 # === maps ===
@@ -570,15 +570,37 @@ def torus_complex(rows: int = 4, cols: int = 4, level: int = 1) -> FilteredCompl
 def field_from_array(values, background=None,
                      mode: MarginMode = MarginMode.RELATIVE,
                      pixel_size: float = 1.0) -> MarginField:
-    """Wrap a raw margin array (row 0 = bottom) as a MarginField."""
+    """Wrap a raw margin array (row 0 = bottom) as a MarginField in which each
+    pixel is its own unit, and a background pixel is none."""
     v = np.asarray(values, dtype=np.float64)
     bg = np.zeros_like(v, dtype=bool) if background is None \
         else np.asarray(background, dtype=bool)
-    v = np.where(bg, 0.0, v)
-    v.setflags(write=False)
-    bg.setflags(write=False)
+    labels = np.where(bg, BACKGROUND, np.arange(v.size).reshape(v.shape)).astype(np.int32)
+    margins = np.where(bg, 0.0, v).ravel()
+    labels.setflags(write=False)
+    margins.setflags(write=False)
     grid = Grid(v.shape[1], v.shape[0], Point2(0.0, 0.0), pixel_size)
-    return MarginField(grid, v, bg, mode, 1.0)
+    return MarginField(grid, labels, margins, mode, 1.0)
+
+
+# vertex_levels' level for pixels that never enter the sweep
+EXCLUDED = -1
+
+
+def vertex_levels(values: np.ndarray, background: np.ndarray,
+                  schedule: LevelSchedule, polarity: str) -> np.ndarray:
+    """Each pixel's entry level, EXCLUDED where it never enters."""
+    if polarity not in ("democratic", "republican"):
+        raise ParameterError(f"unknown polarity {polarity!r}")
+    work = values if polarity == "democratic" else -values
+    t = np.asarray(schedule.thresholds)
+    # smallest i with tau_i >= value; the sea (<= 0) floods at level 1;
+    # values at or above the top threshold never enter
+    lv = np.searchsorted(t, work, side="left") + 1
+    lv = np.where(work <= 0.0, 1, lv)
+    lv = np.where(work >= t[-1], EXCLUDED, lv)
+    lv = np.where(background, EXCLUDED, lv)
+    return lv.astype(np.int64)
 
 
 def build_levelset_filtration(field: MarginField, schedule: LevelSchedule,
@@ -590,8 +612,8 @@ def build_levelset_filtration(field: MarginField, schedule: LevelSchedule,
     max of their corners. Pixels that never activate (background, or margin
     at or above the top threshold) contribute no cells at all.
     """
-    lv = _vertex_levels(field.values, field.background, schedule, polarity)
-    active = lv != _EXCLUDED
+    lv = vertex_levels(field.values, field.background, schedule, polarity)
+    active = lv != EXCLUDED
     if not active.any():
         raise ComplexError("empty complex: all pixels background or never active")
     h, w = lv.shape
@@ -714,8 +736,8 @@ def euler_curve(field: MarginField, schedule: LevelSchedule,
     the value equals the H0 bars alive there minus the H1 bars alive there.
     """
     L = schedule.num_levels
-    lv = _vertex_levels(field.values, field.background, schedule, polarity)
-    lv[lv == _EXCLUDED] = L + 1
+    lv = vertex_levels(field.values, field.background, schedule, polarity)
+    lv[lv == EXCLUDED] = L + 1
     cells = [(1, lv),
              (-1, np.maximum(lv[:, 1:], lv[:, :-1])),
              (-1, np.maximum(lv[1:], lv[:-1])),

@@ -25,14 +25,7 @@ from gerrytda.ingest import join_units, parse_geojson, parse_votes_csv
 from gerrytda.persistence import INF, barcode
 from gerrytda.raster import MarginMode, margin_field, rasterize
 from gerrytda.report import AnalysisConfig, run_year, write_outputs
-from gerrytda.synth import (
-    aggregate_band_votes,
-    band_districts,
-    grid_mosaic,
-    island_scenario,
-    mosaic_votes,
-    votes_csv_text,
-)
+from gerrytda.synth import island_scenario, votes_csv_text
 from oracles import (
     betti_oracle,
     brute_bottleneck,
@@ -206,24 +199,9 @@ def test_criterion_7_t_test():
     assert res.p_value == pytest.approx(0.01324, abs=1e-4)
 
 
-def test_criterion_8_scale_run(tmp_path):
-    cols, rows, bands = 97, 28, 14  # 2716 units
-    precinct_geo = tmp_path / "precincts.geojson"
-    precinct_votes = tmp_path / "precincts.csv"
-    district_geo = tmp_path / "districts.geojson"
-    district_votes = tmp_path / "districts.csv"
-    votes = mosaic_votes(cols, rows, seed=0)
-    precinct_geo.write_text(json.dumps(grid_mosaic(cols, rows, seed=0)))
-    precinct_votes.write_text(votes_csv_text(votes))
-    district_geo.write_text(json.dumps(band_districts(cols, rows, bands)))
-    district_votes.write_text(votes_csv_text(
-        aggregate_band_votes(cols, rows, bands, votes)))
-
-    config = AnalysisConfig(
-        year="scale",
-        precinct_geo=str(precinct_geo), precinct_votes=str(precinct_votes),
-        district_geo=str(district_geo), district_votes=str(district_votes),
-        width=1024, mode="density", levels=25)
+def test_criterion_8_scale_run(gate8_files, tmp_path):
+    config = AnalysisConfig(year="scale", **gate8_files, width=1024, mode="density",
+                            levels=25)
 
     started = time.monotonic()
     result = run_year(config)

@@ -287,6 +287,20 @@ def test_run_rejects_dim_outside_0_to_2(island_files, capsys, tmp_path, dim):
     assert not out_dir.exists()
 
 
+def test_run_rejects_a_year_that_cannot_name_a_file(island_files, capsys, tmp_path):
+    out_dir = tmp_path / "res"
+    code, out, err = run_cli(
+        capsys, "run", "--geo", island_files["precinct_geo"],
+        "--votes", island_files["precinct_votes"],
+        "--district-geo", island_files["packed_geo"],
+        "--district-votes", island_files["packed_votes"],
+        "--width", "40", "--year", "2012/a", "--out", str(out_dir))
+    assert code == 2
+    assert out == ""
+    assert err == "error: year '2012/a': a year names files, so it may not hold '/' or NUL\n"
+    assert not out_dir.exists()
+
+
 # === matrix ===
 
 def test_matrix_labels_are_file_stems(island_files, capsys, tmp_path):

@@ -5,7 +5,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from gerrytda import complexes
@@ -21,9 +21,12 @@ from gerrytda.errors import (
     ParameterError,
     StructureError,
 )
+from gerrytda.geometry import Bounds
 from gerrytda.ingest import VoteTable, join_units, parse_geojson, to_geojson
+from gerrytda.raster import MarginMode, margin_field, rasterize
 from gerrytda.synth import grid_mosaic, mosaic_votes
 from oracles import (
+    EXCLUDED,
     active_counts,
     adjacency_reference,
     betti_oracle,
@@ -35,6 +38,7 @@ from oracles import (
     from_cells,
     torus_complex,
     unit_map,
+    vertex_levels,
 )
 
 
@@ -135,6 +139,31 @@ def test_levelset_background_pixels_never_enter():
     cx = build_levelset_filtration(field_from_array(v, background=bg),
                                    uniform_schedule(25))
     assert active_counts(cx, 25)[0] == 8
+
+
+@settings(max_examples=60, deadline=None)
+@given(cols=st.integers(1, 6), rows=st.integers(1, 5), seed=st.integers(0, 2**16),
+       width=st.sampled_from([1, 2, 5, 16, 33]), pad=st.sampled_from([0.0, 1.5]),
+       mode=st.sampled_from(list(MarginMode)),
+       polarity=st.sampled_from(["democratic", "republican"]),
+       levels=st.integers(2, 7), top=st.sampled_from([1.0, 0.6]))
+@example(cols=6, rows=5, seed=0, width=1, pad=0.0, mode=MarginMode.DENSITY,
+         polarity="republican", levels=4, top=1.0)
+def test_unit_levels_through_the_labels_match_the_per_pixel_rule(cols, rows, seed, width, pad,
+                                                                 mode, polarity, levels, top):
+    units, _ = join_units(parse_geojson(json.dumps(grid_mosaic(cols, rows, seed=seed))),
+                          VoteTable(*zip(*mosaic_votes(cols, rows, seed=seed))))
+    b = units.bounds
+    ras = rasterize(units, width, Bounds(b.minx - pad, b.miny, b.maxx + pad, b.maxy + pad))
+    if width == 1 and pad == 0 and cols > 1:
+        assert not ras.pixel_counts().all()  # one pixel column: some unit claims none
+    field = margin_field(ras, units, mode)
+    schedule = uniform_schedule(levels, top)
+    want = vertex_levels(field.values, field.background, schedule, polarity)
+    want[want == EXCLUDED] = levels + 1
+    got = complexes._unit_levels(field, schedule, polarity)
+    assert len(got) == len(units) + 1
+    assert np.array_equal(got[field.labels], want)
 
 
 def random_field(rng, h, w):

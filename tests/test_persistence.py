@@ -12,6 +12,7 @@ curve (oracles.euler_curve) on random fields and on gate 8 at width 1024.
 import hashlib
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -456,6 +457,23 @@ def test_levelset_barcode_obeys_the_euler_curve_on_the_gate_8_mosaic(gate_8_laye
         got = levelset_barcode(field, schedule, polarity)
         assert got.pairs
         assert alive_difference(got) == euler_curve(field, schedule, polarity).tolist()
+
+
+def test_levelset_barcode_peak_memory_on_the_gate_8_precincts(gate_8_layers):
+    # measured tracemalloc peak at width 2048, density, democratic: 15.1 MiB
+    # with each pixel's level gathered from its unit's; the per-pixel rule on
+    # the float image (oracles.vertex_levels) made it 19.7 MiB
+    precincts, _, bounds = gate_8_layers
+    field = margin_field(rasterize(precincts, 2048, bounds), precincts, "density")
+    schedule = uniform_schedule(25)
+    levelset_barcode(field, schedule)  # scipy's imports are not the call's
+    tracemalloc.start()
+    try:
+        levelset_barcode(field, schedule)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
 
 
 # === serialization ===

@@ -239,6 +239,27 @@ def test_margin_field_zero_total_unit_named():
         margin_field(ras, units, MarginMode.RELATIVE)
 
 
+def test_margin_field_of_another_map_is_an_error():
+    # unchecked, a raster of fewer units than the votes reads as a wrong
+    # field, and one of more units indexes past the margins
+    halves = unit_map([rect_unit("A", 0, 0, 2, 1, dem=3, rep=1),
+                       rect_unit("B", 2, 0, 4, 1, dem=1, rep=3)])
+    quarters = unit_map([rect_unit(f"Q{i}", i, 0, i + 1, 1, dem=1 + i, rep=2) for i in range(4)])
+    renamed = unit_map([rect_unit("B", 0, 0, 2, 1), rect_unit("A", 2, 0, 4, 1)])
+    for raster_of, units in ((halves, quarters), (quarters, halves), (halves, renamed)):
+        with pytest.raises(ParameterError, match="^the raster labels other units than the ones given$"):
+            margin_field(rasterize(raster_of, width=8), units)
+
+
+def test_margin_field_keeps_the_rasters_labels_and_one_margin_per_unit():
+    units = unit_map([rect_unit("A", 0, 0, 2, 1, dem=3, rep=1),
+                      rect_unit("B", 2, 0, 4, 1, dem=1, rep=3)])
+    ras = rasterize(units, width=8)
+    f = margin_field(ras, units)
+    assert f.labels is ras.labels
+    assert f.margins.tolist() == [0.5, -0.5] and not f.margins.flags.writeable
+
+
 def margin_field_reference(raster, units, mode):
     """margin_field as it was: unit_margin on each unit that claims a pixel."""
     labels = raster.labels

@@ -1,5 +1,7 @@
 """Year pipeline orchestration, artifact writers, and the packing/cracking signal."""
 
+import dataclasses
+import hashlib
 import json
 import math
 from pathlib import Path
@@ -9,6 +11,7 @@ import pytest
 from scipy import ndimage
 
 from gerrytda.errors import ParameterError, PipelineError
+from gerrytda.raster import write_margin_pgm
 from gerrytda.persistence import INF, Barcode, barcode
 from gerrytda.complexes import uniform_schedule
 from gerrytda.report import (
@@ -302,6 +305,24 @@ def test_write_outputs_of_no_year_is_an_error_that_writes_nothing(tmp_path):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("years, dim, message", [
+    (["y1"], 3, "^dim must be 0, 1 or 2, got 3$"),
+    (["y1"], -1, "^dim must be 0, 1 or 2, got -1$"),
+    (["2012", "2012"], 1, "^year '2012' labels 2 results$"),
+    (["2012/a"], 1, "^year '2012/a': a year names files, so it may not hold '/' or NUL$"),
+    (["20\x0012"], 1, r"^year '20\\x0012': a year names files"),
+])
+def test_write_outputs_checks_before_writing(island_files, tmp_path, years, dim, message):
+    # unchecked, dim 3 writes empty plots, a repeated year writes its barcode
+    # files over the first's, and '/' fails in a write after the directories
+    # were made
+    res = run_year(island_config(island_files, "packed"))
+    results = [dataclasses.replace(res, year=y) for y in years]
+    with pytest.raises(ParameterError, match=message):
+        write_outputs(results, tmp_path / "out", dim=dim)
+    assert not (tmp_path / "out").exists()
+
+
 def test_write_outputs_single_year_plain_ids(island_files, tmp_path):
     res = run_year(island_config(island_files, "packed"))
     write_outputs([res], tmp_path / "out", dim=1, snapshots=False)
@@ -375,3 +396,31 @@ def test_write_outputs_ttest_between_years(island_files, tmp_path):
     for t in tests:
         assert t["df"] == 4
         assert 0.0 <= t["p"] <= 1.0
+
+
+# === recorded bytes ===
+
+GATE8_SHA256 = Path(__file__).with_name("gate8_sha256.json")
+
+
+def gate8_digests(paths, out: Path) -> dict[str, str]:
+    """sha256 of gate 8's barcode JSON and snapshot frames at width 1024 in
+    both margin modes, and of the relative-mode precinct field's PGM and
+    sidecar, by path under out."""
+    for mode in ("density", "relative"):
+        res = run_year(AnalysisConfig("scale", **paths, width=1024, mode=mode))
+        write_outputs([res], out / mode)
+        if mode == "relative":
+            write_margin_pgm(res.precinct_field, out / "relative" / "precinct.pgm")
+    files = sorted(out.glob("*/barcodes/*.json")) + sorted(out.glob("*/snapshots/*.pgm")) \
+        + sorted(out.glob("relative/precinct.*"))
+    return {p.relative_to(out).as_posix(): hashlib.sha256(p.read_bytes()).hexdigest()
+            for p in files}
+
+
+def test_gate8_artifacts_hash_as_recorded(gate8_files, tmp_path):
+    # gate 8 only checks that two runs agree; this holds them to recorded bytes
+    want = json.loads(GATE8_SHA256.read_text())
+    got = gate8_digests(gate8_files, tmp_path)
+    assert len(want) == 2 * (2 + 2 * 25) + 2
+    assert got == want
