@@ -24,7 +24,7 @@ from .geometry import UnitKind
 from .ingest import parse_geojson, to_geojson
 from .persistence import levelset_barcode, read_barcode_json
 from .raster import MarginMode, margin_field, rasterize, write_margin_pgm
-from .report import AnalysisConfig, _load_layer, run_year, write_outputs
+from .report import AnalysisConfig, _load_layer, check_year, run_year, write_outputs
 from .complexes import uniform_schedule
 
 
@@ -249,6 +249,7 @@ def _cmd_run(opts: _Options) -> int:
     )
     dim = _dim(opts)
     snapshots = not opts.get("no_snapshots", False, flag)
+    check_year(config.year)
     result = run_year(config)
     write_outputs([result], opts.require("out"), dim=dim, snapshots=snapshots)
     headline = result.bottleneck_by_dim[dim]

@@ -1,10 +1,13 @@
 """Planar polygon primitives and the unit collection a parsed map becomes.
 
 Coordinates are assumed to live in a planar projection already; nothing in
-here knows about longitude/latitude. Areas come from the shoelace formula,
-and point membership is even-odd ray casting with a half-open tie rule (top
-and left edges inclusive) over an edge table, so that abutting polygons
-partition the plane without double-claiming boundary points.
+here knows about longitude/latitude. A ring's signed area is half the sum
+of its edges' cross products about its first vertex, the one area rule: it
+keeps its digits at state-plane coordinates (1e5 to 1e7), where products
+about the origin cancel. Point membership is even-odd ray casting with a
+half-open tie rule (top and left edges inclusive) over an edge table, so
+that abutting polygons partition the plane without double-claiming
+boundary points.
 
 A parsed map keeps every ring's vertices end to end in one (V, 2) table
 with ring offsets (the GeoArrow ragged layout). ring_table measures it in
@@ -75,32 +78,26 @@ class Bounds:
         )
 
 
-def _shoelace(x: np.ndarray, y: np.ndarray, x2: np.ndarray, y2: np.ndarray) -> float:
-    """Signed area from vertex columns and their successors round the ring.
-
-    The sum's rounding depends on the operands' memory layout, so every caller
-    passes x and y as strided columns of an (n, 2) array and x2, y2
-    contiguous: then a ring has the same area however it was built.
-    """
-    return 0.5 * float(np.dot(x, y2) - np.dot(y, x2))
+def _cross_about(rows: np.ndarray, origin: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Edge rows less origin (one (x, y), or one per row), and each one's x1 y2 - x2 y1."""
+    d = rows - np.tile(origin, 2)
+    return d, d[:, 0] * d[:, 3] - d[:, 2] * d[:, 1]
 
 
-def ring_table(vertices: np.ndarray, offsets: np.ndarray) -> tuple[np.ndarray, list[float]]:
+def ring_table(vertices: np.ndarray, offsets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Edge table and signed areas of rings stored end to end.
 
-    vertices is a C-ordered (V, 2) float64 table; ring r is rows
-    offsets[r]:offsets[r + 1], closing vertex implicit. Returns the (V, 4)
-    edge table, row j being vertex j and the next vertex round its ring,
-    and each ring's signed area.
+    vertices is a (V, 2) float64 table; ring r is rows offsets[r]:offsets[r + 1],
+    closing vertex implicit. Returns the (V, 4) edge table, row j being vertex
+    j and the next vertex round its ring, and the array of signed areas: half
+    each ring's cross products about its first vertex, summed by np.add.reduceat.
     """
     nxt = np.arange(1, len(vertices) + 1)
     nxt[offsets[1:] - 1] = offsets[:-1]
-    x2, y2 = vertices[nxt, 0], vertices[nxt, 1]
-    ends = offsets.tolist()
-    areas = [_shoelace(vertices[a:b, 0], vertices[a:b, 1], x2[a:b], y2[a:b])
-             for a, b in zip(ends[:-1], ends[1:])]
     edges = np.hstack([vertices, vertices[nxt]])
     edges.setflags(write=False)
+    first = vertices[np.repeat(offsets[:-1], np.diff(offsets))]
+    areas = 0.5 * np.add.reduceat(_cross_about(edges, first)[1], offsets[:-1])
     return edges, areas
 
 
@@ -132,16 +129,13 @@ def hole_owners(edges: np.ndarray, outers: Sequence[tuple[int, int]],
         raise GeometryError("polygon set needs at least one outer ring")
     owners = []
     for a, b in holes:
-        # about the first vertex: far from the origin, raw cross products cancel
-        x0, y0 = float(edges[a, 0]), float(edges[a, 1])
-        x, y = edges[a:b, 0] - x0, edges[a:b, 1] - y0
-        x2, y2 = edges[a:b, 2] - x0, edges[a:b, 3] - y0
-        cross = x * y2 - x2 * y
-        area = 0.5 * float(np.sum(cross))
-        if area == 0.0:  # ring_table's absolute-coordinate area can be rounding error
+        d, cross = _cross_about(edges[a:b], edges[a, :2])
+        area = 0.5 * float(np.add.reduceat(cross, [0])[0])  # ring_table's area
+        if area == 0.0:
             raise GeometryError("degenerate ring: zero area")
-        c = Point2(x0 + float(np.sum((x + x2) * cross)) / (6.0 * area),
-                   y0 + float(np.sum((y + y2) * cross)) / (6.0 * area))
+        x0, y0 = edges[a, :2].tolist()
+        c = Point2(x0 + float(np.sum((d[:, 0] + d[:, 2]) * cross)) / (6.0 * area),
+                   y0 + float(np.sum((d[:, 1] + d[:, 3]) * cross)) / (6.0 * area))
         for k, (s, t) in enumerate(outers):
             if _crossing_parity(c.x, c.y, edges[s:t]):
                 owners.append(k)
@@ -149,11 +143,6 @@ def hole_owners(edges: np.ndarray, outers: Sequence[tuple[int, int]],
         else:
             raise GeometryError("hole lies outside every outer ring")
     return owners
-
-
-def _area(outer_areas: Sequence[float], hole_areas: Sequence[float]) -> float:
-    """Outer rings minus holes, from signed areas, summed in ring order."""
-    return float(sum(map(abs, outer_areas)) - sum(map(abs, hole_areas)))
 
 
 class UnitKind(Enum):
@@ -197,12 +186,11 @@ class UnitCollection:
         v = np.vstack([edges[:, :2], np.zeros((1, 2))])
         at = np.column_stack([start, stop]).ravel()
         boxes = np.hstack([np.minimum.reduceat(v, at)[::2], np.maximum.reduceat(v, at)[::2]])
-        # one outer ring and no holes: _area is that ring's abs, so take them at
-        # once; one more entry lets a unit without rings index past the end
-        areas = np.abs(np.append(ring_areas, 0.0)[first[:-1]])
-        for i in np.flatnonzero((counts != (1, 0)).any(axis=1)).tolist():
-            a, k = first[i], counts[i, 0]
-            areas[i] = _area(ring_areas[a:a + k], ring_areas[a + k:first[i + 1]])
+        # outer rings less holes, in ring order; a unit without rings is an
+        # empty segment, which reduceat would read as the next unit's first ring
+        signed = np.repeat(np.tile([1.0, -1.0], len(counts)), counts.ravel()) * np.abs(ring_areas)
+        areas, rings = np.zeros(len(counts)), counts.any(axis=1)
+        areas[rings] = np.add.reduceat(signed, first[:-1][rings])
         self.edge_counts, = _read_only(ring_ends[first[1:]] - start)
         self.boxes, self.areas = _read_only(boxes, areas, dtype=np.float64)
         self.edges = edges

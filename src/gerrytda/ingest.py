@@ -110,7 +110,7 @@ def _check_ring(coords) -> None:
     """GeometryError for a ring that the whole-table checks reject.
 
     The same steps on one ring: a closing vertex equal to the first is
-    dropped, and the area is ring_table's.
+    dropped, and the area is ring_table's (about the ring's first vertex).
     """
     v = np.asarray(coords, dtype=np.float64)
     if v.ndim != 2 or v.shape[1] != 2:
@@ -227,7 +227,7 @@ def parse_geojson(text: str | bytes, id_property: str = "id",
 
     vertices, offsets = _vertex_table(rings, feature_parts)
     edges, areas = ring_table(vertices, offsets)
-    if 0.0 in areas:
+    if not areas.all():
         _ring_fault(feature_parts)
     units = UnitCollection(ids, kinds, votes[0::2], votes[1::2], edges, offsets,
                            ring_counts, areas)

@@ -234,14 +234,17 @@ def _raster_graph(field: MarginField, schedule: LevelSchedule,
     run = np.cumsum(new, dtype=np.int32)  # flat run-id image
     run -= 1
     start = np.flatnonzero(new)
+    del new  # each pixel-sized image is freed once read
     level = pad.ravel()[start]
-    end = np.append(start[1:], len(run)) - 1
+    end = np.append(start[1:], pad.size) - 1
+    del pad
     # the pixels below each run's two ends; the last row is all border, so
     # it is the last run and the only one with no row below
     first_below, last_below = start[:-1] + w, end[:-1] + w
     lo4, hi4 = run[first_below], run[last_below]
     lo8 = run[first_below - (start[:-1] % w > 0)]
     hi8 = run[last_below + (end[:-1] % w < w - 1)]
+    del run
     up, down = _ranges(lo8, hi8 + 1)
     beside = np.flatnonzero(start[1:] % w > 0)  # runs followed by one in their row
     u, v = np.concatenate([beside, up]), np.concatenate([beside + 1, down])

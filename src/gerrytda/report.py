@@ -235,6 +235,12 @@ def _result_json(r: YearResult) -> dict:
     }
 
 
+def check_year(year: str) -> None:
+    """ParameterError for a year that cannot name files: one that holds '/' or NUL."""
+    if "/" in year or "\0" in year:
+        raise ParameterError(f"year {year!r}: a year names files, so it may not hold '/' or NUL")
+
+
 def write_outputs(results: Sequence[YearResult], out_dir: str | Path,
                   dim: int = 1, snapshots: bool = True) -> None:
     """Lay the full artifact set down under out_dir (created if missing).
@@ -249,8 +255,7 @@ def write_outputs(results: Sequence[YearResult], out_dir: str | Path,
         raise ParameterError(f"dim must be 0, 1 or 2, got {dim}")
     years = [r.year for r in results]
     for y in years:
-        if "/" in y or "\0" in y:
-            raise ParameterError(f"year {y!r}: a year names files, so it may not hold '/' or NUL")
+        check_year(y)
         if years.count(y) > 1:
             raise ParameterError(f"year {y!r} labels {years.count(y)} results")
     out = Path(out_dir)

@@ -24,7 +24,10 @@ routes are held to:
 * Ring and PolygonSet, the former per-unit polygon objects: parse_geojson's
   edge, box and area columns are held to them bit for bit, and
   geometry.hole_owners to PolygonSet's hole placement (test_ingest's
-  assert_same_units).
+  assert_same_units). Their areas follow the library's one rule, written
+  again ring by ring: each ring's cross products about its first vertex,
+  and a unit's outer rings less its holes, each summed by np.add.reduceat
+  (np.sum adds in another order, and can differ in the last bit).
 * build_levelset_filtration, the cubical level-set complex of a field, with
   field_from_array to wrap a raw array as a field: persistence.levelset_barcode
   is held to barcode() of it, pair for pair.
@@ -61,7 +64,7 @@ import numpy as np
 from gerrytda.compactness import min_enclosing_circle
 from gerrytda.complexes import FilteredComplex, LevelSchedule, _sorted_complex
 from gerrytda.errors import ComplexError, GeometryError, IngestError, MarginError, ParameterError
-from gerrytda.geometry import MAX_VOTES, Point2, _area, _crossing_parity, _shoelace
+from gerrytda.geometry import MAX_VOTES, Point2, _crossing_parity
 from gerrytda.ingest import VoteTable, parse_geojson
 from gerrytda.raster import BACKGROUND, Grid, MarginField, MarginMode
 
@@ -120,22 +123,25 @@ class Ring:
         v = v.copy()
         v.setflags(write=False)
         self.vertices = v
-        x, y = v[:, 0], v[:, 1]
-        self.signed_area = _shoelace(x, y, np.roll(x, -1), np.roll(y, -1))
+        self.signed_area = 0.5 * float(np.add.reduceat(self._cross()[2], [0])[0])
         if self.signed_area == 0.0:
             raise GeometryError("degenerate ring: zero area")
 
-    def centroid(self) -> Point2:
+    def _cross(self):
+        """Vertices about the first one, as x and y, and each edge's cross product.
+
+        About the first vertex: far from the origin, raw cross products cancel.
+        """
         v = self.vertices
-        # about the first vertex: far from the origin, raw cross products cancel
-        x0, y0 = float(v[0, 0]), float(v[0, 1])
-        x, y = v[:, 0] - x0, v[:, 1] - y0
-        x2, y2 = np.roll(x, -1), np.roll(y, -1)
-        cross = x * y2 - x2 * y
-        a = 0.5 * float(np.sum(cross))
-        cx = float(np.sum((x + x2) * cross)) / (6.0 * a)
-        cy = float(np.sum((y + y2) * cross)) / (6.0 * a)
-        return Point2(x0 + cx, y0 + cy)
+        x, y = v[:, 0] - v[0, 0], v[:, 1] - v[0, 1]
+        return x, y, x * np.roll(y, -1) - np.roll(x, -1) * y
+
+    def centroid(self) -> Point2:
+        x, y, cross = self._cross()
+        a = self.signed_area
+        cx = float(np.sum((x + np.roll(x, -1)) * cross)) / (6.0 * a)
+        cy = float(np.sum((y + np.roll(y, -1)) * cross)) / (6.0 * a)
+        return Point2(float(self.vertices[0, 0]) + cx, float(self.vertices[0, 1]) + cy)
 
     def __len__(self) -> int:
         return int(self.vertices.shape[0])
@@ -177,8 +183,10 @@ class PolygonSet:
         self.hole_owner = tuple(owner)
         self.edges = np.vstack(tables)
         self.edges.setflags(write=False)
-        self.area = _area([r.signed_area for r in self.outers],
-                          [r.signed_area for r in self.holes])
+        # outer rings add and holes take away, summed in ring order as one segment
+        signed = [abs(r.signed_area) for r in self.outers] + \
+            [-abs(r.signed_area) for r in self.holes]
+        self.area = float(np.add.reduceat(np.array(signed), [0])[0])
 
     def rings(self) -> tuple[Ring, ...]:
         return self.outers + self.holes

@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from gerrytda import cli
 from gerrytda.cli import main
 from gerrytda.compactness import paired_t_test, score_units
 from gerrytda.ingest import parse_geojson
@@ -287,8 +288,11 @@ def test_run_rejects_dim_outside_0_to_2(island_files, capsys, tmp_path, dim):
     assert not out_dir.exists()
 
 
-def test_run_rejects_a_year_that_cannot_name_a_file(island_files, capsys, tmp_path):
+def test_run_rejects_a_year_that_cannot_name_a_file(island_files, capsys, tmp_path,
+                                                    monkeypatch):
     out_dir = tmp_path / "res"
+    runs = []
+    monkeypatch.setattr(cli, "run_year", lambda *a, **k: runs.append(a))
     code, out, err = run_cli(
         capsys, "run", "--geo", island_files["precinct_geo"],
         "--votes", island_files["precinct_votes"],
@@ -299,6 +303,7 @@ def test_run_rejects_a_year_that_cannot_name_a_file(island_files, capsys, tmp_pa
     assert out == ""
     assert err == "error: year '2012/a': a year names files, so it may not hold '/' or NUL\n"
     assert not out_dir.exists()
+    assert runs == []  # rejected before any pipeline stage
 
 
 # === matrix ===

@@ -7,6 +7,7 @@ membership through the even-odd oracle over a unit's edge rows.
 
 import json
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -65,7 +66,8 @@ def test_area_square_with_hole():
 def test_area_orientation_independent():
     cw = list(reversed(UNIT_SQUARE))
     assert area(cw) == 1.0
-    assert ring_table(np.array(cw, dtype=np.float64), np.array([0, 4]))[1] == [-1.0]
+    signed = ring_table(np.array(cw, dtype=np.float64), np.array([0, 4]))[1]
+    assert np.array_equal(signed, np.array([-1.0]))
 
 
 def test_area_multipart():
@@ -73,18 +75,43 @@ def test_area_multipart():
 
 
 def test_area_rigid_motion_invariant():
-    # translation + rotation leave the shoelace area unchanged to 1e-9 relative
+    # translation + rotation leave the area unchanged to 1e-9 relative: a
+    # small ring moved by up to 100, and a precinct-sized one (radius about
+    # 1e3) moved to state-plane coordinates, 1e5 to 1e7 from the origin
     rng = np.random.default_rng(7)
     for _ in range(50):
-        n = int(rng.integers(3, 12))
-        ang = np.sort(rng.uniform(0, 2 * np.pi, n))
-        rad = rng.uniform(0.5, 2.0, n)
-        pts = np.c_[rad * np.cos(ang), rad * np.sin(ang)]
-        base = area(pts)
-        th = rng.uniform(0, 2 * np.pi)
-        rot = np.array([[np.cos(th), -np.sin(th)], [np.sin(th), np.cos(th)]])
-        moved = pts @ rot.T + rng.uniform(-100, 100, 2)
-        assert area(moved) == pytest.approx(base, rel=1e-9)
+        for size, shift in ((1.0, rng.uniform(-100, 100, 2)),
+                            (1e3, 10 ** rng.uniform(5, 7) * rng.choice([-1.0, 1.0], 2))):
+            n = int(rng.integers(3, 12))
+            ang = np.sort(rng.uniform(0, 2 * np.pi, n))
+            rad = size * rng.uniform(0.5, 2.0, n)
+            pts = np.c_[rad * np.cos(ang), rad * np.sin(ang)]
+            base = area(pts)
+            th = rng.uniform(0, 2 * np.pi)
+            rot = np.array([[np.cos(th), -np.sin(th)], [np.sin(th), np.cos(th)]])
+            moved = pts @ rot.T + shift
+            assert area(moved) == pytest.approx(base, rel=1e-9)
+
+
+def shoelace_fraction(ring):
+    """A ring's signed area in exact rational arithmetic on its float vertices."""
+    pts = [(Fraction(x), Fraction(y)) for x, y in ring]
+    return sum(x1 * y2 - x2 * y1 for (x1, y1), (x2, y2) in zip(pts, pts[1:] + pts[:1])) / 2
+
+
+def test_area_far_from_the_origin_is_exact():
+    # a 10-wide square holding a 3.08-wide hole at (5e6, 5e6), where
+    # state-plane maps lie; absolute cross products there lose 5 digits
+    off = 5e6
+    outer = square(off, off, off + 10, off + 10)
+    hole = square(off + 3, off + 3, off + 6.08, off + 6.08)
+    exact = abs(shoelace_fraction(outer)) - abs(shoelace_fraction(hole))
+    got = area(outer, holes=[hole])
+    assert abs(Fraction(got) - exact) <= exact * Fraction(1, 10**15)
+    # the same float shape at the origin (each coordinate less off, exactly)
+    # has the same edge vectors, so the same perimeter and area and score
+    near = [[(x - off, y - off) for x, y in ring] for ring in (outer, hole)]
+    assert polsby_popper(outer, holes=[hole]) == polsby_popper(near[0], holes=[near[1]])
 
 
 # === perimeters, through Polsby-Popper ===

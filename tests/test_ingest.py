@@ -151,8 +151,8 @@ MALFORMED = {
 }
 
 # a nearly collinear hole far from the origin, inside a 200-wide square: its
-# shoelace area on absolute coordinates is rounding error, not 0, and its
-# area about its first vertex is exactly 0
+# area about its first vertex is exactly 0 (on absolute coordinates the
+# shoelace leaves rounding error, not 0)
 FAR_SLIVER = [[5000008.881183207, 5000002.258694285], [5000009.217837148, 5000002.906522723],
               [5000009.55449109, 5000003.554351161], [5000008.881183207, 5000002.258694285]]
 FAR_SQUARE = [[5e6 - 100, 5e6 - 100], [5e6 + 100, 5e6 - 100], [5e6 + 100, 5e6 + 100],

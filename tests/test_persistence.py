@@ -459,17 +459,20 @@ def test_levelset_barcode_obeys_the_euler_curve_on_the_gate_8_mosaic(gate_8_laye
         assert alive_difference(got) == euler_curve(field, schedule, polarity).tolist()
 
 
-def test_levelset_barcode_peak_memory_on_the_gate_8_precincts(gate_8_layers):
-    # measured tracemalloc peak at width 2048, density, democratic: 15.1 MiB
-    # with each pixel's level gathered from its unit's; the per-pixel rule on
-    # the float image (oracles.vertex_levels) made it 19.7 MiB
+@pytest.mark.parametrize("polarity", ["democratic", "republican"])
+def test_levelset_barcode_peak_memory_on_the_gate_8_precincts(gate_8_layers, polarity):
+    # measured tracemalloc peak at width 2048, density: 15.1 MiB either way,
+    # with each pixel's level gathered from its unit's and each pixel-sized
+    # image freed once read; the per-pixel rule on the float image
+    # (oracles.vertex_levels) made it 19.7 MiB, and keeping the images until
+    # the return made the republican sweep, which cuts more runs, 19.8 MiB
     precincts, _, bounds = gate_8_layers
     field = margin_field(rasterize(precincts, 2048, bounds), precincts, "density")
     schedule = uniform_schedule(25)
-    levelset_barcode(field, schedule)  # scipy's imports are not the call's
+    levelset_barcode(field, schedule, polarity)  # scipy's imports are not the call's
     tracemalloc.start()
     try:
-        levelset_barcode(field, schedule)
+        levelset_barcode(field, schedule, polarity)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
