@@ -4,7 +4,8 @@ Every subcommand accepts --config <path> pointing at a key=value text file;
 explicit flags win over config values, which win over defaults. Keys use the
 flag names with dashes or underscores interchangeably. A key may name an
 option of any command, so one file can serve several; a key that names none
-is an error.
+is an error. A config value meets the same choices and type as its flag,
+checked before any input is read.
 """
 
 from __future__ import annotations
@@ -15,6 +16,7 @@ import io
 import json
 import math
 import sys
+from dataclasses import MISSING, fields
 from pathlib import Path
 
 from .compactness import paired_t_test, score_units, scores_to_csv
@@ -28,10 +30,17 @@ from .report import AnalysisConfig, _load_layer, check_year, run_year, write_out
 from .complexes import uniform_schedule
 
 
+# each option's value when neither a flag nor the config file sets it: the
+# pipeline's from AnalysisConfig, then the options that only the CLI has
+DEFAULTS = {f.name: f.default for f in fields(AnalysisConfig) if f.default is not MISSING}
+DEFAULTS.update(year="year", dim=1, metric="polsby_popper", no_snapshots=False)
+
+
 def _read_text(path: str) -> str:
-    """A file's text; bytes that are not UTF-8 are an IngestError naming the path."""
+    """A file's text, less a leading BOM; bytes that are not UTF-8 are an
+    IngestError naming the path."""
     try:
-        return Path(path).read_text(encoding="utf-8")
+        return Path(path).read_text(encoding="utf-8").removeprefix("\ufeff")
     except UnicodeDecodeError as exc:
         raise IngestError(f"{path}: not UTF-8: {exc}") from None
 
@@ -49,36 +58,6 @@ def _read_config(path: str) -> dict[str, str]:
     return cfg
 
 
-class _Options:
-    """Flag > config-file > default resolution for one parsed command."""
-
-    def __init__(self, args: argparse.Namespace):
-        self.args = args
-        self.cfg = _read_config(args.config) if getattr(args, "config", None) else {}
-        for key in self.cfg:
-            if key not in args.config_keys:
-                raise ParameterError(f"config key {key}: no command has an option "
-                                     f"--{key.replace('_', '-')}")
-
-    def get(self, key: str, default=None, convert=str):
-        val = getattr(self.args, key, None)
-        if val is not None:
-            return val
-        if key in self.cfg:
-            try:
-                return convert(self.cfg[key])
-            except ValueError:
-                raise ParameterError(f"config key {key}: {self.cfg[key]!r} is not "
-                                     f"a valid {convert.__name__}") from None
-        return default
-
-    def require(self, key: str):
-        val = self.get(key)
-        if val is None:
-            raise ParameterError(f"missing required option --{key.replace('_', '-')}")
-        return val
-
-
 def flag(text: str) -> bool:
     """A config value for an on/off option: 1 or 0."""
     if text not in ("0", "1"):
@@ -86,20 +65,42 @@ def flag(text: str) -> bool:
     return text == "1"
 
 
-def _dim(opts: _Options) -> int:
+def _dim(dim: int) -> int:
     """The --dim option; barcodes have bars in dimensions 0, 1 and 2 only."""
-    dim = opts.get("dim", 1, int)
     if dim not in (0, 1, 2):
         raise ParameterError(f"--dim must be 0, 1 or 2, got {dim}")
     return dim
 
 
-def _mode(opts: _Options) -> str:
-    """The --mode option, which a config file can set to anything."""
-    mode = opts.get("mode", "density")
-    if mode not in ("relative", "density"):
-        raise ParameterError(f"--mode must be relative or density, got {mode!r}")
-    return mode
+def _config_value(action: argparse.Action, text: str):
+    """A config file's text for one option, checked as its flag is: the
+    option's choices, then its type (flag for an on/off option)."""
+    if action.choices is not None and text not in action.choices:
+        raise ParameterError(f"{action.option_strings[0]} must be "
+                             f"{' or '.join(action.choices)}, got {text!r}")
+    convert = flag if action.nargs == 0 else action.type or str
+    try:
+        return convert(text)
+    except ValueError:
+        raise ParameterError(f"config key {action.dest}: {text!r} is not "
+                             f"a valid {convert.__name__}") from None
+
+
+def _fill_options(args: argparse.Namespace) -> None:
+    """Set each of the command's options that no flag set: from the config
+    file, else from DEFAULTS; then check that the required ones are set."""
+    cfg = _read_config(args.config) if args.config else {}
+    for key in cfg:
+        if key not in args.config_keys:
+            raise ParameterError(f"config key {key}: no command has an option "
+                                 f"--{key.replace('_', '-')}")
+    for dest, action in args.config_keys.items():
+        if dest in vars(args) and getattr(args, dest) is None:
+            setattr(args, dest, _config_value(action, cfg[dest]) if dest in cfg
+                    else DEFAULTS.get(dest))
+    for dest in args.required:
+        if getattr(args, dest) is None:
+            raise ParameterError(f"missing required option --{dest.replace('_', '-')}")
 
 
 def _add_common(p: argparse.ArgumentParser, *names: str) -> None:
@@ -112,16 +113,16 @@ def _add_common(p: argparse.ArgumentParser, *names: str) -> None:
         p.add_argument("--district-geo", dest="district_geo")
         p.add_argument("--district-votes", dest="district_votes")
     if "raster" in names:
-        p.add_argument("--width", type=int, help="raster width in pixels (default 1024)")
-        p.add_argument("--mode", choices=["relative", "density"],
-                       help="margin mode (default density)")
+        p.add_argument("--width", type=int, help="raster width in pixels")
+        p.add_argument("--mode", choices=["relative", "density"], help="margin mode")
     if "levels" in names:
-        p.add_argument("--levels", type=int, help="sweep level count (default 25)")
+        p.add_argument("--levels", type=int, help="sweep level count")
         p.add_argument("--max-margin", dest="max_margin", type=float,
-                       help="top sweep threshold (default 1.0)")
-        p.add_argument("--polarity", choices=["democratic", "republican"])
+                       help="top sweep threshold")
+        p.add_argument("--polarity", choices=["democratic", "republican"],
+                       help="sweep polarity")
     if "dim" in names:
-        p.add_argument("--dim", type=int, help="homology dimension (default 1)")
+        p.add_argument("--dim", type=int, help="homology dimension")
     if "out" in names:
         p.add_argument("--out", help="output path")
 
@@ -133,20 +134,16 @@ def _emit(text: str, out: str | None) -> None:
         Path(out).write_text(text)
 
 
-def _field(opts: _Options):
-    units, report = _load_layer(opts.require("geo"), opts.require("votes"),
-                                UnitKind.PRECINCT)
-    width = opts.get("width", 1024, int)
-    return margin_field(rasterize(units, width), units, MarginMode(_mode(opts))), units, report
+def _field(args: argparse.Namespace):
+    units, _ = _load_layer(args.geo, args.votes, UnitKind.PRECINCT)
+    return margin_field(rasterize(units, args.width), units, MarginMode(args.mode))
 
 
-def _cmd_ingest(opts: _Options) -> int:
-    units, report = _load_layer(opts.require("geo"), opts.require("votes"),
-                                UnitKind.PRECINCT)
+def _cmd_ingest(args: argparse.Namespace) -> int:
+    units, report = _load_layer(args.geo, args.votes, UnitKind.PRECINCT)
     doc = to_geojson(units)
-    out = opts.get("out")
-    if out:
-        Path(out).write_text(json.dumps(doc, sort_keys=True))
+    if args.out:
+        Path(args.out).write_text(json.dumps(doc, sort_keys=True))
     summary = {"matched": report.matched, "filled_missing": report.filled_missing,
                "orphan_vote_rows": list(report.orphan_vote_rows),
                "units": len(units)}
@@ -154,18 +151,15 @@ def _cmd_ingest(opts: _Options) -> int:
     return 0
 
 
-def _cmd_rasterize(opts: _Options) -> int:
-    fld, _, _ = _field(opts)
-    write_margin_pgm(fld, opts.require("out"))
+def _cmd_rasterize(args: argparse.Namespace) -> int:
+    write_margin_pgm(_field(args), args.out)
     return 0
 
 
-def _cmd_barcode(opts: _Options) -> int:
-    fld, _, _ = _field(opts)
-    schedule = uniform_schedule(opts.get("levels", 25, int),
-                                opts.get("max_margin", 1.0, float))
-    bc = levelset_barcode(fld, schedule, opts.get("polarity", "democratic"))
-    _emit(bc.dumps() + "\n", opts.get("out"))
+def _cmd_barcode(args: argparse.Namespace) -> int:
+    schedule = uniform_schedule(args.levels, args.max_margin)
+    bc = levelset_barcode(_field(args), schedule, args.polarity)
+    _emit(bc.dumps() + "\n", args.out)
     return 0
 
 
@@ -177,9 +171,9 @@ def _read_barcode_file(path: str) -> dict[int, list[tuple[float, float]]]:
         raise IngestError(f"{path}: {exc}") from None
 
 
-def _cmd_compare(opts: _Options) -> int:
-    diagrams = [_read_barcode_file(p) for p in (opts.args.barcode_a, opts.args.barcode_b)]
-    dim = _dim(opts)
+def _cmd_compare(args: argparse.Namespace) -> int:
+    dim = _dim(args.dim)
+    diagrams = [_read_barcode_file(p) for p in (args.barcode_a, args.barcode_b)]
     a = diagrams[0].get(dim, [])
     b = diagrams[1].get(dim, [])
 
@@ -189,15 +183,13 @@ def _cmd_compare(opts: _Options) -> int:
     doc = {"dim": dim, "bottleneck": enc(bottleneck(a, b)),
            "wasserstein_1": enc(wasserstein(a, b, p=1)),
            "wasserstein_2": enc(wasserstein(a, b, p=2))}
-    _emit(json.dumps(doc, sort_keys=True, indent=2) + "\n", opts.get("out"))
+    _emit(json.dumps(doc, sort_keys=True, indent=2) + "\n", args.out)
     return 0
 
 
-def _cmd_compactness(opts: _Options) -> int:
-    units = parse_geojson(Path(opts.require("geo")).read_bytes(),
-                          kind=UnitKind.DISTRICT)
-    rows = score_units(units)
-    _emit(scores_to_csv(rows), opts.get("out"))
+def _cmd_compactness(args: argparse.Namespace) -> int:
+    units = parse_geojson(Path(args.geo).read_bytes(), kind=UnitKind.DISTRICT)
+    _emit(scores_to_csv(score_units(units)), args.out)
     return 0
 
 
@@ -223,35 +215,26 @@ def _read_scores_csv(path: str, metric: str) -> list[float]:
     return scores
 
 
-def _cmd_ttest(opts: _Options) -> int:
-    metric = opts.get("metric", "polsby_popper")
-    a = _read_scores_csv(opts.args.scores_a, metric)
-    b = _read_scores_csv(opts.args.scores_b, metric)
+def _cmd_ttest(args: argparse.Namespace) -> int:
+    a = _read_scores_csv(args.scores_a, args.metric)
+    b = _read_scores_csv(args.scores_b, args.metric)
     res = paired_t_test(a, b)
-    doc = {"metric": metric, "t": res.t_statistic,
+    doc = {"metric": args.metric, "t": res.t_statistic,
            "df": res.degrees_of_freedom, "p": res.p_value}
-    _emit(json.dumps(doc, sort_keys=True, indent=2) + "\n", opts.get("out"))
+    _emit(json.dumps(doc, sort_keys=True, indent=2) + "\n", args.out)
     return 0
 
 
-def _cmd_run(opts: _Options) -> int:
+def _cmd_run(args: argparse.Namespace) -> int:
     config = AnalysisConfig(
-        year=opts.get("year", "year"),
-        precinct_geo=opts.require("geo"),
-        precinct_votes=opts.require("votes"),
-        district_geo=opts.require("district_geo"),
-        district_votes=opts.require("district_votes"),
-        width=opts.get("width", 1024, int),
-        mode=_mode(opts),
-        levels=opts.get("levels", 25, int),
-        max_margin=opts.get("max_margin", 1.0, float),
-        polarity=opts.get("polarity", "democratic"),
-    )
-    dim = _dim(opts)
-    snapshots = not opts.get("no_snapshots", False, flag)
+        year=args.year, precinct_geo=args.geo, precinct_votes=args.votes,
+        district_geo=args.district_geo, district_votes=args.district_votes,
+        width=args.width, mode=args.mode, levels=args.levels,
+        max_margin=args.max_margin, polarity=args.polarity)
+    dim = _dim(args.dim)
     check_year(config.year)
     result = run_year(config)
-    write_outputs([result], opts.require("out"), dim=dim, snapshots=snapshots)
+    write_outputs([result], args.out, dim=dim, snapshots=not args.no_snapshots)
     headline = result.bottleneck_by_dim[dim]
     sys.stdout.write(
         f"{config.year}: H{dim} precinct/district bottleneck = "
@@ -259,14 +242,13 @@ def _cmd_run(opts: _Options) -> int:
     return 0
 
 
-def _cmd_matrix(opts: _Options) -> int:
-    dim = _dim(opts)
+def _cmd_matrix(args: argparse.Namespace) -> int:
+    dim = _dim(args.dim)
     labels, diagrams = [], []
-    for path in opts.args.barcodes:
+    for path in args.barcodes:
         labels.append(Path(path).stem)
         diagrams.append(_read_barcode_file(path).get(dim, []))
-    _emit(matrix_to_csv(labels, distance_matrix(labels, diagrams, bottleneck)),
-          opts.get("out"))
+    _emit(matrix_to_csv(labels, distance_matrix(labels, diagrams, bottleneck)), args.out)
     return 0
 
 
@@ -278,15 +260,15 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("ingest", help="join geometry with votes, emit GeoJSON")
     _add_common(p, "geo", "votes", "out")
-    p.set_defaults(handler=_cmd_ingest)
+    p.set_defaults(handler=_cmd_ingest, required=("geo", "votes"))
 
     p = sub.add_parser("rasterize", help="margin field to 16-bit PGM + sidecar")
     _add_common(p, "geo", "votes", "raster", "out")
-    p.set_defaults(handler=_cmd_rasterize)
+    p.set_defaults(handler=_cmd_rasterize, required=("geo", "votes", "out"))
 
     p = sub.add_parser("barcode", help="level-set persistence barcode JSON")
     _add_common(p, "geo", "votes", "raster", "levels", "out")
-    p.set_defaults(handler=_cmd_barcode)
+    p.set_defaults(handler=_cmd_barcode, required=("geo", "votes"))
 
     p = sub.add_parser("compare", help="distances between two barcode files")
     p.add_argument("barcode_a")
@@ -296,12 +278,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("compactness", help="Polsby-Popper and Reock scores CSV")
     _add_common(p, "geo", "out")
-    p.set_defaults(handler=_cmd_compactness)
+    p.set_defaults(handler=_cmd_compactness, required=("geo",))
 
     p = sub.add_parser("ttest", help="paired t-test between two score files")
     p.add_argument("scores_a")
     p.add_argument("scores_b")
-    p.add_argument("--metric", choices=["polsby_popper", "reock"])
+    p.add_argument("--metric", choices=["polsby_popper", "reock"], help="score column")
     _add_common(p, "out")
     p.set_defaults(handler=_cmd_ttest)
 
@@ -310,24 +292,30 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--year", help="label for this year's outputs")
     p.add_argument("--no-snapshots", action="store_true", default=None,
                    help="skip per-level PGM snapshots")
-    p.set_defaults(handler=_cmd_run)
+    p.set_defaults(handler=_cmd_run, required=("geo", "votes", "district_geo",
+                                               "district_votes", "out"))
 
     p = sub.add_parser("matrix", help="pairwise bottleneck matrix of barcode files")
     p.add_argument("barcodes", nargs="+")
     _add_common(p, "dim", "out")
     p.set_defaults(handler=_cmd_matrix)
 
-    # the keys a config file may set: every command's options
-    parser.set_defaults(config_keys=frozenset(
-        a.dest for cmd in sub.choices.values() for a in cmd._actions
-        if a.option_strings and a.dest not in ("help", "config")))
+    options = [a for cmd in sub.choices.values() for a in cmd._actions
+               if a.option_strings and a.dest not in ("help", "config")]
+    for a in options:
+        if a.dest in DEFAULTS:
+            a.help = f"{a.help} (default {DEFAULTS[a.dest]})"
+    # the keys a config file may set: every command's options, each by its
+    # action, which is the same in every command that has it
+    parser.set_defaults(config_keys={a.dest: a for a in options}, required=())
     return parser
 
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.handler(_Options(args))
+        _fill_options(args)
+        return args.handler(args)
     except GerryTdaError as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2

@@ -2,9 +2,11 @@
 
 Polsby-Popper and Reock use the standard definitions (isoperimetric quotient
 and minimal-enclosing-circle quotient), read from a map's columns: its edge
-rows and unit areas. The p-value comes from the Student-t
-distribution through a regularized incomplete beta function evaluated by
-continued fraction, so the package carries no stats dependency.
+rows and unit areas. Reock's circle is found about each unit's first vertex,
+as the areas are, so a map far from the origin keeps its digits. The p-value
+comes from the Student-t distribution through a regularized incomplete beta
+function evaluated by continued fraction, so the package carries no stats
+dependency.
 """
 
 from __future__ import annotations
@@ -87,7 +89,8 @@ def score_units(units: UnitCollection) -> list[CompactnessRow]:
 
     Polsby-Popper is 4 pi A / P^2, with the boundary length P summed ring by
     ring, then the outer rings' sum plus the holes'. Reock is A over the area
-    of the minimal enclosing circle of all the unit's vertices.
+    of the minimal enclosing circle of all the unit's vertices, each taken
+    less the unit's first vertex.
     """
     e = units.edges
     lengths = np.hypot(e[:, 2] - e[:, 0], e[:, 3] - e[:, 1])
@@ -99,7 +102,8 @@ def score_units(units: UnitCollection) -> list[CompactnessRow]:
                           + sum(float(np.sum(lengths[a:b])) for a, b in holes))
         if perimeter <= 0.0:
             raise GeometryError("zero perimeter")
-        _, r = min_enclosing_circle(e[outers[0][0]:stop, :2])
+        points = e[outers[0][0]:stop, :2]
+        _, r = min_enclosing_circle(points - points[0])
         if r <= 0.0:
             raise GeometryError("degenerate geometry: enclosing radius is zero")
         rows.append(CompactnessRow(uid, 4.0 * math.pi * area / (perimeter * perimeter),

@@ -14,7 +14,8 @@ ingest.parse_votes_csv is held to row for row and message for message.
 compactness_reference is the library's former per-unit scores over Ring and
 PolygonSet built from the raw features, which compactness.score_units is
 held to bit for bit; it shares only the enclosing-circle solver, held to
-brute_min_enclosing_circle. point_in_unit is the former point_in_polygon,
+brute_min_enclosing_circle, and finds the circle about the unit's first
+vertex by the library's rule. point_in_unit is the former point_in_polygon,
 the even-odd rule over one unit's edge rows, which the scanline fill of
 raster.rasterize is held to pixel for pixel.
 
@@ -209,7 +210,8 @@ def compactness_reference(doc):
         per_ring = [float(np.sum(part)) for part in np.split(lengths, ends[:-1])]
         n = len(g.outers)
         perimeter = float(sum(per_ring[:n]) + sum(per_ring[n:]))
-        _, r = min_enclosing_circle(e[:, :2])
+        # Reock's circle about the unit's first vertex, as the library's
+        _, r = min_enclosing_circle(e[:, :2] - e[0, :2])
         scores.append((4.0 * math.pi * g.area / (perimeter * perimeter),
                        g.area / (math.pi * r * r)))
     return scores

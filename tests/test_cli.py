@@ -1,6 +1,8 @@
 """End-to-end subcommand coverage through main(), no subprocesses."""
 
 import json
+import re
+from dataclasses import MISSING, fields
 from pathlib import Path
 
 import pytest
@@ -9,6 +11,7 @@ from gerrytda import cli
 from gerrytda.cli import main
 from gerrytda.compactness import paired_t_test, score_units
 from gerrytda.ingest import parse_geojson
+from gerrytda.report import AnalysisConfig
 from gerrytda.synth import band_districts, votes_csv_text
 
 
@@ -288,6 +291,30 @@ def test_run_rejects_dim_outside_0_to_2(island_files, capsys, tmp_path, dim):
     assert not out_dir.exists()
 
 
+def test_run_unset_options_take_the_pipeline_defaults(island_files, capsys, tmp_path,
+                                                     monkeypatch):
+    configs = []
+    real = cli.run_year
+    monkeypatch.setattr(cli, "run_year", lambda config: configs.append(config) or real(config))
+    code, out, _ = run_cli(
+        capsys, "run", "--geo", island_files["precinct_geo"],
+        "--votes", island_files["precinct_votes"],
+        "--district-geo", island_files["packed_geo"],
+        "--district-votes", island_files["packed_votes"], "--out", str(tmp_path / "res"))
+    assert code == 0
+    assert out.startswith("year: H1 precinct/district bottleneck = ")
+    defaults = {f.name: f.default for f in fields(AnalysisConfig) if f.default is not MISSING}
+    assert set(defaults) == {"width", "mode", "levels", "max_margin", "polarity"}
+    assert {name: getattr(configs[0], name) for name in defaults} == defaults
+    # and barcode's help names the same values, one per option
+    with pytest.raises(SystemExit):
+        main(["barcode", "--help"])
+    text = " ".join(capsys.readouterr().out.split())
+    entries = {e.split()[0]: e for e in re.split(r" (?=--[a-z])", text)}
+    for name, value in defaults.items():
+        assert entries[f"--{name.replace('_', '-')}"].endswith(f"(default {value})")
+
+
 def test_run_rejects_a_year_that_cannot_name_a_file(island_files, capsys, tmp_path,
                                                     monkeypatch):
     out_dir = tmp_path / "res"
@@ -411,6 +438,32 @@ def test_a_file_that_is_not_utf8_is_an_error_naming_it(command, island_files, ca
     assert err.startswith(f"error: {bad}: not UTF-8: ") and "0xff" in err
 
 
+@pytest.mark.parametrize("command", ["config", "ttest", "compare", "matrix"])
+def test_a_file_that_starts_with_a_bom_reads_as_without_it(command, island_files, capsys,
+                                                           tmp_path):
+    # the same name in two directories, since matrix labels rows by file stem
+    plain, bom = tmp_path / "a" / "file", tmp_path / "b" / "file"
+    plain.parent.mkdir()
+    bom.parent.mkdir()
+    if command == "config":
+        plain.write_text(f"geo = {island_files['precinct_geo']}\n"
+                         f"votes = {island_files['precinct_votes']}\n"
+                         "width = 40\nmode = relative\nlevels = 10\n")
+        args = ["barcode", "--config"]
+    elif command == "ttest":
+        other = rect_plan(tmp_path / "plan.geojson", [(1, 1), (1, 2), (1, 3), (2, 5), (3, 1)])
+        for geo, dest in [(island_files["packed_geo"], plain), (other, tmp_path / "b.csv")]:
+            assert run_cli(capsys, "compactness", "--geo", geo, "--out", str(dest))[0] == 0
+        args = ["ttest", str(tmp_path / "b.csv")]
+    else:
+        barcode_file(capsys, plain, island_files["precinct_geo"], island_files["precinct_votes"])
+        args = [command, str(plain)]
+    bom.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+    expected = run_cli(capsys, *args, str(plain))
+    assert expected[0] == 0
+    assert run_cli(capsys, *args, str(bom)) == expected
+
+
 def test_ingest_non_object_feature_is_an_error(island_files, capsys, tmp_path):
     geo = tmp_path / "bad.geojson"
     geo.write_text(json.dumps({"type": "FeatureCollection", "features": [5]}))
@@ -508,19 +561,35 @@ def test_config_value_of_the_wrong_type_is_an_error(island_files, capsys, tmp_pa
     assert err == "error: config key width: 'abc' is not a valid int\n"
 
 
-@pytest.mark.parametrize("command", ["barcode", "run"])
-def test_config_mode_outside_the_choices_is_an_error(island_files, capsys, tmp_path, command):
+MODE_FOO = "error: --mode must be relative or density, got 'foo'\n"
+POLARITY_FOO = "error: --polarity must be democratic or republican, got 'foo'\n"
+
+
+@pytest.mark.parametrize("command, line, message", [
+    ("barcode", "mode = foo", MODE_FOO), ("run", "mode = foo", MODE_FOO),
+    ("barcode", "polarity = foo", POLARITY_FOO), ("run", "polarity = foo", POLARITY_FOO),
+    ("ttest", "metric = foo", "error: --metric must be polsby_popper or reock, got 'foo'\n"),
+], ids=["barcode", "run", "barcode-polarity", "run-polarity", "ttest-metric"])
+def test_config_mode_outside_the_choices_is_an_error(island_files, capsys, tmp_path,
+                                                      monkeypatch, command, line, message):
+    calls = []
+    for name in ("_load_layer", "run_year", "_read_scores_csv"):
+        real = getattr(cli, name)
+        monkeypatch.setattr(cli, name, lambda *a, real=real, name=name: calls.append(name)
+                            or real(*a))
     cfg = tmp_path / "run.cfg"
     cfg.write_text(f"geo = {island_files['precinct_geo']}\n"
                    f"votes = {island_files['precinct_votes']}\n"
                    f"district_geo = {island_files['packed_geo']}\n"
                    f"district_votes = {island_files['packed_votes']}\n"
                    f"out = {tmp_path / 'out'}\n"
-                   "mode = foo\n")
-    code, out, err = run_cli(capsys, command, "--config", str(cfg))
+                   f"{line}\n")
+    scores = [str(tmp_path / "a.csv"), str(tmp_path / "b.csv")] if command == "ttest" else []
+    code, out, err = run_cli(capsys, command, *scores, "--config", str(cfg))
     assert code == 2
     assert out == ""
-    assert err == "error: --mode must be relative or density, got 'foo'\n"
+    assert err == message
+    assert calls == []  # rejected before any input was read
 
 
 @pytest.mark.parametrize("key,named", [("widht", "widht"), ("max-margn", "max_margn"),

@@ -137,6 +137,17 @@ def test_scores_scale_and_rigid_invariance():
         assert moved.reock == pytest.approx(row0.reock, rel=1e-12)
 
 
+def test_reock_far_from_the_origin_matches_the_same_shape_at_the_origin():
+    # state-plane maps lie near 5e6; subtracting off is exact there, so the
+    # near triangles are the far ones moved exactly, with the same edge vectors
+    off = 5e6
+    far = off + np.random.default_rng(5).uniform(0, 10, (200, 3, 2))
+    rows = [score_units(unit_map([feature(f"T{i}", [tri]) for i, tri in enumerate(tris)]))
+            for tris in (far, far - off)]
+    assert [r.reock for r in rows[0]] == [r.reock for r in rows[1]]
+    assert rows[0] == rows[1]
+
+
 def test_score_units_csv():
     units = unit_map([
         feature("D1", [[(0, 0), (1, 0), (1, 1), (0, 1)]], dem=1, rep=2),
