@@ -46,7 +46,7 @@ def _read_text(path: str) -> str:
 
 
 def _read_config(path: str) -> dict[str, str]:
-    cfg: dict[str, str] = {}
+    cfg: dict[str, tuple[str, int]] = {}  # each key's value, and the line that sets it
     for n, raw in enumerate(_read_text(path).splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -54,8 +54,11 @@ def _read_config(path: str) -> dict[str, str]:
         if "=" not in line:
             raise ParameterError(f"config line {n}: expected key=value, got {raw!r}")
         key, value = line.split("=", 1)
-        cfg[key.strip().replace("-", "_")] = value.strip()
-    return cfg
+        key = key.strip().replace("-", "_")
+        if key in cfg:
+            raise ParameterError(f"config line {n}: {key} is already set on line {cfg[key][1]}")
+        cfg[key] = value.strip(), n
+    return {key: value for key, (value, _) in cfg.items()}
 
 
 def flag(text: str) -> bool:

@@ -196,6 +196,8 @@ def paired_t_test(a: Sequence[float], b: Sequence[float]) -> TTestResult:
     if n < 2:
         raise ParameterError("need at least 2 pairs")
     d = [float(x) - float(y) for x, y in zip(a, b)]
+    if not all(map(math.isfinite, d)):
+        raise ParameterError("paired differences must be finite")
     mean = sum(d) / n
     var = sum((x - mean) ** 2 for x in d) / (n - 1)
     if var == 0.0:

@@ -36,14 +36,16 @@ Diagram = Sequence[tuple[float, float]]
 
 
 def _split(diagram: Diagram) -> tuple[np.ndarray, list[float]]:
-    finite = []
-    essential_births = []
+    """Finite points (birth < death), and sorted essential births (death +inf)."""
+    finite, essential_births = [], []
     for b, d in diagram:
-        if math.isinf(d):
+        if d == INF and math.isfinite(b):
             essential_births.append(float(b))
+        elif not (math.isfinite(b) and math.isfinite(d)):
+            raise ParameterError(f"diagram point ({b}, {d}) needs a finite birth and death")
+        elif not d > b:
+            raise ParameterError(f"diagram point ({b}, {d}) has death <= birth")
         else:
-            if not d > b:
-                raise ParameterError(f"diagram point ({b}, {d}) has death <= birth")
             finite.append((float(b), float(d)))
     pts = np.asarray(finite, dtype=np.float64).reshape(-1, 2)
     return pts, sorted(essential_births)
@@ -127,8 +129,8 @@ def bottleneck(a: Diagram, b: Diagram) -> float:
 
 def wasserstein(a: Diagram, b: Diagram, p: float = 1.0) -> float:
     """p-Wasserstein distance with diagonal augmentation, exact assignment."""
-    if p < 1:
-        raise ParameterError(f"norm order must be >= 1, got {p}")
+    if not 1 <= p < INF:
+        raise ParameterError(f"norm order must be finite and >= 1, got {p}")
     pa, ea = _split(a)
     pb, eb = _split(b)
     if len(ea) != len(eb):
@@ -153,20 +155,19 @@ def wasserstein(a: Diagram, b: Diagram, p: float = 1.0) -> float:
 
 def total_persistence(a: Diagram, p: float = 1.0,
                       max_death: float | None = None) -> float:
-    """Sum of (death - birth)^p; infinite deaths substitute max_death."""
-    if p < 1:
-        raise ParameterError(f"norm order must be >= 1, got {p}")
-    finite_deaths = [d for _, d in a if not math.isinf(d)]
-    if max_death is not None and finite_deaths and max(finite_deaths) > max_death:
-        raise ParameterError(
-            f"max_death {max_death} is below a finite death {max(finite_deaths)}")
+    """Sum of (death - birth)^p in diagram order; infinite deaths substitute
+    max_death, which no death and no essential birth may exceed."""
+    if not 1 <= p < INF:
+        raise ParameterError(f"norm order must be finite and >= 1, got {p}")
+    pts, births = _split(a)
+    if births and max_death is None:
+        raise ParameterError("diagram has infinite deaths; pass max_death")
+    top = max([*pts[:, 1].tolist(), *births], default=-INF)
+    if max_death is not None and top > max_death:
+        raise ParameterError(f"max_death {max_death} is below a death or essential birth {top}")
     total = 0.0
     for b, d in a:
-        if math.isinf(d):
-            if max_death is None:
-                raise ParameterError("diagram has infinite deaths; pass max_death")
-            d = max_death
-        total += (d - b) ** p
+        total += ((max_death if math.isinf(d) else d) - b) ** p
     return total
 
 

@@ -8,11 +8,12 @@ the cubical barcode off that image, with no complex built.
 The adjacency route builds a complex: a flag filtration of the unit
 adjacency graph under a descending win-margin sweep, with triangles filled
 for mutually adjacent triples, which persistence.barcode pairs. Graph and
-complex come from whole-map array passes over the edge and box columns: one
-sort and sweep of the boxes, rows pruned to the partner's box, edge-pair
-tests in blocks of at most _ROW_BLOCK rows, and wedges for triangles. Both
-kinds' pairs are found in one pass per parsed map and kept in its memo, which
-every vote year joined to that map reads (join_units keeps the columns, memo
+complex come from whole-map array passes over the edge column: a sort and
+sweep of each unit's box over all its rows, rows pruned to the partner's
+box, row pairs tested in blocks of at most _ROW_BLOCK for a shared snapped
+vertex (queen) or a collinear overlap (both kinds), and wedges for
+triangles. One pass per parsed map finds both kinds, for the map's memo,
+which every vote year joined to it reads (join_units keeps the columns, memo
 and unit order); any other collection, even of the same units, has its own.
 
 Cells are stored columnar (dims, levels, boundary CSR) in the filtration
@@ -218,46 +219,36 @@ def _adjacency_pairs(units: UnitCollection, kind: str) -> tuple[np.ndarray, np.n
 
 
 def _adjacency_keys(units: UnitCollection) -> tuple[np.ndarray, np.ndarray]:
-    """Keys i * n + j (i < j, with repeats) of the queen and of the rook pairs.
+    """Keys i * n + j (i < j, once each) of the queen and of the rook pairs.
 
-    One pass over all units' edges finds both. Units that share a vertex on
-    the snap_tolerance grid come from one lexsort of (x key, y key, unit)
-    rows. A sort and sweep of the boxes on minx, which leaves only the y
-    tests, gives the candidate pairs; each keeps the edge rows of i within
-    2 tol of j's box over all its rows, holes too, and the same for j. The
-    collinear overlap test on the cross product of those rows, at most
-    _ROW_BLOCK at a time, gives the rook pairs; queen adds the vertex pairs.
+    A sort and sweep on minx of each unit's box over all its rows, holes too,
+    widened by 2 tol, gives the candidate pairs; each keeps the rows of i
+    within j's box, and of j within i's. In their cross product, at most
+    _ROW_BLOCK rows at a time, a collinear overlap makes a rook pair; that or
+    two rows that start at one vertex of the snap_tolerance grid make a queen
+    pair. Such vertices lie within tol, so the pruning keeps both rows.
     """
     tol, n = units.snap_tolerance(), len(units)
     edges, count = units.edges, units.edge_counts
     start = np.cumsum(count) - count
-
-    key = np.rint(edges[:, :2] / tol)  # half to even, as round() does
-    unit = np.repeat(np.arange(n), count)
-    s = np.lexsort((unit, key[:, 1], key[:, 0]))
-    group = np.cumsum(np.r_[True, (np.diff(key[s], axis=0) != 0).any(axis=1)])
-    end = np.searchsorted(group, group, side="right")
-    a, b = (s[x] for x in _ranges(np.arange(1, len(s) + 1), end))  # pairs in one group
-    vertex = (unit[a] * n + unit[b])[unit[a] != unit[b]]
-    del key, unit, s, group  # so that the peak is the rook pass's
-
-    x0, y0, x1, y1 = units.boxes.T
-    order = np.argsort(x0, kind="stable")
-    end = np.searchsorted(x0[order], x1[order] + tol, side="right")
+    key = np.rint(edges[:, :2] / tol).view(np.complex128).ravel()  # half to even, as round()
+    # each row's box as x0 y0 -x1 -y1, each unit's, and how far its partners' rows may reach
+    box = np.vstack([np.minimum(edges[:, :2], edges[:, 2:]).T,
+                     -np.maximum(edges[:, :2], edges[:, 2:]).T])
+    low = np.minimum.reduceat(box, start, axis=1)
+    far = 2 * tol - low[[2, 3, 0, 1]]
+    order = np.argsort(low[0], kind="stable")
+    end = np.searchsorted(low[0][order], far[0][order], side="right")
     a, b = _ranges(np.arange(1, n + 1), end)  # positions in order; x holds by the sweep
-    y0, y1 = y0[order], y1[order] + tol
+    y0, y1 = low[1][order], far[1][order]
     near = (y0[a] <= y1[b]) & (y0[b] <= y1[a])
     a, b = order[a[near]], order[b[near]]
     i, j = np.minimum(a, b), np.maximum(a, b)
 
-    # each row's box as x0 y0 -x1 -y1, and how far its partners' rows may reach
-    box = np.vstack([np.minimum(edges[:, :2], edges[:, 2:]).T,
-                     -np.maximum(edges[:, :2], edges[:, 2:]).T])
-    far = 2 * tol - np.minimum.reduceat(box, start, axis=1)[[2, 3, 0, 1]]
     size = count[i] + count[j]
     cuts = np.searchsorted(np.cumsum(size), np.arange(_ROW_BLOCK, size.sum(), _ROW_BLOCK))
-    rook = [np.empty(0, np.int64)]
-    for bi, bj in zip(np.split(i, cuts), np.split(j, cuts)):
+    hit = np.zeros((2, len(i)), dtype=bool)  # a shared vertex, a collinear overlap
+    for bi, bj, found in zip(np.split(i, cuts), np.split(j, cuts), np.split(hit, cuts, axis=1)):
         own, m = np.r_[bi, bj], len(bi)
         side, r = _ranges(start[own], start[own] + count[own])
         other = np.r_[bj, bi][side]
@@ -265,15 +256,16 @@ def _adjacency_keys(units: UnitCollection) -> tuple[np.ndarray, np.ndarray]:
         side, r = side[keep], r[keep]  # i's rows of each pair, then j's
         c = np.bincount(side, minlength=2 * m)
         at, size = np.cumsum(c) - c, c[:m] * c[m:]
-        stop, hit = np.cumsum(size), np.zeros(m, dtype=bool)
+        stop = np.cumsum(size)
         for s in range(0, int(size.sum()), _ROW_BLOCK):
             q, k = _ranges(np.maximum(stop - size, s), np.minimum(stop, s + _ROW_BLOCK))
             k, v = np.divmod(k - (stop - size)[q], c[m + q])  # i's and j's row in the pair
-            ea, eb = np.take(edges, r[at[q] + k], axis=0), np.take(edges, r[at[m + q] + v], axis=0)
-            hit[q[_collinear_overlap(ea, eb, tol)]] = True
-        rook.append(bi[hit] * n + bj[hit])
-    rook = np.concatenate(rook)
-    return np.concatenate([vertex, rook]), rook
+            ra, rb = r[at[q] + k], r[at[m + q] + v]
+            ea, eb = np.take(edges, ra, axis=0), np.take(edges, rb, axis=0)
+            found[0, q[key[ra] == key[rb]]] = True
+            found[1, q[_collinear_overlap(ea, eb, tol)]] = True
+    pair = i * n + j
+    return pair[hit.any(axis=0)], pair[hit[1]]
 
 
 def flag_filtration(vertex_levels: Sequence[int],

@@ -166,8 +166,8 @@ def parse_geojson(text: str | bytes, id_property: str = "id",
     unit's rings fit together, each kind in file order.
     """
     try:
-        doc = json.loads(text.removeprefix(b"\xef\xbb\xbf" if isinstance(text, bytes)
-                                           else "\ufeff"))
+        text = text.decode("utf-8") if isinstance(text, bytes) else text
+        doc = json.loads(text.removeprefix("\ufeff"))
     except (json.JSONDecodeError, UnicodeDecodeError) as e:
         raise IngestError(f"invalid JSON: {e}") from e
     if not isinstance(doc, dict) or doc.get("type") != "FeatureCollection":

@@ -430,14 +430,15 @@ def _collinear_overlap(ea, eb, tol):
 
 
 def adjacency_reference(units, kind="queen"):
-    """detect_adjacency one unit at a time: a dense n x n bounding-box test,
-    a dict of snapped vertices, and each unit's edges against all its
-    candidate partners' edges."""
+    """detect_adjacency one unit at a time: a dense n x n test of the units'
+    boxes over all their rows, a dict of snapped vertices, and each unit's
+    edges against all its candidate partners' edges."""
     if kind not in ("queen", "rook"):
         raise ParameterError(f"unknown adjacency kind {kind!r}")
     tol = units.snap_tolerance()
     edges_of = [unit_rows(units, i) for i in range(len(units))]
-    boxes = units.boxes
+    boxes = np.array([np.r_[e.reshape(-1, 2).min(axis=0), e.reshape(-1, 2).max(axis=0)]
+                      for e in edges_of]).reshape(-1, 4)  # over all rows, holes too
 
     pairs = set()
     if kind == "queen":

@@ -604,3 +604,21 @@ def test_config_key_of_no_option_is_an_error(island_files, capsys, tmp_path, key
     assert code == 2
     assert not out.exists()
     assert err == f"error: config key {named}: no command has an option --{key}\n"
+
+
+@pytest.mark.parametrize("first, second, key", [
+    ("width = 40", "width = 60", "width"),
+    ("max-margin = 0.5", "max_margin = 0.6", "max_margin"),  # one key once normalised
+])
+def test_config_key_set_twice_is_an_error(island_files, capsys, tmp_path, first, second, key):
+    cfg = tmp_path / "run.cfg"
+    cfg.write_text(f"geo = {island_files['precinct_geo']}\n"
+                   f"votes = {island_files['precinct_votes']}\n"
+                   f"{first}\n"
+                   "\n"
+                   f"{second}\n")
+    out = tmp_path / "margin.pgm"
+    code, _, err = run_cli(capsys, "rasterize", "--config", str(cfg), "--out", str(out))
+    assert code == 2
+    assert not out.exists()
+    assert err == f"error: config line 5: {key} is already set on line 3\n"

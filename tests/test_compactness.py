@@ -210,6 +210,14 @@ def test_ttest_too_short():
         paired_t_test([1], [2])
 
 
+@pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+def test_ttest_rejects_values_that_are_not_finite(value):
+    with pytest.raises(ParameterError, match="^paired differences must be finite$"):
+        paired_t_test([value, 1, 2], [0, 0, 0])
+    with pytest.raises(ParameterError, match="^paired differences must be finite$"):
+        paired_t_test([0, 1, 2], [1, value, 0])
+
+
 def test_ttest_swap_negates_t_keeps_p():
     rng = np.random.default_rng(31)
     a = rng.normal(0.3, 1.0, 12).tolist()

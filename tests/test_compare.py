@@ -60,6 +60,10 @@ def test_bottleneck_empty_diagrams():
 def test_bottleneck_rejects_bad_point():
     with pytest.raises(ParameterError):
         bottleneck([(2.0, 1.0)], [])
+    # an essential point is a finite birth with a death of +inf
+    for point in [(0.5, -INF), (math.nan, INF), (INF, INF), (-INF, 0.5), (0.2, math.nan)]:
+        with pytest.raises(ParameterError, match="needs a finite birth and death$"):
+            bottleneck([point], [(0.5, INF)])
 
 
 def test_bottleneck_augmenting_paths_beyond_recursion_limit():
@@ -122,6 +126,9 @@ def test_wasserstein_essentials_add_to_sum():
 def test_wasserstein_rejects_bad_order():
     with pytest.raises(ParameterError):
         wasserstein([(0.0, 1.0)], [], p=0.5)
+    for p in (INF, math.nan):
+        with pytest.raises(ParameterError, match="^norm order must be finite and >= 1"):
+            wasserstein([(0.0, 1.0)], [(0.0, 1.2)], p=p)
 
 
 # === total persistence ===
@@ -146,6 +153,19 @@ def test_total_persistence_requires_cap_for_essentials():
 def test_total_persistence_rejects_small_cap():
     with pytest.raises(ParameterError):
         total_persistence([(0.0, 2.0)], p=1, max_death=1.5)
+    with pytest.raises(ParameterError,
+                       match="^max_death 0.1 is below a death or essential birth 0.2$"):
+        total_persistence([(0.2, INF)], p=1, max_death=0.1)
+
+
+def test_total_persistence_rejects_bad_point_and_order():
+    with pytest.raises(ParameterError, match=r"^diagram point \(0.6, 0.5\) has death <= birth$"):
+        total_persistence([(0.6, 0.5)])
+    with pytest.raises(ParameterError, match="needs a finite birth"):
+        total_persistence([(math.nan, INF)], max_death=1.0)
+    for p in (INF, math.nan, 0.5):
+        with pytest.raises(ParameterError, match="^norm order must be finite and >= 1"):
+            total_persistence([(0.0, 1.0)], p=p)
 
 
 def test_total_persistence_monotone_and_permutable():

@@ -443,6 +443,22 @@ def test_rook_contact_on_a_hole_edge_outside_the_outer_box():
         assert detect_adjacency(units, kind) == adjacency_reference(units, kind) == {("A", "B")}
 
 
+@pytest.mark.parametrize("ring, rook", [
+    ([(5, 1), (8, 1), (8, 3), (5, 3)], {("A", "B")}),  # along the hole's side at x = 5
+    ([(5, 3), (8, 3), (8, 6), (6, 6)], set()),  # at the hole's vertex (5, 3) alone
+], ids=["segment", "vertex"])
+def test_contact_only_where_a_hole_pokes_out_of_its_outer_ring(ring, rook):
+    # A's hole runs out of its outer square 0..4 to x = 5, and B meets only
+    # that part: B's box lies 1 from A's outer box in x, but touches A's box
+    # over all its rows
+    units = unit_map([
+        feature("A", [[(0, 0), (4, 0), (4, 4), (0, 4)], [(2, 1), (2, 3), (5, 3), (5, 1)]]),
+        feature("B", [ring])])
+    assert units.boxes[0].tolist() == [0.0, 0.0, 4.0, 4.0]
+    assert detect_adjacency(units, "queen") == adjacency_reference(units, "queen") == {("A", "B")}
+    assert detect_adjacency(units, "rook") == adjacency_reference(units, "rook") == rook
+
+
 def test_adjacency_matches_reference_across_row_blocks():
     # about 5500 candidate pairs of 4-edge units: two chunks of about
     # complexes._ROW_BLOCK edge rows to prune, with lakes

@@ -482,6 +482,9 @@ def test_text_that_is_not_utf8_is_an_ingest_error():
     geo = collection([square_feature("P01", 0, 0)]).encode().replace(b"P01", b"P\xff1")
     with pytest.raises(IngestError, match="^invalid JSON: .*0xff"):
         parse_geojson(geo)
+    for encoding in ("utf-16", "utf-16-be", "utf-32", "utf-32-le"):  # json.loads would take them
+        with pytest.raises(IngestError, match="^invalid JSON: "):
+            parse_geojson(collection([square_feature("P01", 0, 0)]).encode(encoding))
 
 
 def test_votes_cell_over_the_csv_field_limit_is_an_ingest_error():
