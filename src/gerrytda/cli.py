@@ -319,10 +319,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         _fill_options(args)
         return args.handler(args)
-    except GerryTdaError as exc:
-        sys.stderr.write(f"error: {exc}\n")
-        return 2
-    except OSError as exc:
+    except (GerryTdaError, OSError) as exc:
         sys.stderr.write(f"error: {exc}\n")
         return 2
 

@@ -134,25 +134,18 @@ def _beta_cf(a: float, b: float, x: float) -> float:
     h = d
     for m in range(1, 300):
         m2 = 2 * m
-        aa = m * (b - m) * x / ((qam + m2) * (a + m2))
-        d = 1.0 + aa * d
-        if abs(d) < tiny:
-            d = tiny
-        c = 1.0 + aa / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        h *= d * c
-        aa = -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))
-        d = 1.0 + aa * d
-        if abs(d) < tiny:
-            d = tiny
-        c = 1.0 + aa / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
+        # the even and the odd coefficient of step m, one Lentz update each
+        for aa in (m * (b - m) * x / ((qam + m2) * (a + m2)),
+                   -(a + m) * (qab + m) * x / ((a + m2) * (qap + m2))):
+            d = 1.0 + aa * d
+            if abs(d) < tiny:
+                d = tiny
+            c = 1.0 + aa / c
+            if abs(c) < tiny:
+                c = tiny
+            d = 1.0 / d
+            delta = d * c
+            h *= delta
         if abs(delta - 1.0) < 1e-12:
             return h
     raise ArithmeticError("incomplete beta continued fraction did not converge")
@@ -174,8 +167,10 @@ def regularized_incomplete_beta(a: float, b: float, x: float) -> float:
 
 def t_p_value(t: float, df: int) -> float:
     """Two-tailed p for a t statistic: I_{df/(df+t^2)}(df/2, 1/2)."""
-    if df < 1:
-        raise ParameterError(f"degrees of freedom must be >= 1, got {df}")
+    if math.isnan(t):
+        raise ParameterError(f"t statistic must be a number, got {t}")
+    if not 1 <= df < math.inf:
+        raise ParameterError(f"degrees of freedom must be finite and >= 1, got {df}")
     if t == 0.0:
         return 1.0
     return regularized_incomplete_beta(df / 2.0, 0.5, df / (df + t * t))

@@ -163,8 +163,10 @@ def total_persistence(a: Diagram, p: float = 1.0,
     if births and max_death is None:
         raise ParameterError("diagram has infinite deaths; pass max_death")
     top = max([*pts[:, 1].tolist(), *births], default=-INF)
-    if max_death is not None and top > max_death:
-        raise ParameterError(f"max_death {max_death} is below a death or essential birth {top}")
+    if max_death is not None and not top <= max_death < INF:  # NaN fails it too
+        raise ParameterError(f"max_death must be finite, got {max_death}"
+                             if not math.isfinite(max_death) else
+                             f"max_death {max_death} is below a death or essential birth {top}")
     total = 0.0
     for b, d in a:
         total += ((max_death if math.isinf(d) else d) - b) ** p

@@ -157,9 +157,11 @@ class UnitCollection:
     arrays. The geometry is read-only columns, set at construction: edges,
     every unit's ring edge rows end to end in unit order, outer rings first;
     and per unit, edge_counts, boxes (minx, miny, maxx, maxy over the outer
-    rings) and areas. ring_spans gives each ring's rows. Results that depend
-    on geometry alone go in the memo (see memo), which only with_votes
-    shares. ingest.parse_geojson is the one caller of the constructor.
+    rings) and areas. A hole may leave its outer ring's box, so bounds,
+    rasterize and adjacency read edge rows, not boxes. ring_spans
+    gives each ring's rows. Results that depend on geometry alone go in the
+    memo (see memo), which only with_votes shares. ingest.parse_geojson is
+    the one caller of the constructor.
     """
 
     __slots__ = ("ids", "kinds", "dem", "rep", "edges", "edge_counts", "boxes", "areas",
@@ -196,10 +198,12 @@ class UnitCollection:
         self.edges = edges
         self.edges.flags.writeable = False
         self._rings = (ring_ends, counts.tolist())
+        # over every row, holes too: the scanline may give a unit the part
+        # of a hole that leaves its outer ring
         self.bounds = Bounds(0.0, 0.0, 0.0, 0.0)
-        if len(boxes):
-            self.bounds = Bounds(*boxes[:, :2].min(axis=0).tolist(),
-                                 *boxes[:, 2:].max(axis=0).tolist())
+        if len(edges):
+            x, y = edges[:, 0], edges[:, 1]  # one column at a time reduces fastest
+            self.bounds = Bounds(float(x.min()), float(y.min()), float(x.max()), float(y.max()))
         self._geometry = {}
 
     def __len__(self) -> int:

@@ -114,16 +114,13 @@ def _label(units: UnitCollection, width: int, bounds: Bounds) -> LabelRaster:
     grid = Grid(width, height, Point2(bounds.minx, bounds.miny), s)
     ox, oy = bounds.minx, bounds.miny
 
-    e, count, boxes = units.edges, units.edge_counts, units.boxes
-    unit = np.repeat(np.arange(len(units), dtype=np.int32), count)
-    # each unit scans the rows whose centers lie within its bounds and the grid
-    r0 = np.maximum(0, np.ceil((boxes[:, 1] - oy) / s - 0.5).astype(np.int64))
-    r1 = np.minimum(height - 1, np.floor((boxes[:, 3] - oy) / s - 0.5).astype(np.int64))
+    e = units.edges
+    unit = np.repeat(np.arange(len(units), dtype=np.int32), units.edge_counts)
     # an edge straddles rows lo + 1 .. hi; it tries one more on either side
-    # against rounding, and the straddle test decides
+    # against rounding, within the grid, and the straddle test decides
     lo = np.floor((np.minimum(e[:, 1], e[:, 3]) - oy) / s - 0.5).astype(np.int64)
     hi = np.floor((np.maximum(e[:, 1], e[:, 3]) - oy) / s - 0.5).astype(np.int64)
-    k, row = _ranges(np.maximum(lo, r0[unit]), np.minimum(hi + 1, r1[unit]) + 1)
+    k, row = _ranges(np.maximum(lo, 0), np.minimum(hi + 1, height - 1) + 1)
     py = oy + (row + 0.5) * s
     y1, y2 = e[k, 1], e[k, 3]
     straddle = (y1 >= py) != (y2 >= py)

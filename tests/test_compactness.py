@@ -235,6 +235,16 @@ def test_p_values_match_quadrature_oracle():
                 paired_t_pvalue_quadrature(t, df), abs=1e-8)
 
 
+def test_t_p_value_rejects_what_it_cannot_measure():
+    with pytest.raises(ParameterError, match="^t statistic must be a number, got nan$"):
+        t_p_value(math.nan, 3)
+    for df in (math.nan, math.inf, 0):
+        with pytest.raises(ParameterError, match="^degrees of freedom must be finite and >= 1"):
+            t_p_value(1.0, df)
+    assert t_p_value(math.inf, 3) == 0.0
+    assert t_p_value(-math.inf, 3) == 0.0
+
+
 def test_incomplete_beta_edges():
     assert regularized_incomplete_beta(2.0, 0.5, 0.0) == 0.0
     assert regularized_incomplete_beta(2.0, 0.5, 1.0) == 1.0

@@ -156,6 +156,10 @@ def test_total_persistence_rejects_small_cap():
     with pytest.raises(ParameterError,
                        match="^max_death 0.1 is below a death or essential birth 0.2$"):
         total_persistence([(0.2, INF)], p=1, max_death=0.1)
+    for diagram in ([(0.2, INF), (0.1, 0.3)], [(0.1, 0.3)]):
+        for cap in (math.nan, INF):
+            with pytest.raises(ParameterError, match=f"^max_death must be finite, got {cap}$"):
+                total_persistence(diagram, max_death=cap)
 
 
 def test_total_persistence_rejects_bad_point_and_order():

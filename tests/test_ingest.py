@@ -232,9 +232,9 @@ def parts_of(feat):
 
 def assert_same_units(doc):
     """parse_geojson's columns equal Ring/PolygonSet built feature by feature:
-    their edges, rings, boxes (over the outer rings) and areas, and
-    hole_owners places each hole as PolygonSet does. So do the compactness
-    scores read from those columns, bit for bit."""
+    their edges, rings, boxes (over the outer rings), bounds (over every
+    row) and areas, and hole_owners places each hole as PolygonSet does. So
+    do the compactness scores read from those columns, bit for bit."""
     parsed = parse_geojson(json.dumps(doc))
     assert len(parsed) == len(doc["features"])
     refs = []
@@ -250,7 +250,9 @@ def assert_same_units(doc):
         got = getattr(parsed, name)
         assert got.dtype == ref.dtype and bits(got) == bits(ref), name
         assert not got.flags.writeable
-    assert parsed.bounds == functools.reduce(Bounds.union, [Bounds(*b) for b in boxes])
+    all_rows = [g.edges[:, :2] for g in refs]  # holes too, which may leave the boxes
+    assert parsed.bounds == functools.reduce(
+        Bounds.union, [Bounds(*v.min(axis=0), *v.max(axis=0)) for v in all_rows])
     for (outers, holes), ref in zip(parsed.ring_spans(), refs):
         assert [b - a for a, b in outers] == list(map(len, ref.outers))
         assert [b - a for a, b in holes] == list(map(len, ref.holes))

@@ -118,13 +118,16 @@ def test_rasterize_matches_pointwise_membership():
 
 def overlay_units(cols, rows, rng):
     """Units laid over a cols x rows mosaic: one with a hole, one in two
-    parts, and a triangle followed by a rotated half-size copy about its
-    centroid, so the two overlap."""
+    parts, a triangle followed by a rotated half-size copy about its
+    centroid, so the two overlap, and the holed unit's square again with a
+    hole whose apex leaves it."""
     w, h = cols / 2, rows / 2
     x0, y0 = rng.uniform(0, w), rng.uniform(0, h)
-    holed = [[(x0, y0), (x0 + w, y0), (x0 + w, y0 + h), (x0, y0 + h)],
-             [(x0 + 0.2 * w, y0 + 0.2 * h), (x0 + 0.8 * w, y0 + 0.3 * h),
-              (x0 + 0.4 * w, y0 + 0.8 * h)]]
+    square = [(x0, y0), (x0 + w, y0), (x0 + w, y0 + h), (x0, y0 + h)]
+    holed = [square, [(x0 + 0.2 * w, y0 + 0.2 * h), (x0 + 0.8 * w, y0 + 0.3 * h),
+                      (x0 + 0.4 * w, y0 + 0.8 * h)]]
+    poking = [square, [(x0 + 0.3 * w, y0 + 0.2 * h), (x0 + 0.7 * w, y0 + 0.2 * h),
+                       (x0 + 0.5 * w, y0 + 1.3 * h)]]
     parts = [[rng.uniform((0, 0), (w, 2 * h), (3, 2))],
              [rng.uniform((w, 0), (2 * w, 2 * h), (3, 2))]]
     big = rng.uniform((0, 0), (2 * w, 2 * h), (3, 2))
@@ -133,7 +136,7 @@ def overlay_units(cols, rows, rng):
     rot = np.array([[math.cos(a), -math.sin(a)], [math.sin(a), math.cos(a)]])
     small = c + 0.5 * (big - c) @ rot.T
     return [feature(f"X{i}", *polygons, dem=10, rep=10) for i, polygons in
-            enumerate([[holed], parts, [[big]], [[small]]])]
+            enumerate([[holed], parts, [[big]], [[small]], [poking]])]
 
 
 @settings(max_examples=50, deadline=None)
@@ -146,6 +149,24 @@ def test_rasterize_matches_pointwise_membership_on_mosaics(cols, rows, seed, wid
         units += overlay_units(cols, rows, np.random.default_rng(seed))
     col = unit_map(units)
     ras = rasterize(col, width)
+    for row in range(ras.grid.height):
+        for cc in range(ras.grid.width):
+            c = ras.grid.center(cc, row)
+            want = next((idx for idx in reversed(range(len(col)))
+                         if point_in_unit(col, idx, c)), BACKGROUND)
+            assert ras.labels[row, cc] == want, (row, cc)
+
+
+@pytest.mark.parametrize("others", [[], [[(5, 5), (6, 5), (6, 6), (5, 6)]]],
+                         ids=["alone", "with-square"])
+def test_rasterize_hole_leaving_its_outer_ring_matches_pointwise_membership(others):
+    # A's hole reaches y = 5 above its square's top; the pixels between the
+    # square's top and the hole's go to A by the even-odd rule, so the grid
+    # reaches y = 5 with or without a unit beyond A
+    a = feature("A", [[(0, 0), (4, 0), (4, 4), (0, 4)], [(1, 1), (3, 1), (3, 5), (1, 5)]])
+    col = unit_map([a] + [feature(f"D{i}", [ring]) for i, ring in enumerate(others)])
+    ras = rasterize(col, 12)
+    assert ras.grid.origin.y + ras.grid.height * ras.grid.pixel_size >= 5
     for row in range(ras.grid.height):
         for cc in range(ras.grid.width):
             c = ras.grid.center(cc, row)
