@@ -13,14 +13,15 @@ A parsed map keeps every ring's vertices end to end in one (V, 2) table
 with ring offsets (the GeoArrow ragged layout). ring_table measures it in
 one pass, giving the (V, 4) edge table (one x1 y1 x2 y2 row per ring edge)
 and every signed area. hole_owners places a unit's holes in its outer
-rings from those edge rows, for ingest's hole check and to_geojson.
+rings from those edge rows by the same membership rule, for ingest's hole
+check and to_geojson.
 
 A UnitCollection is a map in columns: the edge table, each unit's edge
-count, box and area, and votes as two read-only int64 arrays (counts at
-most MAX_VOTES). ingest.parse_geojson is the one way to build one. A memo
-keeps what depends on geometry alone (adjacency, label rasters);
-with_votes swaps the vote arrays, given as one (n, 2) integer array, and
-shares the rest, memo included.
+count and area, and votes as two read-only int64 arrays (counts at most
+MAX_VOTES). ingest.parse_geojson is the one way to build one. A memo keeps
+what depends on geometry alone (adjacency, label rasters); with_votes
+swaps the vote arrays, given as one (n, 2) integer array, and shares the
+rest, memo included.
 """
 
 from __future__ import annotations
@@ -78,12 +79,6 @@ class Bounds:
         )
 
 
-def _cross_about(rows: np.ndarray, origin: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Edge rows less origin (one (x, y), or one per row), and each one's x1 y2 - x2 y1."""
-    d = rows - np.tile(origin, 2)
-    return d, d[:, 0] * d[:, 3] - d[:, 2] * d[:, 1]
-
-
 def ring_table(vertices: np.ndarray, offsets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Edge table and signed areas of rings stored end to end.
 
@@ -96,8 +91,8 @@ def ring_table(vertices: np.ndarray, offsets: np.ndarray) -> tuple[np.ndarray, n
     nxt[offsets[1:] - 1] = offsets[:-1]
     edges = np.hstack([vertices, vertices[nxt]])
     edges.setflags(write=False)
-    first = vertices[np.repeat(offsets[:-1], np.diff(offsets))]
-    areas = 0.5 * np.add.reduceat(_cross_about(edges, first)[1], offsets[:-1])
+    d = edges - np.tile(vertices[np.repeat(offsets[:-1], np.diff(offsets))], 2)
+    areas = 0.5 * np.add.reduceat(d[:, 0] * d[:, 3] - d[:, 2] * d[:, 1], offsets[:-1])
     return edges, areas
 
 
@@ -122,22 +117,27 @@ def hole_owners(edges: np.ndarray, outers: Sequence[tuple[int, int]],
 
     outers and holes are (start, stop) ranges of edges rows, as ring_spans
     gives a unit's rings. A hole goes to the first outer ring whose crossing
-    parity holds the hole's centroid. GeometryError if there is no outer
-    ring, or a hole has zero area about its first vertex or lies in none.
+    parity holds one point inside the hole: the middle of the hole's first
+    span on a scanline between its two lowest vertex y values, the spans
+    that raster._label fills. GeometryError if there is no outer ring, or a
+    hole has zero area (as ring_table measures it) or lies in none.
     """
     if not outers:
         raise GeometryError("polygon set needs at least one outer ring")
     owners = []
     for a, b in holes:
-        d, cross = _cross_about(edges[a:b], edges[a, :2])
-        area = 0.5 * float(np.add.reduceat(cross, [0])[0])  # ring_table's area
-        if area == 0.0:
+        if ring_table(edges[a:b, :2], np.array([0, b - a]))[1][0] == 0.0:
             raise GeometryError("degenerate ring: zero area")
-        x0, y0 = edges[a, :2].tolist()
-        c = Point2(x0 + float(np.sum((d[:, 0] + d[:, 2]) * cross)) / (6.0 * area),
-                   y0 + float(np.sum((d[:, 1] + d[:, 3]) * cross)) / (6.0 * area))
+        x1, y1, x2, y2 = edges[a:b].T
+        lo, hi = np.unique(y1)[:2]  # a ring of nonzero area has two y values
+        # above lo even with no float between lo and hi: at py = hi the
+        # (min, max] rule cuts the same edges as a line between them
+        py = max(0.5 * (lo + hi), np.nextafter(lo, hi))
+        cut = (y1 >= py) != (y2 >= py)
+        xs = np.sort(x1[cut] + (py - y1[cut]) * (x2[cut] - x1[cut]) / (y2[cut] - y1[cut]))
+        px = 0.5 * (xs[0] + xs[1])
         for k, (s, t) in enumerate(outers):
-            if _crossing_parity(c.x, c.y, edges[s:t]):
+            if _crossing_parity(px, py, edges[s:t]):
                 owners.append(k)
                 break
         else:
@@ -156,16 +156,14 @@ class UnitCollection:
     ids and kinds are tuples in unit order; dem and rep are read-only int64
     arrays. The geometry is read-only columns, set at construction: edges,
     every unit's ring edge rows end to end in unit order, outer rings first;
-    and per unit, edge_counts, boxes (minx, miny, maxx, maxy over the outer
-    rings) and areas. A hole may leave its outer ring's box, so bounds,
-    rasterize and adjacency read edge rows, not boxes. ring_spans
-    gives each ring's rows. Results that depend on geometry alone go in the
-    memo (see memo), which only with_votes shares. ingest.parse_geojson is
-    the one caller of the constructor.
+    and per unit, edge_counts and areas. ring_spans gives each ring's rows.
+    Results that depend on geometry alone go in the memo (see memo), which
+    only with_votes shares. ingest.parse_geojson is the one caller of the
+    constructor.
     """
 
-    __slots__ = ("ids", "kinds", "dem", "rep", "edges", "edge_counts", "boxes", "areas",
-                 "bounds", "_rings", "_index", "_geometry")
+    __slots__ = ("ids", "kinds", "dem", "rep", "edges", "edge_counts", "areas", "bounds",
+                 "_rings", "_index", "_geometry")
 
     def __init__(self, ids, kinds, dem, rep, edges, ring_ends, ring_counts, ring_areas):
         """Units over ring_table's edges and signed areas.
@@ -181,20 +179,13 @@ class UnitCollection:
         self._index = {uid: i for i, uid in enumerate(self.ids)}
         counts = np.array(ring_counts, dtype=np.int64).reshape(-1, 2)
         first = np.concatenate(([0], np.cumsum(counts.sum(axis=1))))  # each unit's first ring
-        start = ring_ends[first[:-1]]
-        stop = ring_ends[first[:-1] + counts[:, 0]]  # the end of the unit's outer rings
-        # min and max over each unit's outer rows start:stop, then over its
-        # holes; one more row lets stop reach len(edges)
-        v = np.vstack([edges[:, :2], np.zeros((1, 2))])
-        at = np.column_stack([start, stop]).ravel()
-        boxes = np.hstack([np.minimum.reduceat(v, at)[::2], np.maximum.reduceat(v, at)[::2]])
         # outer rings less holes, in ring order; a unit without rings is an
         # empty segment, which reduceat would read as the next unit's first ring
         signed = np.repeat(np.tile([1.0, -1.0], len(counts)), counts.ravel()) * np.abs(ring_areas)
         areas, rings = np.zeros(len(counts)), counts.any(axis=1)
         areas[rings] = np.add.reduceat(signed, first[:-1][rings])
-        self.edge_counts, = _read_only(ring_ends[first[1:]] - start)
-        self.boxes, self.areas = _read_only(boxes, areas, dtype=np.float64)
+        self.edge_counts, = _read_only(np.diff(ring_ends[first]))
+        self.areas, = _read_only(areas, dtype=np.float64)
         self.edges = edges
         self.edges.flags.writeable = False
         self._rings = (ring_ends, counts.tolist())

@@ -42,10 +42,6 @@ class Grid:
         if not (self.pixel_size > 0 and math.isfinite(self.pixel_size)):
             raise ParameterError("pixel size must be positive and finite")
 
-    def center(self, col: int, row: int) -> Point2:
-        return Point2(self.origin.x + (col + 0.5) * self.pixel_size,
-                      self.origin.y + (row + 0.5) * self.pixel_size)
-
 
 class MarginMode(Enum):
     RELATIVE = "relative"
@@ -148,10 +144,13 @@ def margin_field(raster: LabelRaster, units: UnitCollection,
     that claims a pixel and has none is an error); density mode divides it
     by unit area and then normalizes every margin by the maximum absolute
     value over units that claim pixels. Margins stay in [-1, 1] either way.
-    ParameterError when the raster labels other units than these.
+    mode may be given by its value. ParameterError for an unknown mode, or
+    when the raster labels other units than these.
     """
-    if isinstance(mode, str):
+    try:
         mode = MarginMode(mode)
+    except ValueError:
+        raise ParameterError(f"unknown margin mode {mode!r}") from None
     if raster.unit_ids != units.ids:
         raise ParameterError("the raster labels other units than the ones given")
     present = np.flatnonzero(raster.pixel_counts())

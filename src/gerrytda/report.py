@@ -36,7 +36,7 @@ from .errors import DegenerateSampleError, GerryTdaError, ParameterError, Pipeli
 from .geometry import UnitCollection, UnitKind
 from .ingest import JoinReport, join_units, parse_geojson, parse_votes_csv
 from .persistence import Barcode, levelset_barcode
-from .raster import MarginField, MarginMode, margin_field, rasterize
+from .raster import MarginField, margin_field, rasterize
 
 
 @dataclass(frozen=True)
@@ -108,11 +108,10 @@ def run_year(config: AnalysisConfig, maps: dict | None = None) -> YearResult:
 
     with _stage("raster"):
         bounds = precincts.bounds.union(districts.bounds)
-        mode = MarginMode(config.mode)
         p_field = margin_field(rasterize(precincts, config.width, bounds),
-                               precincts, mode)
+                               precincts, config.mode)
         d_field = margin_field(rasterize(districts, config.width, bounds),
-                               districts, mode)
+                               districts, config.mode)
 
     with _stage("complex"):
         schedule = uniform_schedule(config.levels, config.max_margin)

@@ -17,17 +17,19 @@ held to bit for bit; it shares only the enclosing-circle solver, held to
 brute_min_enclosing_circle, and finds the circle about the unit's first
 vertex by the library's rule. point_in_unit is the former point_in_polygon,
 the even-odd rule over one unit's edge rows, which the scanline fill of
-raster.rasterize is held to pixel for pixel.
+raster.rasterize is held to pixel for pixel at pixel_center, the former
+Grid.center.
 
 These moved here from the library unchanged, as the references that its
 routes are held to:
 
 * Ring and PolygonSet, the former per-unit polygon objects: parse_geojson's
-  edge, box and area columns are held to them bit for bit, and
-  geometry.hole_owners to PolygonSet's hole placement (test_ingest's
-  assert_same_units). Their areas follow the library's one rule, written
-  again ring by ring: each ring's cross products about its first vertex,
-  and a unit's outer rings less its holes, each summed by np.add.reduceat
+  edge and area columns are held to them bit for bit, and
+  geometry.hole_owners to PolygonSet's hole placement, by centroid, on
+  holes that hold their centroid (test_ingest's assert_same_units). Their
+  areas follow the library's one rule, written again ring by ring: each
+  ring's cross products about its first vertex, and a unit's outer rings
+  less its holes, each summed by np.add.reduceat
   (np.sum adds in another order, and can differ in the last bit).
 * build_levelset_filtration, the cubical level-set complex of a field, with
   field_from_array to wrap a raw array as a field: persistence.levelset_barcode
@@ -97,6 +99,12 @@ def point_in_unit(units, i, point):
     """Even-odd membership of a Point2 over all of unit i's rings (holes
     toggle a point back out)."""
     return bool(_crossing_parity(point.x, point.y, unit_rows(units, i)))
+
+
+def pixel_center(grid, col, row):
+    """The center of a raster.Grid's pixel (col, row), row 0 at the bottom, as a Point2."""
+    return Point2(grid.origin.x + (col + 0.5) * grid.pixel_size,
+                  grid.origin.y + (row + 0.5) * grid.pixel_size)
 
 
 # === the library's former polygon objects ===

@@ -14,10 +14,11 @@ import pytest
 
 from gerrytda.compactness import score_units
 from gerrytda.errors import GeometryError, IngestError
-from gerrytda.geometry import Bounds, Point2, UnitKind, ring_table
+from gerrytda.geometry import Bounds, Point2, UnitKind, hole_owners, ring_table
 from gerrytda.ingest import parse_geojson, to_geojson
+from gerrytda.raster import BACKGROUND, rasterize
 from gerrytda.synth import grid_mosaic
-from oracles import feature, point_in_unit, unit_map
+from oracles import feature, pixel_center, point_in_unit, unit_map
 
 UNIT_SQUARE = [(0, 0), (1, 0), (1, 1), (0, 1)]
 
@@ -237,6 +238,56 @@ def test_small_hole_far_from_origin_finds_its_outer_ring():
     assert parts[1][1][:4] == [list(p) for p in square(lo, lo, hi, hi)]
 
 
+# === hole placement ===
+
+# a C open to the right, area 72, holding a C-shaped hole of area 22 whose
+# centroid (89/22, 5) lies in the outer C's opening, outside both rings
+C_OUTER = [(0, 0), (10, 0), (10, 3), (3, 3), (3, 7), (10, 7), (10, 10), (0, 10)]
+C_HOLE = [(1, 1), (9, 1), (9, 2), (2, 2), (2, 8), (9, 8), (9, 9), (1, 9)]
+ISLAND = square(4, 4, 6, 6)  # in the opening, round the hole's centroid
+
+
+def test_non_convex_hole_outside_its_centroid_is_placed():
+    assert area(C_OUTER, holes=[C_HOLE]) == 50.0
+
+
+@pytest.mark.parametrize("island", [False, True], ids=["alone", "with-island"])
+def test_non_convex_hole_rasterizes_by_pointwise_membership(island):
+    units = unit(C_OUTER, *[ISLAND] * island, holes=[C_HOLE])
+    ras = rasterize(units, 23)
+    for row in range(ras.grid.height):
+        for cc in range(ras.grid.width):
+            want = 0 if inside(pixel_center(ras.grid, cc, row), units) else BACKGROUND
+            assert ras.labels[row, cc] == want, (row, cc)
+    assert (ras.labels == 0).any() and (ras.labels == BACKGROUND).any()
+
+
+def test_non_convex_hole_stays_with_its_outer_ring_beside_an_island():
+    # the hole's centroid lies in the island, but the hole is in the C
+    units = unit(C_OUTER, ISLAND, holes=[C_HOLE])
+    text = json.dumps(to_geojson(units))
+    parts = json.loads(text)["features"][0]["geometry"]["coordinates"]
+    assert [len(rings) for rings in parts] == [2, 1]
+    assert parts[0][1][:-1] == [list(p) for p in C_HOLE]
+    assert json.dumps(to_geojson(parse_geojson(text))) == text
+
+
+def test_hole_on_a_one_ulp_step_is_placed():
+    # no float lies between the hole's two lowest y values
+    step = math.nextafter(1.0, 2.0)
+    units = unit(square(0, 0, 4, 4), holes=[[(1, 1), (3, step), (2, 3)]])
+    spans = next(units.ring_spans())
+    assert hole_owners(units.edges, *spans) == [0]
+
+
+def test_hole_owners_rejects_a_zero_area_hole():
+    # ingest refuses the ring before placing it; a direct call still does
+    rings = UNIT_SQUARE + [(0.2, 0.2), (0.4, 0.4), (0.6, 0.6)]
+    edges, _ = ring_table(np.array(rings, dtype=np.float64), np.array([0, 4, 7]))
+    with pytest.raises(GeometryError, match="^degenerate ring: zero area$"):
+        hole_owners(edges, [(0, 4)], [(4, 7)])
+
+
 def test_collection_bounds_enclose_everything():
     col = unit_map([feature("A", [square(0, 0, 1, 1)], dem=1, rep=1),
                     feature("B", [square(5, -2, 6, 4)], dem=1, rep=1)])
@@ -253,7 +304,7 @@ def test_with_votes_matches_a_fresh_collection():
                      for (uid, x, y), (d, r) in zip(places, counts.tolist()))
     for name in ("ids", "kinds"):
         assert getattr(got, name) == getattr(fresh, name)
-    for name in ("dem", "rep", "edges", "edge_counts", "boxes", "areas"):
+    for name in ("dem", "rep", "edges", "edge_counts", "areas"):
         assert getattr(got, name).tobytes() == getattr(fresh, name).tobytes()
     assert list(got.ring_spans()) == list(fresh.ring_spans())
     assert got.bounds == fresh.bounds == Bounds(-4.0, -1.0, 4.0, 7.0)
@@ -270,7 +321,7 @@ def test_with_votes_swaps_only_the_vote_arrays():
     col = unit_map(feats)
     got = col.with_votes(np.array([[7, 2], [0, 0], [3, 9]]))
     assert got.ids is col.ids and got.bounds is col.bounds
-    for name in ("edges", "edge_counts", "boxes", "areas"):
+    for name in ("edges", "edge_counts", "areas"):
         assert getattr(got, name) is getattr(col, name)
     assert got.dem.tolist() == [7, 0, 3] and got.rep.tolist() == [2, 0, 9]
     assert col.dem.tolist() == col.rep.tolist() == [1, 1, 1]

@@ -232,25 +232,23 @@ def parts_of(feat):
 
 def assert_same_units(doc):
     """parse_geojson's columns equal Ring/PolygonSet built feature by feature:
-    their edges, rings, boxes (over the outer rings), bounds (over every
-    row) and areas, and hole_owners places each hole as PolygonSet does. So
-    do the compactness scores read from those columns, bit for bit."""
+    their edges, rings, bounds (over every row) and areas, and hole_owners
+    places each hole as PolygonSet does. So do the compactness scores read
+    from those columns, bit for bit."""
     parsed = parse_geojson(json.dumps(doc))
     assert len(parsed) == len(doc["features"])
     refs = []
     for parts in map(parts_of, doc["features"]):
         refs.append(PolygonSet([Ring(p[0]) for p in parts],
                                [Ring(h) for p in parts for h in p[1:]]))
-    outer_rows = [g.edges[:sum(map(len, g.outers)), :2] for g in refs]
-    boxes = [[*v.min(axis=0), *v.max(axis=0)] for v in outer_rows]
     expected = {"edges": np.concatenate([g.edges for g in refs]),
                 "edge_counts": np.array([len(g.edges) for g in refs]),
-                "boxes": np.array(boxes), "areas": np.array([g.area for g in refs])}
+                "areas": np.array([g.area for g in refs])}
     for name, ref in expected.items():
         got = getattr(parsed, name)
         assert got.dtype == ref.dtype and bits(got) == bits(ref), name
         assert not got.flags.writeable
-    all_rows = [g.edges[:, :2] for g in refs]  # holes too, which may leave the boxes
+    all_rows = [g.edges[:, :2] for g in refs]  # holes too, which may leave their outer rings
     assert parsed.bounds == functools.reduce(
         Bounds.union, [Bounds(*v.min(axis=0), *v.max(axis=0)) for v in all_rows])
     for (outers, holes), ref in zip(parsed.ring_spans(), refs):
@@ -341,7 +339,7 @@ def test_joins_of_one_map_share_its_geometries():
     geo = parse_geojson(json.dumps(grid_mosaic(5, 3, seed=0)))
     first, _ = join_units(geo, votes((geo.ids[0], 1, 2)))
     second, _ = join_units(geo, votes((geo.ids[1], 3, 4)))
-    for name in ("edges", "edge_counts", "boxes", "areas"):
+    for name in ("edges", "edge_counts", "areas"):
         assert getattr(first, name) is getattr(second, name) is getattr(geo, name)
     assert first.memo("key", lambda: "built") == second.memo("key", lambda: "again") == "built"
 
@@ -368,7 +366,7 @@ def test_geojson_round_trip(doc):
     assert back.ids == col.ids
     assert (back.dem.tolist(), back.rep.tolist(), back.kinds) == \
         (col.dem.tolist(), col.rep.tolist(), col.kinds)
-    for name in ("edges", "edge_counts", "boxes", "areas"):
+    for name in ("edges", "edge_counts", "areas"):
         assert bits(getattr(back, name)) == bits(getattr(col, name)), name
 
 

@@ -21,7 +21,7 @@ from gerrytda.raster import (
 )
 from gerrytda.synth import grid_mosaic
 
-from oracles import feature, point_in_unit, unit_map, unit_margin
+from oracles import feature, pixel_center, point_in_unit, unit_map, unit_margin
 
 
 def rect_unit(uid, x0, y0, x1, y1, dem=10, rep=10):
@@ -110,7 +110,7 @@ def test_rasterize_matches_pointwise_membership():
         ras = rasterize(col, width=16)
         for row in range(ras.grid.height):
             for cc in range(ras.grid.width):
-                c = ras.grid.center(cc, row)
+                c = pixel_center(ras.grid, cc, row)
                 want = next((idx for idx in range(len(col)) if point_in_unit(col, idx, c)),
                             BACKGROUND)
                 assert ras.labels[row, cc] == want
@@ -151,7 +151,7 @@ def test_rasterize_matches_pointwise_membership_on_mosaics(cols, rows, seed, wid
     ras = rasterize(col, width)
     for row in range(ras.grid.height):
         for cc in range(ras.grid.width):
-            c = ras.grid.center(cc, row)
+            c = pixel_center(ras.grid, cc, row)
             want = next((idx for idx in reversed(range(len(col)))
                          if point_in_unit(col, idx, c)), BACKGROUND)
             assert ras.labels[row, cc] == want, (row, cc)
@@ -169,7 +169,7 @@ def test_rasterize_hole_leaving_its_outer_ring_matches_pointwise_membership(othe
     assert ras.grid.origin.y + ras.grid.height * ras.grid.pixel_size >= 5
     for row in range(ras.grid.height):
         for cc in range(ras.grid.width):
-            c = ras.grid.center(cc, row)
+            c = pixel_center(ras.grid, cc, row)
             want = next((idx for idx in reversed(range(len(col)))
                          if point_in_unit(col, idx, c)), BACKGROUND)
             assert ras.labels[row, cc] == want, (row, cc)
@@ -258,6 +258,17 @@ def test_margin_field_zero_total_unit_named():
     ras = rasterize(units, width=8)
     with pytest.raises(MarginError, match="unit bad"):
         margin_field(ras, units, MarginMode.RELATIVE)
+
+
+def test_margin_field_takes_a_mode_by_its_value():
+    units = unit_map([rect_unit("A", 0, 0, 1, 1, dem=3, rep=1)])
+    ras = rasterize(units, width=8)
+    assert margin_field(ras, units, "density").mode is MarginMode.DENSITY
+    with pytest.raises(ParameterError, match="^unknown margin mode 'foo'$"):
+        margin_field(ras, units, "foo")
+    # anything else was read as density mode, left unnormalized: margin 2.0
+    with pytest.raises(ParameterError, match="^unknown margin mode None$"):
+        margin_field(ras, units, None)
 
 
 def test_margin_field_of_another_map_is_an_error():

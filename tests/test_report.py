@@ -96,6 +96,11 @@ def test_run_year_stage_tagged_errors(island_files, tmp_path):
         run_year(cfg2)
 
 
+def test_run_year_unknown_mode_is_a_raster_error(island_files):
+    with pytest.raises(PipelineError, match="^raster: unknown margin mode 'foo'$"):
+        run_year(island_config(island_files, "packed", mode="foo"))
+
+
 def test_run_year_all_democratic_map_has_empty_barcodes(island_files, tmp_path):
     # every unit's margin is +1.0, at the top threshold, so no pixel ever
     # activates and neither layer has a bar
