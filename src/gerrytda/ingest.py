@@ -9,19 +9,19 @@ UTF-8 byte order mark; a negative vote count, or one above 2**52, is an error.
 
 parse_geojson reads every ring of a file, a unit's outer rings first, into
 one flat (V, 2) vertex table with ring offsets (the GeoArrow ragged layout),
-checks it in whole-array operations, and measures it once with
-geometry.ring_table. The collection keeps those tables. Only a unit with
-holes, or with no ring, is checked further: geometry.hole_owners places its
-holes from its edge rows, as to_geojson places them. Unit ids are stripped
-of surrounding whitespace in both readers, so a map and a votes file join on
-the same ids. Bytes that are not UTF-8, and any other malformed input, raise
-IngestError.
+and checks and measures it in whole-array operations and one
+geometry.ring_table call. If a check fails, the same code runs on each ring
+alone, in file order, to name the fault. The collection keeps those tables.
+Only a unit with holes, or with no ring, is checked further:
+geometry.hole_owners places its holes from its edge rows, as to_geojson
+places them. Unit ids are stripped of surrounding whitespace in both
+readers, so a map and a votes file join on the same ids. Bytes that are not
+UTF-8, and any other malformed input, raise IngestError.
 
 Votes take one form, a VoteTable: ids and two read-only count arrays of
-one length. parse_votes_csv fills one from the csv rows a column at a time,
-with whole-array checks; only when a check fails does a row loop run, to
-name the first fault. join_units scatters a VoteTable into the map's unit
-order.
+one length. parse_votes_csv fills one in a single loop over the csv rows,
+which checks each row as it reads it and raises at the first fault.
+join_units scatters a VoteTable into the map's unit order.
 """
 
 from __future__ import annotations
@@ -89,57 +89,39 @@ def _count(value, key: str, feature_idx: int) -> int:
 
 
 def _ring_fault(feature_parts: list) -> NoReturn:
-    """Raise the first ring fault in file order, found by checking each ring alone.
+    """Raise the first ring fault in file order, found by measuring each ring alone.
 
     feature_parts holds each feature's polygons, each a list of rings. The
-    whole-table checks only tell that some ring is bad; _check_ring names
-    the fault.
+    table of every ring only tells that some ring is bad; _vertex_table on
+    one ring names the fault.
     """
     for i, parts in enumerate(feature_parts):
-        for coords in (ring for part in parts for ring in part):
+        for ring in (ring for part in parts for ring in part):
             try:
-                _check_ring(coords)
+                _vertex_table([ring])
             except GeometryError as e:
                 raise IngestError(f"feature {i}: {e}") from e
-            except (TypeError, ValueError, OverflowError) as e:
-                raise IngestError(f"feature {i}: malformed polygon coordinates") from e
-    raise AssertionError("the whole-table ring checks disagree with _check_ring")
+    raise AssertionError("a ring table fault that no ring has alone")
 
 
-def _check_ring(coords) -> None:
-    """GeometryError for a ring that the whole-table checks reject.
-
-    The same steps on one ring: a closing vertex equal to the first is
-    dropped, and the area is ring_table's (about the ring's first vertex).
-    """
-    v = np.asarray(coords, dtype=np.float64)
-    if v.ndim != 2 or v.shape[1] != 2:
-        raise GeometryError("ring coordinates must be an (n, 2) sequence")
-    if len(v) >= 2 and (v[0] == v[-1]).all():
-        v = v[:-1]
-    if len(v) < 3:
-        raise GeometryError(f"degenerate ring: {len(v)} vertices")
-    if not np.isfinite(v).all():
-        raise GeometryError("non-finite ring coordinate")
-    if ring_table(v, np.array([0, len(v)]))[1][0] == 0.0:
-        raise GeometryError("degenerate ring: zero area")
-
-
-def _vertex_table(rings: list, feature_parts: list) -> tuple[np.ndarray, np.ndarray]:
-    """Every ring's vertices end to end in one (V, 2) table, and ring offsets.
+def _vertex_table(rings: list) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every ring's vertices end to end, measured by ring_table: edges, areas, offsets.
 
     Ring r is rows offsets[r]:offsets[r + 1]. A closing vertex equal to the
-    first is dropped; a ring with fewer than 3 vertices left or a non-finite
-    one raises.
+    first is dropped. GeometryError if some ring is not a sequence of (x, y)
+    numbers, or has fewer than 3 vertices left, a non-finite one or zero
+    area; called on one ring, it names that ring's fault.
     """
     try:
         counts = np.array([len(c) for c in rings], dtype=np.int64)
+    except TypeError as e:
+        raise GeometryError("ring coordinates must be an (n, 2) sequence") from e
+    try:
         raw = np.array([p for c in rings for p in c], dtype=np.float64)
-        ok = not rings or (raw.ndim == 2 and raw.shape[1] == 2 and counts.all())
-    except (TypeError, ValueError, OverflowError):
-        ok = False
-    if not ok:
-        _ring_fault(feature_parts)
+    except (TypeError, ValueError, OverflowError) as e:
+        raise GeometryError("malformed polygon coordinates") from e
+    if rings and (raw.ndim != 2 or raw.shape[1] != 2 or not counts.all()):
+        raise GeometryError("ring coordinates must be an (n, 2) sequence")
     raw = raw.reshape(-1, 2)
     ends = np.cumsum(counts)
     closed = (counts >= 2) & (raw[ends - counts] == raw[ends - 1]).all(axis=1)
@@ -147,9 +129,15 @@ def _vertex_table(rings: list, feature_parts: list) -> tuple[np.ndarray, np.ndar
     keep[ends[closed] - 1] = False
     vertices = raw[keep]
     sizes = counts - closed
-    if (sizes < 3).any() or not np.isfinite(vertices).all():
-        _ring_fault(feature_parts)
-    return vertices, np.concatenate(([0], np.cumsum(sizes)))
+    if (sizes < 3).any():
+        raise GeometryError(f"degenerate ring: {sizes.min()} vertices")
+    if not np.isfinite(vertices).all():
+        raise GeometryError("non-finite ring coordinate")
+    offsets = np.concatenate(([0], np.cumsum(sizes)))
+    edges, areas = ring_table(vertices, offsets)
+    if not areas.all():
+        raise GeometryError("degenerate ring: zero area")
+    return edges, areas, offsets
 
 
 def parse_geojson(text: str | bytes, id_property: str = "id",
@@ -225,9 +213,9 @@ def parse_geojson(text: str | bytes, id_property: str = "id",
                 raise IngestError(f"feature {i}: unknown kind {props['kind']!r}") from None
         kinds.append(ukind)
 
-    vertices, offsets = _vertex_table(rings, feature_parts)
-    edges, areas = ring_table(vertices, offsets)
-    if not areas.all():
+    try:
+        edges, areas, offsets = _vertex_table(rings)
+    except GeometryError:
         _ring_fault(feature_parts)
     units = UnitCollection(ids, kinds, votes[0::2], votes[1::2], edges, offsets,
                            ring_counts, areas)
@@ -280,7 +268,11 @@ def to_geojson(units: UnitCollection, id_property: str = "id") -> dict:
 
 
 def parse_votes_csv(text: str | bytes) -> VoteTable:
-    """Parse the votes CSV; row numbers in errors count the header as row 1."""
+    """Parse the votes CSV, checking each row as it is read.
+
+    Blank rows are skipped, and every cell is stripped. The first fault
+    raises IngestError; row numbers count the header as row 1.
+    """
     try:
         if isinstance(text, bytes):
             text = text.decode("utf-8")
@@ -289,62 +281,22 @@ def parse_votes_csv(text: str | bytes) -> VoteTable:
         raise IngestError(f"unreadable votes file: {e}") from e
     if not rows:
         raise IngestError("missing header: empty votes file")
-    header = [c.strip() for c in rows[0]]
-    if header != _CSV_HEADER:
+    if [c.strip() for c in rows[0]] != _CSV_HEADER:
         raise IngestError(f"missing or malformed header: expected {','.join(_CSV_HEADER)}")
-    table = _vote_columns(rows[1:])
-    if table is None:  # blank rows to skip, or a fault
-        table = _vote_columns([row for row in rows[1:] if any(map(str.strip, row))])
-    if table is None:
-        _vote_fault(rows)
-    return table
-
-
-def _vote_columns(body: list[list[str]]) -> VoteTable | None:
-    """The table of rows read a column at a time, or None if a row is blank or faulty.
-
-    A blank row has no cells or an empty first cell once stripped, so a body
-    that passes has none. Every cell is stripped before int(), which strips
-    less than str.strip.
-    """
-    if not body:
-        return VoteTable((), (), ())
-    if set(map(len, body)) != {3}:
-        return None
-    uid, dem, rep = zip(*body)
-    ids = dict.fromkeys(map(str.strip, uid))
-    if len(ids) != len(body) or "" in ids:
-        return None
-    try:
-        counts = np.array([list(map(int, map(str.strip, dem))),
-                           list(map(int, map(str.strip, rep)))], dtype=np.int64)
-    except (ValueError, OverflowError):  # not an integer, or not an int64
-        return None
-    if (counts < 0).any() or (counts > MAX_VOTES).any():
-        return None
-    return VoteTable(ids, counts[0], counts[1])
-
-
-def _vote_fault(rows: list[list[str]]) -> NoReturn:
-    """Raise the first fault of the votes rows after the header, read row by row.
-
-    Row numbers count the header as row 1, and blank rows are skipped. The
-    column passes only tell that some row is bad; this loop names it.
-    """
-    ids: set[str] = set()
+    ids: dict[str, None] = {}
+    counts: list[int] = []  # dem, rep, dem, rep, ...
     for lineno, row in enumerate(rows[1:], start=2):
-        if not any(map(str.strip, row)):
-            continue
-        if len(row) != 3:
-            raise IngestError(f"row {lineno}: expected 3 fields, got {len(row)}")
-        uid = row[0].strip()
-        if not uid:
+        if len(row) != 3 or not (uid := row[0].strip()):
+            if not any(map(str.strip, row)):
+                continue
+            if len(row) != 3:
+                raise IngestError(f"row {lineno}: expected 3 fields, got {len(row)}")
             raise IngestError(f"row {lineno}: empty unit_id")
         if uid in ids:
             raise IngestError(f"row {lineno}: duplicate unit_id {uid}")
-        ids.add(uid)
+        ids[uid] = None
         for cell in row[1:]:
-            s = cell.strip()
+            s = cell.strip()  # int() strips less than str.strip
             try:
                 v = int(s)
             except ValueError:
@@ -353,7 +305,8 @@ def _vote_fault(rows: list[list[str]]) -> NoReturn:
                 raise IngestError(f"row {lineno}: negative count")
             if v > MAX_VOTES:
                 raise IngestError(f"row {lineno}: count above 2**52")
-    raise AssertionError("the column checks disagree with the row loop")
+            counts.append(v)
+    return VoteTable(ids, counts[0::2], counts[1::2])
 
 
 def join_units(geo: UnitCollection, votes: VoteTable) -> tuple[UnitCollection, JoinReport]:

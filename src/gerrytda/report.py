@@ -100,6 +100,9 @@ def run_year(config: AnalysisConfig, maps: dict | None = None) -> YearResult:
     maps, if given, holds parsed maps keyed by (geo path, kind); this call
     reads and adds to it. run_years shares one among its years.
     """
+    with _stage("complex"):  # before any input is read, so bad levels fail first
+        schedule = uniform_schedule(config.levels, config.max_margin)
+
     with _stage("ingest"):
         precincts, p_join = _load_layer(config.precinct_geo, config.precinct_votes,
                                         UnitKind.PRECINCT, maps)
@@ -114,7 +117,6 @@ def run_year(config: AnalysisConfig, maps: dict | None = None) -> YearResult:
                                districts, config.mode)
 
     with _stage("complex"):
-        schedule = uniform_schedule(config.levels, config.max_margin)
         p_barcode = levelset_barcode(p_field, schedule, config.polarity)
         d_barcode = levelset_barcode(d_field, schedule, config.polarity)
 

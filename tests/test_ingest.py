@@ -171,6 +171,9 @@ GEOMETRY_FAULTS = {
                      "hole lies outside every outer ring"),
     "zero_area_hole_far_from_origin": (polygon(FAR_SQUARE, FAR_SLIVER),
                                        "degenerate ring: zero area"),
+    "null_ring": (polygon(None), r"ring coordinates must be an \(n, 2\) sequence"),
+    "number_ring": (polygon(7), r"ring coordinates must be an \(n, 2\) sequence"),
+    "string_ring": (polygon("1234"), r"ring coordinates must be an \(n, 2\) sequence"),
     "multipolygon_without_parts": ({"type": "Feature", "properties": {"id": "BAD"},
                                     "geometry": {"type": "MultiPolygon", "coordinates": []}},
                                    "polygon set needs at least one outer ring"),
@@ -553,6 +556,8 @@ def votes_texts(draw):
 @example("unit_id,dem_votes,rep_votes\nP1,x,4\nP2,1,2,3\n")  # a bad count, then a long row
 @example("unit_id,dem_votes,rep_votes\nP1,-1,x\n")  # the first cell's fault wins
 @example("unit_id,dem_votes,rep_votes\n,1,2\n")  # an empty id is no blank row
+@example("unit_id,dem_votes,rep_votes\nP1,1,2\n , \n,,,\nP2,3,4\n")  # blank rows of 2 and 4 cells
+@example("unit_id,dem_votes,rep_votes\n ,5\n")  # a short row with an empty id: its length wins
 def test_votes_parse_gives_a_table_or_an_ingest_error(text):
     # the same rows, or the same message, as the former row-by-row parser
     outcome = ingest_outcome(parse_votes_csv, text)

@@ -101,6 +101,14 @@ def test_run_year_unknown_mode_is_a_raster_error(island_files):
         run_year(island_config(island_files, "packed", mode="foo"))
 
 
+def test_run_year_checks_levels_before_reading_input(tmp_path):
+    # no input file exists, so only a check made before ingest can name the levels
+    missing = str(tmp_path / "missing")
+    cfg = AnalysisConfig("y", missing, missing, missing, missing, levels=1)
+    with pytest.raises(PipelineError, match="^complex: need at least 2 levels, got 1$"):
+        run_year(cfg)
+
+
 def test_run_year_all_democratic_map_has_empty_barcodes(island_files, tmp_path):
     # every unit's margin is +1.0, at the top threshold, so no pixel ever
     # activates and neither layer has a bar
