@@ -31,6 +31,7 @@ import io
 import json
 import logging
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterable, NoReturn
 
 import numpy as np
@@ -110,18 +111,22 @@ def _vertex_table(rings: list) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     Ring r is rows offsets[r]:offsets[r + 1]. A closing vertex equal to the
     first is dropped. GeometryError if some ring is not a sequence of (x, y)
     numbers, or has fewer than 3 vertices left, a non-finite one or zero
-    area; called on one ring, it names that ring's fault.
+    area; called on one ring, it names that ring's fault. A ring that is not
+    a JSON array is not such a sequence, and a coordinate that is not a JSON
+    number (a string, true, false or null) is malformed.
     """
+    if not all(isinstance(c, list) for c in rings):
+        raise GeometryError("ring coordinates must be an (n, 2) sequence")
+    counts = np.array([len(c) for c in rings], dtype=np.int64)
+    points = [p for c in rings for p in c]
     try:
-        counts = np.array([len(c) for c in rings], dtype=np.int64)
-    except TypeError as e:
-        raise GeometryError("ring coordinates must be an (n, 2) sequence") from e
-    try:
-        raw = np.array([p for c in rings for p in c], dtype=np.float64)
+        raw = np.array(points, dtype=np.float64)
     except (TypeError, ValueError, OverflowError) as e:
         raise GeometryError("malformed polygon coordinates") from e
     if rings and (raw.ndim != 2 or raw.shape[1] != 2 or not counts.all()):
         raise GeometryError("ring coordinates must be an (n, 2) sequence")
+    if not set(map(type, chain.from_iterable(points))) <= {float, int}:
+        raise GeometryError("malformed polygon coordinates")
     raw = raw.reshape(-1, 2)
     ends = np.cumsum(counts)
     closed = (counts >= 2) & (raw[ends - counts] == raw[ends - 1]).all(axis=1)

@@ -6,11 +6,11 @@ regions (scipy.sparse.csgraph), with no complex built. The image holds each
 pixel's unit's level, read through the field's labels. barcode on a
 FilteredComplex pairs cells as GF(2) column reduction of the boundary matrix
 does (_pairing), with little column arithmetic: squares and triangles that
-form apparent pairs are paired in array passes and only the others go
-through a set-based loop; edges go through union-find. It serves the
-adjacency route, and the tests hold levelset_barcode to it on the cubical
-complex of the same field; the plain column loop is kept in the tests as
-_pairing's own reference.
+form apparent pairs are paired in array passes, edges go through union-find,
+and only the edges that close a cycle have their coboundaries reduced in a
+set-based loop. It serves the adjacency route, and the tests hold
+levelset_barcode to it on the cubical complex of the same field; the plain
+column loop is kept in the tests as _pairing's own reference.
 
 scipy.sparse.csgraph is imported inside _components, the one function here
 that calls scipy, so the commands and routes that take no raster barcode
@@ -36,24 +36,29 @@ def _pairing(cx: FilteredComplex) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Birth and death cells of the persistence pairs, and the unpaired cells.
 
     The pairs are those of the standard reduction of the boundary matrix
-    over GF(2), top dimension first and left to right, with clearing: for a
-    fixed cell order the pairing is unique, and two steps find it with
-    little column arithmetic.
+    over GF(2). For a fixed cell order they are unique, and the same as
+    those of the coboundary matrix reduced from the last edge to the first,
+    each column an edge's cofaces with its least coface as pivot (de Silva,
+    Morozov and Vejdemo-Johansson, "Dualities in persistent (co)homology",
+    2011). Three steps find them with little column arithmetic:
 
-    Squares and triangles: a cell j whose largest face f has j as its
-    earliest coface is an apparent pair (f, j) (Bauer, "Ripser",
-    arXiv:1908.02518). No column before j holds f, so the standard loop
-    reaches j with its raw boundary, finds f unowned and pairs (f, j) with
-    no addition; array passes find all of these at once. The other columns
-    go through that loop, adding the raw boundary of an apparent column and
-    the reduced form of any other.
+    1. Apparent pairs: a square or triangle j whose largest face f has j as
+       its earliest coface pairs (f, j) (Bauer, "Ripser", arXiv:1908.02518);
+       array passes find them all.
+    2. H0: the other edges go through union-find in index order, each
+       component named by its least vertex, the elder. An edge joining roots
+       ra < rb pairs (rb, j); an edge within a component is left over.
+    3. H1: the leftover edges' coboundaries are reduced, the last edge
+       first. An apparent edge that owns the pivot adds its raw cofaces, a
+       leftover edge its reduced column. A column that empties is an
+       essential H1 class, and a square or triangle that no edge owns an
+       essential H2 class.
 
-    Edges: clearing skips each edge that is already the low of a square or
-    triangle (an H1 birth, never a merge). The rest go through union-find in
-    index order, each component named by its least vertex, the elder. An
-    edge joining components with roots ra < rb gives the pair (rb, j), which
-    is the low of its reduced column; an edge within a component is an H1
-    birth that no cell kills.
+    Step 3 is that reduction. A cell in edge e's column is a coface of e or
+    of a later edge, so if it is apparent, its edge (its largest face) comes
+    after e, which is not apparent: that column was reached first, and with
+    no addition, as no later edge is a face of its cell. The H0 deaths are
+    cleared, as in Ripser: their columns own nothing.
     """
     dims, indptr, indices = cx.dims, cx.indptr, cx.indices
     lens = np.diff(indptr)
@@ -61,43 +66,53 @@ def _pairing(cx: FilteredComplex) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     faces = indices[np.repeat(dims == 2, lens)]     # column after column
     start = np.cumsum(lens[cols]) - lens[cols]
     lows = np.maximum.reduceat(faces, start) if len(cols) else faces
-    face, at = np.unique(faces, return_index=True)  # at: first, earliest coface
-    earliest = np.zeros(len(cx), np.int64)
-    earliest[face] = np.searchsorted(start, at, side="right") - 1
-    apparent = earliest[lows] == np.arange(len(cols))
-
-    # columns by position k in cols; the set loop reads them as list slices
-    flat, start = faces.tolist(), start.tolist() + [len(faces)]
-    owner = dict(zip(lows[apparent].tolist(), np.flatnonzero(apparent).tolist()))
-    reduced: dict[int, set[int]] = {}       # non-apparent death column -> reduced
-    for k in np.flatnonzero(~apparent).tolist():
-        col = set(flat[start[k]:start[k + 1]])
-        while col:
-            low = max(col)
-            i = owner.get(low)
-            if i is None:
-                owner[low] = k
-                reduced[k] = col
-                break
-            col.symmetric_difference_update(reduced.get(i) or flat[start[i]:start[i + 1]])
-    births, deaths = list(owner), cols[list(owner.values())].tolist()
+    order = np.argsort(faces, kind="stable")
+    face = faces[order]                             # each face's cofaces, earliest first
+    coface = cols[np.searchsorted(start, order, side="right") - 1]
+    apparent = coface[face.searchsorted(lows)] == cols
+    owner = np.full(len(cx), -1)
+    owner[cols[apparent]] = lows[apparent]          # apparent death -> its edge
 
     edges = dims == 1
-    edges[births] = False                   # cleared: each is an H1 birth
+    edges[lows[apparent]] = False                   # cleared: each is an H1 birth
     edges = np.flatnonzero(edges)
-    parent = {}                             # vertex -> parent; roots are least
-    for j, a, b in zip(edges.tolist(), indices[indptr[edges]].tolist(),
-                       indices[indptr[edges] + 1].tolist()):
-        while (p := parent.get(a, a)) != a:
-            parent[a] = a = parent.get(p, p)
-        while (p := parent.get(b, b)) != b:
-            parent[b] = b = parent.get(p, p)
-        if a != b:
-            a, b = min(a, b), max(a, b)
-            parent[b] = a
-            births.append(b)
-            deaths.append(j)
-    births, deaths = np.array(births, np.int64), np.array(deaths, np.int64)
+    vertices = np.flatnonzero(dims == 0)
+    rank = np.cumsum(dims == 0) - 1                 # ranks keep cell order
+    parent = list(range(len(vertices)))             # roots are least
+    roots, merges, leftover = [], [], []
+    for j, a, b in zip(edges.tolist(), rank[indices[indptr[edges]]].tolist(),
+                       rank[indices[indptr[edges] + 1]].tolist()):
+        while (p := parent[a]) != a:
+            parent[a] = a = parent[p]
+        while (p := parent[b]) != b:
+            parent[b] = b = parent[p]
+        if a == b:
+            leftover.append(j)
+            continue
+        if a > b:
+            a, b = b, a
+        parent[b] = a
+        roots.append(b)
+        merges.append(j)
+
+    def cofaces(e):
+        return coface[face.searchsorted(e):face.searchsorted(e, "right")].tolist()
+
+    cycles, reduced = [], {}                        # pivot -> reduced column
+    for e in reversed(leftover) if len(cols) else ():
+        col = set(cofaces(e))
+        while col:
+            t = min(col)
+            if t in reduced:
+                col.symmetric_difference_update(reduced[t])
+            elif (a := owner[t]) >= 0:
+                col.symmetric_difference_update(cofaces(a))
+            else:
+                reduced[t] = col
+                cycles.append(e)
+                break
+    births = np.concatenate([lows[apparent], vertices[roots], cycles]).astype(np.int64)
+    deaths = np.concatenate([cols[apparent], merges, list(reduced)]).astype(np.int64)
     paired = np.zeros(len(cx), bool)
     paired[births] = paired[deaths] = True
     return births, deaths, np.flatnonzero(~paired)

@@ -174,6 +174,13 @@ GEOMETRY_FAULTS = {
     "null_ring": (polygon(None), r"ring coordinates must be an \(n, 2\) sequence"),
     "number_ring": (polygon(7), r"ring coordinates must be an \(n, 2\) sequence"),
     "string_ring": (polygon("1234"), r"ring coordinates must be an \(n, 2\) sequence"),
+    "exponent_string_ring": (polygon("1e5"), r"ring coordinates must be an \(n, 2\) sequence"),
+    "object_ring": (polygon({"a": 1}), r"ring coordinates must be an \(n, 2\) sequence"),
+    # numpy would read these as the square of area 16 and a quadrilateral of area 14
+    "string_coordinates": (polygon([["0", "0"], ["4", "0"], ["4", "4"], ["0", "4"]]),
+                           "malformed polygon coordinates"),
+    "boolean_coordinate": (polygon([[True, 0], [4, 0], [4, 4], [0, 4]]),
+                           "malformed polygon coordinates"),
     "multipolygon_without_parts": ({"type": "Feature", "properties": {"id": "BAD"},
                                     "geometry": {"type": "MultiPolygon", "coordinates": []}},
                                    "polygon set needs at least one outer ring"),

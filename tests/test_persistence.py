@@ -143,6 +143,14 @@ def cubical_complexes(draw):
                            st.integers(1, 3))))
 @example(torus_complex())
 @example(triangle_filtration())
+# leftover edge 7 pivots on triangle 9, which apparent edge 8 owns, so its
+# reduction adds edge 8's cofaces before it pairs with triangle 10
+@example(flag_filtration([2, 2, 2, 3], [(1, 2), (0, 1), (0, 3), (1, 3), (2, 3)], num_levels=3))
+# a hollow tetrahedron: leftover edge 8 pairs with triangle 11; leftover edge
+# 7 adds apparent edge 9's cofaces, then edge 8's reduced column, and pairs
+# with triangle 12; triangle 13 is an essential H2 class
+@example(flag_filtration([2, 2, 3, 3], [(0, 3), (1, 2), (1, 3), (0, 2), (0, 1), (2, 3)],
+                         num_levels=3))
 def test_reduce_matches_reference(cx):
     pairs, essential, low = pairing(cx)
     expected = reduce_reference(cx)
@@ -318,6 +326,20 @@ def test_adjacency_barcode_digests(kind):
     units, _ = join_units(geo, votes)
     bc = barcode(build_adjacency_filtration(units, uniform_schedule(25), kind))
     assert hashlib.sha256(bc.dumps().encode()).hexdigest() == ADJACENCY_DIGESTS[kind]
+
+
+def test_pairing_peak_memory_on_the_gate_8_queen_complex(gate_8_layers):
+    # measured tracemalloc peak: 1.68 MiB, with cofaces looked up per edge in
+    # the sorted face column; the set loop over every non-apparent triangle
+    # took 2.78 MiB, and a Python list of every cell's cofaces alone 1.45 MiB
+    cx = build_adjacency_filtration(gate_8_layers[0], uniform_schedule(25), "queen")
+    tracemalloc.start()
+    try:
+        _pairing(cx)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * 2**20
 
 
 # === image route against the reduction ===
