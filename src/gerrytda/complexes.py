@@ -15,6 +15,8 @@ vertex (queen) or a collinear overlap (both kinds), and wedges for
 triangles. One pass per parsed map finds both kinds, for the map's memo,
 which every vote year joined to it reads (join_units keeps the columns, memo
 and unit order); any other collection, even of the same units, has its own.
+The memo also keeps each kind's flag skeleton (_flag_skeleton), so a vote
+year only masks it and sorts the cells by level (_flag_levels).
 
 Cells are stored columnar (dims, levels, boundary CSR) in the filtration
 order (level, dim, insertion id). A vertex whose level lies outside 1..L
@@ -109,9 +111,8 @@ class FilteredComplex:
                 raise StructureError("boundary face has wrong dimension")
             if np.any(self.levels[self.indices] > self.levels[col]):
                 raise StructureError("boundary face enters after its cell")
-            for k in (2, 3, 4):  # over GF(2) a repeated face would cancel
-                f = self.indices[self.indptr[:-1][lens == k][:, None] + np.arange(k)]
-                if any(np.any(f[:, i] == f[:, j]) for i in range(k) for j in range(i)):
+            for d in (1, 2, 3):  # over GF(2) a repeated face would cancel
+                if np.any((self.indices[d:] == self.indices[:-d]) & (col[d:] == col[:-d])):
                     raise StructureError("boundary names a face twice")
 
     def __len__(self) -> int:
@@ -122,9 +123,7 @@ class FilteredComplex:
 
 def _unit_levels(field: MarginField, schedule: LevelSchedule, polarity: str) -> np.ndarray:
     """Each unit's entry level, then L + 1 for BACKGROUND, the label -1 (int32)."""
-    if polarity not in ("democratic", "republican"):
-        raise ParameterError(f"unknown polarity {polarity!r}")
-    work = field.margins if polarity == "democratic" else -field.margins
+    work = field.margins if _check_polarity(polarity) == "democratic" else -field.margins
     t = np.asarray(schedule.thresholds)
     L = schedule.num_levels
     # smallest i with tau_i >= margin, so the sea (<= 0) floods at level 1;
@@ -134,10 +133,16 @@ def _unit_levels(field: MarginField, schedule: LevelSchedule, polarity: str) -> 
     return np.append(lv, L + 1).astype(np.int32)
 
 
+def _check_polarity(polarity: str) -> str:
+    if polarity not in ("democratic", "republican"):
+        raise ParameterError(f"unknown polarity {polarity!r}")
+    return polarity
+
+
 def _sorted_complex(dims, levels, lens, flat, num_levels, thresholds):
     """Sort cells into (level, dim, id) order and remap boundary indices."""
     n = len(dims)
-    perm = np.lexsort((np.arange(n), dims, levels))
+    perm = np.lexsort((dims, levels))  # stable, so ids stay in order
     inv = np.empty(n, dtype=np.int64)
     inv[perm] = np.arange(n)
     old_indptr = np.concatenate([[0], np.cumsum(lens)])
@@ -153,9 +158,9 @@ def _sorted_complex(dims, levels, lens, flat, num_levels, thresholds):
         new_flat = new_flat[order]
     else:
         new_flat = flat
-    return FilteredComplex(dims[perm], levels[perm].astype(np.int64),
-                           new_indptr.astype(np.int64), new_flat.astype(np.int64),
-                           num_levels, thresholds)
+    return FilteredComplex(dims[perm], levels[perm].astype(np.int64, copy=False),
+                           new_indptr.astype(np.int64, copy=False),
+                           new_flat.astype(np.int64, copy=False), num_levels, thresholds)
 
 
 # === unit adjacency ===
@@ -275,46 +280,61 @@ def flag_filtration(vertex_levels: Sequence[int],
     """Flag complex up to dimension 2 from per-vertex entry levels.
 
     A vertex level outside 1..num_levels means the vertex never enters.
-    Edge and triangle levels are the max over their vertices.
-
-    Built in array passes: masks drop self-loops and excluded endpoints,
-    np.unique over the keys u * nv + v (u < v) drops repeats, and edge ids
-    follow first occurrences. Triangles are the wedges (u, v), (v, w > v)
-    with (u, w) an edge, by id of (u, v), then w.
+    Edge and triangle levels are the max over their vertices. The skeleton
+    over every vertex comes first, then the levels mask and sort it.
     """
     lv = np.asarray(vertex_levels, dtype=np.int64)
+    if not isinstance(edges, np.ndarray):
+        edges = list(edges)
+    return _flag_levels(_flag_skeleton(len(lv), edges), lv, num_levels, thresholds)
+
+
+def _flag_skeleton(n: int, edges) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Edges (u, v) with u < v, and triangles as (uv, uw, vw) edge ids.
+
+    Self-loops and repeats are dropped, and edge ids follow first
+    occurrences. Triangles are the wedges (u, v), (v, w > v) with (u, w) an
+    edge, by id of (u, v), then w. All three arrays are read-only.
+    """
+    a, b = np.arange(n)[np.asarray(edges, dtype=np.int64).reshape(-1, 2).T]  # IndexError past n
+    a, b = a[a != b], b[a != b]
+    key, first = np.unique(np.minimum(a, b) * n + np.maximum(a, b), return_index=True)
+    lo, hi = key // n, key % n
+    by_id = np.argsort(first)
+    edge_id = np.argsort(by_id)  # of each sorted key
+    u, v = lo[by_id], hi[by_id]
+    first_of = np.searchsorted(lo, np.arange(n + 1))
+    uv, vw = _ranges(first_of[v], first_of[v + 1])
+    uw_key = u[uv] * n + hi[vw]
+    uw = np.minimum(np.searchsorted(key, uw_key), len(key) - 1)
+    closed = key[uw] == uw_key
+    out = u, v, np.column_stack([uv[closed], edge_id[uw[closed]], edge_id[vw[closed]]])
+    for x in out:
+        x.flags.writeable = False
+    return out
+
+
+def _flag_levels(skeleton, lv: np.ndarray, num_levels: int,
+                 thresholds: tuple[float, ...] | None) -> FilteredComplex:
+    """The skeleton's cells whose int64 vertex levels lv all enter, kept in
+    the skeleton's order and renumbered, then sorted by level."""
+    u, v, tri = skeleton
     included = (lv >= 1) & (lv <= num_levels)
     if not included.any():
         raise ComplexError("empty complex: no vertex ever enters")
     nv = int(included.sum())
     vid = np.cumsum(included) - 1  # of the included vertices
-    v_levels = lv[included]
+    e_in = included[u] & included[v]
+    eid = nv - 1 + np.cumsum(e_in)  # of the included edges
+    e_levels = np.maximum(lv[u], lv[v])
+    tri = tri[e_in[tri[:, 0]] & e_in[tri[:, 2]]]  # uv and vw hold all three vertices
 
-    if not isinstance(edges, np.ndarray):
-        edges = list(edges)
-    a, b = np.asarray(edges, dtype=np.int64).reshape(-1, 2).T
-    keep = (a != b) & included[a] & included[b]
-    a, b = vid[a[keep]], vid[b[keep]]
-    key, first = np.unique(np.minimum(a, b) * nv + np.maximum(a, b), return_index=True)
-    lo, hi = key // nv, key % nv
-    by_id = np.argsort(first)
-    edge_id = nv + np.argsort(by_id)  # of each sorted key
-    u, v = lo[by_id], hi[by_id]
-    e_levels = np.maximum(v_levels[u], v_levels[v])
-
-    first_of = np.searchsorted(lo, np.arange(nv + 1))
-    uv, vw = _ranges(first_of[v], first_of[v + 1])
-    uw_key = u[uv] * nv + hi[vw]
-    uw = np.minimum(np.searchsorted(key, uw_key), len(key) - 1)
-    closed = key[uw] == uw_key
-    uv, uw, vw = uv[closed], uw[closed], vw[closed]
-
-    counts = [nv, len(key), len(uv)]
+    counts = [nv, int(e_in.sum()), len(tri)]
     dims = np.repeat(np.array([0, 1, 2], np.int8), counts)
-    levels = np.concatenate([v_levels, e_levels, np.maximum(e_levels[uv], v_levels[hi[vw]])])
+    levels = np.concatenate([lv[included], e_levels[e_in],
+                             np.maximum(e_levels[tri[:, 0]], e_levels[tri[:, 2]])])
     lens = np.repeat(np.array([0, 2, 3], np.int64), counts)
-    flat = np.concatenate([np.column_stack([u, v]).ravel(),
-                           np.column_stack([nv + uv, edge_id[uw], edge_id[vw]]).ravel()])
+    flat = np.concatenate([np.column_stack([vid[u], vid[v]])[e_in].ravel(), eid[tri].ravel()])
     return _sorted_complex(dims, levels, lens, flat, num_levels, thresholds)
 
 
@@ -325,7 +345,8 @@ def build_adjacency_filtration(units: UnitCollection, schedule: LevelSchedule,
 
     Step i admits every unit the chosen party won with margin at least
     tau_{L-i+1}, so the safest seats enter first. Units the other party won,
-    ties, and wins below tau_1 never enter.
+    ties, and wins below tau_1 never enter. The flag skeleton of the map's
+    adjacency is kept in its memo, per kind, for every vote year.
     """
     if party not in ("republican", "democratic"):
         raise ParameterError(f"unknown party {party!r}")
@@ -336,4 +357,6 @@ def build_adjacency_filtration(units: UnitCollection, schedule: LevelSchedule,
         k = np.searchsorted(schedule.thresholds, np.abs(dem - rep) / (dem + rep),
                             side="right")  # thresholds <= the win margin
     levels = np.where(won & (k >= 1), L + 1 - k, L + 1)
-    return flag_filtration(levels, np.column_stack(_adjacency_pairs(units, kind)), L, None)
+    skeleton = units.memo(("flag", kind), lambda: _flag_skeleton(
+        len(units), np.column_stack(_adjacency_pairs(units, kind))))
+    return _flag_levels(skeleton, levels, L, None)

@@ -300,17 +300,21 @@ def parse_votes_csv(text: str | bytes) -> VoteTable:
         if uid in ids:
             raise IngestError(f"row {lineno}: duplicate unit_id {uid}")
         ids[uid] = None
-        for cell in row[1:]:
-            s = cell.strip()  # int() strips less than str.strip
-            try:
-                v = int(s)
-            except ValueError:
-                raise IngestError(f"row {lineno}: non-integer count {s!r}") from None
-            if v < 0:
-                raise IngestError(f"row {lineno}: negative count")
-            if v > MAX_VOTES:
-                raise IngestError(f"row {lineno}: count above 2**52")
-            counts.append(v)
+        try:  # int() strips less than str.strip
+            dem, rep = int(row[1].strip()), int(row[2].strip())
+        except ValueError:
+            dem = rep = -1
+        if not 0 <= dem <= MAX_VOTES >= rep >= 0:  # name the fault as the cells read
+            for s in map(str.strip, row[1:]):
+                try:
+                    v = int(s)
+                except ValueError:
+                    raise IngestError(f"row {lineno}: non-integer count {s!r}") from None
+                if v < 0:
+                    raise IngestError(f"row {lineno}: negative count")
+                if v > MAX_VOTES:
+                    raise IngestError(f"row {lineno}: count above 2**52")
+        counts += dem, rep
     return VoteTable(ids, counts[0::2], counts[1::2])
 
 

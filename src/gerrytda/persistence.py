@@ -12,6 +12,9 @@ set-based loop. It serves the adjacency route, and the tests hold
 levelset_barcode to it on the cubical complex of the same field; the plain
 column loop is kept in the tests as _pairing's own reference.
 
+Both routes fill a Barcode's dim, birth and death columns in array passes;
+PersistencePairs are made only for a caller that reads pairs or bars.
+
 scipy.sparse.csgraph is imported inside _components, the one function here
 that calls scipy, so the commands and routes that take no raster barcode
 load no scipy.
@@ -22,6 +25,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass
+from typing import Iterable
 
 import numpy as np
 
@@ -44,7 +48,8 @@ def _pairing(cx: FilteredComplex) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
 
     1. Apparent pairs: a square or triangle j whose largest face f has j as
        its earliest coface pairs (f, j) (Bauer, "Ripser", arXiv:1908.02518);
-       array passes find them all.
+       array passes find them all, each face's earliest coface by
+       np.minimum.at over the cells' columns, with no search.
     2. H0: the other edges go through union-find in index order, each
        component named by its least vertex, the elder. An edge joining roots
        ra < rb pairs (rb, j); an edge within a component is left over.
@@ -66,10 +71,12 @@ def _pairing(cx: FilteredComplex) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     faces = indices[np.repeat(dims == 2, lens)]     # column after column
     start = np.cumsum(lens[cols]) - lens[cols]
     lows = np.maximum.reduceat(faces, start) if len(cols) else faces
+    of = np.repeat(cols, lens[cols])                # each face's coface
+    earliest = np.full(len(cx), len(cx))
+    np.minimum.at(earliest, faces, of)
+    apparent = earliest[lows] == cols
     order = np.argsort(faces, kind="stable")
-    face = faces[order]                             # each face's cofaces, earliest first
-    coface = cols[np.searchsorted(start, order, side="right") - 1]
-    apparent = coface[face.searchsorted(lows)] == cols
+    face, coface = faces[order], of[order]          # each face's cofaces, earliest first
     owner = np.full(len(cx), -1)
     owner[cols[apparent]] = lows[apparent]          # apparent death -> its edge
 
@@ -129,18 +136,57 @@ class PersistencePair:
         return math.isinf(self.death)
 
 
-@dataclass(frozen=True)
 class Barcode:
-    pairs: tuple[PersistencePair, ...]
-    num_levels: int
-    thresholds: tuple[float, ...] | None = None
+    """Bars as read-only dims, births and deaths columns (inf for essential
+    bars), in the order given; pairs is made when first read."""
+
+    __slots__ = ("dims", "births", "deaths", "num_levels", "thresholds", "_pairs")
+
+    def __init__(self, pairs: Iterable[PersistencePair], num_levels: int,
+                 thresholds: tuple[float, ...] | None = None):
+        pairs = tuple(pairs)
+        columns = (np.array([getattr(p, c) for p in pairs]) for c in ("dim", "birth", "death"))
+        self._fill(*columns, num_levels, thresholds, pairs)
+
+    @classmethod
+    def _of(cls, dims, births, deaths, num_levels, thresholds) -> Barcode:
+        bc = cls.__new__(cls)
+        bc._fill(dims, births, deaths, num_levels, thresholds, None)
+        return bc
+
+    def _fill(self, dims, births, deaths, num_levels, thresholds, pairs):
+        # each a new array; births keep their type, as a bar's birth does
+        self.dims, self.births, self.deaths = dims.astype(np.int64), births, deaths.astype(float)
+        for col in (self.dims, self.births, self.deaths):
+            col.flags.writeable = False
+        self.num_levels, self.thresholds, self._pairs = num_levels, thresholds, pairs
+
+    @property
+    def pairs(self) -> tuple[PersistencePair, ...]:
+        if self._pairs is None:
+            self._pairs = _pairs(self.dims, self.births, self.deaths)
+        return self._pairs
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.num_levels, self.thresholds) == (other.num_levels, other.thresholds) \
+            and all(np.array_equal(getattr(self, c), getattr(other, c))
+                    for c in ("dims", "births", "deaths"))
+
+    def __hash__(self):
+        return hash((self.num_levels, self.thresholds, self.dims.tobytes()))
+
+    def __repr__(self):
+        return f"Barcode({self.pairs!r}, {self.num_levels!r}, {self.thresholds!r})"
 
     def bars(self, dim: int) -> tuple[PersistencePair, ...]:
-        return tuple(p for p in self.pairs if p.dim == dim)
+        on = self.dims == dim
+        return _pairs(self.dims[on], self.births[on], self.deaths[on])
 
     def alive(self, level: int, dim: int) -> int:
-        return sum(1 for p in self.pairs
-                   if p.dim == dim and p.birth <= level < p.death)
+        return int(np.count_nonzero((self.dims == dim) & (self.births <= level)
+                                    & (level < self.deaths)))
 
     def _to_value(self, level: float) -> float:
         if math.isinf(level):
@@ -151,15 +197,16 @@ class Barcode:
 
     def diagram(self, dim: int) -> list[tuple[float, float]]:
         """Bars of one dimension as (birth, death) in threshold units."""
-        return [(self._to_value(p.birth), self._to_value(p.death))
-                for p in self.bars(dim)]
+        on = self.dims == dim
+        return [(self._to_value(b), self._to_value(x))
+                for b, x in zip(self.births[on].tolist(), self.deaths[on].tolist())]
 
     def to_json(self) -> dict:
         """Bars in threshold units, or in level units when there are no thresholds."""
-        out_pairs = []
-        for p in self.pairs:
-            death = "inf" if p.essential else self._to_value(p.death)
-            out_pairs.append({"dim": p.dim, "birth": self._to_value(p.birth), "death": death})
+        out_pairs = [{"dim": d, "birth": self._to_value(b),
+                      "death": "inf" if math.isinf(x) else self._to_value(x)}
+                     for d, b, x in zip(self.dims.tolist(), self.births.tolist(),
+                                        self.deaths.tolist())]
         doc = {"num_levels": self.num_levels, "pairs": out_pairs}
         if self.thresholds is None:
             doc["units"] = "level"
@@ -167,6 +214,12 @@ class Barcode:
 
     def dumps(self) -> str:
         return json.dumps(self.to_json(), sort_keys=True)
+
+
+def _pairs(dims: np.ndarray, births: np.ndarray,
+           deaths: np.ndarray) -> tuple[PersistencePair, ...]:
+    return tuple(PersistencePair(d, b, x if math.isinf(x) else int(x)) for d, b, x in
+                 zip(dims.tolist(), births.tolist(), deaths.tolist()))
 
 
 def read_barcode_json(doc: dict | str) -> tuple[dict[int, list[tuple[float, float]]], int]:
@@ -211,9 +264,7 @@ def barcode(cx: FilteredComplex) -> Barcode:
     keep = birth < death
     dim, birth, death = cx.dims[cells][keep], birth[keep], death[keep]
     order = np.lexsort((death, birth, dim))
-    out = (PersistencePair(d, b, int(x) if x < INF else INF) for d, b, x in
-           zip(dim[order].tolist(), birth[order].tolist(), death[order].tolist()))
-    return Barcode(tuple(out), cx.num_levels, cx.thresholds)
+    return Barcode._of(dim[order], birth[order], death[order], cx.num_levels, cx.thresholds)
 
 
 # === level-set barcodes from a graph of equal-level regions ===
@@ -311,8 +362,9 @@ def _elder(entry: np.ndarray, pairs: np.ndarray,
 
 
 def _sweep(levels: np.ndarray, primal: np.ndarray, dual: np.ndarray,
-           L: int) -> list[PersistencePair]:
-    """Bars of a graph whose nodes enter at levels 1 to L (L + 1: never).
+           L: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Bars of a graph whose nodes enter at levels 1 to L (L + 1: never), as
+    dim, birth and death columns.
 
     H0 is the components of the active nodes under the primal links, swept
     upwards: a merge keeps the oldest component and ends each other one's
@@ -323,13 +375,13 @@ def _sweep(levels: np.ndarray, primal: np.ndarray, dual: np.ndarray,
     other one the bar (i + 1, fill level).
     """
     birth, death, alive = _elder(levels, primal, L)
-    bars = [PersistencePair(0, b, d) for b, d in zip(birth.tolist(), death.tolist())]
-    bars += [PersistencePair(0, b, INF) for b in alive.tolist()]
     # time t is level L - t, and a node is inactive below its level
     fill, time, _ = _elder(L + 1 - levels, dual, L)
-    bars += [PersistencePair(1, L + 1 - t, INF if f == 0 else L + 1 - f)
-             for f, t in zip(fill.tolist(), time.tolist())]
-    return bars
+    dims = np.repeat([0, 1], [len(birth) + len(alive), len(time)])
+    births = np.concatenate([birth, alive, L + 1 - time])
+    deaths = np.concatenate([death, np.full(len(alive), INF),
+                             np.where(fill == 0, INF, L + 1 - fill)])
+    return dims, births, deaths
 
 
 def levelset_barcode(field: MarginField, schedule: LevelSchedule,
@@ -345,6 +397,6 @@ def levelset_barcode(field: MarginField, schedule: LevelSchedule,
     complex has no H2. A field in which no pixel ever enters has no bars.
     """
     L = schedule.num_levels
-    bars = _sweep(*_raster_graph(field, schedule, polarity), L)
-    return Barcode(tuple(sorted(bars)), L, schedule.thresholds)
-
+    dims, births, deaths = _sweep(*_raster_graph(field, schedule, polarity), L)
+    order = np.lexsort((deaths, births, dims))
+    return Barcode._of(dims[order], births[order], deaths[order], L, schedule.thresholds)

@@ -92,8 +92,7 @@ def rasterize(units: UnitCollection, width: int, bounds: Bounds | None = None) -
     (unit, row, x) and paired into spans, and a pixel that two units claim
     goes to the later one.
     """
-    if width < 1:
-        raise ParameterError(f"width must be positive, got {width}")
+    _check_width(width)
     if len(units) == 0:
         raise RasterError("empty unit collection")
     if bounds is None:
@@ -101,6 +100,12 @@ def rasterize(units: UnitCollection, width: int, bounds: Bounds | None = None) -
     if bounds.width <= 0 or bounds.height <= 0:
         raise RasterError("bounds have no extent")
     return units.memo(("raster", width, bounds), lambda: _label(units, width, bounds))
+
+
+def _check_width(width: int) -> int:
+    if width < 1:
+        raise ParameterError(f"width must be positive, got {width}")
+    return width
 
 
 def _label(units: UnitCollection, width: int, bounds: Bounds) -> LabelRaster:
@@ -147,10 +152,7 @@ def margin_field(raster: LabelRaster, units: UnitCollection,
     mode may be given by its value. ParameterError for an unknown mode, or
     when the raster labels other units than these.
     """
-    try:
-        mode = MarginMode(mode)
-    except ValueError:
-        raise ParameterError(f"unknown margin mode {mode!r}") from None
+    mode = _margin_mode(mode)
     if raster.unit_ids != units.ids:
         raise ParameterError("the raster labels other units than the ones given")
     present = np.flatnonzero(raster.pixel_counts())
@@ -170,6 +172,14 @@ def margin_field(raster: LabelRaster, units: UnitCollection,
             margins = margins / normalizer
     margins.setflags(write=False)
     return MarginField(raster.grid, raster.labels, margins, mode, normalizer)
+
+
+def _margin_mode(mode) -> MarginMode:
+    """The MarginMode a mode or its value names; ParameterError for any other."""
+    try:
+        return MarginMode(mode)
+    except ValueError:
+        raise ParameterError(f"unknown margin mode {mode!r}") from None
 
 
 # === PGM export ===

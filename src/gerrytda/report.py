@@ -31,12 +31,12 @@ from .compare import (
     total_persistence,
     wasserstein,
 )
-from .complexes import LevelSchedule, _unit_levels, uniform_schedule
+from .complexes import LevelSchedule, _check_polarity, _unit_levels, uniform_schedule
 from .errors import DegenerateSampleError, GerryTdaError, ParameterError, PipelineError
 from .geometry import UnitCollection, UnitKind
 from .ingest import JoinReport, join_units, parse_geojson, parse_votes_csv
 from .persistence import Barcode, levelset_barcode
-from .raster import MarginField, margin_field, rasterize
+from .raster import MarginField, _check_width, _margin_mode, margin_field, rasterize
 
 
 @dataclass(frozen=True)
@@ -100,8 +100,13 @@ def run_year(config: AnalysisConfig, maps: dict | None = None) -> YearResult:
     maps, if given, holds parsed maps keyed by (geo path, kind); this call
     reads and adds to it. run_years shares one among its years.
     """
-    with _stage("complex"):  # before any input is read, so bad levels fail first
+    # before any input is read, so a config that cannot run fails first
+    with _stage("complex"):
         schedule = uniform_schedule(config.levels, config.max_margin)
+    with _stage("raster"):
+        width, mode = _check_width(config.width), _margin_mode(config.mode)
+    with _stage("complex"):
+        polarity = _check_polarity(config.polarity)
 
     with _stage("ingest"):
         precincts, p_join = _load_layer(config.precinct_geo, config.precinct_votes,
@@ -111,14 +116,12 @@ def run_year(config: AnalysisConfig, maps: dict | None = None) -> YearResult:
 
     with _stage("raster"):
         bounds = precincts.bounds.union(districts.bounds)
-        p_field = margin_field(rasterize(precincts, config.width, bounds),
-                               precincts, config.mode)
-        d_field = margin_field(rasterize(districts, config.width, bounds),
-                               districts, config.mode)
+        p_field = margin_field(rasterize(precincts, width, bounds), precincts, mode)
+        d_field = margin_field(rasterize(districts, width, bounds), districts, mode)
 
     with _stage("complex"):
-        p_barcode = levelset_barcode(p_field, schedule, config.polarity)
-        d_barcode = levelset_barcode(d_field, schedule, config.polarity)
+        p_barcode = levelset_barcode(p_field, schedule, polarity)
+        d_barcode = levelset_barcode(d_field, schedule, polarity)
 
     with _stage("compare"):
         max_death = schedule.max_margin
@@ -134,7 +137,7 @@ def run_year(config: AnalysisConfig, maps: dict | None = None) -> YearResult:
         rows = tuple(score_units(districts))
 
     return YearResult(config.year, p_barcode, d_barcode, bn, ws, tp,
-                      p_join, d_join, rows, p_field, d_field, schedule, config.polarity)
+                      p_join, d_join, rows, p_field, d_field, schedule, polarity)
 
 
 def run_years(configs: Sequence[AnalysisConfig]) -> list[YearResult]:

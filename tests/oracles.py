@@ -41,6 +41,10 @@ routes are held to:
   that build a complex from cell triples and read it back, and torus_complex,
   the periodic grid whose Betti numbers are known: fixtures for both checks.
 
+* BarcodeReference, the former Barcode, a tuple of PersistencePairs that
+  each method loops over: Barcode's columns are held to it method for
+  method, and byte for byte in dumps().
+
 euler_curve is V - E + F of a field's active cubical complex at each level,
 which the H0 minus H1 bars alive in levelset_barcode are held to at any
 width, beyond the reach of the complex reference. Both it and
@@ -806,3 +810,46 @@ def reduce_reference(cx):
                 col.symmetric_difference_update(deaths[owner[low]])
     essential = (i for i in range(len(cx)) if i not in owner and i not in deaths)
     return ReferenceReduction(tuple(sorted(owner.items())), tuple(essential), deaths)
+
+
+@dataclass(frozen=True)
+class BarcodeReference:
+    """The library's former Barcode: a tuple of PersistencePairs, each
+    method a loop over it."""
+
+    pairs: tuple
+    num_levels: int
+    thresholds: tuple[float, ...] | None = None
+
+    def bars(self, dim: int) -> tuple:
+        return tuple(p for p in self.pairs if p.dim == dim)
+
+    def alive(self, level: int, dim: int) -> int:
+        return sum(1 for p in self.pairs
+                   if p.dim == dim and p.birth <= level < p.death)
+
+    def _to_value(self, level: float) -> float:
+        if math.isinf(level):
+            return math.inf
+        if self.thresholds is None:
+            return float(level)
+        return self.thresholds[int(level) - 1]
+
+    def diagram(self, dim: int) -> list[tuple[float, float]]:
+        """Bars of one dimension as (birth, death) in threshold units."""
+        return [(self._to_value(p.birth), self._to_value(p.death))
+                for p in self.bars(dim)]
+
+    def to_json(self) -> dict:
+        """Bars in threshold units, or in level units when there are no thresholds."""
+        out_pairs = []
+        for p in self.pairs:
+            death = "inf" if p.essential else self._to_value(p.death)
+            out_pairs.append({"dim": p.dim, "birth": self._to_value(p.birth), "death": death})
+        doc = {"num_levels": self.num_levels, "pairs": out_pairs}
+        if self.thresholds is None:
+            doc["units"] = "level"
+        return doc
+
+    def dumps(self) -> str:
+        return json.dumps(self.to_json(), sort_keys=True)

@@ -688,3 +688,41 @@ def test_separately_built_maps_never_share_an_answer():
         schedule = uniform_schedule(5)
         assert_same_complex(build_adjacency_filtration(backwards, schedule, kind),
                             string_route_complex(backwards, schedule, kind))
+
+
+def sweep_levels(units, schedule):
+    """Each unit's level in the republican sweep; -1 for one that never enters."""
+    L = schedule.num_levels
+    levels = []
+    for dem, rep in zip(units.dem.tolist(), units.rep.tolist()):
+        k = sum(t <= abs(dem - rep) / (dem + rep) for t in schedule.thresholds) if rep > dem else 0
+        levels.append(L + 1 - k if k else -1)
+    return levels
+
+
+@settings(max_examples=100, deadline=None)
+@given(fc=adjacency_maps(), years=st.lists(st.sampled_from(["some enter", "none enter"]),
+                                           min_size=2, max_size=4),
+       seed=st.integers(0, 2**32 - 1), levels=st.integers(2, 8))
+@example(fc=grid_mosaic(4, 3, seed=1), years=["none enter", "some enter"], seed=0, levels=5)
+def test_every_vote_year_of_one_map_gets_the_flag_filtration_of_its_pairs(fc, years, seed,
+                                                                         levels):
+    # the skeleton each kind keeps per map serves every year joined to it
+    geo = parse_geojson(json.dumps(fc))
+    rng = np.random.default_rng(seed)
+    schedule = uniform_schedule(levels)
+    for year in years:
+        dem = rng.integers(0, 100, len(geo))
+        rep = rng.integers(0, 100, len(geo)) if year == "some enter" else dem
+        units, _ = join_units(geo, VoteTable(geo.ids, dem, rep))
+        lv = sweep_levels(units, schedule)
+        for kind in ("queen", "rook"):
+            pairs = np.column_stack(complexes._adjacency_pairs(units, kind))
+            if not any(1 <= x <= levels for x in lv):
+                for build in (lambda: build_adjacency_filtration(units, schedule, kind),
+                              lambda: flag_filtration(lv, pairs, levels)):
+                    with pytest.raises(ComplexError, match="^empty complex: no vertex ever"):
+                        build()
+                continue
+            assert_same_complex(build_adjacency_filtration(units, schedule, kind),
+                                flag_filtration(lv, pairs, levels))

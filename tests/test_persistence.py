@@ -40,6 +40,7 @@ from gerrytda.synth import (
     votes_csv_text,
 )
 from oracles import (
+    BarcodeReference,
     betti_oracle,
     build_levelset_filtration,
     euler_curve,
@@ -539,3 +540,49 @@ def test_barcode_alive_counts():
     assert bc.alive(13, 1) == 1
     assert bc.alive(25, 1) == 1
     assert bc.alive(25, 0) == 0
+
+
+@st.composite
+def bar_lists(draw, num_levels, low):
+    """PersistencePairs born at levels low..num_levels, each dying later or
+    never; a finite death may be a float."""
+    bars = []
+    for _ in range(draw(st.integers(0, 12))):
+        dim, birth = draw(st.integers(0, 2)), draw(st.integers(low, num_levels))
+        death = draw(st.sampled_from([INF, *range(birth + 1, num_levels + 1)]))
+        bars.append(PersistencePair(dim, birth, float(death) if draw(st.booleans()) else death))
+    return bars
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data(), num_levels=st.integers(1, 6), scaled=st.booleans())
+def test_barcode_columns_match_the_pair_loop(data, num_levels, scaled):
+    thresholds = tuple(i / num_levels for i in range(1, num_levels + 1)) if scaled else None
+    pairs = data.draw(bar_lists(num_levels, 1 if scaled else 0))
+    others = data.draw(st.one_of(st.just(pairs), st.permutations(pairs),
+                                 bar_lists(num_levels, 1 if scaled else 0)))
+    bc, ref = Barcode(pairs, num_levels, thresholds), BarcodeReference(tuple(pairs), num_levels,
+                                                                       thresholds)
+    assert bc.pairs == tuple(pairs)
+    for dim in range(3):
+        assert bc.bars(dim) == ref.bars(dim)
+        assert bc.diagram(dim) == ref.diagram(dim)
+        for level in range(num_levels + 2):
+            assert bc.alive(level, dim) == ref.alive(level, dim)
+    assert bc.to_json() == ref.to_json()
+    assert bc.dumps() == ref.dumps()
+    for other_levels in (num_levels, num_levels + 1):
+        same = bc == Barcode(others, other_levels, thresholds)
+        assert same == (ref == BarcodeReference(tuple(others), other_levels, thresholds))
+        assert not same or hash(bc) == hash(Barcode(others, other_levels, thresholds))
+
+
+def test_barcode_builds_no_persistence_pair(gate_8_layers, monkeypatch):
+    made = []
+    init = PersistencePair.__init__
+    monkeypatch.setattr(PersistencePair, "__init__",
+                        lambda self, *args: made.append(args) or init(self, *args))
+    bc = barcode(build_adjacency_filtration(gate_8_layers[0], uniform_schedule(25), "queen"))
+    assert made == []
+    assert len(bc.pairs) == len(made) > 1000  # reading pairs makes them, once
+    assert bc.pairs is bc.pairs

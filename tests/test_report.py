@@ -109,6 +109,27 @@ def test_run_year_checks_levels_before_reading_input(tmp_path):
         run_year(cfg)
 
 
+def test_run_year_checks_width_before_reading_input(tmp_path):
+    missing = str(tmp_path / "missing")
+    cfg = AnalysisConfig("y", missing, missing, missing, missing, width=0)
+    with pytest.raises(PipelineError, match="^raster: width must be positive, got 0$"):
+        run_year(cfg)
+
+
+def test_run_year_checks_mode_before_reading_input(tmp_path):
+    missing = str(tmp_path / "missing")
+    cfg = AnalysisConfig("y", missing, missing, missing, missing, mode="foo")
+    with pytest.raises(PipelineError, match="^raster: unknown margin mode 'foo'$"):
+        run_year(cfg)
+
+
+def test_run_year_checks_polarity_before_reading_input(tmp_path):
+    missing = str(tmp_path / "missing")
+    cfg = AnalysisConfig("y", missing, missing, missing, missing, polarity="x")
+    with pytest.raises(PipelineError, match="^complex: unknown polarity 'x'$"):
+        run_year(cfg)
+
+
 def test_run_year_all_democratic_map_has_empty_barcodes(island_files, tmp_path):
     # every unit's margin is +1.0, at the top threshold, so no pixel ever
     # activates and neither layer has a bar
